@@ -10,7 +10,7 @@ DAEMONDIR ?= .daemon-smoke
 GATE_BENCH = fib
 GATE_FLAGS = -bench $(GATE_BENCH) -invocations 6 -iterations 10 -seed 42 -noise quiet -json
 
-.PHONY: all build test lint verify bench bench-smoke bench-gate bench-go bench-go-baseline bench-track chaos-soak daemon-smoke clean
+.PHONY: all build test lint verify bench bench-smoke bench-gate bench-go bench-go-baseline bench-track chaos-soak daemon-smoke perfbench-check clean
 
 # Pinned configuration of the wall-clock VM microbenchmarks. BENCH_vm.json
 # is the committed register-tier baseline; bench-go compares a fresh run
@@ -46,6 +46,14 @@ verify: lint
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# perfbench-check vets and tests the repository benchmark. perfbench/ is
+# its own Go module, so `go build ./...` and `go test ./...` at the root
+# never compile it: without this target a harness API change that breaks
+# the benchmark passes CI and fails only when the benchmark runs.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench-go runs the wall-clock interpreter microkernels (dispatch, call,
 # attribute, global-lookup, iteration, probe-entry), prints per-benchmark

@@ -172,7 +172,11 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 
 	// Chaos: subprocess isolation, journal on a fault-injecting filesystem,
 	// and deliberate crash points with journal resume in between.
-	journal := filepath.Join(cfg.dir, fmt.Sprintf("round%d.wal", round))
+	journalDir := filepath.Join(cfg.dir, fmt.Sprintf("round%d", round))
+	if err := os.MkdirAll(journalDir, 0o755); err != nil {
+		fmt.Fprintf(stderr, "benchchaos: round %d: %v\n", round, err)
+		return exitcode.Infra
+	}
 	chaosFS := faults.NewChaosFS(wal.OSFS{}, cfg.faults.Storage(), cfg.seed)
 	iso := harness.IsolationOptions{}
 	if cfg.isolate {
@@ -189,18 +193,16 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	crashRNG := stats.NewRNG(cfg.seed).Split(0xC4A5)
 	var res *harness.Result
 	segments := 0
+	so := base
+	so.Isolation = iso
+	so.Workers, so.Policy = cfg.workers, harness.PolicyForce
+	so.Checkpoint = harness.CheckpointDir{Dir: journalDir, FS: chaosFS}
 	for {
-		store := harness.NewJournalCheckpointFS(chaosFS, journal)
-		so := base
-		so.Isolation = iso
-		so.Checkpoint = store
+		so.CrashAfter = 0
 		if segments < cfg.crashes {
 			so.CrashAfter = 1 + int(crashRNG.Uint64()%uint64(maxInt(1, cfg.invocations/2)))
 		}
-		res, err = harness.NewSupervisor(harness.NewRunner(), so).
-			RunParallel(b, opts, harness.ParallelOptions{Workers: cfg.workers, Policy: harness.PolicyForce})
-		//benchlint:allow uncheckederr — segments crash by design; recovery replays the journal
-		store.Close()
+		res, err = harness.NewSupervisor(harness.NewRunner(), so).Run(b, opts)
 		segments++
 		if errors.Is(err, harness.ErrCrashPoint) {
 			if cfg.verbose {

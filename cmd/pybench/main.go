@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/client"
@@ -351,27 +350,9 @@ func (o *observability) finish(w *os.File, printMetrics bool) error {
 	return nil
 }
 
-// parallelOptions maps the CLI's parallelism config onto the harness
-// (Workers <= 1 selects the sequential path).
-func parallelOptions(cfg core.Config) harness.ParallelOptions {
-	return harness.ParallelOptions{Workers: cfg.Workers, Policy: cfg.ParallelPolicy}
-}
-
-// supervisorOptions maps the CLI's supervision config onto the harness
-// policy (checkpoint stores are attached per experiment by the callers).
-func supervisorOptions(cfg core.Config) harness.SupervisorOptions {
-	return harness.SupervisorOptions{
-		MaxRetries: cfg.Retries,
-		Quorum:     cfg.Quorum,
-		Faults:     cfg.Faults,
-		FaultSeed:  cfg.FaultSeed,
-		Isolation:  cfg.Isolation,
-	}
-}
-
 // doSuite runs the rigorous methodology across the whole suite with
-// family-wise (Holm–Bonferroni) error control, under fault-tolerant
-// supervision when configured.
+// family-wise (Holm–Bonferroni) error control, under the configured
+// supervision policy.
 func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 	inv, iter := cfg.Invocations, cfg.Iterations
 	if inv == 0 {
@@ -390,25 +371,13 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 	}
 	runner := harness.NewRunner()
 	o.attach(runner, "suite")
-	po := parallelOptions(cfg)
+	sup := harness.NewSupervisor(runner, cfg.SupervisorOptions())
 	var names []string
 	var baselines, treatments []stats.HierarchicalSample
 	var degradedNotes []string
 	opts := harness.Options{Invocations: inv, Iterations: iter, Seed: seed, Noise: np}
 	for _, wl := range workloads.Suite() {
-		var interp, jit *harness.Result
-		var err error
-		if cfg.Supervised() {
-			so := supervisorOptions(cfg)
-			if cfg.CheckpointDir != "" {
-				// The base store; RunPairParallel derives one journal per arm.
-				so.Checkpoint = harness.NewJournalCheckpoint(
-					filepath.Join(cfg.CheckpointDir, wl.Name+".ckpt.wal"))
-			}
-			interp, jit, err = harness.NewSupervisor(runner, so).RunPairParallel(wl, opts, po)
-		} else {
-			interp, jit, err = runner.RunPairParallel(wl, opts, po)
-		}
+		interp, jit, err := sup.RunPair(wl, opts)
 		if err != nil {
 			return err
 		}
@@ -416,7 +385,7 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 		baselines = append(baselines, interp.Hierarchical())
 		treatments = append(treatments, jit.Hierarchical())
 		for _, arm := range []*harness.Result{interp, jit} {
-			if sv := arm.Supervision; sv != nil && sv.Degraded() {
+			if sv := arm.Supervision; sv.Degraded() {
 				degradedNotes = append(degradedNotes,
 					fmt.Sprintf("%s/%s: %s", wl.Name, arm.Mode, sv.Summary()))
 			}

@@ -10,9 +10,11 @@ import (
 	"repro/internal/controlapi"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/noise"
 	"repro/internal/trace"
 	"repro/internal/version"
+	"repro/internal/workloads"
 )
 
 // noObs is the disabled observability bundle used by tests that exercise
@@ -115,13 +117,18 @@ func captureStdout(t *testing.T, f func() error) string {
 }
 
 func TestSupervisorOptionsMapping(t *testing.T) {
-	cfg := core.Config{Retries: 3, Quorum: 2, Faults: faults.Light(), FaultSeed: 99}
-	so := supervisorOptions(cfg)
+	cfg := core.Config{Retries: 3, Quorum: 2, Faults: faults.Light(), FaultSeed: 99,
+		Workers: 4, ParallelPolicy: harness.PolicyForce, CheckpointDir: "ckpt"}
+	so := cfg.SupervisorOptions()
 	if so.MaxRetries != 3 || so.Quorum != 2 || so.FaultSeed != 99 || so.Faults != faults.Light() {
 		t.Fatalf("supervision policy lost in translation: %+v", so)
 	}
-	if so.Checkpoint != nil {
-		t.Fatal("checkpoint stores are attached per experiment, not globally")
+	if so.Workers != 4 || so.Policy != harness.PolicyForce {
+		t.Fatalf("parallelism lost in translation: %+v", so)
+	}
+	// The harness names each experiment's journal inside the directory.
+	if so.Checkpoint.Dir != "ckpt" || so.Checkpoint.FS != nil {
+		t.Fatalf("checkpoint directory lost in translation: %+v", so.Checkpoint)
 	}
 }
 
@@ -149,6 +156,40 @@ func TestDoBenchSupervisedWithFaults(t *testing.T) {
 	}
 	if stripped := strings.ReplaceAll(again, "; resumed at invocation 3", ""); stripped != out {
 		t.Errorf("resumed -bench differs from original:\n--- first\n%s--- resumed\n%s", out, again)
+	}
+}
+
+// TestSuiteAndBenchShareCheckpointLayout: -suite -resume leaves one
+// <bench>_<mode>.ckpt.wal per arm, and a -bench run of the same experiment
+// over that directory resumes the suite's interp arm instead of re-running
+// it — every surface uses the harness's one checkpoint layout.
+func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Invocations: 2, Iterations: 2, Seed: 7, Noise: noise.Quiet(), CheckpointDir: dir}
+	captureStdout(t, func() error { return doSuite(cfg, renderText, noObs()) })
+	suite := workloads.Suite()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 2*len(suite) {
+		t.Fatalf("want %d journals in %s, got %v (err %v)", 2*len(suite), dir, files, err)
+	}
+	for _, wl := range suite {
+		for _, mode := range []string{"interp", "jit"} {
+			if _, err := os.Stat(filepath.Join(dir, wl.Name+"_"+mode+".ckpt.wal")); err != nil {
+				t.Fatalf("suite arm journal missing: %v", err)
+			}
+		}
+	}
+
+	out := captureStdout(t, func() error {
+		return doBench(benchSpec("fib", "interp", 2, 2, 7, "quiet"), dir, "", true, noObs())
+	})
+	res, err := harness.ReadResultJSON(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Supervision.ResumedFrom != 2 {
+		t.Fatalf("-bench did not resume the suite's journal: ResumedFrom = %d, want 2",
+			res.Supervision.ResumedFrom)
 	}
 }
 

@@ -57,10 +57,11 @@ func main() {
 	fmt.Println("Suite comparison (interp vs JIT) with Holm–Bonferroni correction")
 	fmt.Println("-----------------------------------------------------------------")
 	suite := workloads.Suite()[:8] // keep the example quick
+	sup := harness.NewSupervisor(runner, harness.SupervisorOptions{})
 	var names []string
 	var baselines, treatments []stats.HierarchicalSample
 	for _, wl := range suite {
-		interp, jit, err := runner.RunPair(wl, harness.Options{
+		interp, jit, err := sup.RunPair(wl, harness.Options{
 			Invocations: 8, Iterations: 20, Seed: 21, Noise: noise.Default(),
 		})
 		if err != nil {

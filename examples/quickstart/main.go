@@ -32,15 +32,17 @@ def run():
 	}
 
 	// 2. Run the rigorous experiment design: multiple fresh VM invocations,
-	// multiple iterations each, on a simulated noisy machine.
-	runner := harness.NewRunner()
+	// multiple iterations each, on a simulated noisy machine. The
+	// supervisor's zero policy retries nothing and requires every
+	// invocation to succeed.
+	sup := harness.NewSupervisor(harness.NewRunner(), harness.SupervisorOptions{})
 	opts := harness.Options{
 		Invocations: 10,
 		Iterations:  30,
 		Seed:        42,
 		Noise:       noise.Default(),
 	}
-	interp, jit, err := runner.RunPair(bench, opts)
+	interp, jit, err := sup.RunPair(bench, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func (l *ledger) checkpointDir(id string) string {
 }
 
 // saveResult atomically persists a campaign's result document
-// (temp + fsync + rename, the same discipline as harness.FileCheckpoint):
+// (temp + fsync + rename, the same discipline as wal's journal repair):
 // a crash mid-write can never leave a half-written result behind.
 func (l *ledger) saveResult(id string, data []byte) error {
 	path := l.resultPath(id)

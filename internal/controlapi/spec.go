@@ -218,8 +218,9 @@ type ExecOptions struct {
 	// Runner executes the campaign (nil = a fresh private runner).
 	Runner *harness.Runner
 	// CheckpointDir, when set, gives every benchmark × mode arm a
-	// crash-safe journal checkpoint there, so a killed process resumes the
-	// campaign without re-running completed invocations.
+	// crash-safe journal checkpoint there (<bench>_<mode>.ckpt.wal), so a
+	// killed process resumes the campaign without re-running completed
+	// invocations.
 	CheckpointDir string
 	// AbortCheck is polled by the engine during execution and between
 	// benchmarks; a non-nil return cancels the campaign.
@@ -236,10 +237,10 @@ type ExecOptions struct {
 
 // Execute runs a validated campaign and returns one Result per benchmark,
 // in spec order. It is the single execution path shared by `pybench
-// -bench` and the daemon: supervision is always on (the zero policy is
-// byte-identical to a bare run), budgets flow from the spec, and the
-// checkpoint layout matches the CLI's -resume so either surface can resume
-// the other's interrupted campaign.
+// -bench` and the daemon: supervision is always on (the zero policy draws
+// the same sample set as a bare run), budgets flow from the spec, and the
+// checkpoint layout is the harness's one layout, so any surface can resume
+// another's interrupted campaign.
 func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -258,7 +259,31 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 			return nil, fmt.Errorf("creating checkpoint dir: %w", err)
 		}
 	}
-	po := harness.ParallelOptions{Workers: spec.Workers, Policy: policy}
+	sup := harness.NewSupervisor(runner, harness.SupervisorOptions{
+		MaxRetries: spec.Retries,
+		Quorum:     spec.Quorum,
+		Faults:     fp,
+		Workers:    spec.Workers,
+		Policy:     policy,
+		Checkpoint: harness.CheckpointDir{Dir: eo.CheckpointDir},
+		Isolation: harness.IsolationOptions{
+			Enabled:  spec.Isolate,
+			Watchdog: time.Duration(spec.WatchdogMs) * time.Millisecond,
+		},
+		CrashAfter: eo.CrashAfter,
+	})
+	opts := harness.Options{
+		Mode:                  mode,
+		Invocations:           spec.Invocations,
+		Iterations:            spec.Iterations,
+		Seed:                  spec.Seed,
+		Noise:                 np,
+		Opt:                   spec.Opt,
+		VM:                    spec.VM,
+		MaxStepsPerInvocation: spec.MaxSteps,
+		WallBudget:            time.Duration(spec.WallBudgetMs) * time.Millisecond,
+		AbortCheck:            eo.AbortCheck,
+	}
 	var results []*harness.Result
 	for i, name := range spec.Benchmarks {
 		if eo.AbortCheck != nil {
@@ -267,35 +292,10 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 			}
 		}
 		b, _ := workloads.ByName(name)
-		so := harness.SupervisorOptions{
-			MaxRetries: spec.Retries,
-			Quorum:     spec.Quorum,
-			Faults:     fp,
-			Isolation: harness.IsolationOptions{
-				Enabled:  spec.Isolate,
-				Watchdog: time.Duration(spec.WatchdogMs) * time.Millisecond,
-			},
-			CrashAfter: eo.CrashAfter,
-		}
-		if eo.CheckpointDir != "" {
-			so.Checkpoint = harness.JournalCheckpointFor(eo.CheckpointDir, b.Name, mode)
-		}
-		opts := harness.Options{
-			Mode:                  mode,
-			Invocations:           spec.Invocations,
-			Iterations:            spec.Iterations,
-			Seed:                  spec.Seed,
-			Noise:                 np,
-			Opt:                   spec.Opt,
-			VM:                    spec.VM,
-			MaxStepsPerInvocation: spec.MaxSteps,
-			WallBudget:            time.Duration(spec.WallBudgetMs) * time.Millisecond,
-			AbortCheck:            eo.AbortCheck,
-		}
 		if eo.OnBenchmark != nil {
 			eo.OnBenchmark(i, name, false)
 		}
-		res, err := harness.NewSupervisor(runner, so).RunParallel(b, opts, po)
+		res, err := sup.Run(b, opts)
 		if err != nil {
 			if res != nil {
 				results = append(results, res)

@@ -40,8 +40,8 @@ type Config struct {
 	// Benchmarks restricts the suite (nil = full suite).
 	Benchmarks []workloads.Benchmark
 
-	// Supervision policy: when any of these is set, experiments run under
-	// the fault-tolerant harness.Supervisor instead of the bare Runner.
+	// Supervision policy. Every experiment runs under harness.Supervisor;
+	// the zero policy reproduces the bare Runner's sample sets.
 
 	// Retries is the per-invocation retry budget.
 	Retries int
@@ -62,7 +62,7 @@ type Config struct {
 
 	// Workers > 1 fans invocations out across that many shards. The sample
 	// set is identical to the sequential run by construction (see
-	// harness.RunParallel); only wall time changes.
+	// harness.SupervisorOptions.Workers); only wall time changes.
 	Workers int
 	// ParallelPolicy governs the interference guard when Workers > 1
 	// (guard/fallback/force; zero value = guard).
@@ -73,6 +73,21 @@ type Config struct {
 func (c Config) Supervised() bool {
 	return c.Retries > 0 || c.Quorum > 0 || c.Faults.Enabled() ||
 		c.CheckpointDir != "" || c.Isolation.Enabled
+}
+
+// SupervisorOptions maps the config's supervision and parallelism knobs
+// onto the harness policy.
+func (c Config) SupervisorOptions() harness.SupervisorOptions {
+	return harness.SupervisorOptions{
+		MaxRetries: c.Retries,
+		Quorum:     c.Quorum,
+		Faults:     c.Faults,
+		FaultSeed:  c.FaultSeed,
+		Workers:    c.Workers,
+		Policy:     c.ParallelPolicy,
+		Checkpoint: harness.CheckpointDir{Dir: c.CheckpointDir},
+		Isolation:  c.Isolation,
+	}
 }
 
 func (c Config) withDefaults() Config {
@@ -123,8 +138,8 @@ func New(cfg Config) *Engine {
 // Config returns the resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// run executes one benchmark × engine experiment with the configured noise,
-// under the fault-tolerant supervisor when a supervision policy is set.
+// run executes one benchmark × engine experiment with the configured noise
+// under the configured supervision policy.
 func (e *Engine) run(b workloads.Benchmark, mode vm.Mode, inv, iter int, counters bool) (*harness.Result, error) {
 	opts := harness.Options{
 		Mode:         mode,
@@ -134,33 +149,7 @@ func (e *Engine) run(b workloads.Benchmark, mode vm.Mode, inv, iter int, counter
 		Noise:        e.cfg.Noise,
 		WithCounters: counters,
 	}
-	po := e.parallelOptions()
-	if e.cfg.Supervised() {
-		return e.supervisorFor(b.Name, mode).RunParallel(b, opts, po)
-	}
-	return e.runner.RunParallel(b, opts, po)
-}
-
-// parallelOptions maps the config's parallelism knobs onto the harness
-// (Workers <= 1 yields options that select the sequential path).
-func (e *Engine) parallelOptions() harness.ParallelOptions {
-	return harness.ParallelOptions{Workers: e.cfg.Workers, Policy: e.cfg.ParallelPolicy}
-}
-
-// supervisorFor builds the configured supervisor for one experiment,
-// wiring its checkpoint file when CheckpointDir is set.
-func (e *Engine) supervisorFor(bench string, mode vm.Mode) *harness.Supervisor {
-	so := harness.SupervisorOptions{
-		MaxRetries: e.cfg.Retries,
-		Quorum:     e.cfg.Quorum,
-		Faults:     e.cfg.Faults,
-		FaultSeed:  e.cfg.FaultSeed,
-		Isolation:  e.cfg.Isolation,
-	}
-	if e.cfg.CheckpointDir != "" {
-		so.Checkpoint = harness.JournalCheckpointFor(e.cfg.CheckpointDir, bench, mode)
-	}
-	return harness.NewSupervisor(e.runner, so)
+	return harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(b, opts)
 }
 
 // baseProfile returns the noise-free per-iteration base times of one
@@ -307,7 +296,7 @@ func (e *Engine) CompareEngines() ([]SpeedupResult, float64, error) {
 }
 
 // degradationNote summarizes lost work across both arms of a comparison
-// ("" when clean or unsupervised).
+// ("" when both arms ran clean).
 func degradationNote(ri, rj *harness.Result) string {
 	note := func(arm string, r *harness.Result) string {
 		sv := r.Supervision

@@ -84,7 +84,7 @@ func (c *ChaosFS) OpenAppend(path string) (wal.File, error) {
 	return &chaosFile{fs: c, inner: f}, nil
 }
 
-// Create implements wal.FS. Created files (rotation temp files) share the
+// Create implements wal.FS. Created files (recovery temp files) share the
 // same fault schedule as appends.
 func (c *ChaosFS) Create(path string) (wal.File, error) {
 	f, err := c.inner.Create(path)

@@ -52,7 +52,7 @@ func TestChaosFSDeterministicAndDamaging(t *testing.T) {
 	p := Params{TornWriteProb: 0.3, BadRecordProb: 0.2, DiskFullProb: 0.1}
 	run := func(dir string) ([]StorageFaultRecord, int) {
 		cfs := NewChaosFS(wal.OSFS{}, p, 99)
-		j, _, _, err := wal.Open(cfs, filepath.Join(dir, "j.wal"))
+		j, _, _, err := wal.OpenLines(cfs, filepath.Join(dir, "j.wal"))
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -83,7 +83,7 @@ func TestChaosFSDeterministicAndDamaging(t *testing.T) {
 	dir := t.TempDir()
 	cfs := NewChaosFS(wal.OSFS{}, p, 99)
 	path := filepath.Join(dir, "j.wal")
-	j, _, _, err := wal.Open(cfs, path)
+	j, _, _, err := wal.OpenLines(cfs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestChaosFSDeterministicAndDamaging(t *testing.T) {
 		}
 	}
 	j.Close()
-	_, got, _, err := wal.Open(wal.OSFS{}, path)
+	_, got, _, err := wal.OpenLines(wal.OSFS{}, path)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

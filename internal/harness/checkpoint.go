@@ -1,202 +1,37 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io/fs"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/vm"
 	"repro/internal/wal"
 	"repro/internal/workloads"
 )
 
-// CheckpointStore persists supervisor progress between invocations so an
-// interrupted experiment can resume without re-running completed work.
-// Derive produces an independent sub-store (used to keep the two arms of a
-// RunPair from clobbering each other).
-type CheckpointStore interface {
-	// Load returns the last saved state, or (nil, nil) when none exists.
-	Load() ([]byte, error)
-	// Save atomically replaces the stored state.
-	Save(data []byte) error
-	// Derive returns an independent store namespaced by suffix.
-	Derive(suffix string) CheckpointStore
+// CheckpointDir is where a supervised run persists its progress: one
+// write-ahead journal per experiment, <bench>_<mode>.ckpt.wal, so the two
+// arms of a pair never clobber each other and every surface that runs the
+// same experiment (pybench -bench, -exp, -suite, the daemon) can resume
+// the others' work. The zero value disables checkpointing.
+type CheckpointDir struct {
+	// Dir is the existing directory holding the journals ("" = none).
+	Dir string
+	// FS is the filesystem the journals go through (nil = the real one).
+	// The chaos soak passes a fault-injecting FS so storage faults attack
+	// the production write path.
+	FS wal.FS
 }
-
-// deriveCheckpoint is the nil-tolerant form of CheckpointStore.Derive.
-func deriveCheckpoint(base CheckpointStore, suffix string) CheckpointStore {
-	if base == nil {
-		return nil
-	}
-	return base.Derive(suffix)
-}
-
-// ckptCRC is the CRC32-C (Castagnoli) table shared by the checkpoint
-// trailer and the journal's frame checksums.
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// crcTrailerPrefix introduces the integrity trailer appended to single-file
-// checkpoints: "\n#crc32c=XXXXXXXX" after the JSON body. The body stays
-// valid JSON for human inspection; Load verifies and strips the trailer.
-const crcTrailerPrefix = "\n#crc32c="
-
-// appendCRCTrailer returns data with its integrity trailer appended.
-func appendCRCTrailer(data []byte) []byte {
-	sum := crc32.Checksum(data, ckptCRC)
-	return append(append([]byte(nil), data...),
-		[]byte(fmt.Sprintf("%s%08x", crcTrailerPrefix, sum))...)
-}
-
-// verifyCRCTrailer strips and checks the trailer. Trailer-less input is
-// passed through untouched — checkpoints written before the trailer existed
-// remain loadable; only a *present but wrong* trailer is an error.
-func verifyCRCTrailer(data []byte) ([]byte, error) {
-	i := bytes.LastIndex(data, []byte(crcTrailerPrefix))
-	if i < 0 {
-		return data, nil
-	}
-	body, tail := data[:i], data[i+len(crcTrailerPrefix):]
-	var want uint32
-	if _, err := fmt.Sscanf(string(tail), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("checkpoint integrity trailer unreadable: %v", err)
-	}
-	if got := crc32.Checksum(body, ckptCRC); got != want {
-		return nil, fmt.Errorf("checkpoint corrupted: crc32c mismatch (stored %08x, computed %08x)", want, got)
-	}
-	return body, nil
-}
-
-// FileCheckpoint stores supervisor state in one JSON file. Saves write a
-// temp file, fsync it, and atomically rename over the target, so a kill —
-// or a power cut — mid-write can never leave a half-written checkpoint; a
-// CRC32-C trailer lets Load detect bit rot and torn writes that slipped
-// past the filesystem.
-type FileCheckpoint struct {
-	Path string
-}
-
-// Load implements CheckpointStore.
-func (f FileCheckpoint) Load() ([]byte, error) {
-	data, err := os.ReadFile(f.Path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return verifyCRCTrailer(data)
-}
-
-// Save implements CheckpointStore.
-func (f FileCheckpoint) Save(data []byte) error {
-	tmp := f.Path + ".tmp"
-	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fh.Write(appendCRCTrailer(data)); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the write error wins
-		fh.Close()
-		return err
-	}
-	// Sync before rename: the rename must never make durable a name whose
-	// contents are still riding in the page cache.
-	if err := fh.Sync(); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the sync error wins
-		fh.Close()
-		return err
-	}
-	if err := fh.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, f.Path)
-}
-
-// Derive implements CheckpointStore: sibling file with a suffixed name.
-func (f FileCheckpoint) Derive(suffix string) CheckpointStore {
-	ext := filepath.Ext(f.Path)
-	base := strings.TrimSuffix(f.Path, ext)
-	return FileCheckpoint{Path: base + "." + suffix + ext}
-}
-
-// checkpointBase sanitizes a benchmark name into a filesystem-safe stem.
-func checkpointBase(bench string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, bench)
-}
-
-// FileCheckpointFor names a checkpoint file for one benchmark × mode
-// inside dir — the layout the CLI's --resume flag uses for suite runs.
-func FileCheckpointFor(dir, bench string, mode vm.Mode) FileCheckpoint {
-	return FileCheckpoint{Path: filepath.Join(dir,
-		fmt.Sprintf("%s_%s.ckpt.json", checkpointBase(bench), mode))}
-}
-
-// JournalCheckpointFor names a journal-backed checkpoint for one benchmark ×
-// mode inside dir — the crash-safe layout `pybench -resume` uses.
-func JournalCheckpointFor(dir, bench string, mode vm.Mode) *JournalCheckpoint {
-	return NewJournalCheckpoint(filepath.Join(dir,
-		fmt.Sprintf("%s_%s.ckpt.wal", checkpointBase(bench), mode)))
-}
-
-// MemCheckpoint is an in-memory store for tests and embedding.
-type MemCheckpoint struct {
-	data     []byte
-	children map[string]*MemCheckpoint
-}
-
-// NewMemCheckpoint returns an empty in-memory store.
-func NewMemCheckpoint() *MemCheckpoint { return &MemCheckpoint{} }
-
-// Load implements CheckpointStore.
-func (m *MemCheckpoint) Load() ([]byte, error) { return m.data, nil }
-
-// Save implements CheckpointStore.
-func (m *MemCheckpoint) Save(data []byte) error {
-	m.data = append([]byte(nil), data...)
-	return nil
-}
-
-// Derive implements CheckpointStore; derived stores are stable per suffix.
-func (m *MemCheckpoint) Derive(suffix string) CheckpointStore {
-	if m.children == nil {
-		m.children = map[string]*MemCheckpoint{}
-	}
-	child, ok := m.children[suffix]
-	if !ok {
-		child = NewMemCheckpoint()
-		m.children[suffix] = child
-	}
-	return child
-}
-
-// Snapshot returns a copy of the current state (tests use this to simulate
-// a mid-run kill by restoring an older snapshot).
-func (m *MemCheckpoint) Snapshot() []byte { return append([]byte(nil), m.data...) }
-
-// Restore overwrites the state with a snapshot.
-func (m *MemCheckpoint) Restore(data []byte) { m.data = append([]byte(nil), data...) }
 
 // checkpointVersion guards the on-disk format. Version 2 keyed progress by
-// invocation id instead of arrival order (the parallel sharded runner
-// completes invocations out of order). Version 3 adds integrity: single
-// files carry a CRC32-C trailer, and the journal-backed store persists the
-// same slot records as CRC-framed write-ahead appends.
-const checkpointVersion = 3
+// invocation id instead of arrival order (sharded runs complete
+// invocations out of order); version 3 made the store a CRC-framed
+// write-ahead journal; version 4 writes that journal as wal.LineJournal
+// lines, so a binary version-3 journal now recovers as damage and the run
+// starts fresh.
+const checkpointVersion = 4
 
 // slotRecord is the complete supervised outcome of one invocation slot:
 // its attempt log, its measurement (nil when every attempt failed), and the
@@ -208,14 +43,6 @@ type slotRecord struct {
 	Log         InvocationLog
 	Invocation  *Invocation `json:",omitempty"`
 	Quarantined int         `json:",omitempty"`
-}
-
-// checkpointState is the serialized supervisor progress: the experiment's
-// identity key and every completed invocation slot, sorted by index.
-type checkpointState struct {
-	Version int
-	Key     string
-	Slots   []slotRecord
 }
 
 // checkpointKey derives the experiment identity a checkpoint belongs to.
@@ -230,251 +57,91 @@ func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, fa
 		so.Faults, faultSeed, so.MaxRetries, so.Quorum)
 }
 
-// loadCheckpoint restores saved progress as a map keyed by invocation id.
-// Returns (nil, nil) when no checkpoint exists; errors when one exists but
-// belongs to a different experiment configuration or cannot be decoded.
-func loadCheckpoint(store CheckpointStore, key string) (map[int]slotRecord, error) {
-	data, err := store.Load()
-	if err != nil {
-		return nil, fmt.Errorf("loading checkpoint: %w", err)
-	}
-	if data == nil {
-		return nil, nil
-	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("decoding checkpoint: %w", err)
-	}
-	if st.Key != key {
-		return nil, fmt.Errorf("checkpoint belongs to a different experiment (saved %q, running %q); delete it or rerun with the original configuration",
-			st.Key, key)
-	}
-	if st.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint format v%d is not the supported v%d; delete it and rerun",
-			st.Version, checkpointVersion)
-	}
-	slots := make(map[int]slotRecord, len(st.Slots))
-	for _, s := range st.Slots {
-		slots[s.Index] = s
-	}
-	return slots, nil
+// checkpointBase sanitizes a benchmark name into a filesystem-safe stem.
+func checkpointBase(bench string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '_':
+			return r
+		}
+		return '_'
+	}, bench)
 }
 
-// saveCheckpoint persists every completed slot, sorted by invocation id so
-// the stored state is independent of completion order.
-func saveCheckpoint(store CheckpointStore, key string, slots []slotRecord) error {
-	sorted := append([]slotRecord(nil), slots...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	data, err := json.Marshal(checkpointState{
-		Version: checkpointVersion,
-		Key:     key,
-		Slots:   sorted,
-	})
-	if err != nil {
-		return err
-	}
-	return store.Save(data)
-}
-
-// slotAppender is the incremental fast path a store may offer: persist one
-// freshly-completed slot without rewriting the full state. The supervisor
-// serializes calls; implementations need not be safe for concurrent use
-// with themselves (JournalCheckpoint locks anyway, for Derive siblings).
-type slotAppender interface {
-	AppendSlot(key string, slot slotRecord) error
-}
-
-// recoveryReporter exposes what journal recovery found, so the supervisor
-// can surface torn tails and corruption in Supervision.Journal.
-type recoveryReporter interface {
-	RecoveryReport() *wal.RecoveryReport
-}
-
-// journalEntry is one record in a journal-backed checkpoint: exactly one
-// field is set. The header is always record zero; every later record is one
-// completed slot (re-completions of an index supersede earlier records, so
-// replay keeps the last).
+// journalEntry is one checkpoint journal record. Record zero carries the
+// experiment key; every later record is one completed slot (a re-completed
+// index supersedes earlier records, so replay keeps the last).
 type journalEntry struct {
-	Header *journalHeader `json:",omitempty"`
-	Slot   *slotRecord    `json:",omitempty"`
+	Key  string      `json:",omitempty"`
+	Slot *slotRecord `json:",omitempty"`
 }
 
-// journalHeader identifies the experiment a journal belongs to.
-type journalHeader struct {
-	Version int
-	Key     string
+// checkpoint is one experiment's open journal. Persisting a completed
+// invocation is a single fsynced append; kill -9 at any byte offset loses
+// at most the record being written, and recovery truncates the torn tail,
+// discards anything that fails its checksum, and resumes from every intact
+// slot.
+type checkpoint struct {
+	jn      *wal.LineJournal
+	key     string
+	started bool // the key record is on disk
+	slots   map[int]slotRecord
+	report  wal.RecoveryReport
 }
 
-// JournalCheckpoint is the crash-safe store: progress is a write-ahead
-// journal of CRC-framed records (see internal/wal), so persisting one more
-// completed invocation is a single fsynced append rather than a full-state
-// rewrite. kill -9 at any byte offset loses at most the record being
-// written; recovery truncates the torn tail, discards anything that fails
-// its checksum, and resumes from every intact slot.
-type JournalCheckpoint struct {
-	fsys wal.FS
-	path string
-
-	mu     sync.Mutex
-	jn     *wal.Journal
-	opened bool
-	header *journalHeader
-	slots  map[int]slotRecord
-	report wal.RecoveryReport
-}
-
-// NewJournalCheckpoint opens (lazily) a journal-backed store at path.
-func NewJournalCheckpoint(path string) *JournalCheckpoint {
-	return NewJournalCheckpointFS(wal.OSFS{}, path)
-}
-
-// NewJournalCheckpointFS is NewJournalCheckpoint with an explicit
-// filesystem — the chaos suite passes a fault-injecting FS here so storage
-// faults attack the exact production write path.
-func NewJournalCheckpointFS(fsys wal.FS, path string) *JournalCheckpoint {
-	return &JournalCheckpoint{fsys: fsys, path: path}
-}
-
-// open replays the journal into memory. Caller holds mu.
-func (j *JournalCheckpoint) open() error {
-	if j.opened {
-		return nil
+// openCheckpoint recovers the journal of bench in mode inside cd and
+// replays its slots. A journal whose key record is not key belongs to a
+// different experiment and is refused.
+func openCheckpoint(cd CheckpointDir, bench string, mode vm.Mode, key string) (*checkpoint, error) {
+	fsys := cd.FS
+	if fsys == nil {
+		fsys = wal.OSFS{}
 	}
-	jn, records, report, err := wal.Open(j.fsys, j.path)
+	path := filepath.Join(cd.Dir, fmt.Sprintf("%s_%s.ckpt.wal", checkpointBase(bench), mode))
+	jn, records, report, err := wal.OpenLines(fsys, path)
 	if err != nil {
-		return fmt.Errorf("opening checkpoint journal %s: %w", j.path, err)
+		return nil, fmt.Errorf("opening checkpoint journal: %w", err)
 	}
-	j.jn, j.report, j.opened = jn, report, true
-	j.slots = map[int]slotRecord{}
+	c := &checkpoint{jn: jn, key: key, started: len(records) > 0,
+		slots: map[int]slotRecord{}, report: report}
 	for i, rec := range records {
 		var e journalEntry
-		if err := json.Unmarshal(rec, &e); err != nil {
-			return fmt.Errorf("decoding checkpoint journal record %d: %w", i, err)
-		}
+		err := json.Unmarshal(rec, &e)
 		switch {
-		case e.Header != nil:
-			j.header = e.Header
-		case e.Slot != nil:
-			j.slots[e.Slot.Index] = *e.Slot
+		case err != nil:
+			err = fmt.Errorf("decoding checkpoint journal record %d: %w", i, err)
+		case i == 0 && e.Key != key:
+			err = fmt.Errorf("checkpoint %s belongs to a different experiment (saved %q, running %q); delete it or rerun with the original configuration",
+				path, e.Key, key)
+		case i > 0 && e.Slot != nil:
+			c.slots[e.Slot.Index] = *e.Slot
 		}
-	}
-	return nil
-}
-
-// Load implements CheckpointStore: the replayed journal is synthesized into
-// the same JSON document a single-file store would return, so the
-// supervisor's key/version validation is shared across store kinds.
-func (j *JournalCheckpoint) Load() ([]byte, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.open(); err != nil {
-		return nil, err
-	}
-	if j.header == nil {
-		return nil, nil // empty or never-written journal: fresh run
-	}
-	st := checkpointState{Version: j.header.Version, Key: j.header.Key}
-	for _, s := range j.slots {
-		st.Slots = append(st.Slots, s)
-	}
-	sort.Slice(st.Slots, func(a, b int) bool { return st.Slots[a].Index < st.Slots[b].Index })
-	return json.Marshal(st)
-}
-
-// Save implements CheckpointStore: a full-state write compacts the journal
-// via atomic rotation (temp file, fsync, rename).
-func (j *JournalCheckpoint) Save(data []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.open(); err != nil {
-		return err
-	}
-	var st checkpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("encoding checkpoint journal: %w", err)
-	}
-	hdr := journalHeader{Version: st.Version, Key: st.Key}
-	records := make([][]byte, 0, len(st.Slots)+1)
-	rec, err := json.Marshal(journalEntry{Header: &hdr})
-	if err != nil {
-		return err
-	}
-	records = append(records, rec)
-	slots := map[int]slotRecord{}
-	for _, s := range st.Slots {
-		s := s
-		slots[s.Index] = s
-		if rec, err = json.Marshal(journalEntry{Slot: &s}); err != nil {
-			return err
-		}
-		records = append(records, rec)
-	}
-	if err := j.jn.Rotate(records); err != nil {
-		return err
-	}
-	j.header, j.slots = &hdr, slots
-	return nil
-}
-
-// AppendSlot implements slotAppender: one fsynced frame per completed
-// invocation. The first append also writes the experiment header.
-func (j *JournalCheckpoint) AppendSlot(key string, slot slotRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.open(); err != nil {
-		return err
-	}
-	if j.header == nil {
-		hdr := journalHeader{Version: checkpointVersion, Key: key}
-		rec, err := json.Marshal(journalEntry{Header: &hdr})
 		if err != nil {
-			return err
+			//benchlint:allow uncheckederr — the refusal is the error that matters
+			jn.Close()
+			return nil, err
 		}
-		if err := j.jn.Append(rec); err != nil {
-			return err
-		}
-		j.header = &hdr
 	}
-	rec, err := json.Marshal(journalEntry{Slot: &slot})
+	return c, nil
+}
+
+// append durably records one completed slot, preceded by the key record
+// on the journal's first append.
+func (c *checkpoint) append(slot slotRecord) error {
+	if !c.started {
+		if err := c.write(journalEntry{Key: c.key}); err != nil {
+			return err
+		}
+		c.started = true
+	}
+	return c.write(journalEntry{Slot: &slot})
+}
+
+func (c *checkpoint) write(e journalEntry) error {
+	rec, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	if err := j.jn.Append(rec); err != nil {
-		return err
-	}
-	j.slots[slot.Index] = slot
-	return nil
-}
-
-// RecoveryReport implements recoveryReporter. Nil until the journal has
-// been opened.
-func (j *JournalCheckpoint) RecoveryReport() *wal.RecoveryReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.opened {
-		return nil
-	}
-	rep := j.report
-	return &rep
-}
-
-// Derive implements CheckpointStore: sibling journal with a suffixed name,
-// on the same filesystem.
-func (j *JournalCheckpoint) Derive(suffix string) CheckpointStore {
-	ext := filepath.Ext(j.path)
-	base := strings.TrimSuffix(j.path, ext)
-	return NewJournalCheckpointFS(j.fsys, base+"."+suffix+ext)
-}
-
-// Close releases the underlying journal file. The store reopens (and
-// replays) on next use.
-func (j *JournalCheckpoint) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.opened {
-		return nil
-	}
-	j.opened = false
-	j.header, j.slots = nil, nil
-	return j.jn.Close()
+	return c.jn.Append(rec)
 }

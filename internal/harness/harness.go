@@ -144,7 +144,7 @@ type Result struct {
 	Invocations []Invocation
 	// Supervision records fault-tolerance accounting (retries, drops,
 	// quarantined samples) when the experiment ran under a Supervisor;
-	// nil for plain Runner runs.
+	// nil for Runner.Run results.
 	Supervision *Supervision `json:",omitempty"`
 	// Metrics is the harness self-telemetry snapshot (timer calibration,
 	// GC interference, retry/cache activity) taken when the experiment
@@ -158,10 +158,10 @@ type Result struct {
 	// was deterministic and well-formed.
 	Analysis *analysis.Summary `json:"analysis,omitempty"`
 	// Parallelism records the sharded-execution provenance when the
-	// experiment ran under the parallel runner: worker count, policy, the
+	// experiment asked for more than one worker: worker count, policy, the
 	// per-shard interference-guard probes and their dispersion, and whether
 	// the run fell back to sequential mode. Nil for sequential runs, whose
-	// sample set the parallel runner reproduces bit-identically.
+	// sample set a sharded run reproduces bit-identically.
 	Parallelism *Parallelism `json:"parallelism,omitempty"`
 }
 
@@ -230,30 +230,21 @@ func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analys
 	return e.Code, e.Analysis, nil
 }
 
-// Run executes the full experiment for one benchmark.
+// Run executes the full experiment for one benchmark: the supervisor's
+// engine under the zero policy (sequential, no faults, no retries, no
+// checkpoint, every invocation must succeed). The result carries no
+// Supervision block; a failure names the lowest failing invocation and
+// its cause.
 func (r *Runner) Run(b workloads.Benchmark, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	code, summary, err := r.compiled(b, opts.Opt)
-	if err != nil {
+	res, err := NewSupervisor(r, SupervisorOptions{}).Run(b, opts)
+	if res == nil {
 		return nil, err
 	}
-	opts = tightenBudget(opts, summary)
-	sp := r.obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(),
-		"benchmark", b.Name, "mode", opts.Mode.String())
-	defer sp.End()
-	res := &Result{Benchmark: b.Name, Mode: opts.Mode, Opts: opts, Analysis: summary}
-	for i := 0; i < opts.Invocations; i++ {
-		inv, err := r.runInvocation(code, opts, i)
-		if err == nil {
-			err = validateChecksum(b, inv)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s invocation %d: %w", b.Name, i, err)
-		}
-		res.Invocations = append(res.Invocations, *inv)
+	if f := res.Supervision.firstFailure(); f != "" {
+		return nil, fmt.Errorf("harness: %s %s", b.Name, f)
 	}
-	r.snapshotMetrics(res)
-	return res, nil
+	res.Supervision = nil
+	return res, err
 }
 
 // validateChecksum checks an invocation's result checksum against the
@@ -269,8 +260,8 @@ func validateChecksum(b workloads.Benchmark, inv *Invocation) error {
 // opts.Iterations timed calls of run(). Checksum validation against the
 // benchmark's expectation is the caller's job (the supervisor corrupts the
 // checksum first when injecting that fault). spanKV carries extra span
-// arguments — the parallel runner labels every invocation span with the
-// worker shard that executed it.
+// arguments — sharded runs label every invocation span with the worker
+// shard that executed it.
 func (r *Runner) runInvocation(code *minipy.Code,
 	opts Options, invIdx int, spanKV ...string) (*Invocation, error) {
 	tr := r.obs.Trace
@@ -379,43 +370,4 @@ func (r *Runner) runInvocation(code *minipy.Code,
 	}
 	inv.JITTraces, inv.JITBridges, inv.GuardFails = engine.JITStats()
 	return inv, nil
-}
-
-// RunPair runs the same benchmark under both engines with the same options
-// and validates that the engines produce identical checksums. A failure in
-// either arm is wrapped with the benchmark name and engine mode, so a
-// multi-benchmark campaign report pinpoints what broke.
-func (r *Runner) RunPair(b workloads.Benchmark, opts Options) (interp, jit *Result, err error) {
-	oi := opts
-	oi.Mode = vm.ModeInterp
-	interp, err = r.Run(b, oi)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [%s arm]: %w", b.Name, oi.Mode, err)
-	}
-	oj := opts
-	oj.Mode = vm.ModeJIT
-	jit, err = r.Run(b, oj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [%s arm]: %w", b.Name, oj.Mode, err)
-	}
-	if err := pairChecksumError(b.Name, interp, jit); err != nil {
-		return nil, nil, err
-	}
-	return interp, jit, nil
-}
-
-// pairChecksumError validates cross-engine agreement: both arms of a pair
-// must produce the same result checksum, or the comparison is measuring
-// two different computations.
-func pairChecksumError(bench string, interp, jit *Result) error {
-	if len(interp.Invocations) == 0 || len(jit.Invocations) == 0 {
-		return fmt.Errorf("harness: %s: cannot validate checksums without invocations", bench)
-	}
-	ci := interp.Invocations[0].Checksum
-	cj := jit.Invocations[0].Checksum
-	if ci != cj {
-		return fmt.Errorf("harness: engines disagree on %s: interp=%s jit=%s",
-			bench, ci, cj)
-	}
-	return nil
 }

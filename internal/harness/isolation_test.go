@@ -1,15 +1,19 @@
 package harness
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/noise"
+	"repro/internal/wal"
 )
 
 // TestMain doubles as the worker binary: with PYBENCH_TEST_WORKER set the
@@ -83,8 +87,9 @@ func TestIsolatedParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewSupervisor(NewRunner(), SupervisorOptions{Isolation: testIsolation(t)}).
-		RunParallel(b, opts, ParallelOptions{Workers: 3, Policy: PolicyForce})
+	par, err := NewSupervisor(NewRunner(), SupervisorOptions{
+		Isolation: testIsolation(t), Workers: 3, Policy: PolicyForce,
+	}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,20 +168,14 @@ func TestJournalCheckpointCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "campaign.wal")
-	ck := NewJournalCheckpoint(path)
+	ck := CheckpointDir{Dir: t.TempDir()}
 	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 3}).Run(b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// A fresh store instance replays the journal the "crash" left behind.
-	ck2 := NewJournalCheckpoint(path)
-	defer ck2.Close()
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck2}).Run(b, opts)
+	// A fresh run replays the journal the "crash" left behind.
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +196,14 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "campaign.wal")
-	ck := NewJournalCheckpoint(path)
+	ck := CheckpointDir{Dir: t.TempDir()}
 	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 2}).Run(b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Tear the tail: kill -9 mid-append leaves a half-written final frame.
+	// Tear the tail: kill -9 mid-append leaves a half-written final line.
+	path := filepath.Join(ck.Dir, "fib_interp.ckpt.wal")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +212,7 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck2 := NewJournalCheckpoint(path)
-	defer ck2.Close()
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck2}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +229,48 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 	sameSamples(t, clean, res, "torn-tail resume vs uninterrupted")
 }
 
+// TestBinaryJournalReadsAsDamage: a checkpoint left by a build that wrote
+// binary frames (4-byte length, 4-byte CRC32C, payload) is not trusted.
+// Recovery reports it as damage and the run starts fresh, with the same
+// sample set as a run that never saw it.
+func TestBinaryJournalReadsAsDamage(t *testing.T) {
+	b := mustBench(t, "fib")
+	opts := Options{Invocations: 3, Iterations: 2, Seed: 19, Noise: noise.Default()}
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ck := CheckpointDir{Dir: t.TempDir()}
+	var old []byte
+	for _, rec := range []string{`{"Header":{"Version":3,"Key":"v3|fib|interp"}}`, `{"Slot":{"Index":0}}`} {
+		old = binary.BigEndian.AppendUint32(old, uint32(len(rec)))
+		old = binary.BigEndian.AppendUint32(old, crc32.Checksum([]byte(rec), crc32.MakeTable(crc32.Castagnoli)))
+		old = append(old, rec...)
+	}
+	if err := os.WriteFile(filepath.Join(ck.Dir, "fib_interp.ckpt.wal"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := res.Supervision.Journal; j == nil || j.Clean() || j.Records != 0 {
+		t.Fatalf("binary journal must be reported as damage with nothing recovered: %+v", j)
+	}
+	if res.Supervision.ResumedFrom != 0 {
+		t.Fatalf("ResumedFrom = %d, want a fresh run", res.Supervision.ResumedFrom)
+	}
+	sameSamples(t, clean, res, "fresh run over a binary journal vs clean run")
+}
+
 func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 2, Seed: 17, Noise: noise.Default()}
-	// A store whose every write fails: the campaign must finish anyway and
+	// A disk that refuses every write: the campaign must finish anyway and
 	// report the lost durability.
-	ck := failingCheckpoint{}
+	full := faults.NewChaosFS(wal.OSFS{}, faults.Params{DiskFullProb: 1}, 1)
+	ck := CheckpointDir{Dir: t.TempDir(), FS: full}
 	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
 	if err != nil {
 		t.Fatalf("checkpoint failure must not kill the run: %v", err)
@@ -254,14 +284,6 @@ func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	}
 }
 
-type failingCheckpoint struct{}
-
-func (failingCheckpoint) Load() ([]byte, error) { return nil, nil }
-func (failingCheckpoint) Save([]byte) error {
-	return errors.New("disk full")
-}
-func (failingCheckpoint) Derive(string) CheckpointStore { return failingCheckpoint{} }
-
 func TestQuorumFailureIsErrQuorum(t *testing.T) {
 	b := mustBench(t, "fib")
 	so := SupervisorOptions{Faults: faults.Params{PanicProb: 1.0}}
@@ -270,20 +292,25 @@ func TestQuorumFailureIsErrQuorum(t *testing.T) {
 	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum, got %v", err)
 	}
+	// The message names the first lost invocation and why it was lost.
+	for _, want := range []string{"invocation 0", "panicked"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("quorum error %q missing %q", err, want)
+		}
+	}
 }
 
 func TestJitterBackoffDeterministicAndBounded(t *testing.T) {
-	base, max := 100*time.Millisecond, 5*time.Second
 	for inv := 0; inv < 8; inv++ {
 		for attempt := 0; attempt < 10; attempt++ {
-			d1 := jitterBackoff(base, max, 99, inv, attempt)
-			d2 := jitterBackoff(base, max, 99, inv, attempt)
+			d1 := jitterBackoff(99, inv, attempt)
+			d2 := jitterBackoff(99, inv, attempt)
 			if d1 != d2 {
 				t.Fatalf("jitter not deterministic at (%d,%d): %s vs %s", inv, attempt, d1, d2)
 			}
-			env := base << uint(attempt)
-			if env > max || env <= 0 {
-				env = max
+			env := backoffBase << uint(attempt)
+			if env > backoffMax || env <= 0 {
+				env = backoffMax
 			}
 			if d1 < env/2 || d1 > env {
 				t.Fatalf("backoff %s outside [%s, %s] at (%d,%d)", d1, env/2, env, inv, attempt)
@@ -291,45 +318,8 @@ func TestJitterBackoffDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	// Different invocations must desynchronize (no thundering herd).
-	if jitterBackoff(base, max, 99, 0, 1) == jitterBackoff(base, max, 99, 1, 1) &&
-		jitterBackoff(base, max, 99, 0, 2) == jitterBackoff(base, max, 99, 2, 2) {
+	if jitterBackoff(99, 0, 1) == jitterBackoff(99, 1, 1) &&
+		jitterBackoff(99, 0, 2) == jitterBackoff(99, 2, 2) {
 		t.Fatal("jitter identical across invocations; streams not split")
-	}
-}
-
-func TestFileCheckpointCRCTrailer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	ck := FileCheckpoint{Path: path}
-	payload := []byte(`{"Version":3,"Key":"k","Slots":[]}`)
-	if err := ck.Save(payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ck.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("round trip mutated payload: %q", got)
-	}
-
-	// Flip one byte of the body: Load must refuse, not trust it.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[5] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ck.Load(); err == nil {
-		t.Fatal("corrupted checkpoint loaded without error")
-	}
-
-	// Legacy trailer-less files stay loadable.
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ck.Load(); err != nil || string(got) != string(payload) {
-		t.Fatalf("legacy checkpoint rejected: %q, %v", got, err)
 	}
 }

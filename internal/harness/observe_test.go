@@ -53,11 +53,10 @@ func TestSupervisorEmitsInstantEvents(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRunner()
 	r.SetObserver(Observer{Trace: tr, Metrics: reg})
-	ckpt := NewMemCheckpoint()
 	s := NewSupervisor(r, SupervisorOptions{
 		MaxRetries: 5,
 		Faults:     faults.Params{PanicProb: 0.4},
-		Checkpoint: ckpt,
+		Checkpoint: CheckpointDir{Dir: t.TempDir()},
 	})
 	res, err := s.Run(fibBench(t), Options{Invocations: 4, Iterations: 2, Seed: 3, Noise: noise.Quiet()})
 	if err != nil {

@@ -10,13 +10,12 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
-	"repro/internal/vm"
-	"repro/internal/workloads"
 )
 
-// The parallel sharded runner fans benchmark *invocations* — the
-// independent repetition unit of the paper's experiment design — out across
-// a pool of worker shards. Correctness rests on two invariants:
+// Sharded execution fans benchmark *invocations* — the independent
+// repetition unit of the paper's experiment design — out across a pool of
+// worker shards (SupervisorOptions.Workers). Correctness rests on two
+// invariants:
 //
 //  1. Every invocation's measurement stream is a pure function of
 //     (experiment seed, invocation index): each invocation gets a fresh VM
@@ -35,7 +34,7 @@ import (
 // and records the dispersion with the result so a contended run carries its
 // own warning label (and, under PolicyFallback, reverts to sequential).
 
-// ParallelPolicy selects how the runner reacts to the interference guard.
+// ParallelPolicy selects how a sharded run reacts to the interference guard.
 type ParallelPolicy string
 
 // Guard policies.
@@ -67,29 +66,6 @@ func ParseParallelPolicy(s string) (ParallelPolicy, error) {
 // cross-shard timer contention is flagged: (max-min)/median of the
 // per-shard mean timer overheads measured concurrently.
 const DefaultGuardThreshold = 1.0
-
-// ParallelOptions configures the sharded runner.
-type ParallelOptions struct {
-	// Workers is the shard count; 0 or 1 selects sequential execution.
-	Workers int
-	// Policy selects the interference-guard reaction (default PolicyGuard).
-	Policy ParallelPolicy
-	// GuardThreshold overrides DefaultGuardThreshold (0 = default).
-	GuardThreshold float64
-}
-
-func (po ParallelOptions) withDefaults() ParallelOptions {
-	if po.Workers < 1 {
-		po.Workers = 1
-	}
-	if po.Policy == "" {
-		po.Policy = PolicyGuard
-	}
-	if po.GuardThreshold <= 0 {
-		po.GuardThreshold = DefaultGuardThreshold
-	}
-	return po
-}
 
 // ShardProbe is one shard's concurrent timer-calibration measurement.
 type ShardProbe struct {
@@ -190,14 +166,14 @@ func probeDispersion(probes []ShardProbe) float64 {
 	return (xs[len(xs)-1] - xs[0]) / med
 }
 
-// runGuard executes the interference guard for a prospective parallel run
+// runGuard executes the interference guard for a prospective sharded run
 // and returns its record plus whether execution should fall back to
 // sequential mode.
-func (r *Runner) runGuard(po ParallelOptions) (*Parallelism, bool) {
+func (r *Runner) runGuard(workers int, policy ParallelPolicy) (*Parallelism, bool) {
 	par := &Parallelism{
-		Workers:        po.Workers,
-		Policy:         po.Policy,
-		GuardThreshold: po.GuardThreshold,
+		Workers:        workers,
+		Policy:         policy,
+		GuardThreshold: DefaultGuardThreshold,
 	}
 	if r.obs.Profile != nil {
 		// The VM profiler aggregates one per-op stream; feeding it from
@@ -206,18 +182,18 @@ func (r *Runner) runGuard(po ParallelOptions) (*Parallelism, bool) {
 		par.Reason = "profiler attached (per-op attribution requires a single stream)"
 		return par, true
 	}
-	if po.Policy == PolicyForce {
+	if policy == PolicyForce {
 		return par, false
 	}
-	par.Probes = probeShardsFn(po.Workers)
+	par.Probes = probeShardsFn(workers)
 	par.OverheadDispersion = probeDispersion(par.Probes)
-	par.Contended = par.OverheadDispersion > po.GuardThreshold
+	par.Contended = par.OverheadDispersion > DefaultGuardThreshold
 	if par.Contended {
 		r.obs.Trace.Instant(trace.CatSupervisor, "interference-guard",
 			"dispersion", fmt.Sprintf("%.3f", par.OverheadDispersion),
-			"threshold", fmt.Sprintf("%.3f", po.GuardThreshold))
+			"threshold", fmt.Sprintf("%.3f", DefaultGuardThreshold))
 		r.obs.Metrics.Counter(mGuardTrips, "interference-guard contention detections").Inc()
-		if po.Policy == PolicyFallback {
+		if policy == PolicyFallback {
 			par.FellBack = true
 			par.Reason = "cross-shard timer contention"
 			return par, true
@@ -262,81 +238,4 @@ func (r *Runner) shardPool(n, w int, run func(shard, idx int)) {
 		r.obs.Metrics.Gauge(mWorkerUtilization,
 			"mean busy fraction across worker shards of the last parallel run").Set(util)
 	}
-}
-
-// RunPairParallel is RunPair with each arm executed by the sharded runner;
-// ParallelOptions{} (or Workers 1) reproduces RunPair exactly.
-func (r *Runner) RunPairParallel(b workloads.Benchmark, opts Options, po ParallelOptions) (interp, jit *Result, err error) {
-	oi := opts
-	oi.Mode = vm.ModeInterp
-	interp, err = r.RunParallel(b, oi, po)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [%s arm]: %w", b.Name, oi.Mode, err)
-	}
-	oj := opts
-	oj.Mode = vm.ModeJIT
-	jit, err = r.RunParallel(b, oj, po)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [%s arm]: %w", b.Name, oj.Mode, err)
-	}
-	if err := pairChecksumError(b.Name, interp, jit); err != nil {
-		return nil, nil, err
-	}
-	return interp, jit, nil
-}
-
-// RunParallel executes the full experiment for one benchmark across
-// po.Workers shards. The returned result's sample set is bit-identical to
-// Run with the same options — invocations are merely computed concurrently
-// and merged back into canonical invocation order.
-func (r *Runner) RunParallel(b workloads.Benchmark, opts Options, po ParallelOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	po = po.withDefaults()
-	if po.Workers == 1 {
-		return r.Run(b, opts)
-	}
-	par, sequential := r.runGuard(po)
-	if sequential {
-		res, err := r.Run(b, opts)
-		if res != nil {
-			res.Parallelism = par
-		}
-		return res, err
-	}
-	code, summary, err := r.compiled(b, opts.Opt)
-	if err != nil {
-		return nil, err
-	}
-	opts = tightenBudget(opts, summary)
-	sp := r.obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(),
-		"benchmark", b.Name, "mode", opts.Mode.String(),
-		"workers", strconv.Itoa(po.Workers))
-	defer sp.End()
-	r.obs.Metrics.Counter(mParallelRuns, "experiments executed by the sharded runner").Inc()
-
-	type outcome struct {
-		inv *Invocation
-		err error
-	}
-	outs := make([]outcome, opts.Invocations)
-	r.shardPool(opts.Invocations, po.Workers, func(shard, i int) {
-		inv, err := r.runInvocation(code, opts, i, "worker", strconv.Itoa(shard))
-		if err == nil {
-			err = validateChecksum(b, inv)
-		}
-		outs[i] = outcome{inv: inv, err: err}
-	})
-
-	// Merge in canonical order; the lowest failing index wins so the error
-	// is the one the sequential run would have reported.
-	res := &Result{Benchmark: b.Name, Mode: opts.Mode, Opts: opts,
-		Analysis: summary, Parallelism: par}
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("harness: %s invocation %d: %w", b.Name, i, o.err)
-		}
-		res.Invocations = append(res.Invocations, *o.inv)
-	}
-	r.snapshotMetrics(res)
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -30,7 +31,7 @@ func stubProbes(t *testing.T, overheads []float64) {
 }
 
 // TestParallelSampleSetEquivalence is the tentpole property: for every
-// shipped workload, at multiple seeds, the 4-worker parallel run produces an
+// shipped workload, at multiple seeds, the 4-worker sharded run produces an
 // invocation list deeply equal to the sequential run — same samples, same
 // order, same checksums. PolicyForce skips the guard so the comparison runs
 // the actual sharded pool deterministically.
@@ -38,7 +39,7 @@ func TestParallelSampleSetEquivalence(t *testing.T) {
 	all := append(append([]workloads.Benchmark{}, workloads.Suite()...),
 		workloads.Extended()...)
 	opts := Options{Invocations: 5, Iterations: 4, Noise: noise.Default()}
-	po := ParallelOptions{Workers: 4, Policy: PolicyForce}
+	so := SupervisorOptions{Workers: 4, Policy: PolicyForce}
 	for _, seed := range []uint64{42, 20260806} {
 		for _, b := range all {
 			b, seed := b, seed
@@ -50,7 +51,7 @@ func TestParallelSampleSetEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				parRes, err := NewRunner().RunParallel(b, o, po)
+				parRes, err := NewSupervisor(NewRunner(), so).Run(b, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,8 +77,8 @@ func TestSupervisedParallelMatchesSequential(t *testing.T) {
 	so := SupervisorOptions{MaxRetries: 3, Quorum: 1, Faults: faults.Heavy()}
 
 	seqRes, seqErr := NewSupervisor(NewRunner(), so).Run(b, opts)
-	parRes, parErr := NewSupervisor(NewRunner(), so).RunParallel(b, opts,
-		ParallelOptions{Workers: 4, Policy: PolicyForce})
+	so.Workers, so.Policy = 4, PolicyForce
+	parRes, parErr := NewSupervisor(NewRunner(), so).Run(b, opts)
 	if (seqErr == nil) != (parErr == nil) {
 		t.Fatalf("error divergence: sequential %v, parallel %v", seqErr, parErr)
 	}
@@ -94,36 +95,34 @@ func TestSupervisedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointResume kills a parallel run's checkpoint back to a
-// partial snapshot and resumes it sequentially (and vice versa): slot-keyed
-// checkpoints make progress portable across worker counts.
+// TestParallelCheckpointResume crashes a sharded run partway and resumes
+// its journal sequentially: slot-keyed checkpoints make progress portable
+// across worker counts.
 func TestParallelCheckpointResume(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 6, Iterations: 4, Seed: 9, Noise: noise.Default()}
-	po := ParallelOptions{Workers: 3, Policy: PolicyForce}
-
-	// Full parallel run with checkpointing: the reference result.
-	ckptA := NewMemCheckpoint()
-	full, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckptA}).
-		RunParallel(b, opts, po)
+	ref, err := NewRunner().Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Replay: restore the final checkpoint into a fresh store and resume —
-	// everything is already complete, so the run restores all slots.
-	ckptB := NewMemCheckpoint()
-	ckptB.Restore(ckptA.Snapshot())
-	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckptB}).
-		Run(b, opts) // resume *sequentially* from a parallel checkpoint
+	ckpt := CheckpointDir{Dir: t.TempDir()}
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{
+		Workers: 3, Policy: PolicyForce, Checkpoint: ckpt, CrashAfter: 3,
+	}).Run(b, opts)
+	if !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint, got %v", err)
+	}
+	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Supervision.ResumedFrom != opts.Invocations {
-		t.Fatalf("ResumedFrom = %d, want %d", resumed.Supervision.ResumedFrom, opts.Invocations)
+	// Shards finish the slots they were running when the crash point fired.
+	if r := resumed.Supervision.ResumedFrom; r < 3 || r >= opts.Invocations {
+		t.Fatalf("ResumedFrom = %d, want 3..%d", r, opts.Invocations-1)
 	}
-	if !reflect.DeepEqual(full.Invocations, resumed.Invocations) {
-		t.Fatal("resumed invocations differ from the original parallel run")
+	if !reflect.DeepEqual(ref.Invocations, resumed.Invocations) {
+		t.Fatal("resumed invocations differ from the uninterrupted run")
 	}
 }
 
@@ -135,7 +134,7 @@ func TestGuardFallbackOnContention(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 1, Noise: noise.Default()}
 
-	res, err := NewRunner().RunParallel(b, opts, ParallelOptions{Workers: 4, Policy: PolicyFallback})
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func TestGuardFallbackOnContention(t *testing.T) {
 		t.Fatalf("footnote missing fallback: %q", p.Footnote())
 	}
 
-	res, err = NewRunner().RunParallel(b, opts, ParallelOptions{Workers: 4, Policy: PolicyGuard})
+	res, err = NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyGuard}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestGuardQuietHostStaysParallel(t *testing.T) {
 	stubProbes(t, []float64{20, 21, 20, 22})
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 1, Noise: noise.Default()}
-	res, err := NewRunner().RunParallel(b, opts, ParallelOptions{Workers: 4, Policy: PolicyFallback})
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +187,8 @@ func TestProfilerForcesSequential(t *testing.T) {
 	b := mustBench(t, "fib")
 	r := NewRunner()
 	r.SetObserver(Observer{Profile: profile.New()})
-	res, err := r.RunParallel(b, Options{Invocations: 2, Iterations: 2, Seed: 1},
-		ParallelOptions{Workers: 4, Policy: PolicyForce})
+	res, err := NewSupervisor(r, SupervisorOptions{Workers: 4, Policy: PolicyForce}).
+		Run(b, Options{Invocations: 2, Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +242,8 @@ func TestParallelTraceCarriesShardIDs(t *testing.T) {
 	r := NewRunner()
 	tr := trace.New()
 	r.SetObserver(Observer{Trace: tr, Metrics: metrics.NewRegistry()})
-	_, err := r.RunParallel(b, Options{Invocations: 6, Iterations: 3, Seed: 2, Noise: noise.Default()},
-		ParallelOptions{Workers: 3, Policy: PolicyForce})
+	_, err := NewSupervisor(r, SupervisorOptions{Workers: 3, Policy: PolicyForce}).
+		Run(b, Options{Invocations: 6, Iterations: 3, Seed: 2, Noise: noise.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,16 +281,19 @@ func TestParallelTraceCarriesShardIDs(t *testing.T) {
 }
 
 // TestParallelErrorIsLowestIndex: when several invocations fail, the
-// parallel runner reports the one the sequential run would have hit first.
+// sharded run's quorum error names the invocation a sequential run would
+// have hit first, and what went wrong with it.
 func TestParallelErrorIsLowestIndex(t *testing.T) {
 	b := mustBench(t, "fib")
 	b.Checksum = "wrong" // every invocation fails checksum validation
-	_, err := NewRunner().RunParallel(b, Options{Invocations: 5, Iterations: 2, Seed: 3},
-		ParallelOptions{Workers: 4, Policy: PolicyForce})
-	if err == nil {
-		t.Fatal("expected checksum failure")
+	_, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyForce}).
+		Run(b, Options{Invocations: 5, Iterations: 2, Seed: 3})
+	if !errors.Is(err, ErrQuorum) {
+		t.Fatalf("want ErrQuorum, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "invocation 0") {
-		t.Fatalf("want lowest-index error, got %v", err)
+	for _, want := range []string{"invocation 0", "checksum mismatch"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("quorum error %q missing %q", err, want)
+		}
 	}
 }

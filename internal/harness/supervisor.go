@@ -26,7 +26,7 @@ var ErrQuorum = errors.New("quorum not met")
 // ErrCrashPoint is returned when a deliberate crash point (see
 // SupervisorOptions.CrashAfter) fired. The campaign's journal is left
 // exactly as a kill -9 at that moment would leave it; a rerun with the
-// same checkpoint store resumes from it.
+// same checkpoint directory resumes from it.
 var ErrCrashPoint = errors.New("deliberate crash point reached")
 
 // InvocationStatus classifies how one supervised invocation ended.
@@ -52,7 +52,8 @@ type AttemptRecord struct {
 	// Error is the failure description, "" when the attempt succeeded.
 	Error string `json:",omitempty"`
 	// BackoffMs is the deterministic backoff scheduled before the next
-	// attempt (recorded, and slept only when RealBackoff is set).
+	// attempt. It is recorded, never slept: simulated experiments stay
+	// instant and deterministic.
 	BackoffMs int64 `json:",omitempty"`
 }
 
@@ -111,9 +112,9 @@ type Supervision struct {
 	CheckpointErrors int `json:",omitempty"`
 	// CheckpointError is the first failure's description.
 	CheckpointError string `json:",omitempty"`
-	// Journal is the write-ahead journal's recovery report when the run
-	// resumed from a journal-backed checkpoint: how many records were
-	// intact, and whether a torn tail or corruption was repaired.
+	// Journal is the checkpoint journal's recovery report when the run
+	// checkpointed: how many records were intact, and whether a torn tail
+	// or corruption was repaired.
 	Journal *wal.RecoveryReport `json:",omitempty"`
 	// Log is the per-invocation attempt history.
 	Log []InvocationLog
@@ -128,6 +129,17 @@ func (s *Supervision) EffectiveN() int { return s.Clean + s.Recovered }
 func (s *Supervision) Degraded() bool {
 	return s.Dropped > 0 || s.Recovered > 0 || s.QuarantinedSamples > 0 ||
 		s.CheckpointErrors > 0 || (s.Journal != nil && !s.Journal.Clean())
+}
+
+// firstFailure names the lowest-index dropped invocation and its last
+// attempt's error ("" when nothing was dropped).
+func (s *Supervision) firstFailure() string {
+	for _, lg := range s.Log {
+		if lg.Status == StatusDropped {
+			return fmt.Sprintf("invocation %d: %s", lg.Index, lg.Attempts[len(lg.Attempts)-1].Error)
+		}
+	}
+	return ""
 }
 
 // Summary renders a one-line human-readable account, suitable as a table
@@ -169,23 +181,16 @@ type SupervisorOptions struct {
 	// FaultSeed seeds the fault schedule; 0 means use Options.Seed, so a
 	// fault run is reproducible from the experiment seed alone.
 	FaultSeed uint64
-	// BackoffBase is the retry backoff base; attempt k schedules an
-	// exponential envelope BackoffBase << k (capped at BackoffMax) scaled
-	// by deterministic equal jitter drawn from the campaign RNG — a pure
-	// function of (fault seed, invocation, attempt), so retry schedules
-	// replay bit-identically. Defaults to 100ms. Backoff is recorded in
-	// the attempt log and only actually slept when RealBackoff is set,
-	// keeping simulated experiments instant and deterministic.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential envelope (default 5s).
-	BackoffMax time.Duration
-	// RealBackoff makes the supervisor actually sleep its backoff.
-	RealBackoff bool
-	// Checkpoint, when non-nil, persists progress after every invocation
-	// so an interrupted experiment resumes without re-running completed
-	// work. A store that also implements slotAppender (JournalCheckpoint)
-	// gets incremental write-ahead appends instead of full rewrites.
-	Checkpoint CheckpointStore
+	// Workers fans invocations out across that many shards (0 or 1 =
+	// sequential). The sample set is identical either way.
+	Workers int
+	// Policy selects the interference-guard reaction when Workers > 1
+	// (default PolicyGuard).
+	Policy ParallelPolicy
+	// Checkpoint, when its Dir is set, journals every completed invocation
+	// there so an interrupted experiment resumes without re-running
+	// completed work.
+	Checkpoint CheckpointDir
 	// Isolation shells invocation attempts out to watchdogged worker
 	// child processes (see IsolationOptions).
 	Isolation IsolationOptions
@@ -196,36 +201,40 @@ type SupervisorOptions struct {
 }
 
 func (so SupervisorOptions) withDefaults() SupervisorOptions {
-	if so.BackoffBase <= 0 {
-		so.BackoffBase = 100 * time.Millisecond
-	}
-	if so.BackoffMax <= 0 {
-		so.BackoffMax = 5 * time.Second
-	}
 	if so.MaxRetries < 0 {
 		so.MaxRetries = 0
+	}
+	if so.Policy == "" {
+		so.Policy = PolicyGuard
 	}
 	so.Isolation = so.Isolation.withDefaults()
 	return so
 }
+
+// The retry backoff envelope: attempt k schedules backoffBase<<k, capped at
+// backoffMax.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
 
 // backoffSalt offsets the backoff jitter stream from the fault-schedule
 // stream sharing the same seed.
 const backoffSalt = 0xB0FF
 
 // jitterBackoff computes the deterministic jittered backoff before the
-// next attempt: an exponential envelope base<<attempt capped at max, then
-// scaled into [1/2, 1] of itself by a uniform draw keyed on (seed,
-// invocation, attempt) — "equal jitter". Retries across invocations
-// desynchronize (no thundering herd against a contended host) while every
-// schedule stays a replayable pure function of the campaign seed.
-func jitterBackoff(base, max time.Duration, seed uint64, invIdx, attempt int) time.Duration {
-	d := base
-	for k := 0; k < attempt && d < max; k++ {
+// next attempt: the exponential envelope, scaled into [1/2, 1] of itself
+// by a uniform draw keyed on (seed, invocation, attempt) — "equal jitter".
+// Retries across invocations desynchronize (no thundering herd against a
+// contended host) while every schedule stays a replayable pure function of
+// the campaign seed.
+func jitterBackoff(seed uint64, invIdx, attempt int) time.Duration {
+	d := backoffBase
+	for k := 0; k < attempt && d < backoffMax; k++ {
 		d <<= 1
 	}
-	if d > max {
-		d = max
+	if d > backoffMax {
+		d = backoffMax
 	}
 	id := uint64(invIdx)*0x1000003 + uint64(attempt) + backoffSalt
 	u := stats.NewRNG(seed).Split(id).Float64()
@@ -233,9 +242,11 @@ func jitterBackoff(base, max time.Duration, seed uint64, invIdx, attempt int) ti
 }
 
 // Supervisor wraps a Runner with crash isolation, per-invocation budgets,
-// bounded retry, a quorum policy, and checkpoint/resume. With the zero
-// SupervisorOptions it produces byte-identical results to Runner.Run —
-// supervision is free until something goes wrong.
+// bounded retry, a quorum policy, sharded execution, and checkpoint/resume.
+// Its engine is the only code that schedules invocations: Runner.Run is the
+// engine under the zero SupervisorOptions, so the two produce identical
+// sample sets (the results differ by the Supervision block) — supervision
+// is free until something goes wrong.
 type Supervisor struct {
 	r    *Runner
 	opts SupervisorOptions
@@ -249,11 +260,11 @@ func NewSupervisor(r *Runner, opts SupervisorOptions) *Supervisor {
 // newExecutor picks the execution substrate for one run. A failure to set
 // up subprocess isolation degrades to in-process execution with the reason
 // recorded — lack of isolation must never kill a campaign.
-func (s *Supervisor) newExecutor(workers int) invocationExecutor {
+func (s *Supervisor) newExecutor() invocationExecutor {
 	if !s.opts.Isolation.Enabled {
 		return &inProcExecutor{r: s.r, note: "in-process"}
 	}
-	exec, err := newSubprocExecutor(s.r, s.opts.Isolation, workers)
+	exec, err := newSubprocExecutor(s.r, s.opts.Isolation, s.opts.Workers)
 	if err != nil {
 		s.r.obs.Trace.Instant(trace.CatSupervisor, "isolation-fallback", "reason", err.Error())
 		s.r.obs.Metrics.Counter(mIsolationFallbacks,
@@ -285,27 +296,17 @@ const retrySalt = 1 << 20
 // exact path a real runaway workload takes.
 const hangBudgetSteps = 1
 
-// Run executes the experiment under supervision.
+// Run executes the experiment under supervision. It is the invocation
+// engine behind every run path: it fans the pending invocation slots out
+// across the configured shards (or runs them in order), drives each slot
+// through its retry budget, journals every completed slot, and merges the
+// slots in canonical invocation order. Fault isolation, budgets, retry,
+// and quarantine apply per shard exactly as they do sequentially; the
+// sample set, attempt log, and supervision accounting are identical for
+// any worker count because every slot's fate is a pure function of (seed,
+// invocation id, attempt).
 func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
-	return s.runWith(b, opts, s.opts.Checkpoint, ParallelOptions{})
-}
-
-// RunParallel executes the experiment under supervision across po.Workers
-// shards. Fault isolation, budgets, retry, and quarantine apply per shard
-// exactly as they do sequentially; the sample set, attempt log, and
-// supervision accounting are identical to the sequential supervised run
-// because every slot's fate is a pure function of (seed, invocation id,
-// attempt) and slots are merged in canonical order.
-func (s *Supervisor) RunParallel(b workloads.Benchmark, opts Options, po ParallelOptions) (*Result, error) {
-	return s.runWith(b, opts, s.opts.Checkpoint, po)
-}
-
-// runWith is the shared engine behind Run/RunParallel, with an explicit
-// checkpoint store (RunPair gives each arm its own derived store).
-func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
-	ckpt CheckpointStore, po ParallelOptions) (*Result, error) {
 	opts = opts.withDefaults()
-	po = po.withDefaults()
 	code, summary, err := s.r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
@@ -321,7 +322,7 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 	faultSeed ^= experimentSalt(b.Name, opts.Mode)
 	// The injector draws only the invocation-level kinds; storage kinds
 	// (torn/badrecord/enospc) are realized per journal append by a
-	// ChaosFS under the checkpoint store, not per invocation.
+	// ChaosFS under the checkpoint directory, not per invocation.
 	inj := faults.NewInjector(s.opts.Faults.VM(), faultSeed)
 	quorum := s.opts.Quorum
 	if quorum <= 0 || quorum > opts.Invocations {
@@ -333,50 +334,50 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 	// re-exec is unavailable). The sample set is bit-identical either
 	// way — invocations are pure functions of (seed, invocation id) — so
 	// the choice never enters the checkpoint key.
-	exec := s.newExecutor(po.Workers)
+	exec := s.newExecutor()
 	defer exec.close()
 
 	var par *Parallelism
-	parallel := po.Workers > 1
-	if parallel {
+	workers := 1
+	if s.opts.Workers > 1 {
 		var sequential bool
-		par, sequential = s.r.runGuard(po)
-		parallel = !sequential
+		par, sequential = s.r.runGuard(s.opts.Workers, s.opts.Policy)
+		if !sequential {
+			workers = s.opts.Workers
+		}
 	}
 
 	obs := s.r.obs
-	spanKV := []string{"benchmark", b.Name, "mode", opts.Mode.String(), "supervised", "true"}
-	if parallel {
-		spanKV = append(spanKV, "workers", strconv.Itoa(po.Workers))
+	benchKV := []string{"benchmark", b.Name, "mode", opts.Mode.String()}
+	if workers > 1 {
+		benchKV = append(benchKV, "workers", strconv.Itoa(workers))
 	}
-	benchSpan := obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(), spanKV...)
+	benchSpan := obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(), benchKV...)
 	defer benchSpan.End()
 
-	// The checkpoint key deliberately excludes the worker count and guard
-	// policy: parallel and sequential runs of one experiment draw the same
-	// samples, so either may resume the other's checkpoint.
-	key := checkpointKey(b, opts, s.opts, faultSeed)
 	slots := make([]*slotRecord, opts.Invocations)
 	resumed := 0
-	var journalRep *wal.RecoveryReport
-	if ckpt != nil {
-		restored, err := loadCheckpoint(ckpt, key)
+	var ckpt *checkpoint
+	if s.opts.Checkpoint.Dir != "" {
+		// The checkpoint key deliberately excludes the worker count and
+		// guard policy: parallel and sequential runs of one experiment draw
+		// the same samples, so either may resume the other's journal.
+		ckpt, err = openCheckpoint(s.opts.Checkpoint, b.Name, opts.Mode,
+			checkpointKey(b, opts, s.opts, faultSeed))
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 		}
-		// A journal-backed store reports what recovery found: torn tails
-		// and corrupt records are repaired, never silently trusted, and the
-		// result carries the report.
-		if rr, ok := ckpt.(recoveryReporter); ok {
-			journalRep = rr.RecoveryReport()
-			if journalRep != nil && !journalRep.Clean() {
-				obs.Trace.Instant(trace.CatSupervisor, "journal-recovered",
-					"benchmark", b.Name, "report", journalRep.String())
-				obs.Metrics.Counter(mJournalRecoveries,
-					"journals repaired (torn tail or corrupt records) on open").Inc()
-			}
+		//benchlint:allow uncheckederr — every slot append was already fsynced
+		defer ckpt.jn.Close()
+		// Recovery repairs torn tails and corrupt records, never silently
+		// trusts them, and the result carries the report.
+		if !ckpt.report.Clean() {
+			obs.Trace.Instant(trace.CatSupervisor, "journal-recovered",
+				"benchmark", b.Name, "report", ckpt.report.String())
+			obs.Metrics.Counter(mJournalRecoveries,
+				"journals repaired (torn tail or corrupt records) on open").Inc()
 		}
-		for idx, slot := range restored {
+		for idx, slot := range ckpt.slots {
 			if idx < 0 || idx >= opts.Invocations {
 				continue
 			}
@@ -398,49 +399,37 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 		}
 	}
 
-	// completeSlot records one freshly-run slot and checkpoints it. ckptMu
-	// guards the slots table against concurrent shards: each checkpoint
-	// snapshot reads every completed slot, so the per-index writes must
-	// synchronize with it. A journal-backed store gets an incremental
-	// write-ahead append instead of a full rewrite. Checkpoint failures
-	// (ENOSPC, injected storage faults) are survived, not fatal: losing
-	// durability must not lose the in-flight work — the run degrades and
-	// says so in Supervision.
-	var ckptMu sync.Mutex
-	var ckptErrs int
+	// runSlot supervises one pending slot and journals it. mu guards the
+	// slots table and the journal against concurrent shards. Checkpoint
+	// failures (ENOSPC, injected storage faults) are survived, not fatal:
+	// losing durability must not lose the in-flight work — the run
+	// degrades and says so in Supervision.
+	var mu sync.Mutex
+	var ckptErrs, completed int
 	var ckptFirstErr string
-	var completed int
-	crashed := false
-	appender, incremental := ckpt.(slotAppender)
-	completeSlot := func(idx int, slot slotRecord) {
+	crashed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return s.opts.CrashAfter > 0 && completed >= s.opts.CrashAfter
+	}
+	runSlot := func(idx int, spanKV ...string) {
+		if crashed() {
+			return
+		}
+		slot := s.superviseOne(exec, b, code, opts, idx, inj, spanKV...)
 		if slot.Log.Status == StatusDropped {
 			obs.Trace.Instant(trace.CatSupervisor, "invocation-dropped",
 				"benchmark", b.Name, "invocation", strconv.Itoa(idx))
 			obs.Metrics.Counter(mDropped, "invocations dropped after exhausting retries").Inc()
 		}
-		ckptMu.Lock()
-		defer ckptMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
 		slots[idx] = &slot
 		completed++
-		if s.opts.CrashAfter > 0 && completed >= s.opts.CrashAfter {
-			crashed = true
-		}
 		if ckpt == nil {
 			return
 		}
-		var err error
-		if incremental {
-			err = appender.AppendSlot(key, slot)
-		} else {
-			done := make([]slotRecord, 0, opts.Invocations)
-			for _, sl := range slots {
-				if sl != nil {
-					done = append(done, *sl)
-				}
-			}
-			err = saveCheckpoint(ckpt, key, done)
-		}
-		if err != nil {
+		if err := ckpt.append(slot); err != nil {
 			ckptErrs++
 			if ckptFirstErr == "" {
 				ckptFirstErr = err.Error()
@@ -455,35 +444,20 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 			"invocation", strconv.Itoa(idx))
 		obs.Metrics.Counter(mCheckpointSaves, "checkpoint snapshots written").Inc()
 	}
-	// crashedNow lets shards observe a fired crash point without racing
-	// the accounting above.
-	crashedNow := func() bool {
-		ckptMu.Lock()
-		defer ckptMu.Unlock()
-		return crashed
-	}
 
-	if parallel {
+	if workers > 1 {
 		obs.Metrics.Counter(mParallelRuns, "experiments executed by the sharded runner").Inc()
-		s.r.shardPool(len(pending), po.Workers, func(shard, j int) {
-			if crashedNow() {
-				return
-			}
-			idx := pending[j]
-			completeSlot(idx, s.superviseOne(exec, b, code, opts, idx, inj,
-				"worker", strconv.Itoa(shard)))
+		s.r.shardPool(len(pending), workers, func(shard, j int) {
+			runSlot(pending[j], "worker", strconv.Itoa(shard))
 		})
 	} else {
 		for _, idx := range pending {
-			if crashedNow() {
-				break
-			}
-			completeSlot(idx, s.superviseOne(exec, b, code, opts, idx, inj))
+			runSlot(idx)
 		}
 	}
-	if crashedNow() {
-		// Stop abruptly: no checkpoint finalization, no cleanup beyond what
-		// a kill -9 would perform. The journal on disk is the only survivor.
+	if crashed() {
+		// Stop abruptly: no cleanup beyond what a kill -9 would perform.
+		// The journal on disk is the only survivor.
 		return nil, fmt.Errorf("harness: %s/%s: %w after %d slot completion(s)",
 			b.Name, opts.Mode, ErrCrashPoint, s.opts.CrashAfter)
 	}
@@ -496,14 +470,17 @@ func (s *Supervisor) runWith(b workloads.Benchmark, opts Options,
 	sup.WorkerKills, sup.WorkerRestarts = exec.stats()
 	sup.CheckpointErrors = ckptErrs
 	sup.CheckpointError = ckptFirstErr
-	sup.Journal = journalRep
+	if ckpt != nil {
+		sup.Journal = &ckpt.report
+	}
 	s.r.snapshotMetrics(res)
 	if sup.EffectiveN() < quorum {
 		// The partial result is returned alongside the error so callers
 		// can still report *how* the experiment degraded.
 		return res, fmt.Errorf(
-			"harness: %s/%s: %w: %d of %d invocations succeeded (need %d; %d dropped after %d retries)",
-			b.Name, opts.Mode, ErrQuorum, sup.EffectiveN(), sup.Planned, quorum, sup.Dropped, sup.Retries)
+			"harness: %s/%s: %w: %d of %d invocations succeeded (need %d; %d dropped after %d retries); %s",
+			b.Name, opts.Mode, ErrQuorum, sup.EffectiveN(), sup.Planned, quorum, sup.Dropped, sup.Retries,
+			sup.firstFailure())
 	}
 	return res, nil
 }
@@ -603,12 +580,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 			"benchmark", b.Name, "invocation", strconv.Itoa(invIdx),
 			"attempt", strconv.Itoa(attempt), "error", err.Error())
 		if attempt < s.opts.MaxRetries {
-			backoff := jitterBackoff(s.opts.BackoffBase, s.opts.BackoffMax,
-				inj.Seed(), invIdx, attempt)
-			rec.BackoffMs = backoff.Milliseconds()
-			if s.opts.RealBackoff {
-				time.Sleep(backoff)
-			}
+			rec.BackoffMs = jitterBackoff(inj.Seed(), invIdx, attempt).Milliseconds()
 		}
 		slot.Log.Attempts = append(slot.Log.Attempts, rec)
 	}
@@ -684,28 +656,23 @@ func validateSamples(inv *Invocation) (quarantined int, err error) {
 	return 0, nil
 }
 
-// RunPair is the supervised analogue of Runner.RunPair: both arms run
-// under the same policy, failures are labelled with benchmark and arm, and
-// cross-engine checksum agreement is validated on the surviving
-// invocations.
+// RunPair runs the benchmark under both engines with the same options and
+// policy, one arm after the other (the comparison design wants the arms'
+// samples, not the arms themselves, interleaved). Each arm journals to its
+// own <bench>_<mode>.ckpt.wal. A failure in either arm is wrapped with the
+// benchmark name and engine mode, so a multi-benchmark campaign report
+// pinpoints what broke, and cross-engine checksum agreement is validated
+// on the surviving invocations.
 func (s *Supervisor) RunPair(b workloads.Benchmark, opts Options) (interp, jit *Result, err error) {
-	return s.RunPairParallel(b, opts, ParallelOptions{})
-}
-
-// RunPairParallel is RunPair with each arm executed by the sharded runner
-// (arms still run one after the other — the comparison design wants the
-// arms' samples, not the arms themselves, interleaved).
-func (s *Supervisor) RunPairParallel(b workloads.Benchmark, opts Options, po ParallelOptions) (interp, jit *Result, err error) {
-	base := s.opts.Checkpoint
 	oi := opts
 	oi.Mode = vm.ModeInterp
-	interp, err = s.runWith(b, oi, deriveCheckpoint(base, "interp"), po)
+	interp, err = s.Run(b, oi)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [interp arm]: %w", b.Name, err)
 	}
 	oj := opts
 	oj.Mode = vm.ModeJIT
-	jit, err = s.runWith(b, oj, deriveCheckpoint(base, "jit"), po)
+	jit, err = s.Run(b, oj)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [jit arm]: %w", b.Name, err)
 	}
@@ -713,4 +680,20 @@ func (s *Supervisor) RunPairParallel(b workloads.Benchmark, opts Options, po Par
 		return nil, nil, err
 	}
 	return interp, jit, nil
+}
+
+// pairChecksumError validates cross-engine agreement: both arms of a pair
+// must produce the same result checksum, or the comparison is measuring
+// two different computations.
+func pairChecksumError(bench string, interp, jit *Result) error {
+	if len(interp.Invocations) == 0 || len(jit.Invocations) == 0 {
+		return fmt.Errorf("harness: %s: cannot validate checksums without invocations", bench)
+	}
+	ci := interp.Invocations[0].Checksum
+	cj := jit.Invocations[0].Checksum
+	if ci != cj {
+		return fmt.Errorf("harness: engines disagree on %s: interp=%s jit=%s",
+			bench, ci, cj)
+	}
+	return nil
 }

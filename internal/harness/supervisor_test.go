@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/noise"
 	"repro/internal/vm"
+	"repro/internal/wal"
 )
 
 func TestSupervisorNoFaultsMatchesRunner(t *testing.T) {
@@ -215,49 +219,33 @@ func TestSupervisorWallBudget(t *testing.T) {
 	}
 }
 
-// recordingStore snapshots every save so tests can rewind to a mid-run
-// state, simulating a kill.
-type recordingStore struct {
-	*MemCheckpoint
-	history [][]byte
-}
-
-func (r *recordingStore) Save(data []byte) error {
-	if err := r.MemCheckpoint.Save(data); err != nil {
-		return err
-	}
-	r.history = append(r.history, append([]byte(nil), data...))
-	return nil
-}
-
 func TestSupervisorCheckpointResume(t *testing.T) {
 	b := mustBench(t, "collatz")
 	so := SupervisorOptions{MaxRetries: 2, Quorum: 4, Faults: faults.Light()}
 	opts := Options{Invocations: 6, Iterations: 3, Seed: 13, Noise: noise.Default()}
 
-	// Uninterrupted reference run, recording a snapshot per invocation.
-	rec := &recordingStore{MemCheckpoint: NewMemCheckpoint()}
-	soRef := so
-	soRef.Checkpoint = rec
-	ref, err := NewSupervisor(NewRunner(), soRef).Run(b, opts)
+	// Uninterrupted reference run.
+	ref, err := NewSupervisor(NewRunner(), so).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.history) != opts.Invocations {
-		t.Fatalf("expected %d checkpoint saves, got %d", opts.Invocations, len(rec.history))
-	}
 
-	// "Kill" after 3 invocations: restore that snapshot and resume.
-	resumeStore := NewMemCheckpoint()
-	resumeStore.Restore(rec.history[2])
-	soRes := so
-	soRes.Checkpoint = resumeStore
-	got, err := NewSupervisor(NewRunner(), soRes).Run(b, opts)
+	// Kill the journaled run after 3 invocations, then resume it.
+	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
+	crash := so
+	crash.CrashAfter = 3
+	if _, err := NewSupervisor(NewRunner(), crash).Run(b, opts); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint, got %v", err)
+	}
+	got, err := NewSupervisor(NewRunner(), so).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Supervision.ResumedFrom != 3 {
 		t.Fatalf("ResumedFrom = %d, want 3", got.Supervision.ResumedFrom)
+	}
+	if j := got.Supervision.Journal; j == nil || !j.Clean() || j.Records != 4 {
+		t.Fatalf("journal should replay the key record and 3 slots cleanly: %+v", j)
 	}
 	if len(got.Supervision.Log) != len(ref.Supervision.Log) {
 		t.Fatalf("log length %d after resume, want %d",
@@ -270,7 +258,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 		t.Fatal("resumed result differs from uninterrupted run")
 	}
 	// Resuming a fully completed run re-runs nothing.
-	again, err := NewSupervisor(NewRunner(), soRes).Run(b, opts)
+	again, err := NewSupervisor(NewRunner(), so).Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,60 +273,74 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 
 func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	b := mustBench(t, "fib")
-	store := NewMemCheckpoint()
+	so := SupervisorOptions{Checkpoint: CheckpointDir{Dir: t.TempDir()}}
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	if _, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts); err != nil {
+	if _, err := NewSupervisor(NewRunner(), so).Run(b, opts); err != nil {
 		t.Fatal(err)
 	}
-	// Same store, different seed: refuse to resume.
+	// Same directory, different seed: refuse to resume.
 	opts2 := opts
 	opts2.Seed = 2
-	_, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts2)
+	_, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("want key-mismatch error, got %v", err)
 	}
-	// Corrupted checkpoint data: decode error, not a crash.
-	store2 := NewMemCheckpoint()
-	store2.Restore([]byte("{broken"))
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store2}).Run(b, opts)
+	// An intact record that is not a checkpoint entry: decode error, not a
+	// crash.
+	dir := t.TempDir()
+	j, _, _, err := wal.OpenLines(wal.OSFS{}, filepath.Join(dir, "fib_interp.ckpt.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("{broken")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}).Run(b, opts)
 	if err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
 		t.Fatalf("want decode error, got %v", err)
 	}
 }
 
-func TestSupervisorFileCheckpoint(t *testing.T) {
+// TestSupervisorCheckpointLayout pins the one checkpoint layout: every
+// experiment journals to <bench>_<mode>.ckpt.wal in the checkpoint
+// directory, so the arms of a pair stay apart and a later run over the same
+// directory resumes each arm.
+func TestSupervisorCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	b := mustBench(t, "fib")
-	store := FileCheckpointFor(dir, b.Name, vm.ModeInterp)
+	s := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}})
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	ref, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts)
+	refI, refJ, err := s.RunPair(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second supervisor over the same file resumes at completion.
-	got, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: store}).Run(b, opts)
+	for _, name := range []string{"fib_interp.ckpt.wal", "fib_jit.ckpt.wal"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("arm journal missing: %v", err)
+		}
+	}
+	gotI, gotJ, err := s.RunPair(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Supervision.ResumedFrom != 2 {
-		t.Fatalf("file resume: ResumedFrom = %d", got.Supervision.ResumedFrom)
-	}
-	if !reflect.DeepEqual(got.Invocations, ref.Invocations) {
-		t.Fatal("file-resumed result differs")
-	}
-	// Derive keeps arms separate.
-	d1 := store.Derive("interp").(FileCheckpoint)
-	d2 := store.Derive("jit").(FileCheckpoint)
-	if d1.Path == d2.Path || d1.Path == store.Path {
-		t.Fatalf("derived paths must be distinct: %s vs %s", d1.Path, d2.Path)
+	for _, arm := range []struct{ ref, got *Result }{{refI, gotI}, {refJ, gotJ}} {
+		if arm.got.Supervision.ResumedFrom != 2 {
+			t.Fatalf("%s resume: ResumedFrom = %d", arm.got.Mode, arm.got.Supervision.ResumedFrom)
+		}
+		if !reflect.DeepEqual(arm.got.Invocations, arm.ref.Invocations) {
+			t.Fatalf("%s: resumed result differs", arm.got.Mode)
+		}
 	}
 }
 
 func TestSupervisorRunPair(t *testing.T) {
 	b := mustBench(t, "quicksort")
-	store := NewMemCheckpoint()
 	s := NewSupervisor(NewRunner(), SupervisorOptions{
-		MaxRetries: 2, Quorum: 2, Faults: faults.Light(), Checkpoint: store,
+		MaxRetries: 2, Quorum: 2, Faults: faults.Light(),
+		Checkpoint: CheckpointDir{Dir: t.TempDir()},
 	})
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 17, Noise: noise.Default()}
 	interp, jit, err := s.RunPair(b, opts)

@@ -9,22 +9,22 @@ import (
 	"strconv"
 )
 
-// LineJournal is the text twin of Journal: an append-only log whose records
-// are CRC32C-framed *JSON lines* instead of binary frames, so the file is
-// valid JSONL (one JSON object per line), git-diffable, and greppable while
-// keeping the journal's crash-only recovery contract. It backs the
-// committed perf history (BENCH_history.jsonl), which must survive a crash
-// mid-append on a CI runner exactly like a checkpoint journal does.
+// LineJournal is the append-only journal: its records are CRC32C-framed
+// *JSON lines*, so the file is valid JSONL (one JSON object per line),
+// git-diffable, and greppable while keeping a crash-only recovery
+// contract. It backs the supervisor's checkpoints (*.ckpt.wal), the
+// daemon's ledger (ledger.wal), and the committed perf history
+// (BENCH_history.jsonl), each of which must survive a crash mid-append.
 //
 // Each line is the envelope
 //
 //	{"crc32c":"<8 hex>","rec":<payload>}\n
 //
-// where the checksum covers the payload bytes verbatim. Recovery reuses the
-// journal taxonomy: an unterminated final line is a torn tail (the normal
-// crash artifact — truncated silently and reported), while a damaged
-// complete line is corruption: that record and everything after it are
-// discarded and reported loudly.
+// where the checksum covers the payload bytes verbatim. Recovery
+// distinguishes two damage shapes: an unterminated final line is a torn
+// tail (the normal crash artifact — truncated silently and reported),
+// while a damaged complete line is corruption: that record and everything
+// after it are discarded and reported loudly.
 type LineJournal struct {
 	fsys FS
 	path string
@@ -126,9 +126,9 @@ func countParseableLines(data []byte) int {
 }
 
 // OpenLines recovers the line journal at path (absent = empty) and
-// positions it for appending. Like Open, any torn tail or corruption is
-// repaired on disk (atomic truncation to the trusted prefix) before the
-// journal is handed back, so a second crash during recovery still leaves a
+// positions it for appending. Any torn tail or corruption is repaired on
+// disk (atomic truncation to the trusted prefix) before the journal is
+// handed back, so a second crash during recovery still leaves a
 // well-formed file.
 func OpenLines(fsys FS, path string) (*LineJournal, [][]byte, RecoveryReport, error) {
 	j := &LineJournal{fsys: fsys, path: path}
@@ -150,8 +150,8 @@ func OpenLines(fsys FS, path string) (*LineJournal, [][]byte, RecoveryReport, er
 	return j, payloads, rep, nil
 }
 
-// atomicRewrite replaces path with raw via temp file + fsync + rename. It
-// is the shared repair primitive of both journal flavors.
+// atomicRewrite replaces path with raw via temp file + fsync + rename, so
+// the repair itself is atomic.
 func atomicRewrite(fsys FS, path string, raw []byte) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)

@@ -9,29 +9,10 @@ import (
 	"testing"
 )
 
-func writeLineJournal(t *testing.T, path string, recs [][]byte) {
-	t.Helper()
-	j, got, rep, err := OpenLines(OSFS{}, path)
-	if err != nil {
-		t.Fatalf("OpenLines: %v", err)
-	}
-	if len(got) != 0 || !rep.Clean() {
-		t.Fatalf("fresh line journal not empty: %d records, report %v", len(got), rep)
-	}
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 func TestLineAppendAndRecover(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hist.jsonl")
 	recs := testRecords(5)
-	writeLineJournal(t, path, recs)
+	writeJournal(t, path, recs)
 
 	j, got, rep, err := OpenLines(OSFS{}, path)
 	if err != nil {
@@ -54,7 +35,7 @@ func TestLineAppendAndRecover(t *testing.T) {
 // The file must stay valid JSONL: every line a standalone JSON object.
 func TestLineJournalIsValidJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hist.jsonl")
-	writeLineJournal(t, path, testRecords(4))
+	writeJournal(t, path, testRecords(4))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +64,8 @@ func TestLineAppendRejectsNewlines(t *testing.T) {
 }
 
 // A torn tail at every byte offset must recover the longest intact prefix
-// of whole lines, truncate the tail on disk, and report the damage — the
-// same contract the binary journal proves.
+// of whole lines, truncate the tail on disk, and report the damage, and a
+// cut on a line boundary must be reported clean.
 func TestLineTornTailTruncationAtEveryOffset(t *testing.T) {
 	recs := testRecords(4)
 	var full []byte

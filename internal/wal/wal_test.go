@@ -17,14 +17,16 @@ func testRecords(n int) [][]byte {
 	return recs
 }
 
-func writeJournal(t *testing.T, path string, recs [][]byte) {
+// appendRecords opens the journal at path, appends recs, and closes it,
+// returning the records that were already there.
+func appendRecords(t *testing.T, path string, recs [][]byte) [][]byte {
 	t.Helper()
-	j, got, rep, err := Open(OSFS{}, path)
+	j, got, rep, err := OpenLines(OSFS{}, path)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenLines: %v", err)
 	}
-	if len(got) != 0 || !rep.Clean() {
-		t.Fatalf("fresh journal not empty: %d records, report %v", len(got), rep)
+	if !rep.Clean() {
+		t.Fatalf("journal not clean on open: %v", rep)
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -34,14 +36,28 @@ func writeJournal(t *testing.T, path string, recs [][]byte) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	return got
 }
 
+// writeJournal creates a fresh journal at path holding recs.
+func writeJournal(t *testing.T, path string, recs [][]byte) {
+	t.Helper()
+	if got := appendRecords(t, path, recs); len(got) != 0 {
+		t.Fatalf("fresh journal not empty: %d records", len(got))
+	}
+}
+
+// Appends from successive sessions (open, append, close) recover as one
+// ordered log.
 func TestAppendAndRecover(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
 	recs := testRecords(5)
-	writeJournal(t, path, recs)
+	writeJournal(t, path, recs[:3])
+	if got := appendRecords(t, path, recs[3:]); len(got) != 3 {
+		t.Fatalf("second session replayed %d records, want 3", len(got))
+	}
 
-	j, got, rep, err := Open(OSFS{}, path)
+	j, got, rep, err := OpenLines(OSFS{}, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -62,51 +78,21 @@ func TestAppendAndRecover(t *testing.T) {
 func TestEmptyRecordRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
 	writeJournal(t, path, [][]byte{{}, []byte("a"), {}})
-	_, got, rep, err := Open(OSFS{}, path)
+	j, got, rep, err := OpenLines(OSFS{}, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	j.Close()
 	if rep.Records != 3 || len(got) != 3 || len(got[0]) != 0 || len(got[2]) != 0 {
 		t.Fatalf("empty records mishandled: %d records, report %+v", len(got), rep)
 	}
 }
 
-func TestRotateCompacts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	j, _, _, err := Open(OSFS{}, path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for _, r := range testRecords(10) {
-		if err := j.Append(r); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	compact := [][]byte{[]byte("snapshot")}
-	if err := j.Rotate(compact); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	// Post-rotation appends land after the snapshot.
-	if err := j.Append([]byte("tail")); err != nil {
-		t.Fatalf("Append after rotate: %v", err)
-	}
-	j.Close()
-
-	_, got, rep, err := Open(OSFS{}, path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if !rep.Clean() || len(got) != 2 ||
-		string(got[0]) != "snapshot" || string(got[1]) != "tail" {
-		t.Fatalf("rotation result wrong: %q report %+v", got, rep)
-	}
-}
-
 func TestClosedJournalRefusesAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	j, _, _, err := Open(OSFS{}, path)
+	j, _, _, err := OpenLines(OSFS{}, path)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenLines: %v", err)
 	}
 	j.Close()
 	if err := j.Append([]byte("x")); err == nil {
@@ -133,9 +119,9 @@ func TestTornTailTruncationAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		j, got, rep, err := Open(OSFS{}, path)
+		j, got, rep, err := OpenLines(OSFS{}, path)
 		if err != nil {
-			t.Fatalf("cut %d: Open: %v", cut, err)
+			t.Fatalf("cut %d: OpenLines: %v", cut, err)
 		}
 		if rep.CorruptRecords != 0 {
 			t.Fatalf("cut %d: truncation misclassified as corruption: %+v", cut, rep)
@@ -146,10 +132,11 @@ func TestTornTailTruncationAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: append after repair: %v", cut, err)
 		}
 		j.Close()
-		_, again, rep2, err := Open(OSFS{}, path)
+		j, again, rep2, err := OpenLines(OSFS{}, path)
 		if err != nil || !rep2.Clean() {
 			t.Fatalf("cut %d: reopen after repair: %v report %+v", cut, err, rep2)
 		}
+		j.Close()
 		if len(again) != len(got)+1 || string(again[len(again)-1]) != "post-crash" {
 			t.Fatalf("cut %d: post-repair append lost: %d vs %d records", cut, len(again), len(got)+1)
 		}
@@ -178,9 +165,9 @@ func TestBitFlipAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatalf("flip %d: %v", off, err)
 		}
-		j, got, rep, err := Open(OSFS{}, path)
+		j, got, rep, err := OpenLines(OSFS{}, path)
 		if err != nil {
-			t.Fatalf("flip %d: Open: %v", off, err)
+			t.Fatalf("flip %d: OpenLines: %v", off, err)
 		}
 		j.Close()
 		if len(got) == len(recs) && rep.Clean() {
@@ -204,39 +191,34 @@ func assertPrefix(t *testing.T, ctx string, got, want [][]byte) {
 }
 
 // TestCorruptMiddleRecordIsReportedLoudly pins the corruption-vs-crash
-// distinction: damage before the tail must be flagged as CorruptRecords,
-// not silently folded into a torn tail.
+// distinction for framing damage: a lost line terminator before the tail
+// merges two records into one complete line that fails its checksum. It
+// must be flagged as CorruptRecords, not silently folded into a torn tail.
 func TestCorruptMiddleRecordIsReportedLoudly(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "test.wal")
+	path := filepath.Join(t.TempDir(), "test.wal")
 	recs := testRecords(5)
 	writeJournal(t, path, recs)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte of the third record: two frames in, past the
-	// header of frame 3.
-	off := 0
-	for i := 0; i < 2; i++ {
-		_, next, res := decodeFrame(raw, off)
-		if res != decodeOK {
-			t.Fatalf("fixture decode failed at %d", i)
-		}
-		off = next
+	// Overwrite the newline that ends the second record.
+	end := len(encodeLine(recs[0])) + len(encodeLine(recs[1])) - 1
+	if raw[end] != '\n' {
+		t.Fatalf("fixture: byte %d is %q, want a line terminator", end, raw[end])
 	}
-	raw[off+frameHeaderSize] ^= 0xFF
+	raw[end] = ' '
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	j, got, rep, err := Open(OSFS{}, path)
+	j, got, rep, err := OpenLines(OSFS{}, path)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenLines: %v", err)
 	}
 	j.Close()
-	if len(got) != 2 {
-		t.Fatalf("recovered %d records, want the 2 before the corruption", len(got))
+	if len(got) != 1 {
+		t.Fatalf("recovered %d records, want the 1 before the corruption", len(got))
 	}
 	if rep.CorruptRecords == 0 || rep.DiscardedBytes == 0 {
 		t.Fatalf("corruption not reported: %+v", rep)

@@ -10,27 +10,17 @@
 //	benchgate -baseline base.json -candidate cand.json
 //	benchgate -baseline base.json -candidate cand.json -confidence 0.99 -min-effect 0.02
 //	benchgate -baseline seq.json -candidate par.json -equivalence
-//	benchgate -mem-baseline BENCH_vm.json -mem-candidate fresh.json
 //
 // -equivalence switches to the parallel-determinism check: instead of a
 // statistical comparison, the two results must contain the *identical*
 // per-invocation sample set (times, cycles, steps), invocation by
-// invocation — the property the sharded runner guarantees against the
-// sequential runner at equal seeds, and the register tier against the
-// stack tier at any seed (DESIGN.md §16).
-//
-// -mem-baseline/-mem-candidate run the memory gate over two benchjson
-// documents (the BENCH_vm.json shape): every benchmark whose
-// allocs_per_op or bytes_per_op grew past both the percentage threshold
-// (-max-alloc-growth / -max-bytes-growth) and the absolute
-// practical-effect floor (-alloc-floor / -bytes-floor) fails the gate.
-// allocs/bytes are host-stable, so unlike ns/op this is a hard CI gate —
-// it is how the register tier's unboxing win stays locked in. The memory
-// gate composes with the result gate: give both pairs and both must pass.
+// invocation — the property sharded, isolated and resumed runs guarantee
+// against the sequential run at equal seeds (DESIGN.md §10). The memory
+// gate over benchjson documents lives in cmd/benchjson.
 //
 // Exit codes follow the repository taxonomy: 0 = pass; 1 = regression (or
-// equivalence/memory-gate failure); 2 = usage (bad flags, incomparable
-// inputs); 3 = infrastructure (unreadable or undecodable result files).
+// equivalence failure); 2 = usage (bad flags, incomparable inputs); 3 =
+// infrastructure (unreadable or undecodable result files).
 package main
 
 import (
@@ -39,7 +29,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/benchfmt"
 	"repro/internal/exitcode"
 	"repro/internal/harness"
 	"repro/internal/perfstore"
@@ -66,34 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Uint64("seed", 1, "bootstrap RNG seed (the gate decision is deterministic per seed)")
 		histPath    = fs.String("history", "", "benchtrack history (BENCH_history.jsonl): print the longitudinal trend next to the verdict")
 		trendLast   = fs.Int("trend-last", 10, "trend window (runs) for the -history summary")
-
-		memBasePath = fs.String("mem-baseline", "", "baseline benchjson document (BENCH_vm.json) for the memory gate")
-		memCandPath = fs.String("mem-candidate", "", "candidate benchjson document to memory-gate")
-		memDef      = benchfmt.DefaultMemThresholds()
-		allocPct    = fs.Float64("max-alloc-growth", memDef.MaxAllocGrowthPct, "allowed allocs_per_op growth in percent (negative = off)")
-		bytesPct    = fs.Float64("max-bytes-growth", memDef.MaxBytesGrowthPct, "allowed bytes_per_op growth in percent (negative = off)")
-		allocFloor  = fs.Int64("alloc-floor", memDef.AllocFloor, "absolute allocs_per_op growth below which the memory gate never fails")
-		bytesFloor  = fs.Int64("bytes-floor", memDef.BytesFloor, "absolute bytes_per_op growth below which the memory gate never fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if (*memBasePath == "") != (*memCandPath == "") {
-		fmt.Fprintln(stderr, "benchgate: -mem-baseline and -mem-candidate must be given together")
-		return 2
-	}
-	memCode := -1
-	if *memBasePath != "" {
-		memCode = runMemGate(*memBasePath, *memCandPath, benchfmt.MemThresholds{
-			MaxAllocGrowthPct: *allocPct,
-			MaxBytesGrowthPct: *bytesPct,
-			AllocFloor:        *allocFloor,
-			BytesFloor:        *bytesFloor,
-		}, stdout, stderr)
-		// Memory-only invocation: the result gate is skipped entirely.
-		if *basePath == "" && *candPath == "" {
-			return memCode
-		}
 	}
 	if *basePath == "" || *candPath == "" {
 		fmt.Fprintln(stderr, "benchgate: both -baseline and -candidate are required")
@@ -132,36 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *histPath != "" {
 		printTrend(*histPath, base.Benchmark, *trendLast, stdout, stderr)
 	}
-	// Both gates ran: the worse verdict wins the exit code.
-	if memCode > code {
-		return memCode
-	}
 	return code
-}
-
-// runMemGate applies the allocs/bytes regression gate to two benchjson
-// documents (see internal/benchfmt.MemGate for the two-bar policy).
-func runMemGate(basePath, candPath string, th benchfmt.MemThresholds, stdout, stderr io.Writer) int {
-	base, err := benchfmt.ReadFile(basePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return exitcode.Infra
-	}
-	cand, err := benchfmt.ReadFile(candPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return exitcode.Infra
-	}
-	violations := benchfmt.MemGate(base, cand, th)
-	for _, v := range violations {
-		fmt.Fprintf(stderr, "benchgate: FAIL: %v\n", v)
-	}
-	if len(violations) > 0 {
-		return 1
-	}
-	fmt.Fprintf(stdout, "benchgate: PASS: memory gate over %d benchmark(s) (alloc growth <= %.0f%% or <= %d allocs; bytes growth <= %.0f%% or <= %d B)\n",
-		len(cand.Benchmarks), th.MaxAllocGrowthPct, th.AllocFloor, th.MaxBytesGrowthPct, th.BytesFloor)
-	return 0
 }
 
 // printTrend prints benchtrack's one-line longitudinal summary for the

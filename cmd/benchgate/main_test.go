@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/benchfmt"
 	"repro/internal/harness"
 	"repro/internal/perfstore"
 	"repro/internal/wal"
@@ -180,67 +179,6 @@ func TestHistoryTrendLinePrintsNextToVerdict(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "↑") {
 		t.Fatalf("trend direction arrow missing:\n%s", stdout)
-	}
-}
-
-// writeMemDoc marshals a benchjson document to a temp file.
-func writeMemDoc(t *testing.T, doc *benchfmt.Doc) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := doc.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "mem.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// The memory gate standalone: -mem-baseline/-mem-candidate without the
-// result-gate flags is a complete invocation.
-func TestMemGateStandalone(t *testing.T) {
-	base := writeMemDoc(t, &benchfmt.Doc{Benchmarks: []benchfmt.Entry{
-		{Name: "BenchmarkCallFib", AllocsPerOp: 19, BytesPerOp: 9880},
-	}})
-	regressed := writeMemDoc(t, &benchfmt.Doc{Benchmarks: []benchfmt.Entry{
-		{Name: "BenchmarkCallFib", AllocsPerOp: 60, BytesPerOp: 9880},
-	}})
-	code, stdout, _ := gate(t, "-mem-baseline", base, "-mem-candidate", base)
-	if code != 0 || !strings.Contains(stdout, "PASS: memory gate") {
-		t.Fatalf("self-comparison failed (exit %d):\n%s", code, stdout)
-	}
-	code, _, stderr := gate(t, "-mem-baseline", base, "-mem-candidate", regressed)
-	if code != 1 {
-		t.Fatalf("alloc regression exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "allocs/op grew 19 -> 60") {
-		t.Fatalf("missing violation detail:\n%s", stderr)
-	}
-}
-
-// The memory gate composes with the result gate: a passing result pair
-// plus a failing memory pair fails the whole invocation.
-func TestMemGateComposesWithResultGate(t *testing.T) {
-	base := writeMemDoc(t, &benchfmt.Doc{Benchmarks: []benchfmt.Entry{
-		{Name: "BenchmarkForRange", AllocsPerOp: 19},
-	}})
-	regressed := writeMemDoc(t, &benchfmt.Doc{Benchmarks: []benchfmt.Entry{
-		{Name: "BenchmarkForRange", AllocsPerOp: 2835},
-	}})
-	code, _, stderr := gate(t, "-baseline", baselineFixture, "-candidate", baselineFixture,
-		"-mem-baseline", base, "-mem-candidate", regressed)
-	if code != 1 {
-		t.Fatalf("combined gate exited %d, want 1\n%s", code, stderr)
-	}
-}
-
-func TestMemGateFlagPairRequired(t *testing.T) {
-	if code, _, _ := gate(t, "-mem-baseline", "somefile.json"); code != 2 {
-		t.Fatalf("half a mem pair exited %d, want 2", code)
-	}
-	if code, _, _ := gate(t, "-mem-baseline", "nonexistent.json", "-mem-candidate", "nonexistent.json"); code != 3 {
-		t.Fatalf("unreadable mem docs exited %d, want 3", code)
 	}
 }
 

@@ -34,8 +34,7 @@ func (f Finding) String() string {
 //	                            sanctions interface-typed minipy.Value in its
 //	                            signature (a genuine escape point: the boxing
 //	                            converters themselves, generic fallbacks on
-//	                            already-boxed operands, the stack tier's
-//	                            boxed frame contract)
+//	                            already-boxed operands)
 const (
 	allowClockDirective     = "benchlint:allow clock"
 	allowUncheckedDirective = "benchlint:allow uncheckederr"
@@ -301,8 +300,8 @@ func (l *linter) checkUncheckedErr(call *ast.CallExpr, deferred bool) {
 // avoid. The match is the bare selector type only: a []minipy.Value frame
 // slice or *minipy.List receiver is a container of already-boxed values,
 // not a boxing site. Genuine escape points (the boxing converters, the
-// generic fallback on boxed operands, the stack tier's frame contract)
-// carry benchlint:allow boxedhot in their doc comment with the reason.
+// generic fallback on boxed operands) carry benchlint:allow boxedhot in
+// their doc comment with the reason.
 func (l *linter) checkBoxedhot(fd *ast.FuncDecl) {
 	check := func(fl *ast.FieldList, what string) {
 		if fl == nil {

@@ -112,7 +112,7 @@ func main() {
 		workers     = flag.Int("workers", 1, "worker shards for -bench/-suite/-exp invocation execution (1 = sequential; the sample set is identical either way)")
 		parPolicy   = flag.String("parallel-policy", "guard", "interference-guard policy for -workers > 1: guard (flag contention), fallback (revert to sequential), force (skip probes)")
 		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
-		vmTier      = flag.String("vm", "", "execution tier for -bench: reg (register tier, default), stack (escape hatch; sample sets are bit-identical across tiers), or reg-elide (move-elided stream, ablation A9)")
+		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
 		isolate     = flag.Bool("isolate", false, "run each invocation attempt in a watchdogged worker subprocess (crash isolation; the sample set is bit-identical to in-process execution)")
 		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-attempt deadline before a hung worker is killed (0 = 30s default)")
 		daemonAddr  = flag.String("daemon-addr", "", "with -bench: submit the campaign to a pybenchd daemon at HOST:PORT instead of running in-process (sample set is bit-identical)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -75,6 +76,13 @@ func TestDoBenchErrors(t *testing.T) {
 	}
 	if err := doBench(benchSpec("fib", "turbo", 0, 0, 0, ""), "", "", false, noObs()); err == nil {
 		t.Fatal("unknown mode must error")
+	}
+	// The stack interpreter is gone: -vm stack is a usage error (exit 2).
+	spec := benchSpec("fib", "interp", 0, 0, 0, "")
+	spec.VM = "stack"
+	var se *controlapi.SpecError
+	if err := doBench(spec, "", "", false, noObs()); !errors.As(err, &se) {
+		t.Fatalf("-vm stack: want a spec error, got %v", err)
 	}
 }
 

@@ -20,23 +20,29 @@ func runProgram(code *minipy.Code) error {
 	return err
 }
 
+// syntheticGrid spans the generator's feature axes at five seeds.
+func syntheticGrid() []workloads.SyntheticConfig {
+	var grid []workloads.SyntheticConfig
+	for _, seed := range []uint64{1, 7, 42, 1234, 99999} {
+		grid = append(grid,
+			workloads.SyntheticConfig{LoopIters: 60, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 60, CallEveryN: 3, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 60, DictOps: true, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 60, StrOps: true, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 60, CallEveryN: 2, DictOps: true, StrOps: true,
+				BranchEntropy: 0.7, Seed: seed},
+		)
+	}
+	return grid
+}
+
 // corpus assembles the agreement-test programs: the full shipped suite, the
-// extended set, and a grid of generated synthetic workloads spanning the
-// generator's feature axes.
+// extended set, and the synthetic grid.
 func corpus() []workloads.Benchmark {
 	all := append(append([]workloads.Benchmark{}, workloads.Suite()...),
 		workloads.Extended()...)
-	for _, seed := range []uint64{1, 7, 42, 1234, 99999} {
-		for _, cfg := range []workloads.SyntheticConfig{
-			{LoopIters: 60, Seed: seed},
-			{LoopIters: 60, CallEveryN: 3, Seed: seed},
-			{LoopIters: 60, DictOps: true, Seed: seed},
-			{LoopIters: 60, StrOps: true, Seed: seed},
-			{LoopIters: 60, CallEveryN: 2, DictOps: true, StrOps: true,
-				BranchEntropy: 0.7, Seed: seed},
-		} {
-			all = append(all, workloads.Synthetic(cfg))
-		}
+	for _, cfg := range syntheticGrid() {
+		all = append(all, workloads.Synthetic(cfg))
 	}
 	return all
 }

@@ -7,9 +7,9 @@ import "repro/internal/minipy"
 // executes by default, the compacted size of the move-elided A9 variant,
 // and how many register-write sites the interval analysis licenses to hold
 // unboxed tagged words. A function that fails to lower (Reason non-empty)
-// runs on the stack tier — the certificate records that fallback so a
-// lowering regression is visible as certificate drift, not just as a
-// silent perf cliff.
+// cannot run: the VM returns the lowering error to its caller. The
+// certificate records the refusal so a lowering regression is visible as
+// certificate drift before any run.
 type RegisterFacts struct {
 	Lowered bool `json:"lowered"`
 	// Regs is the register-file size: locals plus the operand-stack
@@ -28,8 +28,7 @@ type RegisterFacts struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// registerPlan lowers one code object the same way the VM's register tier
-// does (lower, verify, elide) and summarizes the result against the
+// registerPlan lowers one code object the same way the VM does (lower, verify, elide) and summarizes the result against the
 // function's interval claims.
 func registerPlan(code *minipy.Code, claims map[int]ival) RegisterFacts {
 	rc, err := minipy.LowerToRegister(code)

@@ -96,28 +96,57 @@ func TestCertificateSoundOnSuite(t *testing.T) {
 	}
 }
 
-// TestCertificateSoundOnSynthetics extends the property over generated
-// workloads at multiple seeds, exercising program shapes the hand-written
-// suite does not (parameterized loop trip counts, dict/str mixes, branch
-// entropy) on the interpreter at the fact-gated level.
-func TestCertificateSoundOnSynthetics(t *testing.T) {
+// FuzzSyntheticOptLevels is the grammar-aware differential over generated
+// workloads: for any generator configuration, -opt 0..3 on both engines
+// must return the same run() checksum, and the certificate recomputed for
+// each variant must hold on every executed op. The seed corpus is the
+// agreement grid plus loop-call, dict, string and branch-entropy mixes at
+// two seeds; plain `go test` runs only those.
+func FuzzSyntheticOptLevels(f *testing.F) {
+	seeds := syntheticGrid()
 	for _, seed := range []uint64{42, 43} {
-		for i, cfg := range []workloads.SyntheticConfig{
-			{LoopIters: 50, Seed: seed},
-			{LoopIters: 50, CallEveryN: 3, Seed: seed},
-			{LoopIters: 50, DictOps: true, StrOps: true, BranchEntropy: 0.5, Seed: seed},
-		} {
-			b := workloads.Synthetic(cfg)
-			t.Run(fmt.Sprintf("seed%d/cfg%d", seed, i), func(t *testing.T) {
-				t.Parallel()
-				code := variant(t, b, 3)
-				chk, _, _ := checkedRun(t, code, vm.ModeInterp, 2)
-				for _, v := range chk.Violations() {
-					t.Errorf("soundness violation: %s", v)
-				}
-			})
-		}
+		seeds = append(seeds,
+			workloads.SyntheticConfig{LoopIters: 50, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 50, CallEveryN: 3, Seed: seed},
+			workloads.SyntheticConfig{LoopIters: 50, DictOps: true, StrOps: true, BranchEntropy: 0.5, Seed: seed},
+		)
 	}
+	for _, c := range seeds {
+		f.Add(c.LoopIters, c.CallEveryN, c.DictOps, c.StrOps, c.BranchEntropy, c.Seed)
+	}
+	f.Fuzz(func(t *testing.T, loopIters, callEveryN int, dictOps, strOps bool, entropy float64, seed uint64) {
+		// Clamp to programs that run in milliseconds and generate valid
+		// source: the branch period 1/entropy must stay a small integer.
+		if !(entropy >= 0) {
+			entropy = 0
+		}
+		if entropy > 0 && entropy < 1.0/64 {
+			entropy = 1.0 / 64
+		}
+		b := workloads.Synthetic(workloads.SyntheticConfig{
+			LoopIters:     min(max(loopIters, 1), 256),
+			CallEveryN:    min(max(callEveryN, 0), 16),
+			DictOps:       dictOps,
+			StrOps:        strOps,
+			BranchEntropy: min(entropy, 1),
+			Seed:          seed,
+		})
+		var want string
+		for level := 0; level <= 3; level++ {
+			code := variant(t, b, level)
+			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
+				chk, last, _ := checkedRun(t, code, mode, 2)
+				for _, v := range chk.Violations() {
+					t.Errorf("opt%d/%v: soundness violation: %s", level, mode, v)
+				}
+				if level == 0 && mode == vm.ModeInterp {
+					want = last.Repr()
+				} else if got := last.Repr(); got != want {
+					t.Errorf("opt%d/%v: checksum %s, interp at -opt 0 returned %s", level, mode, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestStepBoundCoverage pins which canonical workloads earn a static step
@@ -150,57 +179,5 @@ func TestStepBoundCoverage(t *testing.T) {
 		if !want && sb.Reason == "" {
 			t.Errorf("%s: unbounded certificate must state a reason", name)
 		}
-	}
-}
-
-// TestSoundnessAgreesAcrossTiers runs the checker over both execution
-// tiers explicitly (DESIGN.md §16): the register tier's boxed shadow stack,
-// materialized per op for the ValueTracer, must present the checker with
-// exactly the operand values the stack tier would have — same violations
-// (none), same checksum, same executed steps. A divergence here means the
-// register tier's escape-point boxing changed an observable value.
-func TestSoundnessAgreesAcrossTiers(t *testing.T) {
-	for _, name := range []string{"fib", "matmul", "branchy", "strings"} {
-		b, ok := workloads.ByName(name)
-		if !ok {
-			t.Fatalf("no benchmark %q", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			code := variant(t, b, 2)
-			rep, err := analysis.Analyze(code)
-			if err != nil {
-				t.Fatalf("analyze: %v", err)
-			}
-			type arm struct {
-				tier     vm.Tier
-				checksum string
-				steps    uint64
-			}
-			arms := []arm{{tier: vm.TierRegister}, {tier: vm.TierStack}}
-			for i := range arms {
-				chk := analysis.NewSoundnessChecker(rep.Facts())
-				in := vm.New(vm.Config{Tier: arms[i].tier, Tracer: chk, MaxSteps: 500_000_000})
-				chk.Attach(in)
-				if _, err := in.RunModule(code); err != nil {
-					t.Fatalf("%v module: %v", arms[i].tier, err)
-				}
-				v, err := in.CallGlobal("run")
-				if err != nil {
-					t.Fatalf("%v run(): %v", arms[i].tier, err)
-				}
-				for _, viol := range chk.Violations() {
-					t.Errorf("%v soundness violation: %s", arms[i].tier, viol)
-				}
-				arms[i].checksum = v.Repr()
-				arms[i].steps = in.CountersSnapshot().Steps
-			}
-			if arms[0].checksum != arms[1].checksum {
-				t.Errorf("checksum diverged: reg %s, stack %s", arms[0].checksum, arms[1].checksum)
-			}
-			if arms[0].steps != arms[1].steps {
-				t.Errorf("steps diverged: reg %d, stack %d", arms[0].steps, arms[1].steps)
-			}
-		})
 	}
 }

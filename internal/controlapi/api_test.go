@@ -171,6 +171,16 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "unknown mode",
 		},
 		{
+			name: "retired stack vm",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.VM = "stack"
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "unknown vm",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()

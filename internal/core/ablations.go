@@ -462,9 +462,9 @@ func (e *Engine) AblationFactGates() (*report.Table, error) {
 
 // AblationRegisterElision — A9: effect of the register tier's move-elision
 // pass (-vm reg-elide) over the default 1:1 register stream. The 1:1
-// lowering executes exactly the stack tier's op sequence (that equality is
-// what benchgate -equivalence proves), so elision is the first register-
-// tier variant that changes the simulated stream: forwarding moves are
+// lowering executes exactly the stack program's op sequence (the committed
+// goldens pin it), so elision is the one register variant that changes the
+// simulated stream: forwarding moves are
 // deleted and their dispatches disappear from the step count. Both arms
 // run the full rigorous design and are compared with Kalibera–Jones
 // intervals, like A7/A8. rel. ops is the deterministic executed-op ratio;

@@ -30,8 +30,9 @@ type CheckpointDir struct {
 // invocations out of order); version 3 made the store a CRC-framed
 // write-ahead journal; version 4 writes that journal as wal.LineJournal
 // lines, so a binary version-3 journal now recovers as damage and the run
-// starts fresh.
-const checkpointVersion = 4
+// starts fresh; version 5 adds the opt level and the move-elision arm to
+// the key, so a version-4 journal is refused as a different experiment.
+const checkpointVersion = 5
 
 // slotRecord is the complete supervised outcome of one invocation slot:
 // its attempt log, its measurement (nil when every attempt failed), and the
@@ -47,14 +48,20 @@ type slotRecord struct {
 
 // checkpointKey derives the experiment identity a checkpoint belongs to.
 // Resuming under any changed configuration — different benchmark, seed,
-// design, fault model, or retry policy — is refused rather than silently
-// mixing incompatible partial results.
-func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, faultSeed uint64) string {
-	return fmt.Sprintf("v%d|%s|%s|seed=%d|inv=%d|iter=%d|noise=%+v|cost=%+v|counters=%v|freq=%g|maxsteps=%d|wall=%s|faults=%s|fseed=%d|retries=%d|quorum=%d",
+// design, executed stream (opt level, move elision), fault model, or retry
+// policy — is refused rather than silently mixing incompatible partial
+// results. The VM option enters as its parsed elision bit, so "" and "reg"
+// are one arm.
+func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, faultSeed uint64) (string, error) {
+	elide, err := vm.ParseVM(opts.VM)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("v%d|%s|%s|seed=%d|inv=%d|iter=%d|opt=%d|elide=%v|noise=%+v|cost=%+v|counters=%v|freq=%g|maxsteps=%d|wall=%s|faults=%s|fseed=%d|retries=%d|quorum=%d",
 		checkpointVersion, b.Name, opts.Mode, opts.Seed, opts.Invocations,
-		opts.Iterations, opts.Noise, opts.Cost, opts.WithCounters, opts.FreqGHz,
-		opts.MaxStepsPerInvocation, opts.WallBudget,
-		so.Faults, faultSeed, so.MaxRetries, so.Quorum)
+		opts.Iterations, opts.Opt, elide, opts.Noise, opts.Cost, opts.WithCounters,
+		opts.FreqGHz, opts.MaxStepsPerInvocation, opts.WallBudget,
+		so.Faults, faultSeed, so.MaxRetries, so.Quorum), nil
 }
 
 // checkpointBase sanitizes a benchmark name into a filesystem-safe stem.

@@ -54,13 +54,10 @@ type Options struct {
 	// opcode stream, so optimized runs are a distinct experiment arm — never
 	// comparable sample-for-sample with level 0.
 	Opt int `json:",omitempty"`
-	// VM selects the execution tier: "" or "reg" for the register tier
-	// (default), "stack" for the stack interpreter. The tiers are
-	// host-level implementations of the same simulated machine — sample
-	// sets are bit-identical across them (DESIGN.md §16), so unlike Opt
-	// this is NOT a distinct experiment arm. The exception is "reg-elide"
-	// (the move-elided register stream, ablation A9), which executes fewer
-	// simulated ops and therefore IS a distinct arm.
+	// VM selects the executed stream (see vm.ParseVM): "" or "reg" for the
+	// default register stream, or "reg-elide" for the move-elided stream
+	// of ablation A9, which executes fewer simulated ops and is therefore
+	// a distinct experiment arm.
 	VM string `json:",omitempty"`
 }
 
@@ -301,13 +298,12 @@ func (r *Runner) runInvocation(code *minipy.Code,
 			return nil
 		}
 	}
-	tier, regElide, ok := vm.TierSpec(opts.VM)
-	if !ok {
-		return nil, fmt.Errorf("unknown vm tier %q (want reg, stack, or reg-elide)", opts.VM)
+	regElide, err := vm.ParseVM(opts.VM)
+	if err != nil {
+		return nil, err
 	}
 	engine := vm.New(vm.Config{
 		Mode:       opts.Mode,
-		Tier:       tier,
 		RegElide:   regElide,
 		Cost:       opts.Cost,
 		Probe:      probe,
@@ -316,7 +312,7 @@ func (r *Runner) runInvocation(code *minipy.Code,
 		AbortCheck: abort,
 	})
 	setupSpan := tr.Begin(trace.CatPhase, "module-setup")
-	_, err := engine.RunModule(code)
+	_, err = engine.RunModule(code)
 	setupSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("module setup: %w", err)

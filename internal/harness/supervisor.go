@@ -362,8 +362,11 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 		// The checkpoint key deliberately excludes the worker count and
 		// guard policy: parallel and sequential runs of one experiment draw
 		// the same samples, so either may resume the other's journal.
-		ckpt, err = openCheckpoint(s.opts.Checkpoint, b.Name, opts.Mode,
-			checkpointKey(b, opts, s.opts, faultSeed))
+		var key string
+		key, err = checkpointKey(b, opts, s.opts, faultSeed)
+		if err == nil {
+			ckpt, err = openCheckpoint(s.opts.Checkpoint, b.Name, opts.Mode, key)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 		}

@@ -285,6 +285,26 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("want key-mismatch error, got %v", err)
 	}
+	// A different executed stream is a different arm: another opt level or
+	// the move-elided register stream.
+	for _, arm := range []Options{{Opt: 2}, {VM: "reg-elide"}} {
+		opts2 := opts
+		opts2.Opt, opts2.VM = arm.Opt, arm.VM
+		_, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
+		if err == nil || !strings.Contains(err.Error(), "different experiment") {
+			t.Fatalf("opt=%d vm=%q: want key-mismatch error, got %v", arm.Opt, arm.VM, err)
+		}
+	}
+	// "reg" names the default stream, so it resumes the journal "" wrote.
+	opts2 = opts
+	opts2.VM = "reg"
+	res, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Supervision.ResumedFrom != opts.Invocations {
+		t.Fatalf("vm=reg: ResumedFrom = %d, want %d", res.Supervision.ResumedFrom, opts.Invocations)
+	}
 	// An intact record that is not a checkpoint entry: decode error, not a
 	// crash.
 	dir := t.TempDir()

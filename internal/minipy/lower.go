@@ -13,15 +13,15 @@ import "fmt"
 //
 // Because the executed instruction sequence, the per-op cost keys (Src),
 // the immediates (Arg) and the control-flow targets are all identical to
-// the stack form, the register tier's simulated counters, probe events and
-// tracer streams are bit-identical to the stack tier's by construction —
-// the speedup is purely host-level (no push/pop slice traffic, tagged
-// unboxed register slots). Stream-changing optimizations live in
-// ElideMoves and are opt-in.
+// the stack form, the VM's simulated counters, probe events and tracer
+// streams are those of the stack program by construction; register form
+// only removes host work (no push/pop slice traffic, tagged unboxed
+// register slots). Stream-changing optimizations live in ElideMoves and
+// are opt-in.
 //
 // Lowering shares the verifier's depth computation; code that fails depth
-// analysis (unbalanced, inconsistent joins) returns an error and callers
-// fall back to the stack tier.
+// analysis (unbalanced, inconsistent joins) returns an error, which the VM
+// reports to the caller that tried to run the code object.
 func LowerToRegister(code *Code) (*RCode, error) {
 	depth, err := stackDepths(code)
 	if err != nil {
@@ -267,9 +267,9 @@ func stackDepths(code *Code) ([]int32, error) {
 // instructions renumbers pcs, so every jump target is remapped and Orig
 // keeps the source pc for line attribution and pc-keyed engine state. The
 // executed instruction stream — and therefore the simulated counters — is
-// intentionally different from the stack tier; the harness surfaces this
-// variant only as ablation A9, never under the default equivalence-gated
-// configuration.
+// intentionally different from the stack program's; the harness surfaces
+// this variant only as ablation A9, never under the default configuration
+// the goldens pin.
 func ElideMoves(rc *RCode) *RCode {
 	n := len(rc.Ops)
 	isTarget := make([]bool, n+1)

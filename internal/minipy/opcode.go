@@ -173,8 +173,7 @@ type Code struct {
 	Lines      []int32
 	IsModule   bool
 	// MaxStack is the maximum operand-stack depth this code object can
-	// reach, computed by Verify (0 until verified). Engines use it to size
-	// pooled frame stacks; it is a capacity hint, never a hard limit.
+	// reach, computed by Verify (0 until verified).
 	MaxStack int
 }
 

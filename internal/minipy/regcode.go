@@ -5,19 +5,19 @@ import (
 	"strings"
 )
 
-// ROp is a register-form bytecode operation. The register tier executes
-// these instead of the stack ops: every operand names a virtual register
-// directly (three-address form), so dispatch does no push/pop slice
-// traffic. The lowering from stack form is 1:1 and pc-preserving (see
-// LowerToRegister), which is what makes the register tier's simulated
-// counter stream bit-identical to the stack tier's by construction.
+// ROp is a register-form bytecode operation. The VM executes these instead
+// of the stack ops: every operand names a virtual register directly
+// (three-address form), so dispatch does no push/pop slice traffic. The
+// lowering from stack form is 1:1 and pc-preserving (see LowerToRegister),
+// which is what makes the simulated counter stream the stack program's by
+// construction.
 type ROp uint8
 
 // Register operations. Register-operand meanings are documented per op;
 // `A` is the destination unless noted. Arg keeps the *original* stack-form
 // immediate (const/name/cell index, jump target, count, packed fields) so
 // the cost model, inline caches and probe address synthesis key off the
-// same values in both tiers.
+// stack program's values.
 const (
 	RopNop            ROp = iota
 	RopLoadConst          // A = consts[Arg]
@@ -148,9 +148,9 @@ type RInstr struct {
 }
 
 // RCode is the register form of one code object. Registers 0..NumLocals-1
-// alias the frame's local slots; register NumLocals+d holds the value the
-// stack tier would have at operand-stack depth d (the verifier proves depth
-// is consistent at every join, so the mapping is static).
+// alias the frame's local slots; register NumLocals+d holds the stack
+// program's operand at depth d (the verifier proves depth is consistent at
+// every join, so the mapping is static).
 type RCode struct {
 	Code      *Code // source stack code: consts, names, lines, cost keys
 	NumLocals int
@@ -162,7 +162,7 @@ type RCode struct {
 	Depth []int32
 	// Elided reports that the move-elision pass ran: instruction indices no
 	// longer match source pcs (Orig still does) and the executed stream is
-	// intentionally different from the stack tier's.
+	// intentionally different from the stack program's.
 	Elided bool
 }
 

@@ -230,34 +230,6 @@ func verifyOne(code *Code) error {
 // returnEffect is RETURN's stack delta (pops the return value).
 const returnEffect = -1
 
-// EffectOf reports the operand-stack behaviour of a non-control instruction:
-// how many values it pops, how many it pushes, and whether the opcode is
-// known. Control-transfer ops (jumps, FOR_ITER, RETURN) return ok=false —
-// their stack behaviour is path-dependent and callers must special-case
-// them, exactly as the verifier does. Exported so internal/analysis shares
-// the verifier's single source of truth for stack shapes instead of
-// maintaining a second table that could drift.
-func EffectOf(code *Code, ins Instr) (pops, pushes int, ok bool) {
-	switch ins.Op {
-	case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep,
-		OpJumpIfTrueKeep, OpForIter, OpReturn, OpBinaryJumpIfFalse:
-		return 0, 0, false
-	}
-	eff, ok := stackEffect(code, ins)
-	if !ok {
-		return 0, 0, false
-	}
-	// minPops counts values read before pushing; DUP/DUP2 read without
-	// popping, so their pop count is zero.
-	switch ins.Op {
-	case OpDup, OpDup2:
-		pops = 0
-	default:
-		pops = -minPops(code, ins)
-	}
-	return pops, pops + eff, true
-}
-
 // stackEffect returns the net stack delta of a non-control instruction.
 func stackEffect(code *Code, ins Instr) (int, bool) {
 	arg := int(ins.Arg)

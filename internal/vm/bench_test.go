@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/minipy"
@@ -12,25 +11,7 @@ import (
 // instrument for Tier-A host-level optimizations: frame pooling, inline
 // caches, interning, and dispatch restructuring. `make bench-go` runs them
 // through cmd/benchjson and compares against the committed BENCH_vm.json
-// baseline (captured on the register tier).
-//
-// BENCHVM_TIER selects the bytecode tier under test using the same spec
-// grammar as pybench -vm ("reg", "stack", "reg-elide"; empty = register).
-// CI's bench-vm job runs the suite once per tier and uploads the two
-// benchjson documents side by side; only the register-tier run is gated
-// against the committed baseline.
-
-// benchConfig returns the interpreter config for the tier selected by
-// BENCHVM_TIER, failing the benchmark on an unknown spec.
-func benchConfig(b *testing.B) Config {
-	b.Helper()
-	spec := os.Getenv("BENCHVM_TIER")
-	tier, elide, ok := TierSpec(spec)
-	if !ok {
-		b.Fatalf("BENCHVM_TIER=%q is not a tier spec (want reg, stack, or reg-elide)", spec)
-	}
-	return Config{Mode: ModeInterp, Tier: tier, RegElide: elide}
-}
+// baseline.
 
 // compileBench compiles src once and fails the benchmark on error.
 func compileBench(b *testing.B, src string) *minipy.Code {
@@ -50,7 +31,7 @@ func compileBench(b *testing.B, src string) *minipy.Code {
 func runKernel(b *testing.B, src string) {
 	b.Helper()
 	code := compileBench(b, src)
-	cfg := benchConfig(b)
+	cfg := Config{Mode: ModeInterp}
 	// Build one throwaway interp to validate the kernel before timing.
 	in := New(cfg)
 	if _, err := in.RunModule(code); err != nil {
@@ -156,7 +137,7 @@ def run():
 `)
 }
 
-// BenchmarkProbeCodeID measures runFrame entry overhead with a probe
+// BenchmarkProbeCodeID measures frame entry overhead with a probe
 // attached: before the codeState refactor every frame entry re-resolved the
 // code's id through the codeIDs map (the satellite-1 hot-path fix).
 func BenchmarkProbeCodeID(b *testing.B) {
@@ -172,9 +153,7 @@ def run():
         i = i + 1
     return s
 `)
-	cfg := benchConfig(b)
-	cfg.Probe = &nullProbe{}
-	in := New(cfg)
+	in := New(Config{Mode: ModeInterp, Probe: &nullProbe{}})
 	if _, err := in.RunModule(code); err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,10 @@ package vm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -126,9 +129,10 @@ func (g *progGen) generate() string {
 	return g.sb.String()
 }
 
-// TestDifferentialRandomPrograms cross-validates the two engines on
-// hundreds of randomly generated programs: identical printed output and no
-// runtime errors.
+// TestDifferentialRandomPrograms cross-validates the two engines and the
+// optimizer on hundreds of randomly generated programs: every program must
+// print the same output at -opt 0, 1 and 2 on both engines, without a
+// runtime error.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	g := &progGen{rng: stats.NewRNG(2718)}
 	const programs = 300
@@ -141,19 +145,25 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		if err := minipy.Verify(code); err != nil {
 			t.Fatalf("program %d: bytecode verification: %v\n%s", i, err, src)
 		}
-		run := func(mode Mode) string {
-			var buf bytes.Buffer
-			in := New(Config{Mode: mode, Out: &buf, MaxSteps: 5_000_000})
-			if _, err := in.RunSource(src); err != nil {
-				t.Fatalf("program %d (%s) failed: %v\n%s", i, mode, err, src)
+		var want string
+		for lvl := 0; lvl <= 2; lvl++ {
+			opt, err := minipy.Optimize(code, lvl, nil)
+			if err != nil {
+				t.Fatalf("program %d: optimize -opt %d: %v\n%s", i, lvl, err, src)
 			}
-			return buf.String()
-		}
-		oi := run(ModeInterp)
-		oj := run(ModeJIT)
-		if oi != oj {
-			t.Fatalf("program %d: engines disagree\ninterp: %q\njit:    %q\n%s",
-				i, oi, oj, src)
+			for _, mode := range []Mode{ModeInterp, ModeJIT} {
+				var buf bytes.Buffer
+				in := New(Config{Mode: mode, Out: &buf, MaxSteps: 5_000_000})
+				if _, err := in.RunModule(opt); err != nil {
+					t.Fatalf("program %d (%s, -opt %d) failed: %v\n%s", i, mode, lvl, err, src)
+				}
+				if lvl == 0 && mode == ModeInterp {
+					want = buf.String()
+				} else if buf.String() != want {
+					t.Fatalf("program %d: %s at -opt %d printed %q, interp at -opt 0 printed %q\n%s",
+						i, mode, lvl, buf.String(), want, src)
+				}
+			}
 		}
 	}
 }
@@ -179,37 +189,49 @@ func TestDifferentialStepsMatch(t *testing.T) {
 	}
 }
 
-// TestDifferentialTiersRandomPrograms cross-validates the register tier
-// against the stack tier on randomly generated programs, in both engine
-// modes: identical printed output and identical semantic step counts. This
-// sweeps program shapes (nested conditionals, augmented assignment, bounded
-// while loops, floor-division guards) that the curated workload suite holds
-// fixed, so a quickening guard or escape-point boxing bug with a narrow
-// trigger still gets hunted.
-func TestDifferentialTiersRandomPrograms(t *testing.T) {
+// TestRandomProgramsMatchGolden holds the interpreter to committed data on
+// randomly generated programs: for each of 200 programs and both engines,
+// testdata/random_programs.golden records the SHA-256 of the printed output
+// and the executed step and simulated cycle counts, as produced by the stack
+// interpreter the register loop replaced. The programs sweep shapes the
+// curated suite holds fixed (nested conditionals, augmented assignment,
+// bounded while loops, floor-division guards), so a quickening guard or
+// boxing bug with a narrow trigger still shows. Run with -update to rewrite.
+func TestRandomProgramsMatchGolden(t *testing.T) {
 	g := &progGen{rng: stats.NewRNG(1618)}
 	const programs = 200
+	var got strings.Builder
 	for i := 0; i < programs; i++ {
 		src := g.generate()
-		run := func(mode Mode, tier Tier) (string, uint64) {
-			var buf bytes.Buffer
-			in := New(Config{Mode: mode, Tier: tier, Out: &buf, MaxSteps: 5_000_000})
-			if _, err := in.RunSource(src); err != nil {
-				t.Fatalf("program %d (%s/%s) failed: %v\n%s", i, mode, tier, err, src)
-			}
-			return buf.String(), in.CountersSnapshot().Steps
-		}
 		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			or, sr := run(mode, TierRegister)
-			os, ss := run(mode, TierStack)
-			if or != os {
-				t.Fatalf("program %d (%s): tiers disagree\nreg:   %q\nstack: %q\n%s",
-					i, mode, or, os, src)
+			var buf bytes.Buffer
+			in := New(Config{Mode: mode, Out: &buf, MaxSteps: 5_000_000})
+			if _, err := in.RunSource(src); err != nil {
+				t.Fatalf("program %d (%s) failed: %v\n%s", i, mode, err, src)
 			}
-			if sr != ss {
-				t.Fatalf("program %d (%s): step counts diverge: reg %d, stack %d\n%s",
-					i, mode, sr, ss, src)
-			}
+			c := in.CountersSnapshot()
+			fmt.Fprintf(&got, "%03d %s %x %d %d\n", i, mode, sha256.Sum256(buf.Bytes()), c.Steps, c.Cycles)
 		}
 	}
+	golden := filepath.Join("testdata", "random_programs.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	for i, line := range strings.Split(string(want), "\n") {
+		if i >= len(gotLines) || gotLines[i] != line {
+			t.Fatalf("line %d drifted from %s (run with -update if intentional)\nwant %s", i+1, golden, line)
+		}
+	}
+	t.Fatalf("%s has fewer lines than the test produces", golden)
 }

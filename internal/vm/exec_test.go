@@ -267,6 +267,55 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedCodeIsAnError runs hand-built code objects the compiler
+// never emits: a module whose only op is RETURN, one that POPs an empty
+// stack, one with no ops, and a function whose body POPs an empty stack,
+// reached through CallGlobal and through a call inside a frame. None of
+// them can be lowered, and each must come back to the caller as an error
+// naming the code object on both engines, never as a panic.
+func TestMalformedCodeIsAnError(t *testing.T) {
+	module := func(name string, consts []minipy.Value, ops ...minipy.Instr) *minipy.Code {
+		return &minipy.Code{Name: name, IsModule: true, Consts: consts, Names: []string{"bad_fn"},
+			Ops: ops, Lines: make([]int32, len(ops))}
+	}
+	none := []minipy.Value{minipy.None}
+	badFn := &minipy.Code{Name: "bad_fn", Ops: []minipy.Instr{{Op: minipy.OpPop}}, Lines: []int32{1}}
+	defineBad := []minipy.Instr{
+		{Op: minipy.OpMakeFunction, Arg: 0},
+		{Op: minipy.OpStoreGlobal, Arg: 0},
+	}
+	fnConsts := []minipy.Value{badFn, minipy.None}
+	for _, mode := range []Mode{ModeInterp, ModeJIT} {
+		for _, c := range []struct {
+			code *minipy.Code
+			want string
+		}{
+			{module("return_only", none, minipy.Instr{Op: minipy.OpReturn}), "return_only"},
+			{module("pop_empty", none, minipy.Instr{Op: minipy.OpPop},
+				minipy.Instr{Op: minipy.OpLoadConst}, minipy.Instr{Op: minipy.OpReturn}), "pop_empty"},
+			{module("no_ops", none), "no_ops"},
+			{module("calls_bad", fnConsts, append(defineBad,
+				minipy.Instr{Op: minipy.OpLoadGlobal, Arg: 0},
+				minipy.Instr{Op: minipy.OpCall, Arg: 0},
+				minipy.Instr{Op: minipy.OpReturn})...), "bad_fn"},
+		} {
+			_, err := New(Config{Mode: mode}).RunModule(c.code)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: RunModule(%s) = %v, want an error naming %s", mode, c.code.Name, err, c.want)
+			}
+		}
+		in := New(Config{Mode: mode})
+		if _, err := in.RunModule(module("defines_bad", fnConsts, append(defineBad,
+			minipy.Instr{Op: minipy.OpLoadConst, Arg: 1},
+			minipy.Instr{Op: minipy.OpReturn})...)); err != nil {
+			t.Fatalf("%s: defining bad_fn: %v", mode, err)
+		}
+		if _, err := in.CallGlobal("bad_fn"); err == nil || !strings.Contains(err.Error(), "bad_fn") {
+			t.Errorf("%s: CallGlobal(bad_fn) = %v, want an error naming bad_fn", mode, err)
+		}
+	}
+}
+
 func TestRecursionLimit(t *testing.T) {
 	in := New(Config{MaxDepth: 50})
 	_, err := in.RunSource("def f(n):\n    return f(n + 1)\nf(0)")

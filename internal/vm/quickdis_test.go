@@ -11,7 +11,7 @@ import (
 	"repro/internal/minipy"
 )
 
-var updateQuickGolden = flag.Bool("update", false, "rewrite quickened disassembly goldens")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestQuickenedDisassemblyGolden pins the byte-exact register stream after
 // quickening: run the fib kernel on the register tier, then disassemble the
@@ -58,7 +58,7 @@ def run():
 		t.Fatalf("expected at least one quickened RBINARY_II site:\n%s", got)
 	}
 	golden := filepath.Join("testdata", "fib.quickdis.golden")
-	if *updateQuickGolden {
+	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,38 +1,40 @@
 package vm
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/minipy"
 )
 
-// This file is the register tier: the default execution engine. Stack
-// bytecode is lowered 1:1 to three-address register form (minipy.
-// LowerToRegister), values live in tagged word-sized register slots
+// This file is the execution engine. Stack bytecode — the compiler's IR and
+// the cost model's key — is lowered 1:1 to three-address register form
+// (minipy.LowerToRegister), values live in tagged word-sized register slots
 // (rval.go), and hot sites quicken in place after observing a monomorphic
 // operand shape. The lowering preserves pcs, cost keys (RInstr.Src), and
 // immediates (RInstr.Arg), so every simulated counter, probe event, and
-// tracer record is bit-identical to the stack tier's — benchgate
-// -equivalence enforces this on the committed baseline. The speedup is
-// purely host-level: no operand-stack slice traffic, no boxing of scalar
-// intermediates, and one register file replaces the stack+locals pair.
+// tracer record is a function of the stack program alone. The committed
+// goldens (harness testdata/oracle.golden, vm testdata/random_programs.golden)
+// were generated by the stack interpreter this engine replaced and pin
+// those streams byte for byte.
 
 // regTemplate is the immutable, process-wide register form of one code
-// object: the verified lowering plus pre-tagged constants. Templates never
-// mutate (VerifyRegister rejects quickened opcodes in them), so they are
-// shared across Interps; each Interp quickens a private copy of the op
-// array (codeState.rops).
+// object: the verified lowering plus pre-tagged constants, or the error
+// that lowering or register verification returned. Templates never mutate
+// (VerifyRegister rejects quickened opcodes in them), so they are shared
+// across Interps; each Interp quickens a private copy of the op array
+// (codeState.rops).
 type regTemplate struct {
 	rc      *minipy.RCode
 	rconsts []rslot
+	err     error
 }
 
 // regTemplates / regTemplatesElided cache lowering per code object. The
 // elided variant (ablation A9) changes the executed stream, so it gets its
-// own cache. A nil entry records a lowering or verification failure: that
-// code object sticks to the stack tier for the life of the process.
+// own cache.
 var (
-	regTemplates       sync.Map // *minipy.Code -> *regTemplate (nil = failed)
+	regTemplates       sync.Map // *minipy.Code -> *regTemplate
 	regTemplatesElided sync.Map
 )
 
@@ -44,22 +46,25 @@ func lowerCached(code *minipy.Code, elide bool) *regTemplate {
 		m = &regTemplatesElided
 	}
 	if v, ok := m.Load(code); ok {
-		rt, _ := v.(*regTemplate)
-		return rt
+		return v.(*regTemplate)
 	}
-	var rt *regTemplate
-	if rc, err := minipy.LowerToRegister(code); err == nil {
+	rt := &regTemplate{}
+	rc, err := minipy.LowerToRegister(code)
+	if err == nil {
 		if elide {
 			rc = minipy.ElideMoves(rc)
 		}
-		// Trust-but-verify: a lowering bug must demote to the stack tier,
+		// Trust-but-verify: a lowering bug must surface as an error,
 		// never execute unchecked.
-		if minipy.VerifyRegister(rc) == nil {
-			rconsts := make([]rslot, len(code.Consts))
-			for i, c := range code.Consts {
-				rconsts[i] = runbox(c)
-			}
-			rt = &regTemplate{rc: rc, rconsts: rconsts}
+		err = minipy.VerifyRegister(rc)
+	}
+	if err != nil {
+		rt.err = fmt.Errorf("vm: cannot run code object %s: %w", code.Name, err)
+	} else {
+		rt.rc = rc
+		rt.rconsts = make([]rslot, len(code.Consts))
+		for i, c := range code.Consts {
+			rt.rconsts[i] = runbox(c)
 		}
 	}
 	m.Store(code, rt)
@@ -67,27 +72,20 @@ func lowerCached(code *minipy.Code, elide bool) *regTemplate {
 }
 
 // regCode resolves (lazily creating) the register state for code on this
-// Interp: the shared template plus the private quickenable op copy. Returns
-// nil when lowering failed — the caller falls back to the stack tier, and
-// the failure is sticky per code object.
-func (in *Interp) regCode(code *minipy.Code, st *codeState) *regTemplate {
-	if st.rt != nil {
-		return st.rt
+// Interp: the shared template plus the private quickenable op copy. It
+// returns the template's error when code could not be lowered.
+func (in *Interp) regCode(code *minipy.Code, st *codeState) (*regTemplate, error) {
+	if st.rt == nil {
+		st.rt = lowerCached(code, in.regElide)
+		if st.rt.err == nil {
+			// Copy-on-quicken: share the immutable template op stream
+			// until the first in-place rewrite. Code that never quickens
+			// (module bodies, straight-line glue) never pays for a
+			// private copy.
+			st.rops = st.rt.rc.Ops
+		}
 	}
-	if st.rfail {
-		return nil
-	}
-	rt := lowerCached(code, in.regElide)
-	if rt == nil {
-		st.rfail = true
-		return nil
-	}
-	st.rt = rt
-	// Copy-on-quicken: share the immutable template op stream until the
-	// first in-place rewrite. Code that never quickens (module bodies,
-	// straight-line glue) never pays for a private copy.
-	st.rops = rt.rc.Ops
-	return rt
+	return st.rt, st.rt.err
 }
 
 // quickenOp rewrites the opcode at pc on this Interp's private op stream,
@@ -114,16 +112,9 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 			code.Name, code.NumParams, len(args))
 	}
 	st := in.state(code)
-	rt := in.regCode(code, st)
-	if rt == nil {
-		// Sticky fallback: box the args and run the stack tier.
-		boxed := in.getLocals(len(args))
-		for i := range args {
-			boxed[i] = rbox(&args[i])
-		}
-		v, err := in.callFunctionStack(fn, boxed)
-		in.putLocals(boxed)
-		return runbox(v), err
+	rt, err := in.regCode(code, st)
+	if err != nil {
+		return rslot{}, err
 	}
 	regs := in.getRegs(rt.rc.NumRegs)
 	copy(regs, args)
@@ -135,14 +126,14 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 		}
 		copy(cells[len(code.CellLocals):], fn.Free)
 	}
-	ret, err := in.runFrameReg(code, rt, st, regs, cells)
+	ret, err := in.enterFrame(code, rt, st, regs, cells)
 	in.putRegs(regs)
 	return ret, err
 }
 
 // callFunctionRegBoxed is the boxed-argument entry into the register tier,
 // used by call() for external CallGlobal entries and for callables invoked
-// from builtins or the stack tier.
+// from builtins.
 func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value) (minipy.Value, error) {
 	code := fn.Code
 	if len(args) != code.NumParams {
@@ -150,9 +141,9 @@ func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value)
 			code.Name, code.NumParams, len(args))
 	}
 	st := in.state(code)
-	rt := in.regCode(code, st)
-	if rt == nil {
-		return in.callFunctionStack(fn, args)
+	rt, err := in.regCode(code, st)
+	if err != nil {
+		return nil, err
 	}
 	regs := in.getRegs(rt.rc.NumRegs)
 	for i, a := range args {
@@ -166,7 +157,7 @@ func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value)
 		}
 		copy(cells[len(code.CellLocals):], fn.Free)
 	}
-	ret, err := in.runFrameReg(code, rt, st, regs, cells)
+	ret, err := in.enterFrame(code, rt, st, regs, cells)
 	in.putRegs(regs)
 	return rbox(&ret), err
 }
@@ -182,10 +173,10 @@ func (in *Interp) callBoundReg(bm *minipy.BoundMethod, args []rslot) (rslot, err
 	return ret, err
 }
 
-// runFrameReg executes one register-tier activation: depth guard, tracer
+// enterFrame executes one register-tier activation: depth guard, tracer
 // frame events, then the dispatch loop. The register file is owned (pooled)
 // by the caller.
-func (in *Interp) runFrameReg(code *minipy.Code, rt *regTemplate, st *codeState,
+func (in *Interp) enterFrame(code *minipy.Code, rt *regTemplate, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
 	in.depth++
 	if in.depth > in.maxDepth {
@@ -201,11 +192,11 @@ func (in *Interp) runFrameReg(code *minipy.Code, rt *regTemplate, st *codeState,
 }
 
 // intBinFast computes the inline int ⊙ int subset into dst, reporting
-// whether the pair was handled. The subset — and its sign guards on
-// floor-division and modulo — is exactly the stack tier's inline fast path,
-// so the produced values are identical to in.binary's; unhandled shapes
-// (true division, power, negative floordiv/mod, containment) take the
-// generic path in both tiers. int64 overflow wraps, matching minipy.Int.
+// whether the pair was handled. The subset keeps sign guards on
+// floor-division and modulo, so the produced values are identical to
+// in.binary's; unhandled shapes (true division, power, negative
+// floordiv/mod, containment) take the generic path. int64 overflow wraps,
+// matching minipy.Int.
 // benchlint:hotpath
 func intBinFast(dst *rslot, bop minipy.BinOpCode, x, y int64) bool {
 	switch bop {
@@ -277,7 +268,7 @@ func floatBinFast(dst *rslot, bop minipy.BinOpCode, x, y float64) bool {
 }
 
 // regBinaryGeneric boxes the operands and routes through the shared binary
-// helper — identical values and errors to the stack tier's slow path.
+// helper: the path for every shape the fast paths decline.
 func (in *Interp) regBinaryGeneric(bop minipy.BinOpCode, a, b, dst *rslot) error {
 	v, err := in.binary(bop, rbox(a), rbox(b))
 	if err != nil {
@@ -327,15 +318,21 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 	return false, nil
 }
 
-// regLoop is the register-tier dispatch loop. It mirrors frameLoop's
-// structure instruction for instruction: the hoisted simulated counters are
-// flushed/reloaded at exactly the same observation points (probe, tracer,
-// abort, nested calls, JIT back edges, value hook), every pc-keyed side
-// structure (ic, attr cache, JIT mask, branch sites, line attribution) is
-// indexed by RInstr.Orig — the source stack pc — and every op charges
-// baseInstr[RInstr.Src]. Under the default 1:1 lowering Orig equals the
-// loop's own pc and the Src sequence equals the stack tier's executed op
-// sequence, which makes the two tiers' observable streams bit-identical.
+// regLoop is the dispatch loop: every simulated instruction passes through
+// here, so it must stay free of allocation-prone stdlib calls. Every
+// pc-keyed side structure (ic, attr cache, JIT mask, branch sites, line
+// attribution) is indexed by RInstr.Orig — the source stack pc — and every
+// op charges baseInstr[RInstr.Src], so the simulated stream is the stack
+// program's stream.
+//
+// The simulated counters (steps/instrs/cycles) are accumulated in local
+// variables so the hot path runs register-to-register instead of doing
+// three pointer-chasing read-modify-writes per op. The locals are flushed
+// to the Interp fields before — and reloaded after — every call that can
+// observe or mutate them: probe and tracer hooks, the abort callback,
+// nested calls, the JIT back-edge hook, the value hook, and every helper
+// that reaches memAccess while a probe is attached. Counter values at each
+// observation point are therefore those of the unhoisted form.
 // benchlint:hotpath
 func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
@@ -360,7 +357,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		gcache   = st.globals
 		acache   = st.attrs
 		ic       = st.ic
-		// Hoisted simulated counters (see frameLoop).
+		// Hoisted simulated counters (see above).
 		steps     = in.steps
 		instrsTot = in.instrs
 		cyclesTot = in.cycles
@@ -378,7 +375,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		maskVer = jit.version
 	}
 	if vtracer != nil {
-		vstack = in.getStack(rc.NumRegs - L)
+		vstack = make([]minipy.Value, 0, rc.NumRegs-L)
 	}
 
 	for {
@@ -971,9 +968,9 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		}
 
 		// Post-op value hook: materialize the boxed operand stack the stack
-		// tier would hold after this op (registers L..L+d-1, where d is the
+		// program holds after this op (registers L..L+d-1, where d is the
 		// entry depth of the next instruction) and report it. Raising paths
-		// goto done above and never reach here, matching frameLoop.
+		// goto done above and never reach here.
 		if vtracer != nil {
 			d := int(rc.Depth[ops[pc].Orig])
 			vstack = vstack[:0]
@@ -988,20 +985,16 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 
 done:
 	in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-	if vstack != nil {
-		in.putStack(vstack)
-	}
 	return ret, errv
 }
 
 // DisassembleQuickened renders this Interp's current register stream for
 // code — including any in-place quickening rewrites accumulated so far —
 // for debugging and byte-stable golden tests. Returns "" when the code
-// object has not executed on the register tier (no state, or stack-tier
-// fallback).
+// object has not executed (no state, or it could not be lowered).
 func (in *Interp) DisassembleQuickened(code *minipy.Code) string {
 	st, ok := in.codeStates[code]
-	if !ok || st.rt == nil {
+	if !ok || st.rt == nil || st.rt.err != nil {
 		return ""
 	}
 	view := *st.rt.rc

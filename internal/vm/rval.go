@@ -7,8 +7,7 @@ import (
 )
 
 // rtag discriminates the payload of a register slot. The zero value is
-// tagEmpty so a freshly cleared register file models "unassigned local"
-// exactly like a nil minipy.Value slot does in the stack tier.
+// tagEmpty so a freshly cleared register file models "unassigned local".
 type rtag uint8
 
 const (
@@ -30,8 +29,8 @@ const (
 //
 // The layout is deliberately NOT a union: ref and num coexist so boxing a
 // tagged scalar never allocates for interned values and unboxing a ref
-// never loses the original box (checksum/Repr use the same boxed value the
-// stack tier would have produced).
+// never loses the original box (checksum/Repr use the boxed value the
+// program produced).
 type rslot struct {
 	ref minipy.Value
 	num int64
@@ -41,7 +40,7 @@ type rslot struct {
 // runbox converts a boxed value into tagged register form. Scalars are
 // untagged; everything else (containers, functions, iterators, strings —
 // identity- or method-bearing values) stays a tagRef. A nil input maps to
-// tagEmpty, mirroring the stack tier's unassigned-local representation.
+// tagEmpty, the unassigned-local representation.
 // benchlint:hotpath
 // benchlint:allow boxedhot — this is the unboxing converter itself
 func runbox(v minipy.Value) rslot {
@@ -66,7 +65,7 @@ func runbox(v minipy.Value) rslot {
 // rbox materializes the boxed minipy.Value for a register slot. Small ints
 // come from the interning table, and bool/None conversions are allocation
 // free, so boxing at escape points costs an allocation only for large ints
-// and floats — exactly the values the stack tier would have boxed anyway.
+// and floats, which a boxed operand stack would allocate anyway.
 // A tagEmpty slot boxes to nil (unassigned local).
 // benchlint:hotpath
 // benchlint:allow boxedhot — this is the boxing converter itself
@@ -140,7 +139,7 @@ func rsetVal(s *rslot, v minipy.Value) { *s = runbox(v) }
 // getRegs/putRegs are a bump-pointer push/pop: one block allocation serves
 // an entire call chain where per-frame slices would allocate at every new
 // recursion depth. Windows are cleared on get (tagEmpty = unassigned
-// local), mirroring the stack tier's locals pool.
+// local).
 type regArena struct {
 	blocks [][]rslot
 	bi     int // index of the block currently being carved

@@ -35,8 +35,8 @@ type Tracer interface {
 // included), with the frame's live operand stack. It is NOT called for
 // ops that raise (the claim "this op's result is X" is vacuous when the
 // op produces no result), nor for control-flow ops that end the frame.
-// The stack slice is the live operand stack: observers must treat it as
-// read-only and must not retain it.
+// The stack slice is the operand stack the op left, boxed from the frame's
+// registers: observers must treat it as read-only and must not retain it.
 //
 // A Config.Tracer that also implements ValueTracer is detected once at
 // New(); engines with a plain Tracer (the profiler) pay nothing new.

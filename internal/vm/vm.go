@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/minipy"
@@ -24,63 +25,28 @@ func (m Mode) String() string {
 	return "interp"
 }
 
-// Tier selects the bytecode form the engine executes. Both tiers implement
-// the same simulated machine: the register tier's instruction stream,
-// counters, probe events, and tracer records are bit-identical to the stack
-// tier's under the default 1:1 lowering (benchgate -equivalence enforces
-// this), so the tier choice is purely a host-performance knob.
-type Tier int
-
-const (
-	// TierRegister (the default) executes three-address register bytecode
-	// with tagged unboxed values and in-place quickening.
-	TierRegister Tier = iota
-	// TierStack executes the original stack bytecode — the escape hatch
-	// (-vm stack) and the equivalence baseline.
-	TierStack
-)
-
-func (t Tier) String() string {
-	if t == TierStack {
-		return "stack"
-	}
-	return "reg"
-}
-
-// TierFromString parses a -vm flag value ("reg" or "stack").
-func TierFromString(s string) (Tier, bool) {
-	t, elide, ok := TierSpec(s)
-	return t, ok && !elide
-}
-
-// TierSpec parses the full tier spec grammar used by harness.Options.VM
-// and controlapi.CampaignSpec.VM: "" or "reg" (register tier, default),
-// "stack" (stack interpreter), and "reg-elide" (register tier with the
-// stream-changing move-elision pass — ablation A9, a distinct experiment
-// arm because executed-op counts drop).
-func TierSpec(s string) (tier Tier, elide bool, ok bool) {
+// ParseVM parses the VM option shared by harness.Options.VM,
+// controlapi.CampaignSpec.VM and pybench -vm: "" or "reg" runs the default
+// register stream, and "reg-elide" runs it with the stream-changing
+// move-elision pass (ablation A9), a distinct experiment arm because it
+// executes fewer simulated ops. It returns the Config.RegElide setting.
+func ParseVM(s string) (regElide bool, err error) {
 	switch s {
-	case "", "reg", "register":
-		return TierRegister, false, true
+	case "", "reg":
+		return false, nil
 	case "reg-elide":
-		return TierRegister, true, true
-	case "stack":
-		return TierStack, false, true
+		return true, nil
 	}
-	return TierRegister, false, false
+	return false, fmt.Errorf("unknown vm %q (want reg or reg-elide)", s)
 }
 
 // Config configures one VM invocation.
 type Config struct {
 	Mode Mode
-	// Tier selects the bytecode tier. The zero value is TierRegister; set
-	// TierStack to force the stack interpreter (escape hatch, equivalence
-	// baseline).
-	Tier Tier
 	// RegElide enables the stream-changing register move-elision pass
-	// (ablation A9). Only honored by the register tier; it changes the
-	// executed instruction stream — and therefore the simulated counters —
-	// so it is opt-in and excluded from the default equivalence contract.
+	// (ablation A9). It changes the executed instruction stream — and
+	// therefore the simulated counters — so it is opt-in and excluded from
+	// the committed goldens.
 	RegElide bool
 	// Cost overrides the cost model; zero value means DefaultCostParams.
 	Cost CostParams
@@ -181,23 +147,19 @@ type Interp struct {
 	icWarmup  uint8
 	icDivisor uint32
 
-	// Frame pools: operand stacks and locals arrays are recycled LIFO
-	// across activations so steady-state frames allocate nothing. Purely a
+	// Boxed argument and operand buffers are recycled LIFO across
+	// activations so steady-state frames allocate nothing. Purely a
 	// host-level optimization — simulated Allocations only counts alloc().
-	stackPool  [][]minipy.Value
 	localsPool [][]minipy.Value
 
-	// Register-tier state: the selected tier, the A9 move-elision flag, and
-	// the register-file pool (one rslot array replaces the stack+locals
-	// slice pair per activation).
-	tier     Tier
+	// The A9 move-elision flag and the register-file pool.
 	regElide bool
 	regArena regArena
 }
 
-// codeState is the per-invocation interpreter state of one code object. It
-// consolidates what used to be separate codeIDs and icSites maps (both
-// re-consulted on every frame entry) plus the Tier-A inline caches.
+// codeState is the per-invocation interpreter state of one code object: the
+// probe's site id, the simulated inline-cache counters, the host-level
+// inline caches and the register code.
 type codeState struct {
 	// id builds stable branch-site addresses for the probe.
 	id uint64
@@ -209,13 +171,11 @@ type codeState struct {
 	// attrs caches LOAD_ATTR class-method resolutions by pc, keyed on
 	// aepoch (nil when the code has no LOAD_ATTR sites).
 	attrs []aslot
-	// Register-tier state: the shared immutable template, this Interp's
-	// private quickenable op copy, and the sticky lowering-failure flag
-	// (set once, the code object then always runs on the stack tier).
+	// The shared immutable register template (or its lowering error) and
+	// this Interp's private quickenable op copy.
 	rt        *regTemplate
 	rops      []minipy.RInstr
 	ropsOwned bool
-	rfail     bool
 }
 
 // gslot is a monomorphic global-load cache entry: the value the name
@@ -252,34 +212,6 @@ func (in *Interp) state(code *minipy.Code) *codeState {
 	}
 	in.lastCode, in.lastState = code, st
 	return st
-}
-
-// getStack takes an operand stack from the pool (or allocates one sized by
-// the code's verified high-water mark).
-func (in *Interp) getStack(hint int) []minipy.Value {
-	// The dispatch loop pushes by reslicing, never by append, so the
-	// returned capacity MUST be at least hint (the frame's stack bound).
-	// An undersized pooled stack is discarded rather than returned.
-	if n := len(in.stackPool); n > 0 {
-		s := in.stackPool[n-1]
-		in.stackPool = in.stackPool[:n-1]
-		if cap(s) >= hint {
-			return s
-		}
-	}
-	if hint < 16 {
-		hint = 16
-	}
-	return make([]minipy.Value, 0, hint)
-}
-
-// putStack clears and returns a stack to the pool. Clearing the full
-// capacity drops lingering Value references so pooling never extends
-// object lifetimes past the frame.
-func (in *Interp) putStack(s []minipy.Value) {
-	s = s[:cap(s)]
-	clear(s)
-	in.stackPool = append(in.stackPool, s[:0])
 }
 
 // getLocals takes an n-slot locals array from the pool, cleared to nil so
@@ -341,7 +273,6 @@ func New(cfg Config) *Interp {
 		allocAddr: 0x10000, // leave a synthetic "low memory" hole
 		gver:      1,       // 0 means "never cached" in gslot entries
 		aepoch:    1,
-		tier:      cfg.Tier,
 		regElide:  cfg.RegElide,
 	}
 	if vt, ok := cfg.Tracer.(ValueTracer); ok {
@@ -367,9 +298,6 @@ func New(cfg Config) *Interp {
 
 // Mode reports the engine mode of this invocation.
 func (in *Interp) Mode() Mode { return in.cfg.Mode }
-
-// Tier reports the bytecode tier of this invocation.
-func (in *Interp) Tier() Tier { return in.tier }
 
 // CountersSnapshot returns the current execution accounting.
 func (in *Interp) CountersSnapshot() Counters {
@@ -438,16 +366,15 @@ func (in *Interp) RunModule(code *minipy.Code) (minipy.Value, error) {
 		return nil, typeErr("RunModule requires module code")
 	}
 	in.invalidateCaches()
-	if in.tier == TierRegister {
-		st := in.state(code)
-		if rt := in.regCode(code, st); rt != nil {
-			regs := in.getRegs(rt.rc.NumRegs)
-			ret, err := in.runFrameReg(code, rt, st, regs, nil)
-			in.putRegs(regs)
-			return rbox(&ret), err
-		}
+	st := in.state(code)
+	rt, err := in.regCode(code, st)
+	if err != nil {
+		return nil, err
 	}
-	return in.runFrame(code, nil, nil)
+	regs := in.getRegs(rt.rc.NumRegs)
+	ret, err := in.enterFrame(code, rt, st, regs, nil)
+	in.putRegs(regs)
+	return rbox(&ret), err
 }
 
 // invalidateCaches bumps the inline-cache version counters. Called at every
@@ -482,10 +409,7 @@ func (in *Interp) CallGlobal(name string, args ...minipy.Value) (minipy.Value, e
 func (in *Interp) call(fn minipy.Value, args []minipy.Value) (minipy.Value, error) {
 	switch fn := fn.(type) {
 	case *minipy.Function:
-		if in.tier == TierRegister {
-			return in.callFunctionRegBoxed(fn, args)
-		}
-		return in.callFunctionStack(fn, args)
+		return in.callFunctionRegBoxed(fn, args)
 	case *minipy.BoundMethod:
 		// fn.Fn is always a *Function, which copies args into its own
 		// locals, so the prepend buffer can be pooled too.
@@ -520,30 +444,4 @@ func (in *Interp) call(fn minipy.Value, args []minipy.Value) (minipy.Value, erro
 		return inst, nil
 	}
 	return nil, typeErr("'%s' object is not callable", fn.TypeName())
-}
-
-// callFunctionStack runs a *Function on the stack tier: the original frame
-// setup (pooled locals, cell capture) and dispatch loop. The register tier
-// routes here for code objects whose lowering failed.
-func (in *Interp) callFunctionStack(fn *minipy.Function, args []minipy.Value) (minipy.Value, error) {
-	code := fn.Code
-	if len(args) != code.NumParams {
-		return nil, typeErr("%s() takes %d arguments (%d given)",
-			code.Name, code.NumParams, len(args))
-	}
-	locals := in.getLocals(len(code.LocalNames))
-	copy(locals, args)
-	var cells []*minipy.Cell
-	if n := code.NumCells(); n > 0 {
-		cells = make([]*minipy.Cell, n)
-		for i, slot := range code.CellLocals {
-			cells[i] = &minipy.Cell{V: locals[slot]}
-		}
-		copy(cells[len(code.CellLocals):], fn.Free)
-	}
-	ret, err := in.runFrame(code, locals, cells)
-	// Cells copy values out at creation and the frame is gone, so the
-	// locals array is dead here and safe to recycle.
-	in.putLocals(locals)
-	return ret, err
 }

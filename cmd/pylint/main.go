@@ -1,10 +1,10 @@
 // Command pylint statically analyzes MiniPy programs: control-flow and
-// dominator construction, definite-assignment checking, type-lattice
-// inference, liveness/dead-store detection, the determinism/purity audit,
-// and the interprocedural certificate (call graph, intervals, escape,
-// effects, step bound) — the same passes the harness runs before measuring
-// a workload, exposed as a standalone linter for sources outside the
-// shipped suite.
+// dominator construction, definite-assignment checking, liveness/dead-store
+// detection, the determinism/purity audit, and one abstract interpreter
+// that reports certain type errors and derives the interprocedural
+// certificate (call graph, intervals, escape, effects, step bound) — the
+// same passes the harness runs before measuring a workload, exposed as a
+// standalone linter for sources outside the shipped suite.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 // lint-demo: demonstrate the static-analysis subsystem (DESIGN.md §9) —
-// control-flow graphs, definite assignment, type-lattice inference, dead
-// stores, and the determinism certificate that rides every JSON result.
+// control-flow graphs, definite assignment, certain type errors from the
+// abstract interpreter's class component, dead stores, and the determinism
+// certificate that rides every JSON result.
 //
 //	go run ./examples/lint-demo
 package main

@@ -1,59 +1,93 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"strings"
 
 	"repro/internal/minipy"
 )
 
-// This file is the fact-collecting abstract interpreter behind the
-// interprocedural certificate (DESIGN.md §14). It is a sibling of the
-// type-lattice interpreter in typeinfer.go but serves a different master:
-// typeinfer emits diagnostics, while this engine derives *claims* — integer
-// intervals, call-graph edges, freshness (escape) facts, and effect bits —
-// that the optimizer consumes and the VM-level soundness checker verifies.
-// Everything here errs toward ⊤: an imprecise claim is useless but sound;
-// a precise wrong claim is a bug the property tests exist to catch.
+// This file is the package's one abstract interpreter (DESIGN.md §9, §14).
+// Its abstract value is the product of four components:
+//
+//   - class: a flat type lattice (⊥ ⊑ int, float, str, ... ⊑ ⊤) with
+//     callable provenance. A concrete class at a program point holds on
+//     every path reaching it, which is what licenses a "certain" type-error
+//     diagnostic;
+//   - interval: an integer interval, the certificate's claims;
+//   - freshness: whether the value may (or must) have been allocated in
+//     the current activation, the escape facts;
+//   - unbound: whether a local may be unassigned, the raise-free loads.
+//
+// InterprocAnalyze (interproc.go) runs it twice per code object. Pass A
+// gives every parameter ⊤ and harvests call facts; Analyze reports its lint
+// findings (type errors, unresolved globals, typed-instruction counts), so
+// none depends on call sites. Pass B runs with call-site parameters and
+// records the claims the optimizer consumes and the VM-level soundness
+// checker verifies. Everything errs toward ⊤: an
+// imprecise fact is useless but sound; a precise wrong fact is a bug the
+// property tests exist to catch.
 
-// vclass is a coarse value classification — just enough structure to
-// resolve method calls, drive iteration facts, and separate heap objects
-// (which carry synthetic addresses the escape checker can observe) from
-// scalars (which cannot escape in any checkable sense).
+// vclass is the class component: the flat lattice ⊥ ⊑ {int, float, str,
+// bool, list, dict, tuple, function, None, range, class, object, iterator}
+// ⊑ ⊤. ⊥ means "not yet assigned on this path" and is the identity of
+// join; ⊤ (cAny) means any type.
 type vclass uint8
 
 const (
 	cAny vclass = iota
 	cInt
 	cFloat
-	cBool
 	cStr
-	cNone
+	cBool
 	cList
-	cTuple
 	cDict
-	cRange
-	cIter
+	cTuple
 	cFunc
+	cNone
+	cRange
 	cClass
 	cInst
+	cIter
+	cBot
 )
 
-// heapClass reports whether values of this class carry a synthetic heap
-// address (minipy.AddrOf succeeds on them).
-func heapClass(c vclass) bool {
-	switch c {
-	case cList, cTuple, cDict, cClass, cInst:
-		return true
+var classNames = [...]string{
+	cAny: "⊤", cInt: "int", cFloat: "float", cStr: "str", cBool: "bool",
+	cList: "list", cDict: "dict", cTuple: "tuple", cFunc: "function",
+	cNone: "None", cRange: "range", cClass: "class", cInst: "object",
+	cIter: "iterator", cBot: "⊥",
+}
+
+func (c vclass) String() string { return classNames[c] }
+
+// classIn reports membership of c in set.
+func classIn(c vclass, set ...vclass) bool {
+	for _, s := range set {
+		if c == s {
+			return true
+		}
 	}
 	return false
 }
 
-// absv is the abstract value: interval + class + callable provenance +
+// numericClass reports whether c takes part in arithmetic promotion.
+func numericClass(c vclass) bool { return classIn(c, cInt, cFloat, cBool) }
+
+// heapClass reports whether values of this class carry a synthetic heap
+// address (minipy.AddrOf succeeds on them).
+func heapClass(c vclass) bool {
+	return classIn(c, cList, cTuple, cDict, cClass, cInst)
+}
+
+// absv is the abstract value: class + callable provenance + interval +
 // freshness + definite-assignment bit.
 type absv struct {
 	iv  ival
 	cls vclass
+	// elemCls is the element class of a cIter value.
+	elemCls vclass
 	// fn is callable identity: "u:name" (stable module-level function
 	// binding), "b:name" (builtin), "m:recv.method" (bound builtin
 	// method). Empty = unknown callable or not a callable.
@@ -85,6 +119,20 @@ func avFreshHeap(c vclass) absv {
 	return absv{iv: ivTop, cls: c, mayFresh: true, mustFresh: true, elem: ivTop, length: ivTop}
 }
 
+// kind is the class as the interval refines it: a proven int is an int
+// whatever the class says, and ⊥ reads as unknown. The interval, freshness
+// and effect rules classify values by kind; the lint rules and the typed
+// coverage read the class alone.
+func (v absv) kind() vclass {
+	if v.iv.isInt() {
+		return cInt
+	}
+	if v.cls == cBot {
+		return cAny
+	}
+	return v.cls
+}
+
 // constAbsv abstracts a constant-pool value. Constants are materialized at
 // compile time, before any activation, so they are never fresh.
 func constAbsv(v minipy.Value) absv {
@@ -100,9 +148,9 @@ func constAbsv(v minipy.Value) absv {
 	case minipy.Str:
 		return avScalar(cStr)
 	case *minipy.Tuple:
-		return absv{iv: ivTop, cls: cTuple, elem: ivTop, length: ivTop}
+		return avScalar(cTuple)
 	}
-	return absv{iv: ivTop, cls: cAny, elem: ivTop, length: ivTop}
+	return avScalar(cAny)
 }
 
 // avJoin merges two abstract values at a control-flow join. esc is invoked
@@ -119,44 +167,45 @@ func avJoin(a, b absv, esc func(fn string)) absv {
 		elem:      ivJoin(a.elem, b.elem),
 		length:    ivJoin(a.length, b.length),
 	}
-	if a.cls == b.cls {
+	// ⊥ is the identity of the class join; an iterator keeps its element
+	// class only when both sides agree.
+	switch {
+	case a.cls == cBot:
+		out.cls, out.elemCls = b.cls, b.elemCls
+	case b.cls == cBot:
+		out.cls, out.elemCls = a.cls, a.elemCls
+	case a.cls == b.cls:
 		out.cls = a.cls
-	} else {
-		out.cls = cAny
+		if a.elemCls == b.elemCls {
+			out.elemCls = a.elemCls
+		}
 	}
 	if a.fn == b.fn {
 		out.fn = a.fn
 		out.recvFresh = a.recvFresh && b.recvFresh
-	} else {
-		if esc != nil {
-			if strings.HasPrefix(a.fn, "u:") {
-				esc(a.fn[2:])
-			}
-			if strings.HasPrefix(b.fn, "u:") {
-				esc(b.fn[2:])
-			}
+	} else if esc != nil {
+		if strings.HasPrefix(a.fn, "u:") {
+			esc(a.fn[2:])
 		}
-		if a.closure || b.closure {
-			out.closure = true
+		if strings.HasPrefix(b.fn, "u:") {
+			esc(b.fn[2:])
 		}
 	}
 	return out
 }
 
-// astate is the abstract machine state at one program point.
+// astate is the abstract machine state at one program point. Cells are
+// not tracked: any call can rebind a cell, so every cell read is ⊤.
 type astate struct {
 	stack  []absv
 	locals []absv
-	cells  []absv
 }
 
 func (s *astate) clone() *astate {
-	c := &astate{
+	return &astate{
 		stack:  append([]absv(nil), s.stack...),
 		locals: append([]absv(nil), s.locals...),
-		cells:  append([]absv(nil), s.cells...),
 	}
-	return c
 }
 
 // joinInto merges o into s (s is the accumulator). widen applies interval
@@ -188,9 +237,6 @@ func (s *astate) joinInto(o *astate, widen bool, esc func(string)) bool {
 	}
 	for i := range s.locals {
 		merge(&s.locals[i], o.locals[i])
-	}
-	for i := range s.cells {
-		merge(&s.cells[i], o.cells[i])
 	}
 	return changed
 }
@@ -260,6 +306,15 @@ type absRun struct {
 	// definitely-assigned slot) can never raise — eliding it removes no
 	// observable behavior.
 	safeLoads map[int]bool
+
+	// The lint findings: certain type errors and unresolved globals
+	// (warned dedupes the latter per name), the reachable instructions
+	// whose inspected operands all have a known class, and all reachable
+	// instructions.
+	diags     []Diagnostic
+	warned    map[string]bool
+	typed     int
+	reachable int
 }
 
 // absEnv is the module-level environment shared by every per-function run.
@@ -272,6 +327,11 @@ type absEnv struct {
 	consts map[string]absv
 	// defined: every STORE_GLOBAL name anywhere in the module.
 	defined map[string]bool
+	// globals: per module global, the class components (class, element
+	// class, builtin or method provenance) joined over every value stored
+	// to it. A name that nested code stores starts at ⊤ and stays there:
+	// any call may rebind it.
+	globals map[string]absv
 	// builtins: the VM's deterministic builtin names.
 	builtins map[string]bool
 	// io: builtin names that perform IO.
@@ -289,34 +349,34 @@ type absEnv struct {
 	retNotFresh map[string]bool
 }
 
+// storeGlobal joins the class components of a stored value into the
+// global's entry. Function identity is not kept: it comes from bindings.
+func (env *absEnv) storeGlobal(name string, v absv) {
+	c := absv{cls: v.cls, elemCls: v.elemCls, fn: v.fn}
+	if strings.HasPrefix(c.fn, "u:") {
+		c.fn = ""
+	}
+	if old, ok := env.globals[name]; ok {
+		c = avJoin(old, c, nil)
+	}
+	env.globals[name] = c
+}
+
 // entryState builds the frame-entry abstract state. Arguments are evaluated
 // by the caller before the frame exists, so parameters start not-fresh;
-// non-parameter locals start possibly-unbound; cells are shared with
-// closures and stay ⊤.
+// the other locals start unassigned (class ⊥, possibly unbound).
 func entryState(code *minipy.Code, params []ival) *astate {
-	st := &astate{
-		locals: make([]absv, len(code.LocalNames)),
-		cells:  make([]absv, code.NumCells()),
-	}
+	st := &astate{locals: make([]absv, len(code.LocalNames))}
 	for i := range st.locals {
-		if i < code.NumParams {
-			// Arguments are evaluated in the caller's activation, so they
-			// are never fresh here; ints are scalars regardless.
-			v := avTop
-			v.mayFresh = false
-			if params != nil && i < len(params) && params[i].isInt() {
-				v = avInt(params[i])
-			}
-			st.locals[i] = v
-		} else {
-			v := avTop
+		v := avTop
+		v.mayFresh = false
+		if i >= code.NumParams {
+			v.cls = cBot
 			v.unbound = true
-			v.mayFresh = false
-			st.locals[i] = v
+		} else if params != nil && i < len(params) && params[i].isInt() {
+			v = avInt(params[i])
 		}
-	}
-	for i := range st.cells {
-		st.cells[i] = avTop
+		st.locals[i] = v
 	}
 	return st
 }
@@ -434,6 +494,9 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 	if isTerminator(code, last) {
 		bodyEnd = last
 	}
+	if record {
+		r.reachable += b.End - b.Start
+	}
 	for pc := b.Start; pc < bodyEnd; pc++ {
 		r.step(env, st, pc, record)
 	}
@@ -457,13 +520,18 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 		}
 		return s.stack[len(s.stack)-1]
 	}
+	// A terminator is typed when the value it tests or returns has a
+	// known class; a plain jump tests nothing.
+	if record && (ins.Op == minipy.OpJump || len(st.stack) > 0 && top(st).cls != cAny) {
+		r.typed++
+	}
 
 	switch ins.Op {
 	case minipy.OpReturn:
 		v := top(st)
 		if record {
 			r.returnIv = ivJoin(r.returnIv, v.iv)
-			if v.mayFresh && (heapClass(v.cls) || v.cls == cAny) {
+			if k := v.kind(); v.mayFresh && (heapClass(k) || k == cAny) {
 				r.returnMayFresh = true
 			}
 			r.consume(v)
@@ -501,6 +569,10 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 			el := avTop
 			if iter.elem.isInt() {
 				el = avInt(iter.elem)
+			}
+			el.cls = cAny
+			if iter.cls == cIter {
+				el.cls = iter.elemCls
 			}
 			loop.stack = append(loop.stack, el)
 			emit(g.BlockOf[last+1], loop)
@@ -566,6 +638,22 @@ func (r *absRun) claim(pc int, v absv, record bool) {
 	}
 }
 
+// diag records one lint finding at pc on the recording pass.
+func (r *absRun) diag(record bool, pc int, sev Severity, rule, format string, args ...any) {
+	if record {
+		r.diags = append(r.diags, Diagnostic{
+			Func: r.code.Name, PC: pc, Line: lineOf(r.code, pc),
+			Severity: sev, Rule: rule, Msg: fmt.Sprintf(format, args...),
+		})
+	}
+}
+
+// typeError records a certain type error: the operand classes make the op
+// raise on every execution that reaches it.
+func (r *absRun) typeError(record bool, pc int, format string, args ...any) {
+	r.diag(record, pc, ErrorSev, "type-error", format, args...)
+}
+
 // step interprets one non-terminator op, mutating st.
 func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 	code := r.code
@@ -586,6 +674,15 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 			r.mayRaise = true
 		}
 	}
+	// typed: every operand the op inspects has a known class.
+	typed := true
+	note := func(vs ...absv) {
+		for _, v := range vs {
+			if v.cls == cAny {
+				typed = false
+			}
+		}
+	}
 
 	switch ins.Op {
 	case minipy.OpNop:
@@ -600,6 +697,7 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 
 	case minipy.OpLoadLocal:
 		v := st.locals[arg]
+		note(v)
 		if v.unbound {
 			raise()
 		} else if record {
@@ -612,6 +710,7 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 	case minipy.OpLoadLocalPair:
 		a := st.locals[arg&0xFFF]
 		b := st.locals[arg>>12]
+		note(a, b)
 		if a.unbound || b.unbound {
 			raise()
 		}
@@ -622,6 +721,7 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 
 	case minipy.OpLoadLocalConst:
 		a := st.locals[arg&0xFFF]
+		note(a)
 		if a.unbound {
 			raise()
 		}
@@ -635,7 +735,8 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		st.locals[arg] = pop()
 
 	case minipy.OpLoadGlobal:
-		v := r.resolveGlobalAbs(env, code.Names[arg], record)
+		v := r.loadGlobal(env, pc, code.Names[arg], record)
+		note(v)
 		push(v)
 		r.claim(pc, v, record)
 
@@ -647,74 +748,68 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		if record && v.fn != "u:"+name {
 			r.consume(v)
 		}
+		env.storeGlobal(name, v)
 
 	case minipy.OpLoadCell:
-		v := st.cells[arg]
+		// Cells are shared with closures: any call can rebind a cell
+		// behind this frame's back, so a cell read is always ⊤.
+		note(avTop)
 		raise() // a cell may be observably unassigned; stay conservative
-		push(v)
+		push(avTop)
 
 	case minipy.OpStoreCell:
-		v := pop()
-		if record {
+		if v := pop(); record {
 			r.consume(v) // cells are shared with closures: treat as escape
 		}
-		st.cells[arg] = v
 
 	case minipy.OpPushCell:
-		push(absv{iv: ivTop, cls: cAny, mayFresh: true, elem: ivTop, length: ivTop})
+		push(avTop)
 
 	case minipy.OpLoadAttr:
 		target := pop()
-		push(r.loadAttr(target, code.Names[arg], record))
+		note(target)
+		push(r.loadAttr(target, pc, code.Names[arg], record))
 
 	case minipy.OpStoreAttr:
-		// Value on top, target below (mirrors typeinfer).
+		// Value on top, target below.
 		v := pop()
 		target := pop()
+		note(target)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone, cStr,
+			cList, cDict, cTuple, cRange, cFunc) {
+			r.typeError(record, pc, "'%s' object does not support attribute assignment", target.cls)
+		}
 		if record {
 			r.consume(v)
 			if !target.mustFresh {
 				r.mutatesNonFresh = true
 			}
 		}
-		if target.cls != cInst {
+		if target.kind() != cInst {
 			raise()
 		}
 
 	case minipy.OpBinary:
-		bop := minipy.BinOpCode(ins.Arg)
 		b := pop()
 		a := pop()
+		note(a, b)
+		bop := minipy.BinOpCode(ins.Arg)
 		v := r.binaryAbs(bop, a, b, pc, record)
+		v.cls = r.binaryClass(bop, a.cls, b.cls, pc, record)
 		push(v)
 		r.claim(pc, v, record)
 
 	case minipy.OpUnary:
 		a := pop()
-		switch minipy.UnOpCode(ins.Arg) {
-		case minipy.UnNot:
-			push(avScalar(cBool))
-		case minipy.UnNeg, minipy.UnPos:
-			if a.iv.isInt() {
-				v := avInt(negInterval(a.iv, minipy.UnOpCode(ins.Arg)))
-				push(v)
-				r.claim(pc, v, record)
-			} else {
-				if a.cls != cFloat && a.cls != cInt && a.cls != cBool {
-					raise()
-				}
-				if a.cls == cFloat {
-					push(avScalar(cFloat))
-				} else {
-					push(avTop)
-				}
-			}
-		default:
-			raise()
-			push(avTop)
-		}
+		note(a)
+		v := r.unary(minipy.UnOpCode(ins.Arg), a, pc, record)
+		push(v)
+		r.claim(pc, v, record)
 
 	case minipy.OpCall:
+		if n := len(st.stack); n > arg {
+			note(st.stack[n-arg-1])
+		}
 		r.callAbs(env, st, pc, arg, record)
 
 	case minipy.OpPop:
@@ -766,8 +861,15 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		push(avFreshHeap(cClass))
 
 	case minipy.OpIndexGet:
-		pop()
+		idx := pop()
 		target := pop()
+		note(target, idx)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone) {
+			r.typeError(record, pc, "'%s' object is not subscriptable", target.cls)
+		} else if classIn(target.cls, cList, cTuple, cStr) &&
+			classIn(idx.cls, cStr, cNone, cList, cDict, cTuple, cFloat) {
+			r.typeError(record, pc, "indices must be integers, not %s", idx.cls)
+		}
 		raise()
 		v := avTop
 		if target.cls == cStr {
@@ -779,6 +881,10 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		v := pop()
 		pop()
 		target := pop()
+		note(target)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone, cStr, cTuple, cRange) {
+			r.typeError(record, pc, "'%s' object does not support item assignment", target.cls)
+		}
 		if record {
 			r.consume(v)
 			if !target.mustFresh {
@@ -791,6 +897,10 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		pop()
 		pop()
 		target := pop()
+		note(target)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone) {
+			r.typeError(record, pc, "'%s' object is not sliceable", target.cls)
+		}
 		raise()
 		switch target.cls {
 		case cList:
@@ -806,6 +916,10 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 	case minipy.OpDelIndex:
 		pop()
 		target := pop()
+		note(target)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone, cStr, cTuple, cRange) {
+			r.typeError(record, pc, "'%s' object does not support item deletion", target.cls)
+		}
 		if record && !target.mustFresh {
 			r.mutatesNonFresh = true
 		}
@@ -813,9 +927,18 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 
 	case minipy.OpGetIter:
 		target := pop()
-		it := absv{iv: ivTop, cls: cIter, elem: ivTop, length: ivTop,
-			mayFresh: true}
+		note(target)
+		if classIn(target.cls, cInt, cFloat, cBool, cNone) {
+			r.typeError(record, pc, "'%s' object is not iterable", target.cls)
+		}
+		it := absv{iv: ivTop, cls: cIter, elem: ivTop, length: ivTop, mayFresh: true}
 		switch target.cls {
+		case cRange:
+			it.elemCls = cInt
+		case cStr:
+			it.elemCls = cStr
+		}
+		switch target.kind() {
 		case cRange:
 			it.elem = target.elem
 			it.length = target.length
@@ -844,10 +967,18 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 
 	case minipy.OpUnpack:
 		src := pop()
+		note(src)
+		if classIn(src.cls, cInt, cFloat, cBool, cNone) {
+			r.typeError(record, pc, "cannot unpack non-sequence '%s'", src.cls)
+		}
 		raise()
 		el := avTop
-		if src.cls == cRange && src.elem.isInt() {
+		if src.kind() == cRange && src.elem.isInt() {
 			el = avInt(src.elem)
+		}
+		el.cls = cAny
+		if src.cls == cStr {
+			el.cls = cStr
 		}
 		for i := 0; i < arg; i++ {
 			push(el)
@@ -863,6 +994,9 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 			st.locals[i] = avTop
 		}
 	}
+	if record && typed {
+		r.typed++
+	}
 }
 
 func negInterval(a ival, op minipy.UnOpCode) ival {
@@ -875,11 +1009,13 @@ func negInterval(a ival, op minipy.UnOpCode) ival {
 	return ival{k: ivInt, lo: -a.hi, hi: -a.lo}
 }
 
-// resolveGlobalAbs abstracts a LOAD_GLOBAL result from the module
-// environment.
-func (r *absRun) resolveGlobalAbs(env *absEnv, name string, record bool) absv {
-	if sub, ok := env.bindings[name]; ok {
-		_ = sub
+// loadGlobal abstracts a LOAD_GLOBAL result from the module environment:
+// stable bindings and single-store constants are exact, any other module
+// global has the class the module stores to it, and a name that is
+// neither module-defined nor a builtin draws one unresolved-global warning
+// per function.
+func (r *absRun) loadGlobal(env *absEnv, pc int, name string, record bool) absv {
+	if _, ok := env.bindings[name]; ok {
 		return absv{iv: ivTop, cls: cFunc, fn: "u:" + name, elem: ivTop, length: ivTop}
 	}
 	if v, ok := env.consts[name]; ok {
@@ -888,7 +1024,11 @@ func (r *absRun) resolveGlobalAbs(env *absEnv, name string, record bool) absv {
 	if env.defined[name] {
 		// Multi-store or nested-store global: resolvable, value unknown,
 		// possibly allocated during the current activation.
-		return avTop
+		v := avTop
+		if g, ok := env.globals[name]; ok {
+			v.cls, v.elemCls, v.fn = g.cls, g.elemCls, g.fn
+		}
+		return v
 	}
 	if env.builtins[name] {
 		if name == "pi" {
@@ -898,13 +1038,23 @@ func (r *absRun) resolveGlobalAbs(env *absEnv, name string, record bool) absv {
 	}
 	if record {
 		r.mayRaise = true // unresolved name: NameError at runtime
+		if !r.warned[name] {
+			if r.warned == nil {
+				r.warned = map[string]bool{}
+			}
+			r.warned[name] = true
+			r.diag(record, pc, Warning, "unresolved-global",
+				"global %q is neither module-defined nor a builtin", name)
+		}
 	}
 	return avTop
 }
 
-// loadAttr models vm/attr.go: method lookups on builtin container types
-// resolve to bound methods; everything else is unknown.
-func (r *absRun) loadAttr(target absv, name string, record bool) absv {
+// loadAttr models vm/attr.go getAttr(): method lookups on the builtin
+// container types resolve to bound methods, and an attribute the builtin
+// value does not have is a certain AttributeError. Instance fields and
+// class attributes are unknown.
+func (r *absRun) loadAttr(target absv, pc int, name string, record bool) absv {
 	var recv string
 	switch target.cls {
 	case cList:
@@ -913,16 +1063,16 @@ func (r *absRun) loadAttr(target absv, name string, record bool) absv {
 		recv = "dict"
 	case cStr:
 		recv = "str"
-	default:
-		if record {
-			r.mayRaise = true
-		}
-		return avTop
+	case cInt, cFloat, cBool, cNone, cTuple, cRange:
+		r.typeError(record, pc, "'%s' object has no attribute %q", target.cls, name)
 	}
-	key := recv + "." + name
-	if _, ok := methodReturn[key]; ok {
-		return absv{iv: ivTop, cls: cFunc, fn: "m:" + key,
-			recvFresh: target.mustFresh, elem: ivTop, length: ivTop}
+	if recv != "" {
+		key := recv + "." + name
+		if _, ok := methods[key]; ok {
+			return absv{iv: ivTop, cls: cFunc, fn: "m:" + key,
+				recvFresh: target.mustFresh, elem: ivTop, length: ivTop}
+		}
+		r.typeError(record, pc, "'%s' object has no attribute %q", recv, name)
 	}
 	if record {
 		r.mayRaise = true
@@ -930,15 +1080,15 @@ func (r *absRun) loadAttr(target absv, name string, record bool) absv {
 	return avTop
 }
 
-// binaryAbs is the OpBinary transfer function.
+// binaryAbs is the OpBinary transfer of the interval and freshness
+// components.
 func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, pc int, record bool) absv {
 	if record && isDivOrMod(bop) {
 		r.noteDiv(b)
 	}
 	if isCompare(bop) {
 		if record {
-			if _, decided := ivCompare(bop, a.iv, b.iv); decided {
-				res, _ := ivCompare(bop, a.iv, b.iv)
+			if res, decided := ivCompare(bop, a.iv, b.iv); decided {
 				r.guards[pc] = guardFact{taken: res}
 			}
 			if !comparable(a, b) {
@@ -954,18 +1104,19 @@ func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, pc int, record bool)
 		return avInt(iv)
 	}
 	// Non-int result: classify coarsely.
-	numeric := func(v absv) bool { return v.cls == cInt || v.cls == cFloat || v.iv.isInt() }
+	ak, bk := a.kind(), b.kind()
+	numeric := func(k vclass) bool { return k == cInt || k == cFloat }
 	switch {
-	case bop == minipy.BinAdd && a.cls == cList && b.cls == cList:
+	case bop == minipy.BinAdd && ak == cList && bk == cList:
 		return avFreshHeap(cList)
-	case bop == minipy.BinAdd && a.cls == cStr && b.cls == cStr:
+	case bop == minipy.BinAdd && ak == cStr && bk == cStr:
 		return avScalar(cStr)
-	case numeric(a) && numeric(b):
+	case numeric(ak) && numeric(bk):
 		if record && (isDivOrMod(bop) || bop == minipy.BinPow) {
 			// Float division/modulo by zero and int**negative both raise.
 			r.mayRaise = true
 		}
-		if a.cls == cFloat || b.cls == cFloat {
+		if ak == cFloat || bk == cFloat {
 			return avScalar(cFloat)
 		}
 		if record {
@@ -980,18 +1131,115 @@ func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, pc int, record bool)
 	}
 }
 
+// binaryClass is the OpBinary transfer of the class component, modelling
+// vm/ops.go binary() and flagging operand classes that raise TypeError on
+// every execution.
+func (r *absRun) binaryClass(op minipy.BinOpCode, a, b vclass, pc int, record bool) vclass {
+	switch op {
+	case minipy.BinEq, minipy.BinNe, minipy.BinLt, minipy.BinLe,
+		minipy.BinGt, minipy.BinGe:
+		// Ordering mixed types raises at runtime, but values of unknown
+		// class cannot be told apart here, so comparisons are never flagged.
+		return cBool
+	case minipy.BinIn:
+		if classIn(b, cInt, cFloat, cBool, cNone) {
+			r.typeError(record, pc, "argument of type '%s' is not iterable", b)
+		}
+		return cBool
+	}
+	// Arithmetic family. Bool coerces to Int first.
+	if a == cBool {
+		a = cInt
+	}
+	if b == cBool {
+		b = cInt
+	}
+	switch {
+	case classIn(a, cAny, cBot) || classIn(b, cAny, cBot):
+		return cAny
+	case numericClass(a) && numericClass(b):
+		switch {
+		case op == minipy.BinDiv, a == cFloat, b == cFloat:
+			return cFloat
+		case op == minipy.BinPow:
+			return cAny // int ** negative-int is a float; signs are not tracked
+		}
+		return cInt
+	case a == cStr:
+		if op == minipy.BinAdd && b == cStr || op == minipy.BinMul && b == cInt {
+			return cStr
+		}
+	case a == cInt && b == cStr && op == minipy.BinMul:
+		return cStr
+	case a == cList:
+		if op == minipy.BinAdd && b == cList || op == minipy.BinMul && b == cInt {
+			return cList
+		}
+	case a == cTuple && b == cTuple && op == minipy.BinAdd:
+		return cTuple
+	case classIn(a, cInst, cClass) || classIn(b, cInst, cClass):
+		// Instances have no operator protocol in MiniPy, but stay silent:
+		// flagging objects is where false positives would live if the VM
+		// ever grows dunder dispatch.
+		return cAny
+	}
+	r.typeError(record, pc, "unsupported operand type(s) for %s: '%s' and '%s'", op, a, b)
+	return cAny
+}
+
+// unary is the OpUnary transfer function, modelling vm/ops.go unary().
+func (r *absRun) unary(op minipy.UnOpCode, a absv, pc int, record bool) absv {
+	if op == minipy.UnNot {
+		return avScalar(cBool)
+	}
+	if op != minipy.UnNeg && op != minipy.UnPos {
+		if record {
+			r.mayRaise = true
+		}
+		return avTop
+	}
+	v := avTop
+	switch k := a.kind(); {
+	case a.iv.isInt():
+		v = avInt(negInterval(a.iv, op))
+	case k == cFloat:
+		v = avScalar(cFloat)
+	case k != cInt && k != cBool:
+		if record {
+			r.mayRaise = true
+		}
+	}
+	switch a.cls {
+	case cInt, cBool:
+		v.cls = cInt
+	case cFloat:
+		v.cls = cFloat
+	case cStr, cNone, cList, cDict, cTuple, cRange, cFunc:
+		sym := "-"
+		if op == minipy.UnPos {
+			sym = "+"
+		}
+		r.typeError(record, pc, "bad operand type for unary %s: '%s'", sym, a.cls)
+		v.cls = cAny
+	default:
+		v.cls = cAny
+	}
+	return v
+}
+
 // comparable reports whether a comparison between the two abstract values
 // is statically known not to raise.
 func comparable(a, b absv) bool {
-	num := func(v absv) bool { return v.cls == cInt || v.cls == cFloat || v.cls == cBool || v.iv.isInt() }
-	if num(a) && num(b) {
+	ak, bk := a.kind(), b.kind()
+	if numericClass(ak) && numericClass(bk) {
 		return true
 	}
-	return a.cls == b.cls && a.cls != cAny && a.cls != cInst && a.cls != cClass
+	return ak == bk && ak != cAny && ak != cInst && ak != cClass
 }
 
 // callAbs models OpCall: resolves the callee from its provenance, records
-// call-graph edges and fold candidates, and classifies effects.
+// call-graph edges and fold candidates, classifies effects, and flags a
+// call of a value whose class is certainly not callable.
 func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 	n := len(st.stack)
 	if n < argc+1 {
@@ -1030,25 +1278,18 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 					r.folds[pc] = foldSite{name: name, argc: argc, start: pc - argc - 1}
 				}
 			}
-			ret, ok := env.retIv[name]
-			if !ok {
-				ret = ivTop
-			}
-			res = avTop
-			if ret.isInt() {
+			if ret, ok := env.retIv[name]; ok && ret.isInt() {
 				res = avInt(ret)
 			}
 			res.mayFresh = !env.retNotFresh[name]
-		} else {
+		} else if record {
 			// Arity mismatch (or unknown binding): raises before the callee
 			// body runs, so no callee effects to account.
-			if record {
-				r.mayRaise = true
-			}
+			r.mayRaise = true
 		}
 	case strings.HasPrefix(callee.fn, "b:"):
 		name := callee.fn[2:]
-		res = builtinCallAbs(name, args)
+		res = builtinCall(name, args)
 		if record {
 			r.mayRaise = true // builtins validate arity/types at runtime
 			if env.io[name] {
@@ -1056,12 +1297,29 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 			}
 		}
 	case strings.HasPrefix(callee.fn, "m:"):
-		res = r.methodCallAbs(callee, record)
+		res = r.methodCall(callee, record)
 	default:
 		if record {
 			r.callsUnknown = true
 			r.mayRaise = true
 		}
+	}
+	// The result class: a builtin's or method's from the table, an
+	// instance for a class, unknown for anything else.
+	switch callee.cls {
+	case cFunc:
+		if !strings.HasPrefix(callee.fn, "b:") && !strings.HasPrefix(callee.fn, "m:") {
+			res.cls = cAny
+		}
+	case cClass:
+		res.cls = cInst
+	case cAny, cBot, cInst:
+		// Instances are not callable today, but a __call__ protocol is
+		// plausible; stay silent like the binary-op case.
+		res.cls = cAny
+	default:
+		r.typeError(record, pc, "'%s' object is not callable", callee.cls)
+		res.cls = cAny
 	}
 	st.stack = append(st.stack, res)
 	r.claim(pc, res, record)
@@ -1093,60 +1351,107 @@ func allConstScalars(code *minipy.Code, pc, argc int, name string) bool {
 	return true
 }
 
-// builtinCallAbs models the deterministic builtins' return values.
-func builtinCallAbs(name string, args []absv) absv {
+// result describes what a builtin or a bound builtin method returns,
+// mirroring vm/builtins.go and vm/attr.go: the class, the interval of an
+// int result, whether it is a newly allocated container, and whether a
+// method mutates its receiver.
+type result struct {
+	cls     vclass
+	iv      ival
+	fresh   bool
+	mutates bool
+}
+
+// value is the abstract value a call returning res produces.
+func (res result) value() absv {
+	switch {
+	case res.fresh:
+		return avFreshHeap(res.cls)
+	case res.cls == cInt:
+		return avInt(res.iv)
+	case res.cls == cAny:
+		return avTop
+	}
+	return avScalar(res.cls)
+}
+
+// builtins and methods are the one table of builtin and method results.
+// A builtin absent from it (min, max, sum, pow, abs) returns a class that
+// depends on its argument types; builtinCall derives the intervals of
+// range, abs, min and max from the arguments.
+var (
+	builtins = map[string]result{
+		"len":   {cls: cInt, iv: ivRange(0, math.MaxInt64)},
+		"ord":   {cls: cInt, iv: ivRange(0, 0x10FFFF)},
+		"int":   {cls: cInt, iv: ivFullInt},
+		"floor": {cls: cInt, iv: ivFullInt},
+		"ceil":  {cls: cInt, iv: ivFullInt},
+		"hash":  {cls: cInt, iv: ivFullInt},
+		"str":   {cls: cStr}, "repr": {cls: cStr}, "chr": {cls: cStr}, "type_name": {cls: cStr},
+		"float": {cls: cFloat}, "sqrt": {cls: cFloat}, "sin": {cls: cFloat},
+		"cos": {cls: cFloat}, "tan": {cls: cFloat}, "exp": {cls: cFloat},
+		"log": {cls: cFloat}, "atan2": {cls: cFloat},
+		"bool": {cls: cBool}, "isinstance": {cls: cBool},
+		"list": {cls: cList, fresh: true}, "sorted": {cls: cList, fresh: true},
+		"tuple": {cls: cTuple, fresh: true}, "dict": {cls: cDict, fresh: true},
+		"range": {cls: cRange}, "print": {cls: cNone},
+	}
+	methods = map[string]result{
+		"list.append":  {cls: cNone, mutates: true},
+		"list.extend":  {cls: cNone, mutates: true},
+		"list.insert":  {cls: cNone, mutates: true},
+		"list.remove":  {cls: cNone, mutates: true},
+		"list.reverse": {cls: cNone, mutates: true},
+		"list.sort":    {cls: cNone, mutates: true},
+		"list.pop":     {cls: cAny, mutates: true},
+		"list.index":   {cls: cInt, iv: ivFullInt},
+		"list.count":   {cls: cInt, iv: ivFullInt},
+		"dict.get":     {cls: cAny},
+		"dict.pop":     {cls: cAny, mutates: true},
+		"dict.keys":    {cls: cList, fresh: true},
+		"dict.values":  {cls: cList, fresh: true},
+		"dict.items":   {cls: cList, fresh: true},
+		"str.split":    {cls: cList, fresh: true},
+		"str.join":     {cls: cStr}, "str.upper": {cls: cStr}, "str.lower": {cls: cStr},
+		"str.strip": {cls: cStr}, "str.replace": {cls: cStr},
+		"str.find":       {cls: cInt, iv: ivFullInt},
+		"str.startswith": {cls: cBool}, "str.endswith": {cls: cBool},
+	}
+)
+
+// builtinCall models a deterministic builtin's return value.
+func builtinCall(name string, args []absv) absv {
+	v := builtins[name].value()
 	switch name {
 	case "range":
 		return rangeAbs(args)
-	case "len":
-		return avInt(ivRange(0, math.MaxInt64))
 	case "abs":
 		if len(args) == 1 && args[0].iv.isInt() {
 			a := args[0].iv
-			if a.lo == math.MinInt64 {
-				return avInt(ivFullInt)
+			v.iv, v.mayFresh = ivFullInt, false
+			if a.lo != math.MinInt64 {
+				lo := int64(0)
+				if a.lo > 0 {
+					lo = a.lo
+				} else if a.hi < 0 {
+					lo = -a.hi
+				}
+				v.iv = ivRange(lo, max64(abs64(a.lo), abs64(a.hi)))
 			}
-			lo := int64(0)
-			if a.lo > 0 {
-				lo = a.lo
-			} else if a.hi < 0 {
-				lo = -a.hi
-			}
-			return avInt(ivRange(lo, max64(abs64(a.lo), abs64(a.hi))))
 		}
-		return avTop
 	case "min", "max":
 		out := ivBottom
 		for _, a := range args {
 			if !a.iv.isInt() {
-				return avTop
+				return v
 			}
 			out = ivJoin(out, a.iv)
 		}
 		if out.isInt() {
-			return avInt(out)
+			v.iv, v.mayFresh = out, false
 		}
-		return avTop
-	case "int", "floor", "ceil", "hash":
-		return avInt(ivFullInt)
-	case "ord":
-		return avInt(ivRange(0, 0x10FFFF))
-	case "float", "sqrt", "sin", "cos", "tan", "exp", "log", "atan2":
-		return avScalar(cFloat)
-	case "str", "repr", "chr", "type_name":
-		return avScalar(cStr)
-	case "bool", "isinstance":
-		return avScalar(cBool)
-	case "list", "sorted":
-		return avFreshHeap(cList)
-	case "tuple":
-		return avFreshHeap(cTuple)
-	case "dict":
-		return avFreshHeap(cDict)
-	case "print":
-		return avScalar(cNone)
 	}
-	return avTop
+	return v
 }
 
 func abs64(v int64) int64 {
@@ -1161,7 +1466,7 @@ func abs64(v int64) int64 {
 
 // rangeAbs models range(): element interval and iteration count.
 func rangeAbs(args []absv) absv {
-	out := absv{iv: ivTop, cls: cRange, elem: ivTop, length: ivTop}
+	out := avScalar(cRange)
 	var start, stop, step ival
 	switch len(args) {
 	case 1:
@@ -1210,32 +1515,15 @@ func rangeAbs(args []absv) absv {
 	return out
 }
 
-// methodCallAbs models bound builtin-method calls, accounting receiver
+// methodCall models bound builtin-method calls, accounting receiver
 // mutation when the receiver is not provably fresh.
-func (r *absRun) methodCallAbs(callee absv, record bool) absv {
-	key := callee.fn[2:]
-	switch key {
-	case "list.append", "list.extend", "list.insert", "list.remove",
-		"list.reverse", "list.sort", "list.pop", "dict.pop":
-		if record && !callee.recvFresh {
+func (r *absRun) methodCall(callee absv, record bool) absv {
+	m := methods[callee.fn[2:]]
+	if record {
+		if m.mutates && !callee.recvFresh {
 			r.mutatesNonFresh = true
 		}
-	}
-	if record {
 		r.mayRaise = true
 	}
-	switch key {
-	case "list.index", "list.count", "str.find":
-		return avInt(ivFullInt)
-	case "dict.keys", "dict.values", "dict.items", "str.split":
-		return avFreshHeap(cList)
-	case "str.join", "str.upper", "str.lower", "str.strip", "str.replace":
-		return avScalar(cStr)
-	case "str.startswith", "str.endswith":
-		return avScalar(cBool)
-	case "list.append", "list.extend", "list.insert", "list.remove",
-		"list.reverse", "list.sort":
-		return avScalar(cNone)
-	}
-	return avTop
+	return m.value()
 }

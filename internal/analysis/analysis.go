@@ -75,15 +75,12 @@ type FuncReport struct {
 	Unreachable int
 	DeadStores  int
 	UnusedLoops int
-	// Typed counts reachable instructions whose abstract operands were all
-	// resolved to a concrete lattice type (not ⊤).
+	// Typed counts reachable instructions whose inspected operands all
+	// have a known class (not ⊤).
 	Typed int
 	// ReachableInstrs counts instructions in reachable blocks (the
 	// denominator for type coverage).
 	ReachableInstrs int
-	// Types[pc] is the inferred abstract result type of each instruction,
-	// or empty when the instruction pushes nothing / is unreachable.
-	Types []string
 }
 
 // Report is the full analysis result for a module and all nested functions.
@@ -114,6 +111,17 @@ func (r *Report) Errors() []Diagnostic {
 		}
 	}
 	return out
+}
+
+// Err returns the first error-severity diagnostic (lowest function, then
+// lowest pc) as an *Error, or nil when there is none.
+func (r *Report) Err() error {
+	for _, d := range r.Diagnostics {
+		if d.Severity == ErrorSev {
+			return &Error{Func: d.Func, PC: d.PC, Line: d.Line, Rule: d.Rule, Msg: d.Msg}
+		}
+	}
+	return nil
 }
 
 // Warnings returns the warning-severity diagnostics.
@@ -178,30 +186,22 @@ func Analyze(code *minipy.Code) (*Report, error) {
 	if err := minipy.Verify(code); err != nil {
 		return nil, err
 	}
-	r := &Report{}
-	mctx := moduleContext(code)
-	var walk func(c *minipy.Code)
-	walk = func(c *minipy.Code) {
-		f := analyzeFunc(c, mctx, r)
-		r.Funcs = append(r.Funcs, f)
-		for _, k := range c.Consts {
-			if sub, ok := k.(*minipy.Code); ok {
-				walk(sub)
-			}
-		}
+	r := &Report{facts: InterprocAnalyze(code)}
+	for _, c := range collectCodes(code) {
+		r.Funcs = append(r.Funcs, analyzeFunc(r.facts.graphs[c], r.facts.lint[c], r))
 	}
-	walk(code)
-	r.facts = InterprocAnalyze(code, mctx)
 	r.Certificate = buildCertificate(r.facts)
 	sortDiagnostics(r)
 	return r, nil
 }
 
-// analyzeFunc runs the per-function passes: CFG, definite assignment,
-// type inference, liveness, unreachable code.
-func analyzeFunc(c *minipy.Code, mctx *modCtx, r *Report) *FuncReport {
-	g := BuildCFG(c)
-	f := &FuncReport{Name: c.Name, Graph: g, Instructions: len(c.Ops)}
+// analyzeFunc reports the per-function findings: unreachable code,
+// definite assignment, the abstract interpreter's pass-A findings and typed
+// coverage (run), and dead stores.
+func analyzeFunc(g *Graph, run *absRun, r *Report) *FuncReport {
+	c := g.Code
+	f := &FuncReport{Name: c.Name, Graph: g, Instructions: len(c.Ops),
+		Typed: run.typed, ReachableInstrs: run.reachable}
 
 	// Unreachable code, excluding compiler scaffolding: the implicit
 	// epilogue emitted at the tail of every body (LoadConst None; Return)
@@ -228,14 +228,9 @@ func analyzeFunc(c *minipy.Code, mctx *modCtx, r *Report) *FuncReport {
 			Msg: fmt.Sprintf("block b%d (pc %d..%d) is unreachable", id, b.Start, b.End),
 		})
 	}
-	for _, b := range g.Blocks {
-		if g.Reachable[b.ID] {
-			f.ReachableInstrs += b.End - b.Start
-		}
-	}
 
 	checkDefiniteAssignment(g, r)
-	inferTypes(g, mctx, r, f)
+	r.Diagnostics = append(r.Diagnostics, run.diags...)
 	checkLiveness(g, r, f)
 	return f
 }
@@ -250,11 +245,7 @@ func Check(code *minipy.Code) error {
 	if err != nil {
 		return err
 	}
-	if errs := rep.Errors(); len(errs) > 0 {
-		d := errs[0]
-		return &Error{Func: d.Func, PC: d.PC, Line: d.Line, Rule: d.Rule, Msg: d.Msg}
-	}
-	return nil
+	return rep.Err()
 }
 
 // lineOf returns the source line of the instruction at pc, or 0.

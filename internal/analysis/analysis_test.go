@@ -107,76 +107,29 @@ def f(n):
 }
 
 func TestCertainTypeErrors(t *testing.T) {
-	cases := []struct {
-		name, src, frag string
-		line            int
-	}{
-		{"str-minus-str", "def f():\n    return \"a\" - \"b\"\n", "unsupported operand", 2},
-		{"int-plus-none", "def f():\n    x = None\n    return 1 + x\n", "unsupported operand", 3},
-		{"int-times-list", "def f():\n    return 3 * [1, 2]\n", "unsupported operand", 2},
-		{"subscript-int", "def f():\n    x = 5\n    return x[0]\n", "not subscriptable", 3},
-		{"call-int", "def f():\n    x = 7\n    return x()\n", "not callable", 3},
-		{"iter-float", "def f():\n    for v in 1.5:\n        pass\n    return 0\n", "not iterable", 2},
-		{"attr-on-int", "def f():\n    x = 3\n    return x.bits\n", "no attribute", 3},
-		{"unknown-list-method", "def f():\n    l = [1]\n    return l.push(2)\n", "no attribute", 3},
-		{"neg-str", "def f():\n    return -\"abc\"\n", "unary -", 2},
-		{"store-index-str", "def f():\n    s = \"abc\"\n    s[0] = \"x\"\n    return s\n", "item assignment", 3},
-		{"str-mod", "def f():\n    return \"x\" % 3\n", "unsupported operand", 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rep := analyzeSrc(t, tc.src)
-			wantDiag(t, rep, "type-error", ErrorSev, tc.line, tc.frag)
+	for _, tc := range CertainTypeErrors {
+		t.Run(tc.Name, func(t *testing.T) {
+			rep := analyzeSrc(t, tc.Src)
+			wantDiag(t, rep, "type-error", ErrorSev, tc.Line, tc.Frag)
 		})
 	}
 }
 
 func TestTypeInferenceSilentOnValidPrograms(t *testing.T) {
-	// Mixed-type joins must degrade to ⊤, never to a false error.
-	rep := analyzeSrc(t, `
-def f(flag):
-    if flag:
-        x = 1
-    else:
-        x = "s"
-    return str(x) + "!"
-
-def run():
-    return f(True) + f(False)
-`)
-	if errs := rep.Errors(); len(errs) != 0 {
+	if errs := analyzeSrc(t, SilentValid.Src).Errors(); len(errs) != 0 {
 		t.Errorf("valid program flagged: %v", errs)
 	}
 }
 
 func TestGlobalMutationDemotesType(t *testing.T) {
-	// g is Int at module level but a function rebinds it to Str: reads must
-	// see ⊤, so g + 1 cannot be flagged.
-	rep := analyzeSrc(t, `
-g = 1
-
-def rebind():
-    global g
-    g = "s"
-
-def f():
-    return g + 1
-`)
-	if errs := rep.Errors(); len(errs) != 0 {
+	if errs := analyzeSrc(t, GlobalMutation.Src).Errors(); len(errs) != 0 {
 		t.Errorf("demoted global wrongly flagged: %v", errs)
 	}
 }
 
 func TestModuleTypedGlobalFlagged(t *testing.T) {
-	// g is a module constant no function rebinds, so g - g on strings is a
-	// certain error.
-	rep := analyzeSrc(t, `
-g = "const"
-
-def f():
-    return g - g
-`)
-	wantDiag(t, rep, "type-error", ErrorSev, 5, "unsupported operand")
+	p := ModuleTypedGlobal
+	wantDiag(t, analyzeSrc(t, p.Src), "type-error", ErrorSev, p.Line, p.Frag)
 }
 
 func TestDeadStoreDetected(t *testing.T) {
@@ -262,10 +215,7 @@ def run():
 		t.Errorf("print: want certified with UsesIO, got %+v", rep.Certificate)
 	}
 
-	rep = analyzeSrc(t, `
-def run():
-    return mystery_global()
-`)
+	rep = analyzeSrc(t, UnresolvedGlobal.Src)
 	cert = rep.Certificate.Determinism
 	if cert.Certified {
 		t.Error("unresolved global must void certification")
@@ -273,7 +223,7 @@ def run():
 	if len(cert.UnresolvedGlobals) != 1 || cert.UnresolvedGlobals[0] != "mystery_global" {
 		t.Errorf("unresolved = %v", cert.UnresolvedGlobals)
 	}
-	wantDiag(t, rep, "unresolved-global", Warning, 0, "mystery_global")
+	wantDiag(t, rep, "unresolved-global", Warning, 0, UnresolvedGlobal.Frag)
 }
 
 func TestSummaryShape(t *testing.T) {

@@ -1,10 +1,12 @@
 // Package analysis is the MiniPy static-analysis subsystem: control-flow
-// graphs with dominators, definite-assignment checking, a type-lattice
-// abstract interpreter, liveness/dead-store detection, and a determinism
-// audit. The harness runs it on every workload before the first sample is
-// taken, so malformed or type-confused programs surface as positioned
-// compile-time diagnostics instead of VM errors at a distance — the
-// pre-run validation phase the methodology assumes (DESIGN.md §9).
+// graphs with dominators, definite-assignment checking, liveness/dead-store
+// detection, a determinism audit, and one abstract interpreter whose class
+// component reports certain type errors and whose interval, freshness and
+// effect components derive the certificate (absint.go). The harness runs
+// it on every workload before the first sample is taken, so malformed or
+// type-confused programs surface as positioned compile-time diagnostics
+// instead of VM errors at a distance — the pre-run validation phase the
+// methodology assumes (DESIGN.md §9, §14).
 package analysis
 
 import (

@@ -133,6 +133,10 @@ type ModuleFacts struct {
 	// Determinism carries the audit result (shared with the Certificate).
 	Determinism Determinism
 
+	// lint holds pass A's run per code object: its recording pass carries
+	// the type-error and unresolved-global diagnostics and the typed
+	// coverage that Analyze reports.
+	lint map[*minipy.Code]*absRun
 	// graphs caches the per-code CFGs the analysis was computed over.
 	graphs map[*minipy.Code]*Graph
 }

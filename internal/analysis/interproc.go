@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/minipy"
@@ -84,16 +85,25 @@ func collectCodes(root *minipy.Code) []*minipy.Code {
 // once module-wide, in the module body, by the instruction pair
 // `MakeFunction k; StoreGlobal name` (function binding) or
 // `LoadConst k; StoreGlobal name` with a scalar constant (const global).
+// It also returns every stored global name (defined) and the names nested
+// code stores (rebound).
 func scanBindings(module *minipy.Code, codes []*minipy.Code) (
 	bindings map[string]*minipy.Code,
 	consts map[string]absv,
 	bindSites map[*minipy.Code]map[int]string,
+	defined, rebound map[string]bool,
 ) {
 	storeCount := map[string]int{}
+	defined, rebound = map[string]bool{}, map[string]bool{}
 	for _, c := range codes {
 		for _, ins := range c.Ops {
 			if ins.Op == minipy.OpStoreGlobal {
-				storeCount[c.Names[ins.Arg]]++
+				name := c.Names[ins.Arg]
+				storeCount[name]++
+				defined[name] = true
+				if c != module {
+					rebound[name] = true
+				}
 			}
 		}
 	}
@@ -128,32 +138,30 @@ func scanBindings(module *minipy.Code, codes []*minipy.Code) (
 			}
 		}
 	}
-	return bindings, consts, bindSites
+	return bindings, consts, bindSites, defined, rebound
 }
 
 // InterprocAnalyze runs the full interprocedural analysis over a verified
-// module and returns the internal fact store. mctx may be nil (it is
-// recomputed); Analyze passes its own to share the STORE_GLOBAL scan.
-func InterprocAnalyze(module *minipy.Code, mctx *modCtx) *ModuleFacts {
-	if mctx == nil {
-		mctx = moduleContext(module)
-	}
+// module and returns the internal fact store, pass A's lint findings
+// included.
+func InterprocAnalyze(module *minipy.Code) *ModuleFacts {
 	det := vm.DeterministicBuiltins()
 	io := vm.IOBuiltins()
 	codes := collectCodes(module)
-	bindings, constGlobals, bindSites := scanBindings(module, codes)
+	bindings, constGlobals, bindSites, defined, rebound := scanBindings(module, codes)
 
 	graphs := make(map[*minipy.Code]*Graph, len(codes))
 	direct := make(map[*minipy.Code]*directEff, len(codes))
 	for _, c := range codes {
 		graphs[c] = BuildCFG(c)
-		direct[c] = scanDirect(c, mctx.defined, det, io)
+		direct[c] = scanDirect(c, defined, det, io)
 	}
 
 	env := &absEnv{
 		bindings:    bindings,
 		consts:      constGlobals,
-		defined:     mctx.defined,
+		defined:     defined,
+		globals:     map[string]absv{},
 		builtins:    det,
 		io:          io,
 		bindSites:   bindSites,
@@ -161,12 +169,26 @@ func InterprocAnalyze(module *minipy.Code, mctx *modCtx) *ModuleFacts {
 		retIv:       map[string]ival{},
 		retNotFresh: map[string]bool{},
 	}
+	for name := range rebound {
+		env.globals[name] = avScalar(cAny)
+	}
 
 	// Pass A: ⊤ parameters, no callee facts. Harvest call sites, return
-	// intervals, return freshness, and escapes.
+	// intervals, return freshness, escapes and the lint findings. The
+	// module body runs first, and again until the global classes it
+	// stores stop changing, so every function run reads settled classes.
 	runsA := make(map[*minipy.Code]*absRun, len(codes))
+	for {
+		before := maps.Clone(env.globals)
+		runsA[module] = runAbs(graphs[module], env, nil)
+		if maps.Equal(before, env.globals) {
+			break
+		}
+	}
 	for _, c := range codes {
-		runsA[c] = runAbs(graphs[c], env, nil)
+		if c != module {
+			runsA[c] = runAbs(graphs[c], env, nil)
+		}
 	}
 	escaped := map[string]bool{}
 	for _, r := range runsA {
@@ -260,6 +282,7 @@ func InterprocAnalyze(module *minipy.Code, mctx *modCtx) *ModuleFacts {
 		Callee:      callee,
 		Recursive:   recursive,
 		Determinism: auditDeterminism(direct, codes),
+		lint:        runsA,
 		graphs:      graphs,
 	}
 	m.FuncBounds, m.Bound = computeStepBounds(m, graphs)

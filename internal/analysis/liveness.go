@@ -6,23 +6,51 @@ import (
 	"repro/internal/minipy"
 )
 
-// checkLiveness runs a backward liveness dataflow over local slots and
-// reports dead stores: a STORE_LOCAL whose value no execution path reads
-// before the next store (or the end of the frame). Stores to cell variables
-// are never dead — the cell aliases into closures the analysis cannot see.
-// Loop-variable stores (the STORE_LOCAL immediately after FOR_ITER) are
-// classified separately as unused-loop-var infos: `for _ in range(n)`-style
-// repeat loops are idiomatic in benchmarks, not defects.
+// checkLiveness reports dead stores: a STORE_LOCAL whose value no
+// execution path reads before the next store (or the end of the frame),
+// the set deadStorePCs computes. Stores to cell variables are never dead —
+// the cell aliases into closures the analysis cannot see. Loop-variable
+// stores (the STORE_LOCAL immediately after FOR_ITER) are classified
+// separately as unused-loop-var infos: `for _ in range(n)`-style repeat
+// loops are idiomatic in benchmarks, not defects.
 func checkLiveness(g *Graph, r *Report, f *FuncReport) {
 	c := g.Code
-	nlocals := len(c.LocalNames)
-	if nlocals == 0 {
-		return
+	dead := deadStorePCs(g)
+	for pc := range c.Ops {
+		if !dead[pc] {
+			continue
+		}
+		name := c.LocalNames[c.Ops[pc].Arg]
+		if pc > 0 && c.Ops[pc-1].Op == minipy.OpForIter {
+			f.UnusedLoops++
+			r.Diagnostics = append(r.Diagnostics, Diagnostic{
+				Func: c.Name, PC: pc, Line: lineOf(c, pc),
+				Severity: Info, Rule: "unused-loop-var",
+				Msg: fmt.Sprintf("loop variable %q is never read", name),
+			})
+		} else {
+			f.DeadStores++
+			r.Diagnostics = append(r.Diagnostics, Diagnostic{
+				Func: c.Name, PC: pc, Line: lineOf(c, pc),
+				Severity: Warning, Rule: "dead-store",
+				Msg: fmt.Sprintf("value stored to %q is never read", name),
+			})
+		}
+	}
+}
+
+// deadStorePCs returns the pcs of OpStoreLocal instructions whose value no
+// execution path reads before the next store or frame exit, walking each
+// reachable block backward from its live-out set. Cell-boxed variables use
+// distinct ops (STORE_CELL) and are never reported. Shared by the
+// dead-store diagnostic above and by OptimizationFacts.
+func deadStorePCs(g *Graph) map[int]bool {
+	c := g.Code
+	if len(c.LocalNames) == 0 {
+		return nil
 	}
 	liveOut := localLiveness(g)
-
-	// Walk each reachable block backward with a running live set and flag
-	// stores into dead slots.
+	var dead map[int]bool
 	for _, id := range g.RPO {
 		b := g.Blocks[id]
 		live := liveOut[id].clone()
@@ -39,32 +67,20 @@ func checkLiveness(g *Graph, r *Report, f *FuncReport) {
 			case minipy.OpStoreLocal:
 				slot := int(ins.Arg)
 				if !live.get(slot) {
-					name := c.LocalNames[slot]
-					if pc > 0 && c.Ops[pc-1].Op == minipy.OpForIter {
-						f.UnusedLoops++
-						r.Diagnostics = append(r.Diagnostics, Diagnostic{
-							Func: c.Name, PC: pc, Line: lineOf(c, pc),
-							Severity: Info, Rule: "unused-loop-var",
-							Msg: fmt.Sprintf("loop variable %q is never read", name),
-						})
-					} else {
-						f.DeadStores++
-						r.Diagnostics = append(r.Diagnostics, Diagnostic{
-							Func: c.Name, PC: pc, Line: lineOf(c, pc),
-							Severity: Warning, Rule: "dead-store",
-							Msg: fmt.Sprintf("value stored to %q is never read", name),
-						})
+					if dead == nil {
+						dead = map[int]bool{}
 					}
+					dead[pc] = true
 				}
 				live[slot/64] &^= 1 << uint(slot%64)
 			}
 		}
 	}
+	return dead
 }
 
 // localLiveness runs the backward liveness dataflow over local slots and
-// returns each block's live-out set. Shared by the dead-store diagnostic
-// above and by OptimizationFacts (which feeds the bytecode optimizer).
+// returns each block's live-out set.
 func localLiveness(g *Graph) []bitset {
 	c := g.Code
 	nlocals := len(c.LocalNames)

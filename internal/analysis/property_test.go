@@ -80,20 +80,9 @@ func TestAnalyzerAgreesWithVM(t *testing.T) {
 // the VM must actually raise on the flagged path, confirming the "certain"
 // claim is not vacuous.
 func TestAnalyzerFlagsMatchRuntime(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"str-sub", "def run():\n    return \"a\" - \"b\"\n"},
-		{"none-add", "def run():\n    x = None\n    return x + 1\n"},
-		{"int-call", "def run():\n    x = 3\n    return x()\n"},
-		{"float-iter", "def run():\n    s = 0\n    for v in 2.5:\n        s = s + 1\n    return s\n"},
-		{"int-index", "def run():\n    x = 9\n    return x[0]\n"},
-		{"tuple-setitem", "def run():\n    tp = (1, 2)\n    tp[0] = 3\n    return tp\n"},
-		{"use-before-def", "def run():\n    y = z + 1\n    z = 0\n    return y\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, err := minipy.CompileSource(tc.src)
+	for _, tc := range analysis.RuntimeDefects {
+		t.Run(tc.Name, func(t *testing.T) {
+			code, err := minipy.CompileSource(tc.Src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

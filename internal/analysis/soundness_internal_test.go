@@ -34,8 +34,7 @@ func factsOf(t *testing.T, src string) *ModuleFacts {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	mctx := moduleContext(code)
-	return InterprocAnalyze(code, mctx)
+	return InterprocAnalyze(code)
 }
 
 func TestCheckerCatchesFalseInterval(t *testing.T) {

@@ -96,6 +96,60 @@ func TestCertificateSoundOnSuite(t *testing.T) {
 	}
 }
 
+// reboundCell programs rebind a closure cell through a call. A cell read
+// after any call may see the callee's store, so the certificate must not
+// carry the last STORE_CELL's value across it.
+var reboundCell = []workloads.Benchmark{
+	{Name: "cell-guard", Source: `
+def run():
+    x = 1
+    def bump():
+        nonlocal x
+        x = 5
+        return 0
+    bump()
+    y = x
+    if y < 3:
+        return 1
+    return 2
+`},
+	{Name: "cell-interval", Source: `
+def run():
+    x = 1
+    def bump():
+        nonlocal x
+        x = 5
+        return 0
+    bump()
+    y = x
+    y = x + 1
+    return y
+`},
+}
+
+// TestReboundCellIsNotTrusted runs the rebound-cell programs at -opt 0..3
+// on both engines: every level must return what -opt 0 returns, and the
+// certificate must hold on every executed op.
+func TestReboundCellIsNotTrusted(t *testing.T) {
+	for _, b := range reboundCell {
+		var want string
+		for level := 0; level <= 3; level++ {
+			code := variant(t, b, level)
+			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
+				chk, last, _ := checkedRun(t, code, mode, 1)
+				for _, v := range chk.Violations() {
+					t.Errorf("%s opt%d/%v: soundness violation: %s", b.Name, level, mode, v)
+				}
+				if level == 0 && mode == vm.ModeInterp {
+					want = last.Repr()
+				} else if got := last.Repr(); got != want {
+					t.Errorf("%s opt%d/%v: run() = %s, -opt 0 returned %s", b.Name, level, mode, got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzSyntheticOptLevels is the grammar-aware differential over generated
 // workloads: for any generator configuration, -opt 0..3 on both engines
 // must return the same run() checksum, and the certificate recomputed for

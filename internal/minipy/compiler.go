@@ -508,6 +508,13 @@ func (fc *funcCompiler) stmt(st Stmt) error {
 	case *ForStmt:
 		return fc.forStmt(st)
 	case *ReturnStmt:
+		// Every enclosing for loop holds its iterator on the stack; drop
+		// them first (the value expression cannot refer to them).
+		for _, li := range fc.loops {
+			if li.isFor {
+				fc.emit(OpPop, 0, st.Line)
+			}
+		}
 		if st.Value != nil {
 			if err := fc.expr(st.Value); err != nil {
 				return err

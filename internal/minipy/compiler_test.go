@@ -221,6 +221,23 @@ func TestCompileBreakInForPopsIterator(t *testing.T) {
 	}
 }
 
+func TestCompileReturnInForVerifies(t *testing.T) {
+	for _, src := range []string{
+		"def f(xs):\n    for x in xs:\n        return x\n    return 0\n",
+		"def f(xs):\n    for x in xs:\n        return\n",
+		"def f(xs):\n    while True:\n        for x in xs:\n            for y in xs:\n                return y\n",
+	} {
+		code, err := CompileSource(src)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		if err := Verify(code); err != nil {
+			t.Errorf("return inside for loops must leave the stack balanced: %v\n%s",
+				err, code.Consts[0].(*Code).Disassemble())
+		}
+	}
+}
+
 func TestCompileClassShape(t *testing.T) {
 	code := compile(t, `
 class A:

@@ -19,33 +19,20 @@ import "fmt"
 // register slots). Stream-changing optimizations live in ElideMoves and
 // are opt-in.
 //
-// Lowering shares the verifier's depth computation; code that fails depth
-// analysis (unbalanced, inconsistent joins) returns an error, which the VM
-// reports to the caller that tried to run the code object.
+// Lowering shares the verifier's checks and depth computation
+// (stackDepths); code that fails them (a bad operand, an unbalanced stack,
+// an inconsistent join) returns the verifier's error, which the VM reports
+// to the caller that tried to run the code object.
 func LowerToRegister(code *Code) (*RCode, error) {
 	depth, err := stackDepths(code)
 	if err != nil {
 		return nil, err
 	}
 	L := len(code.LocalNames)
-	maxDepth := 0
-	for _, d := range depth {
-		if int(d) > maxDepth {
-			maxDepth = int(d)
-		}
-	}
-	// ForIter's loop path pushes above its entry depth; account for the
-	// pushed element (entry depths cover every other op's high-water mark,
-	// matching the verifier's MaxStack argument).
-	for pc, ins := range code.Ops {
-		if ins.Op == OpForIter && depth[pc] >= 0 && int(depth[pc])+1 > maxDepth {
-			maxDepth = int(depth[pc]) + 1
-		}
-	}
 	rc := &RCode{
 		Code:      code,
 		NumLocals: L,
-		NumRegs:   L + maxDepth,
+		NumRegs:   L + maxDepth(depth),
 		Ops:       make([]RInstr, len(code.Ops)),
 		Depth:     depth,
 	}
@@ -157,96 +144,6 @@ func lowerOne(code *Code, ins Instr, L, d int32) (RInstr, error) {
 		return ri, fmt.Errorf("unknown opcode %v", ins.Op)
 	}
 	return ri, nil
-}
-
-// stackDepths runs the verifier's abstract stack-depth interpretation and
-// returns the entry depth per pc (-1 = unreachable). It accepts unverified
-// code (RunModule never demands a prior Verify) and reports the same class
-// of imbalance errors the verifier would.
-func stackDepths(code *Code) ([]int32, error) {
-	n := len(code.Ops)
-	if n == 0 {
-		return nil, fmt.Errorf("minipy: lower %s: empty code object", code.Name)
-	}
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[0] = 0
-	work := []int{0}
-	var werr error
-	propagate := func(from, to int, d int32) bool {
-		if d < 0 || to >= n || to < 0 {
-			werr = fmt.Errorf("minipy: lower %s at pc %d: bad flow (depth %d, target %d)",
-				code.Name, from, d, to)
-			return false
-		}
-		if depth[to] == -1 {
-			depth[to] = d
-			work = append(work, to)
-			return true
-		}
-		if depth[to] != d {
-			werr = fmt.Errorf("minipy: lower %s at pc %d: inconsistent depth at join pc %d: %d vs %d",
-				code.Name, from, to, depth[to], d)
-			return false
-		}
-		return true
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		d := depth[pc]
-		ins := code.Ops[pc]
-		arg := int(ins.Arg)
-		switch ins.Op {
-		case OpReturn:
-			if d != 1 {
-				return nil, fmt.Errorf("minipy: lower %s at pc %d: RETURN with depth %d", code.Name, pc, d)
-			}
-			continue
-		case OpJump:
-			if !propagate(pc, arg, d) {
-				return nil, werr
-			}
-			continue
-		case OpJumpIfFalse, OpJumpIfTrue:
-			if !propagate(pc, arg, d-1) || !propagate(pc, pc+1, d-1) {
-				return nil, werr
-			}
-			continue
-		case OpJumpIfFalseKeep, OpJumpIfTrueKeep:
-			if !propagate(pc, arg, d) || !propagate(pc, pc+1, d-1) {
-				return nil, werr
-			}
-			continue
-		case OpForIter:
-			if !propagate(pc, arg, d-1) || !propagate(pc, pc+1, d+1) {
-				return nil, werr
-			}
-			continue
-		case OpBinaryJumpIfFalse:
-			if d < 2 {
-				return nil, fmt.Errorf("minipy: lower %s at pc %d: underflow at depth %d", code.Name, pc, d)
-			}
-			if !propagate(pc, arg>>4, d-2) || !propagate(pc, pc+1, d-2) {
-				return nil, werr
-			}
-			continue
-		}
-		eff, ok := stackEffect(code, ins)
-		if !ok {
-			return nil, fmt.Errorf("minipy: lower %s at pc %d: unknown opcode %v", code.Name, pc, ins.Op)
-		}
-		if int(d)+minPops(code, ins) < 0 {
-			return nil, fmt.Errorf("minipy: lower %s at pc %d: underflow executing %v at depth %d",
-				code.Name, pc, ins.Op, d)
-		}
-		if !propagate(pc, pc+1, d+int32(eff)) {
-			return nil, werr
-		}
-	}
-	return depth, nil
 }
 
 // ElideMoves is the stream-changing register optimization (ablation A9): it

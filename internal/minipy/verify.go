@@ -42,9 +42,35 @@ func Verify(code *Code) error {
 }
 
 func verifyOne(code *Code) error {
+	depth, err := stackDepths(code)
+	if err != nil {
+		return err
+	}
+	// Every post-push depth is some reachable instruction's entry depth
+	// (ops pop before pushing), so the maximum entry depth is the frame's
+	// true operand-stack high-water mark.
+	code.MaxStack = maxDepth(depth)
+	return nil
+}
+
+// maxDepth is the largest entry depth.
+func maxDepth(depth []int32) int {
+	m := 0
+	for _, d := range depth {
+		m = max(m, int(d))
+	}
+	return m
+}
+
+// stackDepths validates every instruction's arguments (pass 1), then
+// interprets the operand-stack depth over the CFG (pass 2) and returns each
+// pc's entry depth (-1 = unreachable). It writes nothing to code: the
+// verifier derives MaxStack from it, and LowerToRegister calls it on code
+// objects the VM may be lowering from several goroutines.
+func stackDepths(code *Code) ([]int32, error) {
 	n := len(code.Ops)
 	if n == 0 {
-		return &VerifyError{Code: code, PC: 0, Msg: "empty code object"}
+		return nil, &VerifyError{Code: code, PC: 0, Msg: "empty code object"}
 	}
 	fail := func(pc int, format string, args ...interface{}) error {
 		return &VerifyError{Code: code, PC: pc, Msg: fmt.Sprintf(format, args...)}
@@ -56,75 +82,75 @@ func verifyOne(code *Code) error {
 		switch ins.Op {
 		case OpLoadConst, OpMakeFunction:
 			if arg < 0 || arg >= len(code.Consts) {
-				return fail(pc, "const index %d out of range", arg)
+				return nil, fail(pc, "const index %d out of range", arg)
 			}
 			if ins.Op == OpMakeFunction {
 				if _, ok := code.Consts[arg].(*Code); !ok {
-					return fail(pc, "MAKE_FUNCTION const %d is not code", arg)
+					return nil, fail(pc, "MAKE_FUNCTION const %d is not code", arg)
 				}
 			}
 		case OpLoadLocal, OpStoreLocal:
 			if arg < 0 || arg >= len(code.LocalNames) {
-				return fail(pc, "local slot %d out of range", arg)
+				return nil, fail(pc, "local slot %d out of range", arg)
 			}
 		case OpLoadGlobal, OpStoreGlobal, OpLoadAttr, OpStoreAttr:
 			if arg < 0 || arg >= len(code.Names) {
-				return fail(pc, "name index %d out of range", arg)
+				return nil, fail(pc, "name index %d out of range", arg)
 			}
 		case OpLoadCell, OpStoreCell, OpPushCell:
 			if arg < 0 || arg >= code.NumCells() {
-				return fail(pc, "cell index %d out of range (%d cells)", arg, code.NumCells())
+				return nil, fail(pc, "cell index %d out of range (%d cells)", arg, code.NumCells())
 			}
 		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep,
 			OpJumpIfTrueKeep, OpForIter:
 			if arg < 0 || arg >= n {
-				return fail(pc, "jump target %d out of range", arg)
+				return nil, fail(pc, "jump target %d out of range", arg)
 			}
 		case OpBinary:
 			if arg < 0 || arg > int(BinIn) {
-				return fail(pc, "binary sub-op %d invalid", arg)
+				return nil, fail(pc, "binary sub-op %d invalid", arg)
 			}
 		case OpUnary:
 			if arg < 0 || arg > int(UnPos) {
-				return fail(pc, "unary sub-op %d invalid", arg)
+				return nil, fail(pc, "unary sub-op %d invalid", arg)
 			}
 		case OpCall, OpBuildList, OpBuildTuple, OpBuildDict, OpBuildClass, OpUnpack:
 			if arg < 0 {
-				return fail(pc, "negative count %d", arg)
+				return nil, fail(pc, "negative count %d", arg)
 			}
 		case OpLoadLocalPair:
 			if a := arg & 0xFFF; a >= len(code.LocalNames) {
-				return fail(pc, "local slot %d out of range", a)
+				return nil, fail(pc, "local slot %d out of range", a)
 			}
 			if b := arg >> 12; b < 0 || b >= len(code.LocalNames) {
-				return fail(pc, "local slot %d out of range", b)
+				return nil, fail(pc, "local slot %d out of range", b)
 			}
 		case OpLoadLocalConst:
 			if s := arg & 0xFFF; s >= len(code.LocalNames) {
-				return fail(pc, "local slot %d out of range", s)
+				return nil, fail(pc, "local slot %d out of range", s)
 			}
 			if k := arg >> 12; k < 0 || k >= len(code.Consts) {
-				return fail(pc, "const index %d out of range", k)
+				return nil, fail(pc, "const index %d out of range", k)
 			}
 		case OpBinaryJumpIfFalse:
 			if b := arg & 0xF; b > int(BinIn) {
-				return fail(pc, "binary sub-op %d invalid", b)
+				return nil, fail(pc, "binary sub-op %d invalid", b)
 			}
 			if t := arg >> 4; t < 0 || t >= n {
-				return fail(pc, "jump target %d out of range", t)
+				return nil, fail(pc, "jump target %d out of range", t)
 			}
 		}
 	}
 
 	// Pass 2: abstract stack-depth interpretation over the CFG.
-	depth := make([]int, n)
+	depth := make([]int32, n)
 	for i := range depth {
 		depth[i] = -1 // unreachable / unknown
 	}
 	depth[0] = 0
 	work := []int{0}
 	// propagate records a successor's depth, checking join consistency.
-	propagate := func(from, to, d int) error {
+	propagate := func(from, to int, d int32) error {
 		if d < 0 {
 			return fail(from, "stack underflow (depth %d entering pc %d)", d, to)
 		}
@@ -152,83 +178,70 @@ func verifyOne(code *Code) error {
 
 		switch ins.Op {
 		case OpReturn:
-			if d+returnEffect != 0 {
-				return fail(pc, "RETURN with stack depth %d (want 1)", d)
+			if d != 1 {
+				return nil, fail(pc, "RETURN with stack depth %d (want 1)", d)
 			}
 			continue
 		case OpJump:
 			if err := propagate(pc, arg, d); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		case OpJumpIfFalse, OpJumpIfTrue:
 			if err := propagate(pc, arg, d-1); err != nil {
-				return err
+				return nil, err
 			}
 			if err := propagate(pc, pc+1, d-1); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		case OpJumpIfFalseKeep, OpJumpIfTrueKeep:
 			// Jump path keeps the value; fallthrough pops it.
 			if err := propagate(pc, arg, d); err != nil {
-				return err
+				return nil, err
 			}
 			if err := propagate(pc, pc+1, d-1); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		case OpForIter:
 			// Exit path pops the iterator; loop path pushes the element.
 			if err := propagate(pc, arg, d-1); err != nil {
-				return err
+				return nil, err
 			}
 			if err := propagate(pc, pc+1, d+1); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		case OpBinaryJumpIfFalse:
 			// Fused BINARY + JUMP_IF_FALSE: pops two operands either way.
 			if d < 2 {
-				return fail(pc, "stack underflow executing %v at depth %d", ins.Op, d)
+				return nil, fail(pc, "stack underflow executing %v at depth %d", ins.Op, d)
 			}
 			if err := propagate(pc, arg>>4, d-2); err != nil {
-				return err
+				return nil, err
 			}
 			if err := propagate(pc, pc+1, d-2); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 
 		eff, ok := stackEffect(code, ins)
 		if !ok {
-			return fail(pc, "unknown opcode %v", ins.Op)
+			return nil, fail(pc, "unknown opcode %v", ins.Op)
 		}
 		// Intermediate depth must never dip below zero (pops happen first).
-		if d+minPops(code, ins) < 0 {
-			return fail(pc, "stack underflow executing %v at depth %d", ins.Op, d)
+		if int(d)+minPops(code, ins) < 0 {
+			return nil, fail(pc, "stack underflow executing %v at depth %d", ins.Op, d)
 		}
-		if err := propagate(pc, pc+1, d+eff); err != nil {
-			return err
+		if err := propagate(pc, pc+1, d+int32(eff)); err != nil {
+			return nil, err
 		}
 	}
 
-	// Every post-push depth is some reachable instruction's entry depth
-	// (ops pop before pushing), so the maximum entry depth is the frame's
-	// true operand-stack high-water mark.
-	maxStack := 0
-	for _, d := range depth {
-		if d > maxStack {
-			maxStack = d
-		}
-	}
-	code.MaxStack = maxStack
-	return nil
+	return depth, nil
 }
-
-// returnEffect is RETURN's stack delta (pops the return value).
-const returnEffect = -1
 
 // stackEffect returns the net stack delta of a non-control instruction.
 func stackEffect(code *Code, ins Instr) (int, bool) {

@@ -294,6 +294,8 @@ func TestMalformedCodeIsAnError(t *testing.T) {
 			{module("pop_empty", none, minipy.Instr{Op: minipy.OpPop},
 				minipy.Instr{Op: minipy.OpLoadConst}, minipy.Instr{Op: minipy.OpReturn}), "pop_empty"},
 			{module("no_ops", none), "no_ops"},
+			{module("bad_make_function", none, minipy.Instr{Op: minipy.OpMakeFunction, Arg: 7},
+				minipy.Instr{Op: minipy.OpReturn}), "bad_make_function"},
 			{module("calls_bad", fnConsts, append(defineBad,
 				minipy.Instr{Op: minipy.OpLoadGlobal, Arg: 0},
 				minipy.Instr{Op: minipy.OpCall, Arg: 0},

@@ -47,15 +47,9 @@ func (c *CodeCache) Get(b Benchmark) (entry Compiled, hit bool, err error) {
 	if entry, hit = c.entries[b.Name]; hit {
 		return entry, true, nil
 	}
-	code, err := b.Compile()
+	code, rep, err := b.compile()
 	if err != nil {
 		return Compiled{}, false, err
-	}
-	// Compile already ran analysis.Check (error-free guarantee); rerunning
-	// the passes yields the full summary for report plumbing.
-	rep, err := analysis.Analyze(code)
-	if err != nil {
-		return Compiled{}, false, fmt.Errorf("workload %s: %w", b.Name, err)
 	}
 	entry = Compiled{Code: code, Analysis: rep.Summarize()}
 	c.entries[b.Name] = entry

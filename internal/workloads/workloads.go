@@ -45,14 +45,25 @@ type Benchmark struct {
 // surfaces as a positioned per-benchmark error, never a VM fault at a
 // distance.
 func (b Benchmark) Compile() (*minipy.Code, error) {
+	code, _, err := b.compile()
+	return code, err
+}
+
+// compile is Compile returning also the analysis report the check read,
+// so a caller that wants the summary analyzes the program once.
+func (b Benchmark) compile() (*minipy.Code, *analysis.Report, error) {
 	code, err := minipy.CompileSource(b.Source)
 	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", b.Name, err)
+		return nil, nil, fmt.Errorf("workload %s: %w", b.Name, err)
 	}
-	if err := analysis.Check(code); err != nil {
-		return nil, fmt.Errorf("workload %s: %w", b.Name, err)
+	rep, err := analysis.Analyze(code)
+	if err == nil {
+		err = rep.Err() // analysis.Check's rule
 	}
-	return code, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("workload %s: %w", b.Name, err)
+	}
+	return code, rep, nil
 }
 
 // Analyze compiles the benchmark and runs the full static-analysis report

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -164,7 +165,7 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 
 	// Reference: same fault schedule, in-process, reliable storage, no
 	// crashes. This is the campaign's ground truth.
-	ref, err := harness.NewSupervisor(harness.NewRunner(), base).Run(b, opts)
+	ref, err := harness.NewSupervisor(harness.NewRunner(), base).Run(context.Background(), b, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchchaos: round %d: reference run failed: %v\n", round, err)
 		return exitcode.Infra
@@ -202,7 +203,7 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 		if segments < cfg.crashes {
 			so.CrashAfter = 1 + int(crashRNG.Uint64()%uint64(maxInt(1, cfg.invocations/2)))
 		}
-		res, err = harness.NewSupervisor(harness.NewRunner(), so).Run(b, opts)
+		res, err = harness.NewSupervisor(harness.NewRunner(), so).Run(context.Background(), b, opts)
 		segments++
 		if errors.Is(err, harness.ErrCrashPoint) {
 			if cfg.verbose {

@@ -377,7 +377,7 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 	var degradedNotes []string
 	opts := harness.Options{Invocations: inv, Iterations: iter, Seed: seed, Noise: np}
 	for _, wl := range workloads.Suite() {
-		interp, jit, err := sup.RunPair(wl, opts)
+		interp, jit, err := sup.RunPair(context.Background(), wl, opts)
 		if err != nil {
 			return err
 		}

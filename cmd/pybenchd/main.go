@@ -14,14 +14,16 @@
 // Knobs: -queue (pending-campaign bound), -slots (concurrent campaigns),
 // -tenant-quota (in-flight campaigns per tenant), -max-steps / -max-wall
 // (per-invocation budget ceilings clamped onto every submission),
-// -drain-timeout (graceful-shutdown grace before running campaigns are
-// cancelled). -addr-file writes the resolved listen address (for -addr
-// :0 harnesses). -chaos-crash-after N arms the chaos hook: the first
-// campaign executed SIGKILLs the daemon after N invocation slots — the
-// crash-recovery suite's way of producing a genuine kill -9.
+// -drain-timeout (graceful-shutdown grace; past it, running campaigns
+// stop and stay journaled for the next start to resume). -addr-file
+// writes the resolved listen address (for -addr :0 harnesses).
+// -chaos-crash-after N arms the chaos hook: the first campaign executed
+// SIGKILLs the daemon after N invocation slots — the crash-recovery
+// suite's way of producing a genuine kill -9.
 //
 // SIGINT/SIGTERM drain gracefully: running campaigns finish (up to
-// -drain-timeout), queued campaigns stay journaled for the next start.
+// -drain-timeout, then stop as kill -9 would stop them), and every
+// unfinished campaign stays journaled for the next start to resume.
 //
 // Exit codes follow the repository taxonomy: 0 = clean shutdown,
 // 2 = usage, 3 = infrastructure failure.
@@ -65,7 +67,7 @@ func main() {
 		tenantQuota  = flag.Int("tenant-quota", 4, "max in-flight (queued+running) campaigns per tenant")
 		maxSteps     = flag.Uint64("max-steps", 0, "per-invocation step-budget ceiling clamped onto every submission (0 = service default)")
 		maxWall      = flag.Duration("max-wall", 0, "per-invocation wall-budget ceiling clamped onto every submission (0 = service default)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown grace before running campaigns are cancelled")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown grace; past it, running campaigns stop and stay journaled for the next start to resume")
 		crashAfter   = flag.Int("chaos-crash-after", 0, "chaos hook: first campaign executed kills this process (SIGKILL) after N invocation slots (0 = off; never production)")
 		showVersion  = flag.Bool("version", false, "print version, Go version, and platform, then exit")
 	)
@@ -162,8 +164,9 @@ func run(o options, logger *log.Logger) error {
 	}
 
 	// Graceful shutdown: stop accepting, let running campaigns finish
-	// within the grace period, cancel them past it. Queued campaigns stay
-	// in the ledger — the next start re-enqueues them.
+	// within the grace period, stop them past it without finalizing.
+	// Unfinished campaigns stay in the ledger — the next start re-enqueues
+	// and resumes them.
 	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -1,12 +1,15 @@
 // adaptive-precision: demonstrate the two extensions of the rigorous
 // methodology — the adaptive sequential design ("benchmark until the CI is
-// tight enough, then stop") and suite-level comparison with family-wise
-// error control (Holm–Bonferroni).
+// tight enough, then stop"), which is the supervisor's stopping rule
+// (harness.Options.TargetRelHalfWidth: batches of 5 invocations up to the
+// Invocations cap), and suite-level comparison with family-wise error
+// control (Holm–Bonferroni).
 //
 //	go run ./examples/adaptive-precision
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +23,8 @@ import (
 
 func main() {
 	runner := harness.NewRunner()
+	sup := harness.NewSupervisor(runner, harness.SupervisorOptions{})
+	ctx := context.Background()
 
 	// Part 1: adaptive precision on three machines.
 	fmt.Println("Adaptive design: invocations needed for a ±1% CI on 'collatz'")
@@ -34,22 +39,19 @@ func main() {
 	}
 	b, _ := workloads.ByName("collatz")
 	for _, m := range machines {
-		res, err := runner.RunAdaptive(b, harness.AdaptiveOptions{
-			Base: harness.Options{
-				Invocations: 5, Iterations: 20, Seed: 11, Noise: m.p,
-			},
+		res, err := sup.Run(ctx, b, harness.Options{
+			Invocations: 80, Iterations: 20, Seed: 11, Noise: m.p,
 			TargetRelHalfWidth: 0.01,
-			MaxInvocations:     80,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		status := "converged"
-		if !res.Converged {
+		if !res.MeetsTarget() {
 			status = "budget exhausted"
 		}
 		fmt.Printf("%s %3d invocations, CI ±%.2f%%  (%s)\n",
-			m.name, len(res.Result.Invocations), 100*res.CI.RelHalfWidth(), status)
+			m.name, len(res.Invocations), 100*res.StoppingCI().RelHalfWidth(), status)
 	}
 
 	// Part 2: suite comparison with family-wise error control.
@@ -57,11 +59,10 @@ func main() {
 	fmt.Println("Suite comparison (interp vs JIT) with Holm–Bonferroni correction")
 	fmt.Println("-----------------------------------------------------------------")
 	suite := workloads.Suite()[:8] // keep the example quick
-	sup := harness.NewSupervisor(runner, harness.SupervisorOptions{})
 	var names []string
 	var baselines, treatments []stats.HierarchicalSample
 	for _, wl := range suite {
-		interp, jit, err := sup.RunPair(wl, harness.Options{
+		interp, jit, err := sup.RunPair(ctx, wl, harness.Options{
 			Invocations: 8, Iterations: 20, Seed: 21, Noise: noise.Default(),
 		})
 		if err != nil {

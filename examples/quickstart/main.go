@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ def run():
 		Seed:        42,
 		Noise:       noise.Default(),
 	}
-	interp, jit, err := sup.RunPair(bench, opts)
+	interp, jit, err := sup.RunPair(context.Background(), bench, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

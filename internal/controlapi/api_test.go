@@ -374,8 +374,8 @@ func TestCancelQueuedAndTerminal(t *testing.T) {
 }
 
 // TestMidRunCancel cancels a campaign while the engine is executing it:
-// the AbortCheck poll must stop the run and the outcome must journal as
-// cancelled, exit 3.
+// the campaign context's cancel must stop the run and the outcome must
+// journal as cancelled, exit 3.
 func TestMidRunCancel(t *testing.T) {
 	hook, ch := stateWatcher()
 	s, ts := newTestServer(t, func(o *Options) {

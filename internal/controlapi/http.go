@@ -129,14 +129,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "journaling submission: "+err.Error())
 		return
 	}
-	c := &campaign{
-		id:     id,
-		tenant: spec.Tenant,
-		spec:   spec,
-		state:  StateQueued,
-		events: newEventLog(),
-		cancel: make(chan struct{}),
-	}
+	c := newCampaign(id, spec.Tenant, spec, StateQueued)
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
 	s.queue = append(s.queue, c)
@@ -199,8 +192,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel cancels a campaign. Queued: finalized immediately. Running:
-// the engine aborts at its next AbortCheck poll and the executor
-// finalizes. Terminal: 409 — the outcome exists and will not be unmade.
+// its context ends, the VM aborts within one poll interval (an isolated
+// child is killed at once), and the executor finalizes. Terminal: 409 —
+// the outcome exists and will not be unmade.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	c := s.lookup(w, r)
 	if c == nil {
@@ -214,7 +208,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("campaign %s already %s", c.id, state))
 		return
 	}
-	c.cancelOnce.Do(func() { close(c.cancel) })
+	c.cancel(errCancelledByClient)
 	finalizeNow := false
 	if state == StateQueued {
 		for i, qc := range s.queue {

@@ -86,23 +86,27 @@ type campaign struct {
 	// persisted result document instead.
 	results []*harness.Result
 	events  *eventLog
-	// cancel is closed by the cancel handler; the engine's AbortCheck and
-	// the executor poll it.
-	cancel     chan struct{}
-	cancelOnce sync.Once
-	tracer     *trace.Tracer
+	// ctx is the campaign's one cancellation signal, handed to Execute.
+	// cancel ends it with errCancelledByClient (the cancel handler) or
+	// errShutdown (a shutdown past its grace period).
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	tracer *trace.Tracer
 	// resumable marks a campaign replayed from the ledger as interrupted
 	// (its checkpoint journals make the re-run skip completed slots).
 	resumable bool
 }
 
-func (c *campaign) cancelled() bool {
-	select {
-	case <-c.cancel:
-		return true
-	default:
-		return false
-	}
+// The causes a campaign's context is cancelled with.
+var (
+	errCancelledByClient = errors.New("campaign cancelled by client")
+	errShutdown          = errors.New("daemon shut down past its grace period")
+)
+
+func newCampaign(id, tenant string, spec CampaignSpec, state State) *campaign {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &campaign{id: id, tenant: tenant, spec: spec, state: state,
+		events: newEventLog(), ctx: ctx, cancel: cancel}
 }
 
 // CampaignStatus is the JSON shape of a campaign on the wire — the
@@ -172,15 +176,8 @@ func New(opts Options) (*Server, error) {
 		s.opts.Logf("controlapi: ledger recovered: %s", led.Recovery.String())
 	}
 	for _, rc := range replayed {
-		c := &campaign{
-			id:     rc.ID,
-			tenant: rc.Tenant,
-			spec:   rc.Spec,
-			state:  rc.State,
-			errMsg: rc.Error,
-			events: newEventLog(),
-			cancel: make(chan struct{}),
-		}
+		c := newCampaign(rc.ID, rc.Tenant, rc.Spec, rc.State)
+		c.errMsg = rc.Error
 		s.campaigns[c.id] = c
 		s.order = append(s.order, c.id)
 		if n, err := strconv.Atoi(rc.ID[1:]); err == nil && n >= s.nextID {
@@ -245,9 +242,12 @@ func (s *Server) Crashed() bool {
 }
 
 // Shutdown drains and waits for running campaigns to finish. If ctx ends
-// first, running campaigns are cancelled and waited for unconditionally
-// (their slots abort within an AbortCheck poll). The ledger is closed
-// last, so every outcome reached disk.
+// first, running campaigns are cancelled with errShutdown and waited for
+// unconditionally: their slots abort within one VM poll interval, an
+// isolated child is killed at once, and each campaign is left as kill -9
+// would leave it — no result document, no outcome record, checkpoint
+// journals kept — so the next start requeues and resumes it. The ledger
+// is closed last, so every outcome reached disk.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain()
 	done := make(chan struct{})
@@ -261,7 +261,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Lock()
 		for _, c := range s.campaigns {
 			if c.state == StateRunning {
-				c.cancelOnce.Do(func() { close(c.cancel) })
+				c.cancel(errShutdown)
 			}
 		}
 		s.mu.Unlock()
@@ -362,8 +362,9 @@ func (s *Server) pumpTrace(c *campaign, stop <-chan struct{}) {
 
 // runCampaign executes one campaign through the shared Execute path and
 // finalizes its outcome: result document persisted atomically, outcome
-// journaled, state event emitted. A fired crash point skips ALL of that —
-// the ledger must look exactly as kill -9 would leave it.
+// journaled, state event emitted. A fired crash point or a shutdown past
+// its grace period skips ALL of that — the ledger must look exactly as
+// kill -9 would leave it.
 func (s *Server) runCampaign(c *campaign) {
 	s.setState(c, StateRunning, "")
 	c.tracer = trace.New()
@@ -382,12 +383,7 @@ func (s *Server) runCampaign(c *campaign) {
 		Runner:        runner,
 		CheckpointDir: s.ledger.checkpointDir(c.id),
 		CrashAfter:    s.takeCrashBudget(),
-		AbortCheck: func() error {
-			if c.cancelled() {
-				return errors.New("campaign cancelled by client")
-			}
-			return nil
-		},
+		Context:       c.ctx,
 		OnBenchmark: func(i int, name string, done bool) {
 			c.events.append(EventBenchmark, BenchmarkProgress{
 				ID: c.id, Benchmark: name, Index: i, Total: total, Done: done,
@@ -401,12 +397,21 @@ func (s *Server) runCampaign(c *campaign) {
 		s.crash(c, err)
 		return
 	}
+	if err != nil && errors.Is(context.Cause(c.ctx), errShutdown) {
+		// Interrupted by shutdown: finalize nothing, as kill -9 would not.
+		// The ledger still says running and the journals hold every
+		// completed slot, so the next start requeues and resumes it.
+		s.opts.Logf("controlapi: campaign %s interrupted by shutdown; left to resume", c.id)
+		c.events.close()
+		return
+	}
 
 	c.results = results
 	state, errMsg := StateDone, ""
 	switch {
-	case c.cancelled():
-		state, errMsg = StateCancelled, "campaign cancelled by client"
+	case err != nil && c.ctx.Err() != nil:
+		// Cut short by the cancel; a run that finished before it is done.
+		state, errMsg = StateCancelled, context.Cause(c.ctx).Error()
 	case errors.Is(err, harness.ErrQuorum):
 		state, errMsg = StateDegraded, err.Error()
 	case err != nil:

@@ -14,6 +14,7 @@
 package controlapi
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -220,9 +221,11 @@ type ExecOptions struct {
 	// killed process resumes the campaign without re-running completed
 	// invocations.
 	CheckpointDir string
-	// AbortCheck is polled by the engine during execution and between
-	// benchmarks; a non-nil return cancels the campaign.
-	AbortCheck func() error
+	// Context, when non-nil, cancels the campaign once it ends: the engine
+	// stops within one VM poll interval, an isolated child is killed at
+	// once, and Execute returns an error wrapping context.Cause. Completed
+	// slots stay journaled; the attempt the cancel cut short does not.
+	Context context.Context
 	// CrashAfter, when > 0, arms harness.SupervisorOptions.CrashAfter on
 	// every arm: the supervisor aborts as a kill -9 would after that many
 	// slot completions. Chaos-testing hook, never production.
@@ -280,20 +283,21 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 		VM:                    spec.VM,
 		MaxStepsPerInvocation: spec.MaxSteps,
 		WallBudget:            time.Duration(spec.WallBudgetMs) * time.Millisecond,
-		AbortCheck:            eo.AbortCheck,
+	}
+	ctx := eo.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	var results []*harness.Result
 	for i, name := range spec.Benchmarks {
-		if eo.AbortCheck != nil {
-			if err := eo.AbortCheck(); err != nil {
-				return results, err
-			}
+		if ctx.Err() != nil {
+			return results, context.Cause(ctx)
 		}
 		b, _ := workloads.ByName(name)
 		if eo.OnBenchmark != nil {
 			eo.OnBenchmark(i, name, false)
 		}
-		res, err := sup.Run(b, opts)
+		res, err := sup.Run(ctx, b, opts)
 		if err != nil {
 			if res != nil {
 				results = append(results, res)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 
 	"repro/internal/harness"
 	"repro/internal/methodology"
@@ -253,47 +256,53 @@ func logf(n int) float64        { return math.Log(float64(n)) }
 
 // AblationNoiseModel — A5: how the simulated machine's noise level changes
 // the experiment cost needed for a ±1% grand-mean CI, using the adaptive
-// sequential design. This is the "tune your machine or pay in invocations"
-// trade-off quantified.
+// sequential design: the supervisor's stopping rule, under the engine's
+// supervision policy like every other experiment. This is the "tune your
+// machine or pay in invocations" trade-off quantified.
 func (e *Engine) AblationNoiseModel() (*report.Table, error) {
 	t := report.NewTable("Ablation A5: noise-model sensitivity (adaptive design, target ±1%)",
 		"machine", "median invocations", "converged%", "median CI ±%")
 	models := []struct {
-		name string
-		p    noise.Params
+		name, dir string
+		p         noise.Params
 	}{
-		{"quiet (tuned lab)", noise.Quiet()},
-		{"default (desktop)", noise.Default()},
-		{"noisy (shared CI)", noise.Noisy()},
+		{"quiet (tuned lab)", "quiet", noise.Quiet()},
+		{"default (desktop)", "default", noise.Default()},
+		{"noisy (shared CI)", "noisy", noise.Noisy()},
 	}
 	bench := e.cfg.Benchmarks
 	if len(bench) > 4 {
 		bench = bench[:4]
 	}
 	for _, m := range models {
+		// Each model runs the same benchmarks, mode and seed, so each
+		// keeps its journals in a directory of its own.
+		so := e.cfg.SupervisorOptions()
+		if so.Checkpoint.Dir != "" {
+			so.Checkpoint.Dir = filepath.Join(so.Checkpoint.Dir, "A5", m.dir)
+			if err := os.MkdirAll(so.Checkpoint.Dir, 0o755); err != nil {
+				return nil, fmt.Errorf("creating checkpoint dir: %w", err)
+			}
+		}
+		sup := harness.NewSupervisor(e.runner, so)
 		var invocations, widths []float64
 		converged := 0
 		total := 0
 		for _, b := range bench {
-			base := harness.Options{
-				Mode:        vm.ModeInterp,
-				Invocations: 5,
-				Iterations:  e.cfg.Iterations,
-				Seed:        e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp),
-				Noise:       m.p,
-			}
-			res, err := e.runner.RunAdaptive(b, harness.AdaptiveOptions{
-				Base:               base,
+			res, err := sup.Run(context.Background(), b, harness.Options{
+				Mode:               vm.ModeInterp,
+				Invocations:        60,
+				Iterations:         e.cfg.Iterations,
+				Seed:               e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp),
+				Noise:              m.p,
 				TargetRelHalfWidth: 0.01,
-				MaxInvocations:     60,
-				BatchSize:          5,
 			})
 			if err != nil {
 				return nil, err
 			}
-			invocations = append(invocations, float64(len(res.Result.Invocations)))
-			widths = append(widths, 100*res.CI.RelHalfWidth())
-			if res.Converged {
+			invocations = append(invocations, float64(len(res.Invocations)))
+			widths = append(widths, 100*res.StoppingCI().RelHalfWidth())
+			if res.MeetsTarget() {
 				converged++
 			}
 			total++

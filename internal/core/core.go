@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/faults"
@@ -149,7 +150,7 @@ func (e *Engine) run(b workloads.Benchmark, mode vm.Mode, inv, iter int, counter
 		Noise:        e.cfg.Noise,
 		WithCounters: counters,
 	}
-	return harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(b, opts)
+	return harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(context.Background(), b, opts)
 }
 
 // baseProfile returns the noise-free per-iteration base times of one

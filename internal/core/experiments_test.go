@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -182,6 +184,43 @@ func TestAblation5NoiseOrdering(t *testing.T) {
 	noisy := parseF(t, tbl.Rows[2][1])
 	if quiet > noisy {
 		t.Errorf("quiet machine needed more invocations (%v) than noisy (%v)", quiet, noisy)
+	}
+}
+
+// TestAblation5Resumes: A5 runs under the engine's supervision policy, so
+// a checkpoint directory reaches it. Its three noise models run the same
+// benchmarks, mode and seed, so each keeps journals of its own; a second
+// run over the same directory resumes all of them to the same table and
+// has nothing left to append.
+func TestAblation5Resumes(t *testing.T) {
+	cfg := fastConfig()
+	cfg.CheckpointDir = t.TempDir()
+	first, err := New(cfg).AblationNoiseModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{}
+	for _, model := range []string{"quiet", "default", "noisy"} {
+		for _, b := range cfg.Benchmarks {
+			path := filepath.Join(cfg.CheckpointDir, "A5", model, b.Name+"_interp.ckpt.wal")
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[path] = fi.Size()
+		}
+	}
+	second, err := New(cfg).AblationNoiseModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("resumed table differs:\n%s\nfirst run:\n%s", second, first)
+	}
+	for path, size := range sizes {
+		if fi, err := os.Stat(path); err != nil || fi.Size() != size {
+			t.Errorf("%s changed on resume (was %d bytes): %v, %v", path, size, fi, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,7 +31,8 @@ type IsolationOptions struct {
 	// Watchdog is the hard per-invocation deadline after which a child is
 	// SIGKILLed (default 30s). This is the supervisor-side defense that
 	// in-VM step/wall budgets cannot provide: it reaps a child that hangs
-	// outside the VM's own control flow.
+	// outside the VM's own control flow. A cancelled campaign context
+	// kills the child the same way, at once.
 	Watchdog time.Duration
 }
 
@@ -57,9 +59,10 @@ func (io IsolationOptions) command() ([]string, error) {
 // runs: in this process or in a policed child. The supervisor's retry,
 // quarantine, and checkpoint logic is identical either way.
 type invocationExecutor interface {
-	// run executes one attempt. sab carries injected environment faults.
-	run(b workloads.Benchmark, code *minipy.Code, opts Options, noiseIdx int,
-		sab workerSabotage, spanKV ...string) (*Invocation, error)
+	// run executes one attempt, abandoning it once ctx ends. sab carries
+	// injected environment faults.
+	run(ctx context.Context, b workloads.Benchmark, code *minipy.Code, opts Options,
+		noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error)
 	// describe reports the substrate for Supervision.Isolation.
 	describe() string
 	// stats returns (kills, restarts) — child deaths observed and fresh
@@ -81,8 +84,8 @@ type inProcExecutor struct {
 	note string
 }
 
-func (e *inProcExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Options,
-	noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
+func (e *inProcExecutor) run(ctx context.Context, b workloads.Benchmark, code *minipy.Code,
+	opts Options, noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
 	switch {
 	case sab.Exit:
 		return nil, errors.New("faults: injected worker kill (in-process: attempt aborted)")
@@ -91,9 +94,9 @@ func (e *inProcExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Opti
 		// aborts the attempt, standing in for the watchdog.
 		o := opts
 		o.MaxStepsPerInvocation = hangBudgetSteps
-		return e.r.runInvocation(code, o, noiseIdx, spanKV...)
+		return e.r.runInvocation(ctx, code, o, noiseIdx, spanKV...)
 	}
-	return e.r.runInvocation(code, opts, noiseIdx, spanKV...)
+	return e.r.runInvocation(ctx, code, opts, noiseIdx, spanKV...)
 }
 
 func (e *inProcExecutor) describe() string  { return e.note }
@@ -210,15 +213,15 @@ func (e *subprocExecutor) take() (*procexec.Client, error) {
 	return c, nil
 }
 
-func (e *subprocExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Options,
-	noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
+func (e *subprocExecutor) run(ctx context.Context, b workloads.Benchmark, code *minipy.Code,
+	opts Options, noiseIdx int, sab workerSabotage, spanKV ...string) (*Invocation, error) {
 	if ip := e.fallenBack(); ip != nil {
-		return ip.run(b, code, opts, noiseIdx, sab, spanKV...)
+		return ip.run(ctx, b, code, opts, noiseIdx, sab, spanKV...)
 	}
 	c, err := e.take()
 	if err != nil {
 		// Isolation is unavailable; degrade rather than fail the attempt.
-		return e.fallBack(err.Error()).run(b, code, opts, noiseIdx, sab, spanKV...)
+		return e.fallBack(err.Error()).run(ctx, b, code, opts, noiseIdx, sab, spanKV...)
 	}
 	// The child process has no trace sink, so its invocation/iteration spans
 	// are lost across the pipe; mirror the invocation span here so isolated
@@ -237,10 +240,10 @@ func (e *subprocExecutor) run(b workloads.Benchmark, code *minipy.Code, opts Opt
 		e.idle <- c
 		return nil, fmt.Errorf("encoding worker request: %w", err)
 	}
-	raw, err := c.Call(req)
+	raw, err := c.Call(ctx, req)
 	if err != nil {
-		// The client killed and reaped the child (watchdog or death); it
-		// is poisoned and not returned to the pool.
+		// The client killed and reaped the child (watchdog, cancel or
+		// death); it is poisoned and not returned to the pool.
 		e.mu.Lock()
 		e.kills++
 		e.mu.Unlock()

@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -42,13 +43,12 @@ type Options struct {
 	// Unlike the step budget it depends on the host clock, so it exists
 	// for supervision (kill a hung invocation), not for measurement.
 	WallBudget time.Duration `json:",omitempty"`
-	// AbortCheck, when non-nil, is polled by the engine alongside the wall
-	// budget; a non-nil return aborts the in-flight invocation. It exists
-	// for control-plane cancellation (a daemon killing a running campaign),
-	// never for measurement. Being a function it does not serialize:
-	// subprocess workers and checkpoint keys ignore it, so cancellation is
-	// an in-process facility.
-	AbortCheck func() error `json:"-"`
+	// TargetRelHalfWidth, when > 0, turns the design adaptive (the
+	// Kalibera–Jones "reasonable time" design, DESIGN.md §5): Invocations
+	// becomes a cap, and the supervisor schedules slots in batches of 5,
+	// stopping after the first batch whose 95% grand-mean interval has a
+	// relative half-width at or below the target.
+	TargetRelHalfWidth float64 `json:",omitempty"`
 	// Opt is the bytecode-optimization level (see minipy.Optimize). 0 runs
 	// the compiler's output unchanged. Levels >= 1 rewrite the simulated
 	// opcode stream, so optimized runs are a distinct experiment arm — never
@@ -172,6 +172,20 @@ func (r *Result) Hierarchical() stats.HierarchicalSample {
 	return stats.HierarchicalSample{Times: times}
 }
 
+// StoppingCI is the interval the adaptive stopping rule reads: the
+// Kalibera–Jones grand-mean interval over the surviving invocations at the
+// rule's fixed confidence.
+func (r *Result) StoppingCI() stats.Interval {
+	return stats.KaliberaMeanCI(r.Hierarchical(), adaptiveConfidence)
+}
+
+// MeetsTarget is the stopping rule's verdict: StoppingCI's relative
+// half-width is at or below Opts.TargetRelHalfWidth. Fewer than two
+// invocations never meet it.
+func (r *Result) MeetsTarget() bool {
+	return r.StoppingCI().RelHalfWidth() <= r.Opts.TargetRelHalfWidth
+}
+
 // HierarchicalFrom drops the first skip iterations of every invocation
 // (manual warmup exclusion).
 func (r *Result) HierarchicalFrom(skip int) stats.HierarchicalSample {
@@ -229,11 +243,11 @@ func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analys
 
 // Run executes the full experiment for one benchmark: the supervisor's
 // engine under the zero policy (sequential, no faults, no retries, no
-// checkpoint, every invocation must succeed). The result carries no
-// Supervision block; a failure names the lowest failing invocation and
-// its cause.
+// checkpoint, every invocation must succeed) and a context that cannot be
+// cancelled. The result carries no Supervision block; a failure names the
+// lowest failing invocation and its cause.
 func (r *Runner) Run(b workloads.Benchmark, opts Options) (*Result, error) {
-	res, err := NewSupervisor(r, SupervisorOptions{}).Run(b, opts)
+	res, err := NewSupervisor(r, SupervisorOptions{}).Run(context.Background(), b, opts)
 	if res == nil {
 		return nil, err
 	}
@@ -254,12 +268,13 @@ func validateChecksum(b workloads.Benchmark, inv *Invocation) error {
 }
 
 // runInvocation simulates one fresh VM process: module import (setup), then
-// opts.Iterations timed calls of run(). Checksum validation against the
-// benchmark's expectation is the caller's job (the supervisor corrupts the
-// checksum first when injecting that fault). spanKV carries extra span
-// arguments — sharded runs label every invocation span with the worker
-// shard that executed it.
-func (r *Runner) runInvocation(code *minipy.Code,
+// opts.Iterations timed calls of run(). The VM aborts once ctx ends, or
+// once the wall budget (a deadline on a child of ctx) passes. Checksum
+// validation against the benchmark's expectation is the caller's job (the
+// supervisor corrupts the checksum first when injecting that fault).
+// spanKV carries extra span arguments — sharded runs label every
+// invocation span with the worker shard that executed it.
+func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 	opts Options, invIdx int, spanKV ...string) (*Invocation, error) {
 	tr := r.obs.Trace
 	var invSpan trace.Span
@@ -284,32 +299,24 @@ func (r *Runner) runInvocation(code *minipy.Code,
 	if r.obs.Profile != nil {
 		vtracer = r.obs.Profile
 	}
-	abort := opts.AbortCheck
 	if opts.WallBudget > 0 {
-		deadline := time.Now().Add(opts.WallBudget) //benchlint:allow clock
-		cancel := abort
-		abort = func() error {
-			if time.Now().After(deadline) { //benchlint:allow clock
-				return fmt.Errorf("wall budget %s exceeded", opts.WallBudget)
-			}
-			if cancel != nil {
-				return cancel()
-			}
-			return nil
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, opts.WallBudget,
+			fmt.Errorf("wall budget %s exceeded", opts.WallBudget))
+		defer cancel()
 	}
 	regElide, err := vm.ParseVM(opts.VM)
 	if err != nil {
 		return nil, err
 	}
 	engine := vm.New(vm.Config{
-		Mode:       opts.Mode,
-		RegElide:   regElide,
-		Cost:       opts.Cost,
-		Probe:      probe,
-		Tracer:     vtracer,
-		MaxSteps:   opts.MaxStepsPerInvocation,
-		AbortCheck: abort,
+		Mode:     opts.Mode,
+		RegElide: regElide,
+		Cost:     opts.Cost,
+		Probe:    probe,
+		Tracer:   vtracer,
+		MaxSteps: opts.MaxStepsPerInvocation,
+		Context:  ctx,
 	})
 	setupSpan := tr.Begin(trace.CatPhase, "module-setup")
 	_, err = engine.RunModule(code)

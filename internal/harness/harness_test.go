@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestHierarchicalViews(t *testing.T) {
 }
 
 func TestRunPairValidatesChecksums(t *testing.T) {
-	interp, jit, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(mustBench(t, "quicksort"), Options{
+	interp, jit, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), mustBench(t, "quicksort"), Options{
 		Invocations: 2, Iterations: 4, Seed: 9, Noise: noise.Default(),
 	})
 	if err != nil {
@@ -267,7 +268,7 @@ func TestRunPairFailureNamesBenchmarkAndArm(t *testing.T) {
 		Source:   "def run():\n    return 1",
 		Checksum: "2",
 	}
-	_, _, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(bad, Options{Invocations: 1, Iterations: 1})
+	_, _, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), bad, Options{Invocations: 1, Iterations: 1})
 	if err == nil {
 		t.Fatal("checksum mismatch must fail the pair")
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -63,11 +64,11 @@ func sameSamples(t *testing.T, want, got *Result, label string) {
 func TestIsolatedRunMatchesInProcess(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 4, Iterations: 3, Seed: 42, Noise: noise.Default()}
-	inproc, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	inproc, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := NewSupervisor(NewRunner(), SupervisorOptions{Isolation: testIsolation(t)}).Run(b, opts)
+	iso, err := NewSupervisor(NewRunner(), SupervisorOptions{Isolation: testIsolation(t)}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,13 @@ func TestIsolatedRunMatchesInProcess(t *testing.T) {
 func TestIsolatedParallelMatchesSequential(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 6, Iterations: 3, Seed: 7, Noise: noise.Default()}
-	seq, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	seq, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par, err := NewSupervisor(NewRunner(), SupervisorOptions{
 		Isolation: testIsolation(t), Workers: 3, Policy: PolicyForce,
-	}).Run(b, opts)
+	}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestIsolationFallsBackOnBadCommand(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 5, Noise: noise.Default()}
 	iso := IsolationOptions{Enabled: true, Command: []string{"/nonexistent/worker/binary"}}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Isolation: iso}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Isolation: iso}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatalf("fallback must keep the campaign alive: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestIsolationFallsBackOnBadCommand(t *testing.T) {
 	if sup.Isolation == "subprocess" || sup.Isolation == "in-process" {
 		t.Fatalf("Isolation = %q, want a fallback note", sup.Isolation)
 	}
-	inproc, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	inproc, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,11 @@ func TestIsolatedFaultFatesMatchInProcess(t *testing.T) {
 		}
 	}
 	opts := Options{Invocations: 6, Iterations: 3, Seed: 33, Noise: noise.Default()}
-	inproc, err := NewSupervisor(NewRunner(), so(IsolationOptions{})).Run(b, opts)
+	inproc, err := NewSupervisor(NewRunner(), so(IsolationOptions{})).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := NewSupervisor(NewRunner(), so(testIsolation(t))).Run(b, opts)
+	iso, err := NewSupervisor(NewRunner(), so(testIsolation(t))).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,19 +164,19 @@ func TestIsolatedFaultFatesMatchInProcess(t *testing.T) {
 func TestJournalCheckpointCrashResume(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 5, Iterations: 3, Seed: 9, Noise: noise.Default()}
-	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ck := CheckpointDir{Dir: t.TempDir()}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 3}).Run(b, opts)
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 3}).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
 
 	// A fresh run replays the journal the "crash" left behind.
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +192,13 @@ func TestJournalCheckpointCrashResume(t *testing.T) {
 func TestJournalTornTailResumesLosslessly(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 4, Iterations: 3, Seed: 13, Noise: noise.Default()}
-	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ck := CheckpointDir{Dir: t.TempDir()}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 2}).Run(b, opts)
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 2}).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
@@ -212,7 +213,7 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 func TestBinaryJournalReadsAsDamage(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 2, Seed: 19, Noise: noise.Default()}
-	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestBinaryJournalReadsAsDamage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(ck.Dir, "fib_interp.ckpt.wal"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	// report the lost durability.
 	full := faults.NewChaosFS(wal.OSFS{}, faults.Params{DiskFullProb: 1}, 1)
 	ck := CheckpointDir{Dir: t.TempDir(), FS: full}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatalf("checkpoint failure must not kill the run: %v", err)
 	}
@@ -288,7 +289,7 @@ func TestQuorumFailureIsErrQuorum(t *testing.T) {
 	b := mustBench(t, "fib")
 	so := SupervisorOptions{Faults: faults.Params{PanicProb: 1.0}}
 	opts := Options{Invocations: 3, Iterations: 2, Seed: 3, Noise: noise.Default()}
-	_, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+	_, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum, got %v", err)
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestSupervisorEmitsInstantEvents(t *testing.T) {
 		Faults:     faults.Params{PanicProb: 0.4},
 		Checkpoint: CheckpointDir{Dir: t.TempDir()},
 	})
-	res, err := s.Run(fibBench(t), Options{Invocations: 4, Iterations: 2, Seed: 3, Noise: noise.Quiet()})
+	res, err := s.Run(context.Background(), fibBench(t), Options{Invocations: 4, Iterations: 2, Seed: 3, Noise: noise.Quiet()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -51,7 +52,7 @@ func TestParallelSampleSetEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				parRes, err := NewSupervisor(NewRunner(), so).Run(b, o)
+				parRes, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,9 +77,9 @@ func TestSupervisedParallelMatchesSequential(t *testing.T) {
 	opts := Options{Invocations: 8, Iterations: 5, Seed: 7, Noise: noise.Default()}
 	so := SupervisorOptions{MaxRetries: 3, Quorum: 1, Faults: faults.Heavy()}
 
-	seqRes, seqErr := NewSupervisor(NewRunner(), so).Run(b, opts)
+	seqRes, seqErr := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	so.Workers, so.Policy = 4, PolicyForce
-	parRes, parErr := NewSupervisor(NewRunner(), so).Run(b, opts)
+	parRes, parErr := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if (seqErr == nil) != (parErr == nil) {
 		t.Fatalf("error divergence: sequential %v, parallel %v", seqErr, parErr)
 	}
@@ -109,11 +110,11 @@ func TestParallelCheckpointResume(t *testing.T) {
 	ckpt := CheckpointDir{Dir: t.TempDir()}
 	_, err = NewSupervisor(NewRunner(), SupervisorOptions{
 		Workers: 3, Policy: PolicyForce, Checkpoint: ckpt, CrashAfter: 3,
-	}).Run(b, opts)
+	}).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
-	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt}).Run(b, opts)
+	resumed, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ckpt}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestGuardFallbackOnContention(t *testing.T) {
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 1, Noise: noise.Default()}
 
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestGuardFallbackOnContention(t *testing.T) {
 		t.Fatalf("footnote missing fallback: %q", p.Footnote())
 	}
 
-	res, err = NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyGuard}).Run(b, opts)
+	res, err = NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyGuard}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestGuardQuietHostStaysParallel(t *testing.T) {
 	stubProbes(t, []float64{20, 21, 20, 22})
 	b := mustBench(t, "fib")
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 1, Noise: noise.Default()}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyFallback}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestProfilerForcesSequential(t *testing.T) {
 	r := NewRunner()
 	r.SetObserver(Observer{Profile: profile.New()})
 	res, err := NewSupervisor(r, SupervisorOptions{Workers: 4, Policy: PolicyForce}).
-		Run(b, Options{Invocations: 2, Iterations: 2, Seed: 1})
+		Run(context.Background(), b, Options{Invocations: 2, Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestParallelTraceCarriesShardIDs(t *testing.T) {
 	tr := trace.New()
 	r.SetObserver(Observer{Trace: tr, Metrics: metrics.NewRegistry()})
 	_, err := NewSupervisor(r, SupervisorOptions{Workers: 3, Policy: PolicyForce}).
-		Run(b, Options{Invocations: 6, Iterations: 3, Seed: 2, Noise: noise.Default()})
+		Run(context.Background(), b, Options{Invocations: 6, Iterations: 3, Seed: 2, Noise: noise.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestParallelErrorIsLowestIndex(t *testing.T) {
 	b := mustBench(t, "fib")
 	b.Checksum = "wrong" // every invocation fails checksum validation
 	_, err := NewSupervisor(NewRunner(), SupervisorOptions{Workers: 4, Policy: PolicyForce}).
-		Run(b, Options{Invocations: 5, Iterations: 2, Seed: 3})
+		Run(context.Background(), b, Options{Invocations: 5, Iterations: 2, Seed: 3})
 	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("want ErrQuorum, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -68,7 +69,8 @@ type InvocationLog struct {
 // experiment. It rides on Result so both the JSON export and the report
 // layer can surface exactly how degraded a run was.
 type Supervision struct {
-	// Planned is the requested invocation count N.
+	// Planned is the scheduled invocation count N: the requested count, or
+	// under the adaptive stopping rule the slots the rule scheduled.
 	Planned int
 	// Quorum is the minimum successful invocations required (K of N).
 	Quorum int
@@ -296,6 +298,14 @@ const retrySalt = 1 << 20
 // exact path a real runaway workload takes.
 const hangBudgetSteps = 1
 
+// The adaptive stopping rule's fixed design (Options.TargetRelHalfWidth):
+// slots are scheduled adaptiveBatch at a time, and the rule reads the
+// adaptiveConfidence Kalibera–Jones grand-mean interval.
+const (
+	adaptiveBatch      = 5
+	adaptiveConfidence = 0.95
+)
+
 // Run executes the experiment under supervision. It is the invocation
 // engine behind every run path: it fans the pending invocation slots out
 // across the configured shards (or runs them in order), drives each slot
@@ -305,8 +315,17 @@ const hangBudgetSteps = 1
 // sample set, attempt log, and supervision accounting are identical for
 // any worker count because every slot's fate is a pure function of (seed,
 // invocation id, attempt).
-func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
+//
+// Under Options.TargetRelHalfWidth the slots are scheduled in batches and
+// the stopping rule is checked between batches. Once ctx ends, Run starts
+// no more slots or retries, records and journals no attempt the cancel cut
+// short, and returns an error wrapping context.Cause(ctx).
+func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	if !(opts.TargetRelHalfWidth >= 0) {
+		return nil, fmt.Errorf("harness: %s: target half-width %v: want a positive fraction, or 0 for a fixed design",
+			b.Name, opts.TargetRelHalfWidth)
+	}
 	code, summary, err := s.r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
@@ -324,10 +343,6 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 	// (torn/badrecord/enospc) are realized per journal append by a
 	// ChaosFS under the checkpoint directory, not per invocation.
 	inj := faults.NewInjector(s.opts.Faults.VM(), faultSeed)
-	quorum := s.opts.Quorum
-	if quorum <= 0 || quorum > opts.Invocations {
-		quorum = opts.Invocations
-	}
 
 	// The execution substrate: in-process, or watchdogged worker children
 	// when isolation is on (with permanent in-process fallback when
@@ -395,13 +410,6 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 		}
 	}
 
-	var pending []int
-	for i := 0; i < opts.Invocations; i++ {
-		if slots[i] == nil {
-			pending = append(pending, i)
-		}
-	}
-
 	// runSlot supervises one pending slot and journals it. mu guards the
 	// slots table and the journal against concurrent shards. Checkpoint
 	// failures (ENOSPC, injected storage faults) are survived, not fatal:
@@ -419,7 +427,10 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 		if crashed() {
 			return
 		}
-		slot := s.superviseOne(exec, b, code, opts, idx, inj, spanKV...)
+		slot, ok := s.superviseOne(ctx, exec, b, code, opts, idx, inj, spanKV...)
+		if !ok {
+			return // cut short by the cancel: neither recorded nor journaled
+		}
 		if slot.Log.Status == StatusDropped {
 			obs.Trace.Instant(trace.CatSupervisor, "invocation-dropped",
 				"benchmark", b.Name, "invocation", strconv.Itoa(idx))
@@ -448,14 +459,35 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 		obs.Metrics.Counter(mCheckpointSaves, "checkpoint snapshots written").Inc()
 	}
 
+	// Schedule the slots: all at once, or adaptiveBatch at a time under
+	// the stopping rule. planned counts the slots scheduled so far.
+	batch := opts.Invocations
+	if opts.TargetRelHalfWidth > 0 {
+		batch = adaptiveBatch
+	}
 	if workers > 1 {
 		obs.Metrics.Counter(mParallelRuns, "experiments executed by the sharded runner").Inc()
-		s.r.shardPool(len(pending), workers, func(shard, j int) {
-			runSlot(pending[j], "worker", strconv.Itoa(shard))
-		})
-	} else {
-		for _, idx := range pending {
-			runSlot(idx)
+	}
+	planned := 0
+	for planned < opts.Invocations && !crashed() && ctx.Err() == nil {
+		var pending []int
+		for i := planned; i < planned+batch && i < opts.Invocations; i++ {
+			if slots[i] == nil {
+				pending = append(pending, i)
+			}
+		}
+		planned = min(planned+batch, opts.Invocations)
+		if workers > 1 {
+			s.r.shardPool(len(pending), workers, func(shard, j int) {
+				runSlot(pending[j], "worker", strconv.Itoa(shard))
+			})
+		} else {
+			for _, idx := range pending {
+				runSlot(idx)
+			}
+		}
+		if opts.TargetRelHalfWidth > 0 && converged(slots[:planned], opts) {
+			break
 		}
 	}
 	if crashed() {
@@ -464,8 +496,16 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("harness: %s/%s: %w after %d slot completion(s)",
 			b.Name, opts.Mode, ErrCrashPoint, s.opts.CrashAfter)
 	}
+	if ctx.Err() != nil {
+		// Completed slots are journaled; the cut-short attempt is not.
+		return nil, fmt.Errorf("harness: %s/%s: %w", b.Name, opts.Mode, context.Cause(ctx))
+	}
 
-	res := assembleSupervised(b, opts, summary, s.opts, faultSeed, quorum, slots, resumed)
+	quorum := s.opts.Quorum
+	if quorum <= 0 || quorum > planned {
+		quorum = planned
+	}
+	res := assembleSupervised(b, opts, summary, s.opts, faultSeed, quorum, slots[:planned], resumed)
 	res.Parallelism = par
 
 	sup := res.Supervision
@@ -488,6 +528,18 @@ func (s *Supervisor) Run(b workloads.Benchmark, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// converged is the adaptive stopping rule applied to the scheduled slots:
+// the verdict Result.MeetsTarget gives over their surviving invocations.
+func converged(slots []*slotRecord, opts Options) bool {
+	r := Result{Opts: opts}
+	for _, slot := range slots {
+		if slot != nil && slot.Invocation != nil {
+			r.Invocations = append(r.Invocations, *slot.Invocation)
+		}
+	}
+	return r.MeetsTarget()
+}
+
 // assembleSupervised merges completed slots in canonical invocation order
 // into a Result and derives the supervision accounting from the per-slot
 // records — the merge step that makes completion order unobservable.
@@ -495,7 +547,7 @@ func assembleSupervised(b workloads.Benchmark, opts Options, summary *analysis.S
 	so SupervisorOptions, faultSeed uint64, quorum int, slots []*slotRecord, resumed int) *Result {
 	res := &Result{Benchmark: b.Name, Mode: opts.Mode, Opts: opts, Analysis: summary}
 	sup := &Supervision{
-		Planned:     opts.Invocations,
+		Planned:     len(slots),
 		Quorum:      quorum,
 		MaxRetries:  so.MaxRetries,
 		Faults:      so.Faults,
@@ -536,12 +588,17 @@ func assembleSupervised(b workloads.Benchmark, opts Options, summary *analysis.S
 // superviseOne drives one invocation slot through its retry budget and
 // returns its complete record. It mutates no shared experiment state, so
 // shards run it concurrently; all side effects go through the
-// concurrency-safe observability sinks.
-func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark,
-	code *minipy.Code, opts Options, invIdx int, inj *faults.Injector, spanKV ...string) slotRecord {
+// concurrency-safe observability sinks. ok is false when ctx ended before
+// the slot's fate was settled: a failed attempt the cancel may have cut
+// short is no outcome, so the slot must be neither recorded nor journaled.
+func (s *Supervisor) superviseOne(ctx context.Context, exec invocationExecutor, b workloads.Benchmark,
+	code *minipy.Code, opts Options, invIdx int, inj *faults.Injector, spanKV ...string) (slot slotRecord, ok bool) {
 	obs := s.r.obs
-	slot := slotRecord{Index: invIdx, Log: InvocationLog{Index: invIdx, Status: StatusDropped}}
+	slot = slotRecord{Index: invIdx, Log: InvocationLog{Index: invIdx, Status: StatusDropped}}
 	for attempt := 0; attempt <= s.opts.MaxRetries; attempt++ {
+		if ctx.Err() != nil {
+			return slot, false
+		}
 		fault := inj.Draw(invIdx, attempt, opts.Iterations)
 		if attempt > 0 {
 			obs.Trace.Instant(trace.CatSupervisor, "retry",
@@ -557,7 +614,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 				"attempt", strconv.Itoa(attempt))
 			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts").Inc()
 		}
-		inv, err := s.attempt(exec, b, code, opts, invIdx, attempt, fault, spanKV...)
+		inv, err := s.attempt(ctx, exec, b, code, opts, invIdx, attempt, fault, spanKV...)
 		if err == nil {
 			var quarantined int
 			quarantined, err = validateSamples(inv)
@@ -576,7 +633,10 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 				slot.Log.Status = StatusRecovered
 			}
 			slot.Invocation = inv
-			return slot
+			return slot, true
+		}
+		if ctx.Err() != nil {
+			return slot, false
 		}
 		rec.Error = err.Error()
 		obs.Trace.Instant(trace.CatSupervisor, "attempt-failed",
@@ -587,7 +647,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 		}
 		slot.Log.Attempts = append(slot.Log.Attempts, rec)
 	}
-	return slot
+	return slot, true
 }
 
 // attempt runs a single isolated invocation attempt through the executor.
@@ -595,7 +655,7 @@ func (s *Supervisor) superviseOne(exec invocationExecutor, b workloads.Benchmark
 // into ordinary attempt failures, so one bad invocation can never take the
 // campaign down (a child-process crash never even reaches this process;
 // the executor reports it as an error).
-func (s *Supervisor) attempt(exec invocationExecutor, b workloads.Benchmark,
+func (s *Supervisor) attempt(ctx context.Context, exec invocationExecutor, b workloads.Benchmark,
 	code *minipy.Code, opts Options, invIdx, attempt int,
 	fault faults.Fault, spanKV ...string) (inv *Invocation, err error) {
 	defer func() {
@@ -618,17 +678,17 @@ func (s *Supervisor) attempt(exec invocationExecutor, b workloads.Benchmark,
 		// must fire, simulating a hung invocation being reaped.
 		o := opts
 		o.MaxStepsPerInvocation = hangBudgetSteps
-		return exec.run(b, code, o, noiseIdx, workerSabotage{}, spanKV...)
+		return exec.run(ctx, b, code, o, noiseIdx, workerSabotage{}, spanKV...)
 	case faults.ChildKill:
 		// The child dies abruptly mid-attempt (in-process: the attempt is
 		// aborted with the same fate).
-		return exec.run(b, code, opts, noiseIdx, workerSabotage{Exit: true}, spanKV...)
+		return exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{Exit: true}, spanKV...)
 	case faults.Stall:
 		// The child livelocks until the watchdog reaps it (in-process:
 		// degraded to the budget-guard hang realization).
-		return exec.run(b, code, opts, noiseIdx, workerSabotage{Stall: true}, spanKV...)
+		return exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{Stall: true}, spanKV...)
 	}
-	inv, err = exec.run(b, code, opts, noiseIdx, workerSabotage{}, spanKV...)
+	inv, err = exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{}, spanKV...)
 	if err != nil {
 		return nil, err
 	}
@@ -666,16 +726,16 @@ func validateSamples(inv *Invocation) (quarantined int, err error) {
 // benchmark name and engine mode, so a multi-benchmark campaign report
 // pinpoints what broke, and cross-engine checksum agreement is validated
 // on the surviving invocations.
-func (s *Supervisor) RunPair(b workloads.Benchmark, opts Options) (interp, jit *Result, err error) {
+func (s *Supervisor) RunPair(ctx context.Context, b workloads.Benchmark, opts Options) (interp, jit *Result, err error) {
 	oi := opts
 	oi.Mode = vm.ModeInterp
-	interp, err = s.Run(b, oi)
+	interp, err = s.Run(ctx, b, oi)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [interp arm]: %w", b.Name, err)
 	}
 	oj := opts
 	oj.Mode = vm.ModeJIT
-	jit, err = s.Run(b, oj)
+	jit, err = s.Run(ctx, b, oj)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s [jit arm]: %w", b.Name, err)
 	}

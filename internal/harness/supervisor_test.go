@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func TestSupervisorNoFaultsMatchesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	sup, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSupervisorPanicFaultsRecovered(t *testing.T) {
 		Faults:     faults.Params{PanicProb: 0.3},
 	}
 	opts := Options{Invocations: 10, Iterations: 3, Seed: 21, Noise: noise.Default()}
-	res, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestSupervisorDeterministicSchedule(t *testing.T) {
 	so := SupervisorOptions{MaxRetries: 2, Quorum: 4, Faults: faults.Heavy()}
 	opts := Options{Invocations: 8, Iterations: 3, Seed: 5, Noise: noise.Default()}
 	run := func() *Result {
-		res, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+		res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestSupervisorDeterministicSchedule(t *testing.T) {
 	// measurement stream of clean invocations.
 	so2 := so
 	so2.FaultSeed = 999
-	d, err := NewSupervisor(NewRunner(), so2).Run(b, opts)
+	d, err := NewSupervisor(NewRunner(), so2).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestSupervisorFaultKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := NewSupervisor(NewRunner(), SupervisorOptions{Faults: c.params}).Run(b, opts)
+			res, err := NewSupervisor(NewRunner(), SupervisorOptions{Faults: c.params}).Run(context.Background(), b, opts)
 			if err == nil {
 				t.Fatal("probability-1 faults with no retries must miss quorum")
 			}
@@ -182,7 +183,7 @@ func TestSupervisorQuorumPolicy(t *testing.T) {
 	// quorum 1 must fail...
 	_, err := NewSupervisor(NewRunner(), SupervisorOptions{
 		Faults: faults.Params{CompileErrProb: 1}, Quorum: 1,
-	}).Run(b, opts)
+	}).Run(context.Background(), b, opts)
 	if err == nil {
 		t.Fatal("zero successes cannot meet quorum 1")
 	}
@@ -191,7 +192,7 @@ func TestSupervisorQuorumPolicy(t *testing.T) {
 	// schedule where retries re-roll: heavy faults + generous retries.
 	res, err := NewSupervisor(NewRunner(), SupervisorOptions{
 		Faults: faults.Heavy(), MaxRetries: 8, Quorum: 3,
-	}).Run(b, opts)
+	}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatalf("heavy faults with 8 retries and quorum 3 of 4 should pass: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestSupervisorWallBudget(t *testing.T) {
 		Invocations: 1, Iterations: 2, Seed: 9, Noise: noise.Default(),
 		WallBudget: time.Nanosecond,
 	}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
 	if err == nil {
 		t.Fatal("a 1ns wall budget must abort the invocation")
 	}
@@ -225,7 +226,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	opts := Options{Invocations: 6, Iterations: 3, Seed: 13, Noise: noise.Default()}
 
 	// Uninterrupted reference run.
-	ref, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+	ref, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +235,10 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
 	crash := so
 	crash.CrashAfter = 3
-	if _, err := NewSupervisor(NewRunner(), crash).Run(b, opts); !errors.Is(err, ErrCrashPoint) {
+	if _, err := NewSupervisor(NewRunner(), crash).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
-	got, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+	got, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 		t.Fatal("resumed result differs from uninterrupted run")
 	}
 	// Resuming a fully completed run re-runs nothing.
-	again, err := NewSupervisor(NewRunner(), so).Run(b, opts)
+	again, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +276,13 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	b := mustBench(t, "fib")
 	so := SupervisorOptions{Checkpoint: CheckpointDir{Dir: t.TempDir()}}
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	if _, err := NewSupervisor(NewRunner(), so).Run(b, opts); err != nil {
+	if _, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory, different seed: refuse to resume.
 	opts2 := opts
 	opts2.Seed = 2
-	_, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
+	_, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("want key-mismatch error, got %v", err)
 	}
@@ -290,7 +291,7 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	for _, arm := range []Options{{Opt: 2}, {VM: "reg-elide"}} {
 		opts2 := opts
 		opts2.Opt, opts2.VM = arm.Opt, arm.VM
-		_, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
+		_, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
 		if err == nil || !strings.Contains(err.Error(), "different experiment") {
 			t.Fatalf("opt=%d vm=%q: want key-mismatch error, got %v", arm.Opt, arm.VM, err)
 		}
@@ -298,7 +299,7 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	// "reg" names the default stream, so it resumes the journal "" wrote.
 	opts2 = opts
 	opts2.VM = "reg"
-	res, err := NewSupervisor(NewRunner(), so).Run(b, opts2)
+	res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}).Run(b, opts)
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}).Run(context.Background(), b, opts)
 	if err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
 		t.Fatalf("want decode error, got %v", err)
 	}
@@ -333,7 +334,7 @@ func TestSupervisorCheckpointLayout(t *testing.T) {
 	b := mustBench(t, "fib")
 	s := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}})
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	refI, refJ, err := s.RunPair(b, opts)
+	refI, refJ, err := s.RunPair(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestSupervisorCheckpointLayout(t *testing.T) {
 			t.Fatalf("arm journal missing: %v", err)
 		}
 	}
-	gotI, gotJ, err := s.RunPair(b, opts)
+	gotI, gotJ, err := s.RunPair(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestSupervisorRunPair(t *testing.T) {
 		Checkpoint: CheckpointDir{Dir: t.TempDir()},
 	})
 	opts := Options{Invocations: 3, Iterations: 3, Seed: 17, Noise: noise.Default()}
-	interp, jit, err := s.RunPair(b, opts)
+	interp, jit, err := s.RunPair(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestSupervisorRunPair(t *testing.T) {
 	// A failing arm is labelled.
 	bad := mustBench(t, "fib")
 	bad.Checksum = "wrong"
-	_, _, err = NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(bad, opts)
+	_, _, err = NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), bad, opts)
 	if err == nil || !strings.Contains(err.Error(), "[interp arm]") {
 		t.Fatalf("arm label missing: %v", err)
 	}
@@ -386,7 +387,7 @@ func TestSupervisionJSONRoundTrip(t *testing.T) {
 	b := mustBench(t, "fib")
 	res, err := NewSupervisor(NewRunner(), SupervisorOptions{
 		MaxRetries: 1, Faults: faults.Params{CorruptProb: 0.5}, Quorum: 1,
-	}).Run(b, Options{Invocations: 4, Iterations: 3, Seed: 2, Noise: noise.Default()})
+	}).Run(context.Background(), b, Options{Invocations: 4, Iterations: 3, Seed: 2, Noise: noise.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

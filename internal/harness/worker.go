@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -107,7 +108,9 @@ func serveInvocation(runner *Runner, raw []byte) (resp workerResponse) {
 	if err != nil {
 		return workerResponse{Error: fmt.Sprintf("worker: compiling %s: %v", req.Benchmark, err)}
 	}
-	inv, err := runner.runInvocation(code, req.Opts, req.NoiseIdx)
+	// The supervisor cancels a child by killing it; in here, only the wall
+	// budget carried in req.Opts can end the invocation early.
+	inv, err := runner.runInvocation(context.Background(), code, req.Opts, req.NoiseIdx)
 	if err != nil {
 		return workerResponse{Error: err.Error()}
 	}

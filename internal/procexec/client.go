@@ -2,6 +2,7 @@ package procexec
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -80,7 +81,7 @@ func Start(cfg Config) (*Client, error) {
 	}
 	c := &Client{cfg: cfg, cmd: cmd, stdin: stdin,
 		stdout: bufio.NewReader(stdout), stderr: stderr}
-	hello, err := c.readWithWatchdog()
+	hello, err := c.readWithWatchdog(context.Background())
 	if err != nil {
 		c.kill()
 		return nil, fmt.Errorf("procexec: handshake with %s failed: %w%s",
@@ -103,8 +104,10 @@ func (c *Client) Pid() int {
 }
 
 // Call sends one request and waits for its response under the watchdog.
-// Any failure kills the child and poisons the client.
-func (c *Client) Call(req []byte) ([]byte, error) {
+// Any failure kills the child and poisons the client. So does the end of
+// ctx: the child is SIGKILLed as the watchdog would, and the error wraps
+// context.Cause(ctx).
+func (c *Client) Call(ctx context.Context, req []byte) ([]byte, error) {
 	if c.dead {
 		return nil, fmt.Errorf("%w (client already poisoned)", ErrWorkerDied)
 	}
@@ -112,21 +115,24 @@ func (c *Client) Call(req []byte) ([]byte, error) {
 		c.kill()
 		return nil, fmt.Errorf("%w: sending request: %v%s", ErrWorkerDied, err, c.stderrSuffix())
 	}
-	resp, err := c.readWithWatchdog()
+	resp, err := c.readWithWatchdog(ctx)
 	if err != nil {
+		c.kill()
+		if ctx.Err() != nil {
+			return nil, err
+		}
 		poison := ErrWorkerDied
 		if errors.Is(err, ErrWatchdog) {
 			poison = ErrWatchdog
 		}
-		c.kill()
 		return nil, fmt.Errorf("%w: %v%s", poison, err, c.stderrSuffix())
 	}
 	return resp, nil
 }
 
 // readWithWatchdog reads one frame, SIGKILLing the child if it takes
-// longer than the configured deadline.
-func (c *Client) readWithWatchdog() ([]byte, error) {
+// longer than the configured deadline or if ctx ends first.
+func (c *Client) readWithWatchdog(ctx context.Context) ([]byte, error) {
 	type result struct {
 		payload []byte
 		err     error
@@ -138,17 +144,21 @@ func (c *Client) readWithWatchdog() ([]byte, error) {
 	}()
 	timer := time.NewTimer(c.cfg.Watchdog)
 	defer timer.Stop()
+	var err error
 	select {
 	case r := <-ch:
 		return r.payload, r.err
 	case <-timer.C:
-		// SIGKILL closes the pipe, which unblocks the reader goroutine.
-		if c.cmd.Process != nil {
-			c.cmd.Process.Kill()
-		}
-		<-ch
-		return nil, ErrWatchdog
+		err = ErrWatchdog
+	case <-ctx.Done():
+		err = fmt.Errorf("procexec: call cancelled; worker killed: %w", context.Cause(ctx))
 	}
+	// SIGKILL closes the pipe, which unblocks the reader goroutine.
+	if c.cmd.Process != nil {
+		c.cmd.Process.Kill()
+	}
+	<-ch
+	return nil, err
 }
 
 // kill SIGKILLs the child and reaps it. Safe to call repeatedly.

@@ -2,6 +2,7 @@ package procexec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -69,7 +70,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	defer c.Close()
 	for i := 0; i < 10; i++ {
 		msg := fmt.Sprintf("request-%d", i)
-		resp, err := c.Call([]byte(msg))
+		resp, err := c.Call(context.Background(), []byte(msg))
 		if err != nil {
 			t.Fatalf("Call %d: %v", i, err)
 		}
@@ -86,7 +87,7 @@ func TestWatchdogKillsStalledWorker(t *testing.T) {
 	c := startEcho(t, 300*time.Millisecond)
 	defer c.Close()
 	start := time.Now()
-	_, err := c.Call([]byte("stall"))
+	_, err := c.Call(context.Background(), []byte("stall"))
 	if !errors.Is(err, ErrWatchdog) {
 		t.Fatalf("want ErrWatchdog, got %v", err)
 	}
@@ -95,7 +96,7 @@ func TestWatchdogKillsStalledWorker(t *testing.T) {
 	}
 	// The client is poisoned: further calls fail fast instead of writing
 	// into a dead pipe.
-	if _, err := c.Call([]byte("after")); !errors.Is(err, ErrWorkerDied) {
+	if _, err := c.Call(context.Background(), []byte("after")); !errors.Is(err, ErrWorkerDied) {
 		t.Fatalf("poisoned client accepted a call: %v", err)
 	}
 }
@@ -103,7 +104,7 @@ func TestWatchdogKillsStalledWorker(t *testing.T) {
 func TestWorkerCrashMidCall(t *testing.T) {
 	c := startEcho(t, 5*time.Second)
 	defer c.Close()
-	if _, err := c.Call([]byte("crash")); !errors.Is(err, ErrWorkerDied) {
+	if _, err := c.Call(context.Background(), []byte("crash")); !errors.Is(err, ErrWorkerDied) {
 		t.Fatalf("want ErrWorkerDied, got %v", err)
 	}
 }
@@ -128,7 +129,7 @@ func TestSpawnFailureIsImmediate(t *testing.T) {
 
 func TestCleanClose(t *testing.T) {
 	c := startEcho(t, 5*time.Second)
-	if _, err := c.Call([]byte("x")); err != nil {
+	if _, err := c.Call(context.Background(), []byte("x")); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if err := c.Close(); err != nil {
@@ -197,5 +198,24 @@ func TestTruncatedStreamIsUnexpectedEOF(t *testing.T) {
 		if err == io.EOF {
 			t.Fatalf("cut %d: mid-frame truncation reported as clean EOF", cut)
 		}
+	}
+}
+
+func TestCancelKillsWorker(t *testing.T) {
+	c := startEcho(t, time.Hour)
+	defer c.Close()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("campaign cancelled")
+	time.AfterFunc(100*time.Millisecond, func() { cancel(cause) })
+	start := time.Now()
+	_, err := c.Call(ctx, []byte("stall"))
+	if !errors.Is(err, cause) {
+		t.Fatalf("want an error wrapping the cancel cause, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancel took %s to kill the worker", elapsed)
+	}
+	if _, err := c.Call(context.Background(), []byte("after")); !errors.Is(err, ErrWorkerDied) {
+		t.Fatalf("cancelled client accepted a call: %v", err)
 	}
 }

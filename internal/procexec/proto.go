@@ -3,9 +3,9 @@
 // SIGKILLs hung or runaway children. It is the isolation substrate under
 // the harness's `pybench -worker` re-exec mode: an invocation that
 // segfaults, deadlocks outside the VM, or spins in native code takes down
-// only its child process — the one failure class the in-VM AbortCheck
-// budgets cannot catch — while the supervisor stays up and accounts for
-// the loss.
+// only its child process — the one failure class the VM's own step and
+// wall budgets cannot catch — while the supervisor stays up and accounts
+// for the loss. A cancelled context kills the child the same way.
 //
 // The package is deliberately generic: frames carry opaque bytes, and the
 // request/response schema belongs to the caller (internal/harness defines
@@ -66,12 +66,14 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: length %d exceeds limit", ErrFrameCorrupt, n)
 	}
 	want := binary.BigEndian.Uint32(hdr[4:8])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
+	// Read through a limit rather than into make([]byte, n): a garbled
+	// length on a short stream must not cost an n-byte allocation first.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(payload) < int(n) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)

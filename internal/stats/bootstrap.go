@@ -41,43 +41,6 @@ func BootstrapMeanCI(xs []float64, confidence float64, resamples int, rng *RNG) 
 	return BootstrapCI(xs, Mean, confidence, resamples, rng)
 }
 
-// BootstrapMedianCI is BootstrapCI specialized to the median.
-func BootstrapMedianCI(xs []float64, confidence float64, resamples int, rng *RNG) Interval {
-	return BootstrapCI(xs, Median, confidence, resamples, rng)
-}
-
-// BootstrapRatioCI bootstraps the ratio mean(a)/mean(b) by resampling a and
-// b independently — the standard construction for speedup confidence
-// intervals when a and b come from independent experiment sets.
-func BootstrapRatioCI(a, b []float64, confidence float64, resamples int, rng *RNG) Interval {
-	if len(a) == 0 || len(b) == 0 {
-		nan := math.NaN()
-		return Interval{Lo: nan, Hi: nan, Confidence: confidence}
-	}
-	if resamples <= 0 {
-		resamples = DefaultBootstrapResamples
-	}
-	estimates := make([]float64, resamples)
-	bufA := make([]float64, len(a))
-	bufB := make([]float64, len(b))
-	for r := 0; r < resamples; r++ {
-		for i := range bufA {
-			bufA[i] = a[rng.Intn(len(a))]
-		}
-		for i := range bufB {
-			bufB[i] = b[rng.Intn(len(b))]
-		}
-		estimates[r] = Mean(bufA) / Mean(bufB)
-	}
-	sort.Float64s(estimates)
-	alpha := (1 - confidence) / 2
-	return Interval{
-		Lo:         quantileSorted(estimates, alpha),
-		Hi:         quantileSorted(estimates, 1-alpha),
-		Confidence: confidence,
-	}
-}
-
 // HierarchicalSample is a two-level (invocation × iteration) measurement
 // matrix: Times[i][j] is iteration j of invocation i. This is the data shape
 // produced by the rigorous methodology's experiment design.

@@ -54,39 +54,10 @@ func TestBootstrapDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestBootstrapMedianCI(t *testing.T) {
-	rng := NewRNG(4)
-	// Skewed data: median is robust, CI should bracket the sample median.
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = math.Exp(rng.NormFloat64())
-	}
-	ci := BootstrapMedianCI(xs, 0.95, 800, rng)
-	if !ci.Contains(Median(xs)) {
-		t.Fatalf("median CI %+v misses sample median %v", ci, Median(xs))
-	}
-}
-
-func TestBootstrapRatioCI(t *testing.T) {
-	rng := NewRNG(5)
-	a := normalSample(rng, 40, 20, 1) // mean 20
-	b := normalSample(rng, 40, 10, 1) // mean 10
-	ci := BootstrapRatioCI(a, b, 0.95, 1000, rng)
-	if !ci.Contains(2.0) {
-		t.Fatalf("ratio CI %+v should contain 2", ci)
-	}
-	if ci.Lo < 1.7 || ci.Hi > 2.3 {
-		t.Fatalf("ratio CI %+v unexpectedly wide", ci)
-	}
-}
-
 func TestBootstrapEmptyInputs(t *testing.T) {
 	rng := NewRNG(6)
 	if !math.IsNaN(BootstrapMeanCI(nil, 0.95, 10, rng).Lo) {
 		t.Fatal("empty input must give NaN CI")
-	}
-	if !math.IsNaN(BootstrapRatioCI(nil, []float64{1}, 0.95, 10, rng).Lo) {
-		t.Fatal("empty ratio input must give NaN CI")
 	}
 }
 

@@ -17,13 +17,6 @@ func (iv Interval) Center() float64 { return (iv.Lo + iv.Hi) / 2 }
 // Contains reports whether x lies inside the interval.
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// Overlaps reports whether two intervals intersect. Non-overlap of
-// confidence intervals is the (conservative) significance criterion the
-// rigorous methodology uses for visual comparisons.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 // RelHalfWidth returns the half-width as a fraction of the center (the
 // "±x%" figure practitioners quote); NaN when the center is 0.
 func (iv Interval) RelHalfWidth() float64 {

@@ -38,9 +38,6 @@ func TestIntervalHelpers(t *testing.T) {
 	if !iv.Contains(1) || !iv.Contains(3) || iv.Contains(3.01) {
 		t.Fatal("contains")
 	}
-	if !iv.Overlaps(Interval{Lo: 2.5, Hi: 5}) || iv.Overlaps(Interval{Lo: 4, Hi: 5}) {
-		t.Fatal("overlaps")
-	}
 	if !almostEq(iv.RelHalfWidth(), 0.5, 1e-12) {
 		t.Fatal("rel half-width")
 	}

@@ -95,38 +95,3 @@ func KaliberaMeanCI(h HierarchicalSample, confidence float64) Interval {
 func NaiveFlattenedCI(h HierarchicalSample, confidence float64) Interval {
 	return MeanCI(h.Flatten(), confidence)
 }
-
-// PlanExperiment chooses (invocations, iterations) to minimize experiment
-// cost subject to a target CI half-width, given pilot variance components —
-// the Kalibera–Jones "reasonable time" optimization. iterCost and invCost
-// are the marginal costs (seconds) of one extra iteration and of one extra
-// invocation (process start + warmup).
-func PlanExperiment(vd VarianceDecomposition, confidence, targetHalfWidth,
-	invCost, iterCost float64) (invocations, iterations int) {
-	if targetHalfWidth <= 0 {
-		return vd.Invocations, vd.Iterations
-	}
-	z := NormalQuantile(1 - (1-confidence)/2)
-	// Optimal iterations per invocation depends only on the variance ratio
-	// and cost ratio: m* = sqrt((S1²/BetweenVar) * (invCost/iterCost)).
-	m := 1.0
-	if vd.BetweenVar > 0 && vd.WithinVar > 0 && iterCost > 0 {
-		m = math.Sqrt((vd.WithinVar / vd.BetweenVar) * (invCost / iterCost))
-	} else if vd.BetweenVar == 0 {
-		m = 30 // no invocation effect: iterations are all that matters
-	}
-	if m < 1 {
-		m = 1
-	}
-	if m > 200 {
-		m = 200
-	}
-	// Required invocations for the target half-width with m iterations each:
-	// Var(grand mean) = (BetweenVar + WithinVar/m) / n.
-	varPerInv := vd.BetweenVar + vd.WithinVar/m
-	n := math.Ceil(varPerInv * (z / targetHalfWidth) * (z / targetHalfWidth))
-	if n < 2 {
-		n = 2
-	}
-	return int(n), int(math.Round(m))
-}

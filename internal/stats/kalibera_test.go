@@ -128,38 +128,6 @@ func TestKaliberaMeanCISmallInputs(t *testing.T) {
 	}
 }
 
-func TestPlanExperiment(t *testing.T) {
-	vd := VarianceDecomposition{
-		Invocations: 10, Iterations: 10, GrandMean: 100,
-		S1Sq: 4, S2Sq: 1.4, BetweenVar: 1.0, WithinVar: 4,
-	}
-	n, m := PlanExperiment(vd, 0.95, 0.2, 10, 1)
-	if n < 2 || m < 1 {
-		t.Fatalf("plan (%d, %d) degenerate", n, m)
-	}
-	// Optimal m = sqrt((4/1)*(10/1)) ≈ 6.3.
-	if m < 4 || m > 9 {
-		t.Fatalf("iterations %d, want ~6", m)
-	}
-	// Tighter target → more invocations.
-	n2, _ := PlanExperiment(vd, 0.95, 0.1, 10, 1)
-	if n2 <= n {
-		t.Fatalf("tighter target should need more invocations: %d vs %d", n2, n)
-	}
-	// Zero between variance: iterations capped default.
-	vd0 := vd
-	vd0.BetweenVar = 0
-	_, m0 := PlanExperiment(vd0, 0.95, 0.2, 10, 1)
-	if m0 != 30 {
-		t.Fatalf("no-invocation-effect plan m = %d, want 30", m0)
-	}
-	// Zero target returns the pilot design.
-	nz, mz := PlanExperiment(vd, 0.95, 0, 10, 1)
-	if nz != 10 || mz != 10 {
-		t.Fatal("zero target should echo pilot design")
-	}
-}
-
 func TestDecomposeVarianceEmpty(t *testing.T) {
 	vd := DecomposeVariance(HierarchicalSample{})
 	if vd.Invocations != 0 || vd.BetweenVar != 0 {

@@ -1,9 +1,12 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/minipy"
 )
 
 // loopSrc busy-loops long enough to cross many abort-poll intervals.
@@ -14,43 +17,59 @@ while i < 100000:
 print(i)
 `
 
-func TestAbortCheckStopsExecution(t *testing.T) {
-	calls := 0
-	in := New(Config{AbortCheck: func() error {
-		calls++
-		if calls >= 3 {
-			return errors.New("wall budget exceeded")
-		}
-		return nil
-	}})
+// cancelAtOp is a Tracer that cancels its context when the VM executes its
+// at-th op, so a test can measure how many ops the VM runs past a cancel.
+type cancelAtOp struct {
+	ops    uint64
+	at     uint64
+	cancel func()
+}
+
+func (c *cancelAtOp) OnEnter(*minipy.Code) {}
+func (c *cancelAtOp) OnExit(*minipy.Code)  {}
+func (c *cancelAtOp) OnOp(*minipy.Code, int, minipy.Op, uint64) {
+	c.ops++
+	if c.ops == c.at {
+		c.cancel()
+	}
+}
+
+func TestContextCancelStopsExecution(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("wall budget exceeded")
+	const at = 3*abortPollInterval + 100 // mid-interval
+	tr := &cancelAtOp{at: at, cancel: func() { cancel(cause) }}
+	in := New(Config{Context: ctx, Tracer: tr})
 	_, err := in.RunSource(loopSrc)
 	if err == nil {
-		t.Fatal("abort must stop the loop")
+		t.Fatal("cancel must stop the loop")
 	}
 	var re *RuntimeError
-	if !errors.As(err, &re) || re.Kind != "AbortError" {
-		t.Fatalf("want AbortError, got %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("abort polled %d times, want 3", calls)
+	if !errors.As(err, &re) || re.Kind != "AbortError" || re.Msg != cause.Error() {
+		t.Fatalf("want an AbortError carrying the cause, got %v", err)
 	}
 	if !IsBudgetError(err) {
 		t.Fatal("AbortError must classify as a budget error")
 	}
-	// The abort fires within one poll interval of the third check.
-	if in.steps > 3*abortPollInterval+abortPollInterval {
-		t.Fatalf("abort latency too high: %d steps", in.steps)
+	// The abort fires within one poll interval of the cancel.
+	if in.steps <= at || in.steps > at+abortPollInterval {
+		t.Fatalf("abort latency: stopped at step %d, cancelled at %d", in.steps, at)
 	}
 }
 
-func TestAbortCheckCleanRun(t *testing.T) {
-	calls := 0
-	in := New(Config{AbortCheck: func() error { calls++; return nil }})
+func TestLiveContextCleanRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := New(Config{Context: ctx})
+	if in.cancel == nil {
+		t.Fatal("a cancellable context must be polled")
+	}
 	if _, err := in.RunSource(loopSrc); err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("abort check never polled on a long run")
+	// A context that can never end is not polled at all.
+	if in := New(Config{Context: context.Background()}); in.cancel != nil {
+		t.Fatal("an uncancellable context must leave the poll off")
 	}
 }
 

@@ -57,7 +57,7 @@ func abortErr(format string, args ...interface{}) *RuntimeError {
 }
 
 // IsBudgetError reports whether err is a resource-budget violation: the
-// step-budget guard ("TimeoutError") or an AbortCheck-triggered abort
+// step-budget guard ("TimeoutError") or an abort on a done Config.Context
 // ("AbortError"). The harness supervisor uses this to classify an
 // invocation as hung rather than wrong.
 func IsBudgetError(err error) bool {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -329,10 +330,10 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 // variables so the hot path runs register-to-register instead of doing
 // three pointer-chasing read-modify-writes per op. The locals are flushed
 // to the Interp fields before — and reloaded after — every call that can
-// observe or mutate them: probe and tracer hooks, the abort callback,
-// nested calls, the JIT back-edge hook, the value hook, and every helper
-// that reaches memAccess while a probe is attached. Counter values at each
-// observation point are therefore those of the unhoisted form.
+// observe or mutate them: probe and tracer hooks, nested calls, the JIT
+// back-edge hook, the value hook, and every helper that reaches memAccess
+// while a probe is attached. Counter values at each observation point are
+// therefore those of the unhoisted form.
 // benchlint:hotpath
 func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
@@ -349,7 +350,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		tracer   = in.tracer
 		vtracer  = in.vtracer
 		jit      = in.jit
-		abortFn  = in.abort
+		cancel   = in.cancel
 		maxSteps = in.maxSteps
 		dispatch = in.cost.DispatchOverhead
 		icWarmup = in.icWarmup
@@ -384,13 +385,13 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 			errv = &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted"}
 			goto done
 		}
-		if abortFn != nil && steps%abortPollInterval == 0 {
-			in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			if err := abortFn(); err != nil {
-				errv = abortErr("%s", err.Error())
+		if cancel != nil && steps%abortPollInterval == 0 {
+			select {
+			case <-cancel:
+				errv = abortErr("%s", context.Cause(in.cfg.Context).Error())
 				goto done
+			default:
 			}
-			steps, instrsTot, cyclesTot = in.steps, in.instrs, in.cycles
 		}
 		ins := ops[pc]
 		op := ins.Src

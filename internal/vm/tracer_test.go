@@ -53,7 +53,7 @@ func allocsPerCall(t testing.TB, src string, cfg Config) float64 {
 }
 
 func TestNilHooksZeroAllocsPerIteration(t *testing.T) {
-	nilHooks := Config{Probe: nil, Tracer: nil, AbortCheck: nil}
+	nilHooks := Config{Probe: nil, Tracer: nil, Context: nil}
 	short := allocsPerCall(t, loopSrcShort, nilHooks)
 	long := allocsPerCall(t, loopSrcLong, nilHooks)
 	if short != long {

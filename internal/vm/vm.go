@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -64,15 +65,16 @@ type Config struct {
 	MaxSteps uint64
 	// MaxDepth bounds call nesting. Defaults to 4096.
 	MaxDepth int
-	// AbortCheck, when non-nil, is polled every abortPollInterval executed
-	// ops; a non-nil return aborts execution with an AbortError carrying
-	// the returned error's message. This is the supervisor's hook for
-	// wall-clock budgets and external cancellation — the VM itself stays
-	// free of time sources so simulations remain deterministic.
-	AbortCheck func() error
+	// Context, when its Done channel is non-nil, is polled every
+	// abortPollInterval executed ops; once it is done, execution aborts
+	// with an AbortError carrying context.Cause. This is the supervisor's
+	// hook for wall-clock budgets and external cancellation — the VM
+	// itself stays free of time sources so simulations remain
+	// deterministic. A context that cannot be cancelled is never polled.
+	Context context.Context
 }
 
-// abortPollInterval is how often (in executed ops) AbortCheck is polled.
+// abortPollInterval is how often (in executed ops) Context is polled.
 // Power of two so the check compiles to a mask test on the hot path.
 const abortPollInterval = 1024
 
@@ -111,8 +113,8 @@ type Interp struct {
 	jit     *jitState
 	probe   Probe
 	tracer  Tracer
-	vtracer ValueTracer // cfg.Tracer when it also implements ValueTracer
-	abort   func() error
+	vtracer ValueTracer     // cfg.Tracer when it also implements ValueTracer
+	cancel  <-chan struct{} // cfg.Context.Done(); nil when it cannot end
 
 	steps     uint64
 	maxSteps  uint64
@@ -267,7 +269,6 @@ func New(cfg Config) *Interp {
 		out:       cfg.Out,
 		probe:     cfg.Probe,
 		tracer:    cfg.Tracer,
-		abort:     cfg.AbortCheck,
 		maxSteps:  maxSteps,
 		maxDepth:  maxDepth,
 		allocAddr: 0x10000, // leave a synthetic "low memory" hole
@@ -277,6 +278,9 @@ func New(cfg Config) *Interp {
 	}
 	if vt, ok := cfg.Tracer.(ValueTracer); ok {
 		in.vtracer = vt
+	}
+	if cfg.Context != nil {
+		in.cancel = cfg.Context.Done()
 	}
 	in.builtins = sharedBuiltins
 	if cfg.Mode == ModeJIT {

@@ -21,6 +21,13 @@ GATE_FLAGS = -bench $(GATE_BENCH) -invocations 6 -iterations 10 -seed 42 -noise 
 BENCHGO_PKGS = ./internal/vm
 BENCHGO_FLAGS = -run '^$$' -bench . -benchmem -benchtime 1s -count 3
 BENCHGO_MEMGATE = -max-alloc-growth 10 -max-bytes-growth 25
+# The statistics kernels (hierarchical bootstrap, steady-state
+# classification) are gated the same way against BENCH_stats.json. -cpu
+# is pinned to one value: benchfmt strips the -N suffix, so a -cpu list
+# would merge entries, and the bootstrap's worker goroutines make its
+# allocs/op depend on the worker count.
+BENCHSTATS_PKGS = ./internal/stats
+BENCHSTATS_FLAGS = $(BENCHGO_FLAGS) -cpu 2
 
 all: build
 
@@ -58,17 +65,21 @@ perfbench-check:
 # attribute, global-lookup, iteration, probe-entry), prints per-benchmark
 # ns/op deltas vs. the committed BENCH_vm.json baseline, and fails if any
 # kernel's allocs/op or B/op grew past the memory gate — the register
-# tier's unboxing win is locked in by this target.
+# tier's unboxing win is locked in by this target. The statistics kernels
+# follow, against BENCH_stats.json.
 bench-go:
 	$(GO) test $(BENCHGO_PKGS) $(BENCHGO_FLAGS) | \
 		$(GO) run ./cmd/benchjson -baseline BENCH_vm.json $(BENCHGO_MEMGATE)
+	$(GO) test $(BENCHSTATS_PKGS) $(BENCHSTATS_FLAGS) | \
+		$(GO) run ./cmd/benchjson -baseline BENCH_stats.json $(BENCHGO_MEMGATE)
 
-# bench-go-baseline regenerates BENCH_vm.json from the current tree with
-# stamped provenance (commit, branch, go version, timestamp). Only run
-# this deliberately: the committed file is the anchor that future PRs
-# measure against.
+# bench-go-baseline regenerates BENCH_vm.json and BENCH_stats.json from
+# the current tree with stamped provenance (commit, branch, go version,
+# timestamp). Only run this deliberately: the committed files are the
+# anchors that future PRs measure against.
 bench-go-baseline:
 	$(GO) test $(BENCHGO_PKGS) $(BENCHGO_FLAGS) | $(GO) run ./cmd/benchjson -out BENCH_vm.json
+	$(GO) test $(BENCHSTATS_PKGS) $(BENCHSTATS_FLAGS) | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
 # bench-smoke runs one tiny supervised benchmark end to end with tracing and
 # metrics on, then validates that the emitted Chrome trace JSON parses.

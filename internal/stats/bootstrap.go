@@ -2,7 +2,9 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // DefaultBootstrapResamples is the resample count used when 0 is passed.
@@ -27,6 +29,12 @@ func BootstrapCI(xs []float64, stat func([]float64) float64,
 		}
 		estimates[r] = stat(buf)
 	}
+	return percentileInterval(estimates, confidence)
+}
+
+// percentileInterval sorts the bootstrap estimates in place and returns
+// their central confidence interval.
+func percentileInterval(estimates []float64, confidence float64) Interval {
 	sort.Float64s(estimates)
 	alpha := (1 - confidence) / 2
 	return Interval{
@@ -71,7 +79,8 @@ func (h HierarchicalSample) Flatten() []float64 {
 // BootstrapHierarchicalRatioCI bootstraps the ratio of grand means between
 // two two-level experiments by resampling invocations first and iterations
 // within each resampled invocation second, following Kalibera & Jones'
-// recommended hierarchical bootstrap for speedup CIs.
+// recommended hierarchical bootstrap for speedup CIs. It runs on up to
+// GOMAXPROCS cores, bit for bit as one sequential pass over rng's stream.
 func BootstrapHierarchicalRatioCI(a, b HierarchicalSample,
 	confidence float64, resamples int, rng *RNG) Interval {
 	if len(a.Times) == 0 || len(b.Times) == 0 {
@@ -81,28 +90,73 @@ func BootstrapHierarchicalRatioCI(a, b HierarchicalSample,
 	if resamples <= 0 {
 		resamples = DefaultBootstrapResamples
 	}
-	resampleGrandMean := func(h HierarchicalSample) float64 {
-		n := len(h.Times)
-		total, count := 0.0, 0
-		for i := 0; i < n; i++ {
-			inv := h.Times[rng.Intn(n)]
-			m := len(inv)
-			for j := 0; j < m; j++ {
-				total += inv[rng.Intn(m)]
-				count++
+	estimates := make([]float64, resamples)
+	fillRatios(estimates, a, b, bootstrapWorkers(resamples, a, b), rng)
+	return percentileInterval(estimates, confidence)
+}
+
+// bootstrapChunkDraws is the fewest expected draws worth a worker: ~150 µs.
+const bootstrapChunkDraws = 1 << 15
+
+// bootstrapWorkers is one per bootstrapChunkDraws expected draws (a pick per
+// invocation and one per iteration), at most one per P and per resample.
+func bootstrapWorkers(resamples int, a, b HierarchicalSample) int {
+	draws := 0
+	for _, h := range [2][][]float64{a.Times, b.Times} {
+		for _, inv := range h {
+			draws += 1 + len(inv)
+		}
+	}
+	return max(1, min(runtime.GOMAXPROCS(0), resamples, resamples*draws/bootstrapChunkDraws))
+}
+
+// fillRatios sets est[r] to the r-th ratio of one sequential pass over
+// rng's stream, in workers contiguous chunks, and leaves rng where that
+// pass ends. Chunk w+1 starts where replaying chunk w's invocation picks,
+// and skipping each pick's iteration draws, leaves rng. The caller fills
+// the last chunk with rng. Each other chunk runs on a goroutine as soon as
+// its start is known, from an RNG value on that goroutine's stack: states
+// kept side by side in one slice would share a cache line.
+func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
+	var wg sync.WaitGroup
+	lo := 0
+	for w := 1; w < workers; w++ {
+		hi := w * len(est) / workers
+		wg.Add(1)
+		go func(chunk []float64, chunkRNG RNG) {
+			defer wg.Done()
+			resampleRatios(chunk, a, b, &chunkRNG)
+		}(est[lo:hi], RNG{state: rng.state})
+		for ; lo < hi; lo++ {
+			for _, h := range [2][][]float64{a.Times, b.Times} {
+				for range h {
+					rng.skip(len(h[rng.Intn(len(h))]))
+				}
 			}
 		}
-		return total / float64(count)
 	}
-	estimates := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		estimates[r] = resampleGrandMean(a) / resampleGrandMean(b)
+	resampleRatios(est[lo:], a, b, rng)
+	wg.Wait()
+}
+
+func resampleRatios(est []float64, a, b HierarchicalSample, rng *RNG) {
+	for r := range est {
+		est[r] = resampleGrandMean(a, rng) / resampleGrandMean(b, rng)
 	}
-	sort.Float64s(estimates)
-	alpha := (1 - confidence) / 2
-	return Interval{
-		Lo:         quantileSorted(estimates, alpha),
-		Hi:         quantileSorted(estimates, 1-alpha),
-		Confidence: confidence,
+}
+
+// resampleGrandMean draws invocations of h with replacement, then
+// iterations within each drawn invocation, and returns their mean.
+func resampleGrandMean(h HierarchicalSample, rng *RNG) float64 {
+	n := len(h.Times)
+	total, count := 0.0, 0
+	for i := 0; i < n; i++ {
+		inv := h.Times[rng.Intn(n)]
+		m := len(inv)
+		for j := 0; j < m; j++ {
+			total += inv[rng.Intn(m)]
+			count++
+		}
 	}
+	return total / float64(count)
 }

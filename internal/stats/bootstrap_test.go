@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -110,5 +112,99 @@ func TestBootstrapCIGenericStatistic(t *testing.T) {
 	q := Quantile(xs, 0.9)
 	if !ci.Contains(q) {
 		t.Fatalf("CI %+v misses sample P90 %v", ci, q)
+	}
+}
+
+// sequentialRatioCI is the single-stream hierarchical bootstrap that the
+// chunked one replaced: every resample draws from rng in turn. It is the
+// reference the chunked form must match bit for bit, rng state included.
+func sequentialRatioCI(a, b HierarchicalSample, confidence float64, resamples int, rng *RNG) ([]float64, Interval) {
+	resampleGrandMean := func(h HierarchicalSample) float64 {
+		n := len(h.Times)
+		total, count := 0.0, 0
+		for i := 0; i < n; i++ {
+			inv := h.Times[rng.Intn(n)]
+			m := len(inv)
+			for j := 0; j < m; j++ {
+				total += inv[rng.Intn(m)]
+				count++
+			}
+		}
+		return total / float64(count)
+	}
+	estimates := make([]float64, resamples)
+	for r := 0; r < resamples; r++ {
+		estimates[r] = resampleGrandMean(a) / resampleGrandMean(b)
+	}
+	sorted := append([]float64(nil), estimates...)
+	sort.Float64s(sorted)
+	alpha := (1 - confidence) / 2
+	return estimates, Interval{
+		Lo:         quantileSorted(sorted, alpha),
+		Hi:         quantileSorted(sorted, 1-alpha),
+		Confidence: confidence,
+	}
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+func TestHierarchicalBootstrapBitIdentical(t *testing.T) {
+	gen := NewRNG(17)
+	ragged := func() HierarchicalSample {
+		times := make([][]float64, 1+gen.Intn(12))
+		for i := range times {
+			times[i] = make([]float64, 1+gen.Intn(40))
+			for j := range times[i] {
+				times[i][j] = gen.LogNormal(0, 0.3)
+			}
+		}
+		return HierarchicalSample{Times: times}
+	}
+	for trial := 0; trial < 8; trial++ {
+		a, b := ragged(), ragged()
+		// The fan-out floor: the fewest resamples bootstrapWorkers splits.
+		draws := len(a.Times) + len(b.Times) + len(a.Flatten()) + len(b.Flatten())
+		fanOut := max(2, (2*bootstrapChunkDraws+draws-1)/draws)
+		if got := bootstrapWorkers(fanOut-1, a, b); got != 1 {
+			t.Fatalf("%d resamples of %d draws: %d workers below the fan-out floor", fanOut-1, draws, got)
+		}
+		if got, want := bootstrapWorkers(fanOut, a, b), min(2, runtime.GOMAXPROCS(0)); got != want {
+			t.Fatalf("%d resamples of %d draws: %d workers at the fan-out floor, want %d", fanOut, draws, got, want)
+		}
+		for _, resamples := range []int{1, 7, fanOut - 1, fanOut, 1999, 2000} {
+			seed := gen.Uint64()
+			ref := NewRNG(seed)
+			ref.NormFloat64() // leave a Box–Muller spare that must survive
+			wantEst, want := sequentialRatioCI(a, b, 0.95, resamples, ref)
+
+			rng := NewRNG(seed)
+			rng.NormFloat64()
+			got := BootstrapHierarchicalRatioCI(a, b, 0.95, resamples, rng)
+			if !sameBits(got.Lo, want.Lo) || !sameBits(got.Hi, want.Hi) || got.Confidence != want.Confidence {
+				t.Fatalf("trial %d, %d resamples: interval %+v, sequential %+v", trial, resamples, got, want)
+			}
+			if *rng != *ref {
+				t.Fatalf("trial %d, %d resamples: rng ends at %+v, sequential at %+v", trial, resamples, *rng, *ref)
+			}
+			for _, workers := range []int{2, 3, 5} {
+				if workers > resamples {
+					continue
+				}
+				est := make([]float64, resamples)
+				rng := NewRNG(seed)
+				rng.NormFloat64()
+				fillRatios(est, a, b, workers, rng)
+				for r := range est {
+					if !sameBits(est[r], wantEst[r]) {
+						t.Fatalf("trial %d, %d resamples, %d workers: ratio %d = %v, sequential %v",
+							trial, resamples, workers, r, est[r], wantEst[r])
+					}
+				}
+				if *rng != *ref {
+					t.Fatalf("trial %d, %d resamples, %d workers: rng ends at %+v, sequential at %+v",
+						trial, resamples, workers, *rng, *ref)
+				}
+			}
+		}
 	}
 }

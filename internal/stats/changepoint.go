@@ -168,12 +168,25 @@ func Despike(xs []float64, window int, k float64) []float64 {
 				buf = append(buf, xs[j])
 			}
 		}
-		fLo, fHi := TukeyFences(buf, k)
+		if len(buf) == 0 {
+			continue
+		}
+		sort.Float64s(buf)
+		fLo, fHi := tukeyFences(buf, k)
 		if xs[i] < fLo || xs[i] > fHi {
-			out[i] = Median(buf)
+			out[i] = quantileSorted(buf, 0.5)
 		}
 	}
 	return out
+}
+
+// tukeyFences returns the inlier range [Q1−k·IQR, Q3+k·IQR] of a sorted,
+// non-empty sample: k = 1.5 marks standard outliers, k = 3 extreme ones.
+func tukeyFences(sorted []float64, k float64) (lo, hi float64) {
+	q1 := quantileSorted(sorted, 0.25)
+	q3 := quantileSorted(sorted, 0.75)
+	iqr := q3 - q1
+	return q1 - k*iqr, q3 + k*iqr
 }
 
 // ClassifySteadyState runs changepoint detection and applies the

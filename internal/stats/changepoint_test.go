@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 )
 
@@ -173,6 +174,88 @@ func TestDespike(t *testing.T) {
 	// Inliers untouched.
 	if clean[30] != dirty[30] {
 		t.Fatal("despike modified an inlier")
+	}
+}
+
+func TestTukeyFences(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8} // Q1=2.75, Q3=6.25, IQR=3.5
+	lo, hi := tukeyFences(xs, 1.5)
+	if !almostEq(lo, 2.75-5.25, 1e-9) || !almostEq(hi, 6.25+5.25, 1e-9) {
+		t.Fatalf("fences [%v, %v]", lo, hi)
+	}
+	if lo, hi := tukeyFences([]float64{4}, 3); lo != 4 || hi != 4 {
+		t.Fatalf("one-point fences [%v, %v], want [4, 4]", lo, hi)
+	}
+}
+
+// despikeQuantileForm is Despike before it sorted each window once: the
+// fences come from two copy-and-sort Quantile calls and the replacement
+// from a third. It is the reference the sorted-window form must match bit
+// for bit.
+func despikeQuantileForm(xs []float64, window int, k float64) []float64 {
+	n := len(xs)
+	if window <= 0 {
+		window = 25
+	}
+	if k <= 0 {
+		k = 3
+	}
+	out := make([]float64, n)
+	copy(out, xs)
+	half := window / 2
+	for i := 0; i < n; i++ {
+		var buf []float64
+		for j := max(0, i-half); j < min(n, i+half+1); j++ {
+			if j != i {
+				buf = append(buf, xs[j])
+			}
+		}
+		q1, q3 := Quantile(buf, 0.25), Quantile(buf, 0.75)
+		if xs[i] < q1-k*(q3-q1) || xs[i] > q3+k*(q3-q1) {
+			out[i] = Median(buf)
+		}
+	}
+	return out
+}
+
+func TestDespikeBitIdentical(t *testing.T) {
+	rng := NewRNG(20260)
+	var series [][]float64
+	for n := 0; n <= 3; n++ {
+		for rep := 0; rep < 4; rep++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(3)) // ties are likely
+			}
+			series = append(series, xs)
+		}
+	}
+	for rep := 0; rep < 40; rep++ {
+		n := 4 + rng.Intn(60)
+		shift := 1 + rng.Intn(n-1)
+		xs := stepSeries(rng, []int{shift, n - shift}, []float64{2, 1}, 0.02)
+		for i := range xs {
+			switch rng.Intn(8) {
+			case 0:
+				xs[i] *= 1.5 // an interference spike
+			case 1:
+				xs[i] = math.Round(xs[i]) // a tie
+			}
+		}
+		series = append(series, xs)
+	}
+	for _, xs := range series {
+		for _, window := range []int{0, 1, 3, 8} {
+			for _, k := range []float64{0, 1.5} {
+				got, want := Despike(xs, window, k), despikeQuantileForm(xs, window, k)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("Despike(%v, %d, %v)[%d] = %v, quantile form %v",
+							xs, window, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -119,22 +119,6 @@ func TestPropertyPELTChangepointsValid(t *testing.T) {
 	}
 }
 
-// Property: winsorizing never widens the range and preserves the length
-// and ordering of clamped data relative to the original.
-func TestPropertyWinsorize(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := sanitize(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		w := Winsorize(xs, 0.1)
-		return len(w) == len(xs) && Min(w) >= Min(xs)-1e-12 && Max(w) <= Max(xs)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Student-t quantiles approach normal quantiles as df grows.
 func TestPropertyTQuantileConvergesToNormal(t *testing.T) {
 	for _, p := range []float64{0.9, 0.95, 0.975, 0.995} {

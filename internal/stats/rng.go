@@ -29,14 +29,21 @@ func (r *RNG) Split(id uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (id*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D))
 }
 
+// gamma is SplitMix64's Weyl increment: the state after k draws is the
+// start state plus k·gamma, so skip jumps ahead in O(1).
+const gamma = 0x9E3779B97F4A7C15
+
 // Uint64 returns the next 64 uniform random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// skip advances the stream past k draws without computing them.
+func (r *RNG) skip(k int) { r.state += uint64(k) * gamma }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -80,17 +87,4 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 // Exp returns an exponential deviate with the given mean.
 func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

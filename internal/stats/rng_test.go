@@ -123,28 +123,6 @@ func TestRNGIntnBounds(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(13)
-	p := r.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-	// Permutations should not be the identity (overwhelmingly likely).
-	identity := true
-	for i, v := range p {
-		if v != i {
-			identity = false
-		}
-	}
-	if identity {
-		t.Log("got identity permutation; suspicious but possible")
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(99)
 	a := parent.Split(1)

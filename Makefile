@@ -94,21 +94,18 @@ bench-smoke:
 	rm -rf $(SMOKEDIR)
 
 # bench-gate exercises the CI perf-regression gate end to end:
-#   1. a fresh run of the pinned-seed experiment — sequentially, with 4
-#      worker shards, and under process isolation — must be bit-identical
-#      to the committed baseline (simulated times are host-independent, so
-#      this holds on any machine); the sharded run also writes a trace;
+#   1. a fresh run of the pinned-seed experiment — in-process and under
+#      process isolation — must be bit-identical to the committed baseline
+#      (simulated times are host-independent, so this holds on any
+#      machine); the in-process run also writes a trace, which must parse;
 #   2. benchgate must pass the fresh candidate against the baseline;
 #   3. benchgate must FAIL (non-zero) on the committed 20%-slowdown fixture.
 bench-gate:
 	rm -rf $(GATEDIR) && mkdir -p $(GATEDIR)
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) > $(GATEDIR)/seq.json
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) -workers 4 -parallel-policy force \
-		-trace $(GATEDIR)/par.trace.json > $(GATEDIR)/par.json
+	$(GO) run ./cmd/pybench $(GATE_FLAGS) -trace $(GATEDIR)/seq.trace.json > $(GATEDIR)/seq.json
+	$(GO) run ./cmd/tracecheck $(GATEDIR)/seq.trace.json
 	$(GO) run ./cmd/benchgate -baseline cmd/benchgate/testdata/baseline.json \
 		-candidate $(GATEDIR)/seq.json -equivalence
-	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
-		-candidate $(GATEDIR)/par.json -equivalence
 	$(GO) run ./cmd/pybench $(GATE_FLAGS) -isolate > $(GATEDIR)/iso.json
 	$(GO) run ./cmd/benchgate -baseline $(GATEDIR)/seq.json \
 		-candidate $(GATEDIR)/iso.json -equivalence
@@ -160,19 +157,16 @@ daemon-smoke:
 
 # chaos-soak runs the crash-only invariant over a pinned seed matrix: one
 # fault family per seed (worker kills / torn+corrupt journal writes /
-# stalled children), each at 1 and 4 worker shards, every round interrupted
-# by deliberate supervisor crashes with resume-from-journal. benchchaos
-# exits non-zero the moment a merged sample set differs from the fault-free
-# reference run, so this target is a hard CI gate, not a statistics check.
+# stalled children), every round interrupted by deliberate supervisor
+# crashes with resume-from-journal. benchchaos exits non-zero the moment a
+# merged sample set differs from the fault-free reference run, so this
+# target is a hard CI gate, not a statistics check.
 CHAOS_FLAGS = -bench fib -invocations 8 -iterations 5 -retries 8 -watchdog 2s
 
 chaos-soak:
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 42 -faults 'kill=0.35' -crashes 2 -workers 1
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 42 -faults 'kill=0.35' -crashes 2 -workers 4
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 43 -faults 'torn=0.3,badrecord=0.15,enospc=0.05' -crashes 3 -workers 1
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 43 -faults 'torn=0.3,badrecord=0.15,enospc=0.05' -crashes 3 -workers 4
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 44 -faults 'stall=0.25' -crashes 2 -workers 1
-	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 44 -faults 'stall=0.25' -crashes 2 -workers 4
+	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 42 -faults 'kill=0.35' -crashes 2
+	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 43 -faults 'torn=0.3,badrecord=0.15,enospc=0.05' -crashes 3
+	$(GO) run ./cmd/benchchaos $(CHAOS_FLAGS) -seed 44 -faults 'stall=0.25' -crashes 2
 
 # clean removes every scratch directory any target or CI job can leave
 # behind: the named scratch dirs, the daemon's default data dir, and the

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	benchchaos -bench fib -invocations 8 -iterations 5 -seed 42
-//	benchchaos -faults 'kill=0.3,stall=0.1,torn=0.2' -crashes 3 -workers 4
+//	benchchaos -faults 'kill=0.3,stall=0.1,torn=0.2' -crashes 3
 //	benchchaos -runs 5 -seed 100   # five rounds, seeds 100..104
 //
 // Exit codes follow the repository taxonomy: 0 = chaos was invisible;
@@ -63,7 +63,6 @@ type config struct {
 	runs        int
 	retries     int
 	crashes     int
-	workers     int
 	faults      faults.Params
 	isolate     bool
 	watchdog    time.Duration
@@ -83,9 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runs        = fs.Int("runs", 1, "independent soak rounds")
 		retries     = fs.Int("retries", 8, "per-invocation retry budget")
 		crashes     = fs.Int("crashes", 2, "deliberate supervisor crashes (kill -9 simulations) per round")
-		workers     = fs.Int("workers", 1, "parallel shards for the chaos run")
 		faultsSpec  = fs.String("faults", "chaos", "fault model: chaos, light, heavy, none, or kind=prob list")
-		isolate     = fs.Bool("isolate", true, "run chaos invocations in watchdogged worker subprocesses")
+		isolate     = fs.Bool("isolate", true, "run the chaos campaign's VM runs in a watchdogged worker subprocess")
 		watchdog    = fs.Duration("watchdog", 2*time.Second, "SIGKILL a worker that is silent this long (stalled children hold a slot until reaped)")
 		dir         = fs.String("dir", "", "journal directory (default: a temp dir, removed on success)")
 		verbose     = fs.Bool("v", false, "print per-round supervision detail")
@@ -100,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := config{
 		bench: *bench, invocations: *invocations, iterations: *iterations,
 		seed: *seed, runs: *runs, retries: *retries, crashes: *crashes,
-		workers: *workers, isolate: *isolate, watchdog: *watchdog, dir: *dir, verbose: *verbose,
+		isolate: *isolate, watchdog: *watchdog, dir: *dir, verbose: *verbose,
 	}
 	switch *modeName {
 	case "interp":
@@ -196,7 +194,6 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	segments := 0
 	so := base
 	so.Isolation = iso
-	so.Workers, so.Policy = cfg.workers, harness.PolicyForce
 	so.Checkpoint = harness.CheckpointDir{Dir: journalDir, FS: chaosFS}
 	for {
 		so.CrashAfter = 0

@@ -49,7 +49,7 @@ func TestFaultySoakStaysIdentical(t *testing.T) {
 	}
 	code, stdout, stderr := soak(t,
 		"-bench", "fib", "-invocations", "6", "-iterations", "3",
-		"-seed", "7", "-crashes", "2", "-workers", "2", "-retries", "8",
+		"-seed", "7", "-crashes", "2", "-retries", "8",
 		"-faults", "kill=0.3,torn=0.2,badrecord=0.1", "-v")
 	if code != 0 {
 		t.Fatalf("faulty soak exited %d\n%s%s", code, stdout, stderr)

@@ -9,13 +9,13 @@
 //
 //	benchgate -baseline base.json -candidate cand.json
 //	benchgate -baseline base.json -candidate cand.json -confidence 0.99 -min-effect 0.02
-//	benchgate -baseline seq.json -candidate par.json -equivalence
+//	benchgate -baseline seq.json -candidate iso.json -equivalence
 //
-// -equivalence switches to the parallel-determinism check: instead of a
+// -equivalence switches to the determinism check: instead of a
 // statistical comparison, the two results must contain the *identical*
 // per-invocation sample set (times, cycles, steps), invocation by
-// invocation — the property sharded, isolated and resumed runs guarantee
-// against the sequential run at equal seeds (DESIGN.md §10). The memory
+// invocation — the property isolated and resumed runs guarantee against
+// the in-process run at equal seeds (DESIGN.md §10, §12). The memory
 // gate over benchjson documents lives in cmd/benchjson.
 //
 // Exit codes follow the repository taxonomy: 0 = pass; 1 = regression (or
@@ -167,7 +167,7 @@ func runGate(base, cand *harness.Result, th stats.GateThresholds, seed uint64,
 	return 0
 }
 
-// runEquivalence checks the parallel-determinism contract: identical
+// runEquivalence checks the determinism contract: identical
 // per-invocation measurement vectors in canonical invocation order.
 func runEquivalence(base, cand *harness.Result, stdout, stderr io.Writer) int {
 	if len(base.Invocations) != len(cand.Invocations) {

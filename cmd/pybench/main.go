@@ -21,10 +21,12 @@
 // interrupted run picks up where it left off, skipping completed
 // invocations; the same seed always reproduces the same fault schedule.
 //
-// Crash-isolation knobs: -isolate runs every invocation attempt in a
-// watchdogged worker subprocess (a crash or hang costs one attempt, never
-// the campaign; the sample set is bit-identical to in-process execution);
-// -watchdog bounds each attempt's wall time before the child is killed.
+// Crash-isolation knobs: -isolate runs each experiment's VM in a
+// watchdogged worker subprocess, which returns the noise-free run while
+// this process applies each invocation's noise (a crash or hang costs one
+// attempt, never the campaign; the sample set is bit-identical to
+// in-process execution); -watchdog bounds each request's wall time before
+// the child is killed.
 //
 // Remote execution: -daemon-addr HOST:PORT submits the -bench campaign to
 // a pybenchd daemon instead of running it in-process. The daemon executes
@@ -109,12 +111,10 @@ func main() {
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
 		metricsOn   = flag.Bool("metrics", false, "collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format)")
-		workers     = flag.Int("workers", 1, "worker shards for -bench/-suite/-exp invocation execution (1 = sequential; the sample set is identical either way)")
-		parPolicy   = flag.String("parallel-policy", "guard", "interference-guard policy for -workers > 1: guard (flag contention), fallback (revert to sequential), force (skip probes)")
 		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
 		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
-		isolate     = flag.Bool("isolate", false, "run each invocation attempt in a watchdogged worker subprocess (crash isolation; the sample set is bit-identical to in-process execution)")
-		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-attempt deadline before a hung worker is killed (0 = 30s default)")
+		isolate     = flag.Bool("isolate", false, "simulate each experiment in a watchdogged worker subprocess; this process applies the noise (crash isolation; the sample set is bit-identical to in-process execution)")
+		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-request deadline before a hung worker is killed (0 = 30s default)")
 		daemonAddr  = flag.String("daemon-addr", "", "with -bench: submit the campaign to a pybenchd daemon at HOST:PORT instead of running in-process (sample set is bit-identical)")
 		showVersion = flag.Bool("version", false, "print version, Go version, and platform, then exit")
 	)
@@ -138,27 +138,21 @@ func main() {
 	if err != nil {
 		fatal(usageError{err})
 	}
-	policy, err := harness.ParseParallelPolicy(*parPolicy)
-	if err != nil {
-		fatal(usageError{err})
-	}
 	if *resume != "" {
 		if err := os.MkdirAll(*resume, 0o755); err != nil {
 			fatal(fmt.Errorf("creating checkpoint dir: %w", err))
 		}
 	}
 	cfg := core.Config{
-		Seed:           *seed,
-		Invocations:    *invocations,
-		Iterations:     *iterations,
-		Trials:         *trials,
-		Noise:          np,
-		Retries:        *retries,
-		Quorum:         *quorum,
-		Faults:         fp,
-		CheckpointDir:  *resume,
-		Workers:        *workers,
-		ParallelPolicy: policy,
+		Seed:          *seed,
+		Invocations:   *invocations,
+		Iterations:    *iterations,
+		Trials:        *trials,
+		Noise:         np,
+		Retries:       *retries,
+		Quorum:        *quorum,
+		Faults:        fp,
+		CheckpointDir: *resume,
 		Isolation: harness.IsolationOptions{
 			Enabled:  *isolate,
 			Watchdog: *watchdog,
@@ -202,21 +196,19 @@ func main() {
 		// the same controlapi.Execute — locally by default, remotely with
 		// -daemon-addr. One spec, one execution semantics, two transports.
 		spec := controlapi.CampaignSpec{
-			Benchmarks:     []string{*bench},
-			Mode:           *mode,
-			Invocations:    *invocations,
-			Iterations:     *iterations,
-			Seed:           *seed,
-			Noise:          *noiseName,
-			Opt:            *optLevel,
-			VM:             *vmTier,
-			Workers:        *workers,
-			ParallelPolicy: *parPolicy,
-			Faults:         *faultsSpec,
-			Retries:        *retries,
-			Quorum:         *quorum,
-			Isolate:        *isolate,
-			WatchdogMs:     watchdog.Milliseconds(),
+			Benchmarks:  []string{*bench},
+			Mode:        *mode,
+			Invocations: *invocations,
+			Iterations:  *iterations,
+			Seed:        *seed,
+			Noise:       *noiseName,
+			Opt:         *optLevel,
+			VM:          *vmTier,
+			Faults:      *faultsSpec,
+			Retries:     *retries,
+			Quorum:      *quorum,
+			Isolate:     *isolate,
+			WatchdogMs:  watchdog.Milliseconds(),
 		}
 		if err := doBench(spec, *resume, *daemonAddr, *jsonOut, obs); err != nil {
 			fatal(err)
@@ -388,10 +380,6 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 			if sv := arm.Supervision; sv.Degraded() {
 				degradedNotes = append(degradedNotes,
 					fmt.Sprintf("%s/%s: %s", wl.Name, arm.Mode, sv.Summary()))
-			}
-			if note := arm.Parallelism.Footnote(); note != "" {
-				degradedNotes = append(degradedNotes,
-					fmt.Sprintf("%s/%s: %s", wl.Name, arm.Mode, note))
 			}
 		}
 	}
@@ -593,9 +581,6 @@ func renderBenchResult(res *harness.Result, spec controlapi.CampaignSpec) error 
 	}
 	if sv.Degraded() || sv.InjectedFaults > 0 {
 		t.AddFootnote("%s", sv.Summary())
-	}
-	if note := res.Parallelism.Footnote(); note != "" {
-		t.AddFootnote("%s", note)
 	}
 	if !srep.Clean() {
 		t.AddFootnote("analysis sanitized: %d samples quarantined, %d invocations dropped",

@@ -126,13 +126,10 @@ func captureStdout(t *testing.T, f func() error) string {
 
 func TestSupervisorOptionsMapping(t *testing.T) {
 	cfg := core.Config{Retries: 3, Quorum: 2, Faults: faults.Light(), FaultSeed: 99,
-		Workers: 4, ParallelPolicy: harness.PolicyForce, CheckpointDir: "ckpt"}
+		CheckpointDir: "ckpt"}
 	so := cfg.SupervisorOptions()
 	if so.MaxRetries != 3 || so.Quorum != 2 || so.FaultSeed != 99 || so.Faults != faults.Light() {
 		t.Fatalf("supervision policy lost in translation: %+v", so)
-	}
-	if so.Workers != 4 || so.Policy != harness.PolicyForce {
-		t.Fatalf("parallelism lost in translation: %+v", so)
 	}
 	// The harness names each experiment's journal inside the directory.
 	if so.Checkpoint.Dir != "ckpt" || so.Checkpoint.FS != nil {

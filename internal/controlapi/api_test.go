@@ -143,6 +143,14 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "bogus",
 		},
 		{
+			name: "retired workers field",
+			body: func(t *testing.T) []byte {
+				return []byte(`{"benchmarks":["fib"],"workers":4}`)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "workers",
+		},
+		{
 			name: "no benchmarks",
 			body: func(t *testing.T) []byte {
 				return mustMarshal(t, CampaignSpec{})

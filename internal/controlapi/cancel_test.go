@@ -14,8 +14,8 @@ import (
 )
 
 // TestMidRunCancelKillsIsolatedChild cancels a running isolated campaign
-// whose invocations run for seconds each in a worker child: the DELETE
-// must kill the child and reach cancelled well before the run would end.
+// whose simulation runs for seconds in a worker child: the DELETE must
+// kill the child and reach cancelled well before the run would end.
 func TestMidRunCancelKillsIsolatedChild(t *testing.T) {
 	hook, ch := stateWatcher()
 	s, ts := newTestServer(t, func(o *Options) {
@@ -23,7 +23,7 @@ func TestMidRunCancelKillsIsolatedChild(t *testing.T) {
 		o.OnStateChange = hook
 	})
 	spec := tinySpec()
-	// Two invocations of 400 spectralnorm iterations: seconds each.
+	// 400 spectralnorm iterations take seconds to simulate.
 	spec.Benchmarks = []string{"spectralnorm"}
 	spec.Invocations = 2
 	spec.Iterations = 400
@@ -31,7 +31,7 @@ func TestMidRunCancelKillsIsolatedChild(t *testing.T) {
 	st := submit(t, ts, spec)
 	s.Start()
 	waitFor(t, ch, st.ID, StateRunning)
-	time.Sleep(200 * time.Millisecond) // let the child start the invocation
+	time.Sleep(200 * time.Millisecond) // let the child start the simulation
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/campaigns/"+st.ID, nil)
 	cancelled := time.Now()
@@ -73,13 +73,15 @@ func TestMidRunCancelKillsIsolatedChild(t *testing.T) {
 }
 
 // TestShutdownPastGraceLeavesCampaignResumable shuts the server down past
-// its grace period while a campaign runs. Like kill -9, that must leave
-// the campaign unfinalized with its journals kept, so a server reopened on
-// the same data dir resumes it to the sample set of a one-shot Execute.
+// its grace period while a campaign runs: after its first benchmark's slots
+// are journaled, inside the second benchmark's simulation. Like kill -9,
+// that must leave the campaign unfinalized with its journals kept, so a
+// server reopened on the same data dir resumes it to the sample set of a
+// one-shot Execute.
 func TestShutdownPastGraceLeavesCampaignResumable(t *testing.T) {
 	dir := t.TempDir()
 	spec := CampaignSpec{
-		Benchmarks:  []string{"spectralnorm"},
+		Benchmarks:  []string{"fib", "spectralnorm"},
 		Invocations: 4,
 		Iterations:  40,
 		Seed:        42,
@@ -99,10 +101,11 @@ func TestShutdownPastGraceLeavesCampaignResumable(t *testing.T) {
 	st := submit(t, ts1, spec)
 	s1.Start()
 	waitFor(t, ch1, st.ID, StateRunning)
-	// Shut down once the first slot is journaled (key record + one slot).
-	journal := filepath.Join(s1.ledger.checkpointDir(st.ID), "spectralnorm_interp.ckpt.wal")
+	// Shut down once fib's slots are journaled (key record + one line per
+	// slot): spectralnorm then simulates for a while.
+	journal := filepath.Join(s1.ledger.checkpointDir(st.ID), "fib_interp.ckpt.wal")
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if b, _ := os.ReadFile(journal); bytes.Count(b, []byte("\n")) >= 2 {
+		if b, _ := os.ReadFile(journal); bytes.Count(b, []byte("\n")) >= 1+spec.Invocations {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -139,14 +142,16 @@ func TestShutdownPastGraceLeavesCampaignResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.State != StateDone || len(got.Results) != 1 {
+	if got.State != StateDone || len(got.Results) != len(spec.Benchmarks) {
 		t.Fatalf("resumed campaign: state=%s results=%d error=%q", got.State, len(got.Results), got.Error)
 	}
 	if sv := got.Results[0].Supervision; sv == nil || sv.ResumedFrom == 0 {
 		t.Fatalf("the reopened server did not resume from the journal: %+v", sv)
 	}
-	if !reflect.DeepEqual(got.Results[0].Invocations, want[0].Invocations) {
-		t.Error("resumed sample set differs from the one-shot Execute")
+	for i := range want {
+		if !reflect.DeepEqual(got.Results[i].Invocations, want[i].Invocations) {
+			t.Errorf("%s: resumed sample set differs from the one-shot Execute", spec.Benchmarks[i])
+		}
 	}
 	ctx2, cancel2 := contextWithTimeout(t)
 	defer cancel2()

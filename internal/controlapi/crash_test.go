@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -94,6 +96,58 @@ func TestCrashRecovery(t *testing.T) {
 	ctx2, cancel2 := contextWithTimeout(t)
 	defer cancel2()
 	if err := s2.Shutdown(ctx2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerWithRetiredFieldsReplays restarts a daemon on a ledger whose
+// one submission an earlier build journaled with the retired sharding
+// fields "workers" and "parallel_policy" (testdata/sharded_submit.ledger.wal,
+// a campaign that never finished). The ledger decodes leniently, so the
+// campaign comes back queued and runs to the one-shot sample set.
+func TestLedgerWithRetiredFieldsReplays(t *testing.T) {
+	spec := CampaignSpec{
+		Benchmarks:  []string{"fib"},
+		Invocations: 3,
+		Iterations:  4,
+		Seed:        42,
+		Noise:       "quiet",
+	}
+	want, err := Execute(spec, ExecOptions{})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	ledger, err := os.ReadFile(filepath.Join("testdata", "sharded_submit.ledger.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ledger.wal"), ledger, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	hook, ch := stateWatcher()
+	s, err := New(Options{DataDir: dir, Slots: 1, OnStateChange: hook})
+	if err != nil {
+		t.Fatalf("replaying the ledger: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Start()
+	waitFor(t, ch, "c000000", StateDone)
+	var got CampaignStatus
+	if err := json.Unmarshal(getBody(t, ts, "/api/v1/campaigns/c000000"), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone || len(got.Results) != 1 {
+		t.Fatalf("replayed campaign: state=%s results=%d error=%q", got.State, len(got.Results), got.Error)
+	}
+	if !reflect.DeepEqual(got.Results[0].Invocations, want[0].Invocations) {
+		t.Error("replayed sample set differs from the one-shot Execute")
+	}
+	ctx, cancel := contextWithTimeout(t)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

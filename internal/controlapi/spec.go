@@ -56,20 +56,14 @@ type CampaignSpec struct {
 	// "reg-elide" (move-elided register stream, ablation A9), which
 	// changes the executed stream and so, like Opt, is a distinct arm.
 	VM string `json:"vm,omitempty"`
-	// Workers fans invocations across shards; the sample set is identical
-	// to sequential by construction.
-	Workers int `json:"workers,omitempty"`
-	// ParallelPolicy is the interference-guard policy: guard, fallback,
-	// force.
-	ParallelPolicy string `json:"parallel_policy,omitempty"`
 	// Faults is the injected-fault model spec ("", none, light, heavy,
 	// chaos, or kind=prob list).
 	Faults string `json:"faults,omitempty"`
 	// Retries and Quorum are the supervision policy (see harness.Supervisor).
 	Retries int `json:"retries,omitempty"`
 	Quorum  int `json:"quorum,omitempty"`
-	// Isolate shells invocation attempts out to watchdogged worker
-	// subprocesses; WatchdogMs bounds each attempt (0 = 30s default).
+	// Isolate shells each arm's VM runs out to a watchdogged worker
+	// subprocess; WatchdogMs bounds each request (0 = 30s default).
 	Isolate    bool  `json:"isolate,omitempty"`
 	WatchdogMs int64 `json:"watchdog_ms,omitempty"`
 	// MaxSteps and WallBudgetMs are the PR 1 per-invocation budgets. The
@@ -155,12 +149,6 @@ func (s CampaignSpec) Normalize() CampaignSpec {
 	if s.Noise == "" {
 		s.Noise = "default"
 	}
-	if s.Workers < 1 {
-		s.Workers = 1
-	}
-	if s.ParallelPolicy == "" {
-		s.ParallelPolicy = string(harness.PolicyGuard)
-	}
 	if s.Tenant == "" {
 		s.Tenant = "anonymous"
 	}
@@ -184,9 +172,6 @@ func (s CampaignSpec) Validate() error {
 	}
 	if _, err := NoiseByName(s.Noise); err != nil {
 		return err
-	}
-	if _, err := harness.ParseParallelPolicy(s.ParallelPolicy); err != nil {
-		return specErrf("%v", err)
 	}
 	if _, err := faults.Parse(s.Faults); err != nil {
 		return specErrf("%v", err)
@@ -249,7 +234,6 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 	}
 	mode, _ := ModeByName(spec.Mode)
 	np, _ := NoiseByName(spec.Noise)
-	policy, _ := harness.ParseParallelPolicy(spec.ParallelPolicy)
 	fp, _ := faults.Parse(spec.Faults)
 	runner := eo.Runner
 	if runner == nil {
@@ -264,8 +248,6 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 		MaxRetries: spec.Retries,
 		Quorum:     spec.Quorum,
 		Faults:     fp,
-		Workers:    spec.Workers,
-		Policy:     policy,
 		Checkpoint: harness.CheckpointDir{Dir: eo.CheckpointDir},
 		Isolation: harness.IsolationOptions{
 			Enabled:  spec.Isolate,

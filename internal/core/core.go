@@ -57,17 +57,9 @@ type Config struct {
 	// crash-safe write-ahead journals) so interrupted runs resume without
 	// re-running completed invocations.
 	CheckpointDir string
-	// Isolation shells invocation attempts out to watchdogged worker
-	// subprocesses (zero value = in-process execution).
+	// Isolation shells each experiment's VM runs out to a watchdogged
+	// worker subprocess (zero value = in-process execution).
 	Isolation harness.IsolationOptions
-
-	// Workers > 1 fans invocations out across that many shards. The sample
-	// set is identical to the sequential run by construction (see
-	// harness.SupervisorOptions.Workers); only wall time changes.
-	Workers int
-	// ParallelPolicy governs the interference guard when Workers > 1
-	// (guard/fallback/force; zero value = guard).
-	ParallelPolicy harness.ParallelPolicy
 }
 
 // Supervised reports whether any supervision policy is configured.
@@ -76,16 +68,14 @@ func (c Config) Supervised() bool {
 		c.CheckpointDir != "" || c.Isolation.Enabled
 }
 
-// SupervisorOptions maps the config's supervision and parallelism knobs
-// onto the harness policy.
+// SupervisorOptions maps the config's supervision knobs onto the harness
+// policy.
 func (c Config) SupervisorOptions() harness.SupervisorOptions {
 	return harness.SupervisorOptions{
 		MaxRetries: c.Retries,
 		Quorum:     c.Quorum,
 		Faults:     c.Faults,
 		FaultSeed:  c.FaultSeed,
-		Workers:    c.Workers,
-		Policy:     c.ParallelPolicy,
 		Checkpoint: harness.CheckpointDir{Dir: c.CheckpointDir},
 		Isolation:  c.Isolation,
 	}

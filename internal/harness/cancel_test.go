@@ -36,8 +36,8 @@ func workerPid(t *testing.T, tr *trace.Tracer) int {
 	return 0
 }
 
-// TestCancelKillsIsolatedChild cancels an isolated run while its first
-// invocation has seconds left to run in the child: Run must return the
+// TestCancelKillsIsolatedChild cancels an isolated run while its one
+// simulation has seconds left to run in the child: Run must return the
 // cancel cause within a second, and the child must be dead.
 func TestCancelKillsIsolatedChild(t *testing.T) {
 	r := NewRunner()
@@ -46,7 +46,7 @@ func TestCancelKillsIsolatedChild(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	cause := errors.New("campaign cancelled by test")
-	// 400 spectralnorm iterations take seconds per invocation.
+	// 400 spectralnorm iterations take seconds to simulate.
 	opts := Options{Invocations: 2, Iterations: 400, Seed: 1, Noise: noise.Quiet()}
 
 	type outcome struct {
@@ -62,7 +62,7 @@ func TestCancelKillsIsolatedChild(t *testing.T) {
 		done <- outcome{res, err, time.Now()}
 	}()
 	pid := workerPid(t, tr)
-	time.Sleep(100 * time.Millisecond) // let the child start the invocation
+	time.Sleep(100 * time.Millisecond) // let the child start the simulation
 	cancelled := time.Now()
 	cancel(cause)
 	var out outcome
@@ -85,11 +85,11 @@ func TestCancelKillsIsolatedChild(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesJournalResumable cancels an in-process run in the middle
-// of its second invocation. The journal must keep the completed slot and
-// hold no record for the attempt the cancel cut short (no retry, no
-// dropped slot), so a rerun with a live context reproduces the
-// uninterrupted sample set.
+// TestCancelLeavesJournalResumable journals slot 0 (a crash point after
+// one slot), then cancels the resumed run in the middle of its one
+// simulation. The journal must keep the completed slot and hold no record
+// for the attempt the cancel cut short (no retry, no dropped slot), so a
+// rerun with a live context reproduces the uninterrupted sample set.
 func TestCancelLeavesJournalResumable(t *testing.T) {
 	b := mustBench(t, "spectralnorm")
 	opts := Options{Invocations: 4, Iterations: 40, Seed: 3, Noise: noise.Default()}
@@ -100,15 +100,21 @@ func TestCancelLeavesJournalResumable(t *testing.T) {
 	}
 
 	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
+	crash := so
+	crash.CrashAfter = 1
+	if _, err := NewSupervisor(NewRunner(), crash).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint after slot 0, got %v", err)
+	}
 	r := NewRunner()
 	reg := metrics.NewRegistry()
-	r.SetObserver(Observer{Metrics: reg})
+	tr := trace.New()
+	r.SetObserver(Observer{Trace: tr, Metrics: reg})
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	cause := errors.New("campaign cancelled by test")
 	go func() {
-		// Invocation 1 has started once two invocations were counted.
-		for reg.Counter(mInvocations, "").Value() < 2 {
+		// The simulation runs its iterations once its module setup ended.
+		for ctx.Err() == nil && countEvents(tr, "module-setup") == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel(cause)
@@ -118,6 +124,9 @@ func TestCancelLeavesJournalResumable(t *testing.T) {
 	}
 	if got := reg.Counter(mRetries, "").Value(); got != 0 {
 		t.Fatalf("the cancelled attempt was retried %d time(s)", got)
+	}
+	if got := reg.Counter(mInvocations, "").Value(); got != 0 {
+		t.Fatalf("the cancelled simulation was measured %d time(s)", got)
 	}
 
 	jn, records, _, err := wal.OpenLines(wal.OSFS{}, filepath.Join(so.Checkpoint.Dir, "spectralnorm_interp.ckpt.wal"))

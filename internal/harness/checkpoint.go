@@ -26,14 +26,15 @@ type CheckpointDir struct {
 }
 
 // checkpointVersion guards the on-disk format. Version 2 keyed progress by
-// invocation id instead of arrival order (sharded runs complete
-// invocations out of order); version 3 made the store a CRC-framed
-// write-ahead journal; version 4 writes that journal as wal.LineJournal
-// lines, so a binary version-3 journal now recovers as damage and the run
-// starts fresh; version 5 adds the opt level and the move-elision arm to
-// the key, so a version-4 journal is refused as a different experiment;
-// version 6 adds the adaptive stopping rule's target, under which the
-// invocation count is a cap.
+// invocation id instead of arrival order (the since-removed sharded runs
+// completed invocations out of order); version 3 made the store a
+// CRC-framed write-ahead journal; version 4 writes that journal as
+// wal.LineJournal lines, so a binary version-3 journal now recovers as
+// damage and the run starts fresh; version 5 adds the opt level and the
+// move-elision arm to the key, so a version-4 journal is refused as a
+// different experiment; version 6 adds the adaptive stopping rule's
+// target, under which the invocation count is a cap. The key never held a
+// worker count, so simulating once per experiment needs no new version.
 const checkpointVersion = 6
 
 // slotRecord is the complete supervised outcome of one invocation slot:

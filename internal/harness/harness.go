@@ -8,6 +8,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
@@ -109,9 +110,12 @@ func tightenBudget(opts Options, summary *analysis.Summary) Options {
 	return opts
 }
 
-// Invocation is the measurement record of one fresh VM process.
+// Invocation is the measurement record of one fresh VM process: the
+// simulation's counts, timed through one invocation's noise stream.
 type Invocation struct {
-	// TimesSec[j] is the measured (noise-perturbed) wall time of iteration j.
+	// TimesSec[j] is the measured (noise-perturbed) wall time of iteration
+	// j; in the noise-free record simulate returns, it is Cycles[j] at
+	// Options.FreqGHz.
 	TimesSec []float64
 	// Cycles[j] is the raw simulated cycle count of iteration j.
 	Cycles []uint64
@@ -154,12 +158,6 @@ type Result struct {
 	// result so an archived report carries the evidence that its workload
 	// was deterministic and well-formed.
 	Analysis *analysis.Summary `json:"analysis,omitempty"`
-	// Parallelism records the sharded-execution provenance when the
-	// experiment asked for more than one worker: worker count, policy, the
-	// per-shard interference-guard probes and their dispersion, and whether
-	// the run fell back to sequential mode. Nil for sequential runs, whose
-	// sample set a sharded run reproduces bit-identically.
-	Parallelism *Parallelism `json:"parallelism,omitempty"`
 }
 
 // Hierarchical converts the measured times into the two-level sample shape
@@ -211,8 +209,8 @@ func (r *Result) CyclesMatrix() [][]uint64 {
 
 // Runner executes experiments. Compiled workloads are cached in a
 // concurrency-safe workloads.CodeCache, so repeated experiments on the same
-// benchmark skip the front end and parallel shards can share one cache
-// handle without racing the front end or the inventory listing.
+// benchmark skip the front end and concurrent experiments (the daemon's
+// campaigns) can share one cache handle without racing the front end.
 type Runner struct {
 	cache *workloads.CodeCache
 	// obs holds the optional observability sinks (see observe.go). The
@@ -225,7 +223,7 @@ func NewRunner() *Runner {
 	return &Runner{cache: workloads.NewCodeCache()}
 }
 
-// Cache exposes the runner's compiled-code cache (shards and tests share it).
+// Cache exposes the runner's compiled-code cache.
 func (r *Runner) Cache() *workloads.CodeCache { return r.cache }
 
 func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analysis.Summary, error) {
@@ -242,8 +240,8 @@ func (r *Runner) compiled(b workloads.Benchmark, opt int) (*minipy.Code, *analys
 }
 
 // Run executes the full experiment for one benchmark: the supervisor's
-// engine under the zero policy (sequential, no faults, no retries, no
-// checkpoint, every invocation must succeed) and a context that cannot be
+// engine under the zero policy (no faults, no retries, no checkpoint,
+// every invocation must succeed) and a context that cannot be
 // cancelled. The result carries no Supervision block; a failure names the
 // lowest failing invocation and its cause.
 func (r *Runner) Run(b workloads.Benchmark, opts Options) (*Result, error) {
@@ -267,37 +265,21 @@ func validateChecksum(b workloads.Benchmark, inv *Invocation) error {
 	return nil
 }
 
-// runInvocation simulates one fresh VM process: module import (setup), then
-// opts.Iterations timed calls of run(). The VM aborts once ctx ends, or
-// once the wall budget (a deadline on a child of ctx) passes. Checksum
-// validation against the benchmark's expectation is the caller's job (the
-// supervisor corrupts the checksum first when injecting that fault).
-// spanKV carries extra span arguments — sharded runs label every
-// invocation span with the worker shard that executed it.
-func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
-	opts Options, invIdx int, spanKV ...string) (*Invocation, error) {
+// simulate runs one fresh VM process: module import (setup), then
+// opts.Iterations calls of run(). It returns the noise-free Invocation:
+// TimesSec holds each iteration's cycles at opts.FreqGHz, unperturbed, and
+// the cycles, steps, counters, mix, JIT stats and checksum are final. It
+// is a pure function of the code, Mode, VM, Opt, Cost, WithCounters,
+// Iterations and the step budget, so an experiment simulates once and
+// every slot replays the run through measure. The VM aborts once ctx
+// ends, or once the wall budget (a deadline on a child of ctx) passes.
+func (r *Runner) simulate(ctx context.Context, code *minipy.Code, opts Options) (*Invocation, error) {
 	tr := r.obs.Trace
-	var invSpan trace.Span
-	if tr != nil {
-		kv := append([]string{"index", fmt.Sprint(invIdx)}, spanKV...)
-		invSpan = tr.Begin(trace.CatInvocation, fmt.Sprintf("invocation %d", invIdx), kv...)
-	}
-	defer invSpan.End() // deferred so panicking attempts still close the span
-	gc := metrics.StartGCSample(r.obs.Metrics)
-	defer gc.Stop()
-	r.obs.Metrics.Counter(mInvocations, "VM invocations started").Inc()
-
 	var probe vm.Probe
 	var model *counters.Model
 	if opts.WithCounters {
 		model = counters.NewModel()
 		probe = model
-	}
-	// A nil *Profiler must stay a nil interface, or the VM would pay the
-	// hook on every op for a no-op receiver.
-	var vtracer vm.Tracer
-	if r.obs.Profile != nil {
-		vtracer = r.obs.Profile
 	}
 	if opts.WallBudget > 0 {
 		var cancel context.CancelFunc
@@ -314,7 +296,6 @@ func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 		RegElide: regElide,
 		Cost:     opts.Cost,
 		Probe:    probe,
-		Tracer:   vtracer,
 		MaxSteps: opts.MaxStepsPerInvocation,
 		Context:  ctx,
 	})
@@ -324,7 +305,6 @@ func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 	if err != nil {
 		return nil, fmt.Errorf("module setup: %w", err)
 	}
-	src := noise.NewSource(opts.Noise, opts.Seed, invIdx)
 	inv := &Invocation{
 		TimesSec: make([]float64, 0, opts.Iterations),
 		Cycles:   make([]uint64, 0, opts.Iterations),
@@ -352,8 +332,7 @@ func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 		}
 		last = v
 		delta := engine.CountersSnapshot().Sub(before)
-		base := float64(delta.Cycles) / hz
-		inv.TimesSec = append(inv.TimesSec, src.Apply(base))
+		inv.TimesSec = append(inv.TimesSec, float64(delta.Cycles)/hz)
 		inv.Cycles = append(inv.Cycles, delta.Cycles)
 		inv.Steps = append(inv.Steps, delta.Steps)
 		if tr != nil {
@@ -361,8 +340,6 @@ func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 		}
 		iterSpan.End()
 	}
-	r.obs.Metrics.Counter(mIterations, "measured iterations completed").
-		Add(uint64(opts.Iterations))
 	if last != nil {
 		inv.Checksum = last.Repr()
 	}
@@ -373,4 +350,25 @@ func (r *Runner) runInvocation(ctx context.Context, code *minipy.Code,
 	}
 	inv.JITTraces, inv.JITBridges, inv.GuardFails = engine.JITStats()
 	return inv, nil
+}
+
+// measure is the step every slot passes through, the one that simulated
+// included: it times the simulation's iterations through the slot's own
+// noise stream (noiseIdx, retry salt included) and returns the slot's own
+// copy of the record, so a fault that edits it never reaches sim.
+func (r *Runner) measure(sim *Invocation, opts Options, noiseIdx int) *Invocation {
+	span := r.obs.Trace.Begin(trace.CatPhase, "replay")
+	defer span.End()
+	inv := *sim
+	inv.TimesSec = noise.Perturb(opts.Noise, opts.Seed, noiseIdx, sim.TimesSec, len(sim.TimesSec))
+	inv.Cycles = slices.Clone(sim.Cycles)
+	inv.Steps = slices.Clone(sim.Steps)
+	if sim.Counters != nil {
+		c := *sim.Counters
+		inv.Counters = &c
+	}
+	r.obs.Metrics.Counter(mInvocations, "invocations measured").Inc()
+	r.obs.Metrics.Counter(mIterations, "measured iterations completed").
+		Add(uint64(len(inv.TimesSec)))
+	return &inv
 }

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -312,6 +314,45 @@ func TestCompiledCacheConcurrent(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestParallelSampleSetEquivalence is the proof the simulate-once engine
+// rests on: for every shipped workload, at two seeds and with counters on,
+// each invocation of a run equals a fresh VM simulation of it timed
+// through that invocation's noise stream — the record an engine that ran
+// the VM once per invocation produced. The experiments run in parallel on
+// one shared Runner, as concurrent experiments may.
+func TestParallelSampleSetEquivalence(t *testing.T) {
+	all := append(append([]workloads.Benchmark{}, workloads.Suite()...),
+		workloads.Extended()...)
+	r := NewRunner()
+	for _, seed := range []uint64{42, 20260806} {
+		for _, b := range all {
+			b, seed := b, seed
+			t.Run(fmt.Sprintf("%s/seed%d", b.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				opts := Options{Invocations: 5, Iterations: 4, Seed: seed,
+					Noise: noise.Default(), WithCounters: true}
+				res, err := r.Run(b, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				code, _, err := r.compiled(b, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, got := range res.Invocations {
+					sim, err := NewRunner().simulate(context.Background(), code, res.Opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := r.measure(sim, res.Opts, i); !reflect.DeepEqual(&got, want) {
+						t.Fatalf("invocation %d differs from a fresh simulation of it", i)
+					}
+				}
+			})
 		}
 	}
 }

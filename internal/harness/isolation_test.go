@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,10 +21,19 @@ import (
 // TestMain doubles as the worker binary: with PYBENCH_TEST_WORKER set the
 // test binary re-execs into WorkerMain — the same trick `pybench -worker`
 // plays in production, so subprocess isolation is testable without a
-// separately built CLI.
+// separately built CLI. A value other than "1" names a file to which the
+// child appends every request frame it reads.
 func TestMain(m *testing.M) {
-	if os.Getenv("PYBENCH_TEST_WORKER") != "" {
-		if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+	if v := os.Getenv("PYBENCH_TEST_WORKER"); v != "" {
+		var stdin io.Reader = os.Stdin
+		if v != "1" {
+			f, err := os.OpenFile(v, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+			if err != nil {
+				os.Exit(1)
+			}
+			stdin = io.TeeReader(os.Stdin, f)
+		}
+		if err := WorkerMain(stdin, os.Stdout); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -79,22 +89,6 @@ func TestIsolatedRunMatchesInProcess(t *testing.T) {
 	if inproc.Supervision.Isolation != "in-process" {
 		t.Fatalf("Isolation = %q, want in-process", inproc.Supervision.Isolation)
 	}
-}
-
-func TestIsolatedParallelMatchesSequential(t *testing.T) {
-	b := mustBench(t, "fib")
-	opts := Options{Invocations: 6, Iterations: 3, Seed: 7, Noise: noise.Default()}
-	seq, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewSupervisor(NewRunner(), SupervisorOptions{
-		Isolation: testIsolation(t), Workers: 3, Policy: PolicyForce,
-	}).Run(context.Background(), b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSamples(t, seq, par, "isolated parallel vs sequential")
 }
 
 func TestIsolationFallsBackOnBadCommand(t *testing.T) {

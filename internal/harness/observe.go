@@ -2,27 +2,24 @@ package harness
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// Observer bundles the three observability sinks a Runner (and any
+// Observer bundles the two observability sinks a Runner (and any
 // Supervisor wrapping it) reports into:
 //
 //   - Trace records the experiment hierarchy as spans (suite → benchmark →
 //     invocation → iteration → phase) plus supervisor instant events, for
 //     export as Chrome trace-event JSON;
-//   - Profile receives the VM's per-op stream and attributes simulated cost
-//     to source lines and call stacks;
 //   - Metrics accumulates harness self-telemetry (GC interference, timer
 //     calibration, cache/retry/checkpoint activity).
 //
 // Every field is optional; the zero Observer is free. The hot path's only
 // cost for a disabled sink is a nil check (see the allocation guard in
-// internal/vm/tracer_test.go).
+// internal/vm/tracer_test.go). The per-op VM profiler is not a sink here:
+// an experiment simulates once, so `pybench -profile` drives its own VM.
 type Observer struct {
 	Trace   *trace.Tracer
-	Profile *profile.Profiler
 	Metrics *metrics.Registry
 }
 
@@ -45,13 +42,6 @@ const (
 	mWorkerSpawns       = "harness_worker_spawns_total"
 	mWorkerKills        = "harness_worker_kills_total"
 	mIsolationFallbacks = "harness_isolation_fallbacks_total"
-
-	// Parallel sharded-runner telemetry.
-	mParallelRuns      = "harness_parallel_runs_total"
-	mWorkers           = "harness_parallel_workers"
-	mQueueDepth        = "harness_parallel_queue_depth"
-	mWorkerUtilization = "harness_parallel_worker_utilization"
-	mGuardTrips        = "harness_interference_guard_trips_total"
 )
 
 // SetObserver attaches the observability sinks. Call it before Run; the

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/noise"
-	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -42,9 +41,9 @@ func TestRunnerEmitsSpanHierarchy(t *testing.T) {
 		trace.CatBenchmark, trace.CatInvocation, trace.CatIteration, trace.CatPhase); err != nil {
 		t.Fatal(err)
 	}
-	// 1 benchmark + 2 invocations + 2 module setups + 2×3 iterations + 2×3
-	// run() phases.
-	if want := 1 + 2 + 2 + 6 + 6; tr.Len() != want {
+	// 1 benchmark + 2 invocations + the one simulation (1 module setup, 3
+	// iterations, 3 run() phases) + 2 replay phases.
+	if want := 1 + 2 + 1 + 3 + 3 + 2; tr.Len() != want {
 		t.Errorf("event count = %d, want %d", tr.Len(), want)
 	}
 }
@@ -154,23 +153,6 @@ func TestMetricsOffLeavesJSONClean(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), `"metrics"`) {
 		t.Fatal("metrics key must be absent when no registry is attached")
-	}
-}
-
-func TestProfilerThroughRunner(t *testing.T) {
-	p := profile.New()
-	r := NewRunner()
-	r.SetObserver(Observer{Profile: p})
-	if _, err := r.Run(fibBench(t), Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Quiet()}); err != nil {
-		t.Fatal(err)
-	}
-	ops, cycles := p.Total()
-	if ops == 0 || cycles == 0 {
-		t.Fatal("profiler saw nothing through the runner")
-	}
-	hot := p.Flat()[0]
-	if hot.Func != "fib" {
-		t.Errorf("hottest function %q, want fib", hot.Func)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/minipy"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -183,18 +183,12 @@ type SupervisorOptions struct {
 	// FaultSeed seeds the fault schedule; 0 means use Options.Seed, so a
 	// fault run is reproducible from the experiment seed alone.
 	FaultSeed uint64
-	// Workers fans invocations out across that many shards (0 or 1 =
-	// sequential). The sample set is identical either way.
-	Workers int
-	// Policy selects the interference-guard reaction when Workers > 1
-	// (default PolicyGuard).
-	Policy ParallelPolicy
 	// Checkpoint, when its Dir is set, journals every completed invocation
 	// there so an interrupted experiment resumes without re-running
 	// completed work.
 	Checkpoint CheckpointDir
-	// Isolation shells invocation attempts out to watchdogged worker
-	// child processes (see IsolationOptions).
+	// Isolation shells the experiment's VM runs out to a watchdogged
+	// worker child process (see IsolationOptions).
 	Isolation IsolationOptions
 	// CrashAfter, when > 0, makes the supervisor return ErrCrashPoint
 	// after that many slot completions — a deliberate crash point for
@@ -205,9 +199,6 @@ type SupervisorOptions struct {
 func (so SupervisorOptions) withDefaults() SupervisorOptions {
 	if so.MaxRetries < 0 {
 		so.MaxRetries = 0
-	}
-	if so.Policy == "" {
-		so.Policy = PolicyGuard
 	}
 	so.Isolation = so.Isolation.withDefaults()
 	return so
@@ -244,7 +235,7 @@ func jitterBackoff(seed uint64, invIdx, attempt int) time.Duration {
 }
 
 // Supervisor wraps a Runner with crash isolation, per-invocation budgets,
-// bounded retry, a quorum policy, sharded execution, and checkpoint/resume.
+// bounded retry, a quorum policy, and checkpoint/resume.
 // Its engine is the only code that schedules invocations: Runner.Run is the
 // engine under the zero SupervisorOptions, so the two produce identical
 // sample sets (the results differ by the Supervision block) — supervision
@@ -266,7 +257,7 @@ func (s *Supervisor) newExecutor() invocationExecutor {
 	if !s.opts.Isolation.Enabled {
 		return &inProcExecutor{r: s.r, note: "in-process"}
 	}
-	exec, err := newSubprocExecutor(s.r, s.opts.Isolation, s.opts.Workers)
+	exec, err := newSubprocExecutor(s.r, s.opts.Isolation)
 	if err != nil {
 		s.r.obs.Trace.Instant(trace.CatSupervisor, "isolation-fallback", "reason", err.Error())
 		s.r.obs.Metrics.Counter(mIsolationFallbacks,
@@ -307,14 +298,13 @@ const (
 )
 
 // Run executes the experiment under supervision. It is the invocation
-// engine behind every run path: it fans the pending invocation slots out
-// across the configured shards (or runs them in order), drives each slot
-// through its retry budget, journals every completed slot, and merges the
-// slots in canonical invocation order. Fault isolation, budgets, retry,
-// and quarantine apply per shard exactly as they do sequentially; the
-// sample set, attempt log, and supervision accounting are identical for
-// any worker count because every slot's fate is a pure function of (seed,
-// invocation id, attempt).
+// engine behind every run path: it drives the pending invocation slots in
+// order, each through its retry budget, journals every completed slot, and
+// merges the slots in canonical invocation order. The VM runs once per
+// Run: the first attempt that needs the simulation runs it, and every
+// slot replays that run through its own noise stream (see attempt). So
+// every slot's fate is a pure function of (seed, invocation id, attempt),
+// and a resumed run draws the same samples as an uninterrupted one.
 //
 // Under Options.TargetRelHalfWidth the slots are scheduled in batches and
 // the stopping rule is checked between batches. Once ctx ends, Run starts
@@ -344,39 +334,24 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 	// ChaosFS under the checkpoint directory, not per invocation.
 	inj := faults.NewInjector(s.opts.Faults.VM(), faultSeed)
 
-	// The execution substrate: in-process, or watchdogged worker children
+	// The execution substrate: in-process, or a watchdogged worker child
 	// when isolation is on (with permanent in-process fallback when
 	// re-exec is unavailable). The sample set is bit-identical either
-	// way — invocations are pure functions of (seed, invocation id) — so
-	// the choice never enters the checkpoint key.
+	// way — the simulation is a pure function of the experiment, and the
+	// noise is applied here — so the choice never enters the checkpoint
+	// key.
 	exec := s.newExecutor()
 	defer exec.close()
 
-	var par *Parallelism
-	workers := 1
-	if s.opts.Workers > 1 {
-		var sequential bool
-		par, sequential = s.r.runGuard(s.opts.Workers, s.opts.Policy)
-		if !sequential {
-			workers = s.opts.Workers
-		}
-	}
-
 	obs := s.r.obs
-	benchKV := []string{"benchmark", b.Name, "mode", opts.Mode.String()}
-	if workers > 1 {
-		benchKV = append(benchKV, "workers", strconv.Itoa(workers))
-	}
-	benchSpan := obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(), benchKV...)
+	benchSpan := obs.Trace.Begin(trace.CatBenchmark, b.Name+"/"+opts.Mode.String(),
+		"benchmark", b.Name, "mode", opts.Mode.String())
 	defer benchSpan.End()
 
 	slots := make([]*slotRecord, opts.Invocations)
 	resumed := 0
 	var ckpt *checkpoint
 	if s.opts.Checkpoint.Dir != "" {
-		// The checkpoint key deliberately excludes the worker count and
-		// guard policy: parallel and sequential runs of one experiment draw
-		// the same samples, so either may resume the other's journal.
 		var key string
 		key, err = checkpointKey(b, opts, s.opts, faultSeed)
 		if err == nil {
@@ -410,24 +385,19 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 		}
 	}
 
-	// runSlot supervises one pending slot and journals it. mu guards the
-	// slots table and the journal against concurrent shards. Checkpoint
+	// sim is the experiment's one simulation, kept for this Run only: the
+	// first attempt that needs it fills it (see attempt).
+	var sim *Invocation
+
+	// runSlot supervises one pending slot and journals it. Checkpoint
 	// failures (ENOSPC, injected storage faults) are survived, not fatal:
 	// losing durability must not lose the in-flight work — the run
 	// degrades and says so in Supervision.
-	var mu sync.Mutex
 	var ckptErrs, completed int
 	var ckptFirstErr string
-	crashed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return s.opts.CrashAfter > 0 && completed >= s.opts.CrashAfter
-	}
-	runSlot := func(idx int, spanKV ...string) {
-		if crashed() {
-			return
-		}
-		slot, ok := s.superviseOne(ctx, exec, b, code, opts, idx, inj, spanKV...)
+	crashed := func() bool { return s.opts.CrashAfter > 0 && completed >= s.opts.CrashAfter }
+	runSlot := func(idx int) {
+		slot, ok := s.superviseOne(ctx, exec, b, code, opts, idx, inj, &sim)
 		if !ok {
 			return // cut short by the cancel: neither recorded nor journaled
 		}
@@ -436,8 +406,6 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 				"benchmark", b.Name, "invocation", strconv.Itoa(idx))
 			obs.Metrics.Counter(mDropped, "invocations dropped after exhausting retries").Inc()
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		slots[idx] = &slot
 		completed++
 		if ckpt == nil {
@@ -465,27 +433,15 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 	if opts.TargetRelHalfWidth > 0 {
 		batch = adaptiveBatch
 	}
-	if workers > 1 {
-		obs.Metrics.Counter(mParallelRuns, "experiments executed by the sharded runner").Inc()
-	}
 	planned := 0
 	for planned < opts.Invocations && !crashed() && ctx.Err() == nil {
-		var pending []int
-		for i := planned; i < planned+batch && i < opts.Invocations; i++ {
-			if slots[i] == nil {
-				pending = append(pending, i)
-			}
-		}
-		planned = min(planned+batch, opts.Invocations)
-		if workers > 1 {
-			s.r.shardPool(len(pending), workers, func(shard, j int) {
-				runSlot(pending[j], "worker", strconv.Itoa(shard))
-			})
-		} else {
-			for _, idx := range pending {
+		end := min(planned+batch, opts.Invocations)
+		for idx := planned; idx < end && !crashed(); idx++ {
+			if slots[idx] == nil {
 				runSlot(idx)
 			}
 		}
+		planned = end
 		if opts.TargetRelHalfWidth > 0 && converged(slots[:planned], opts) {
 			break
 		}
@@ -506,7 +462,6 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 		quorum = planned
 	}
 	res := assembleSupervised(b, opts, summary, s.opts, faultSeed, quorum, slots[:planned], resumed)
-	res.Parallelism = par
 
 	sup := res.Supervision
 	sup.Isolation = exec.describe()
@@ -586,13 +541,12 @@ func assembleSupervised(b workloads.Benchmark, opts Options, summary *analysis.S
 }
 
 // superviseOne drives one invocation slot through its retry budget and
-// returns its complete record. It mutates no shared experiment state, so
-// shards run it concurrently; all side effects go through the
-// concurrency-safe observability sinks. ok is false when ctx ended before
-// the slot's fate was settled: a failed attempt the cancel may have cut
-// short is no outcome, so the slot must be neither recorded nor journaled.
+// returns its complete record. sim is the Run's kept simulation (see
+// attempt). ok is false when ctx ended before the slot's fate was
+// settled: a failed attempt the cancel may have cut short is no outcome,
+// so the slot must be neither recorded nor journaled.
 func (s *Supervisor) superviseOne(ctx context.Context, exec invocationExecutor, b workloads.Benchmark,
-	code *minipy.Code, opts Options, invIdx int, inj *faults.Injector, spanKV ...string) (slot slotRecord, ok bool) {
+	code *minipy.Code, opts Options, invIdx int, inj *faults.Injector, sim **Invocation) (slot slotRecord, ok bool) {
 	obs := s.r.obs
 	slot = slotRecord{Index: invIdx, Log: InvocationLog{Index: invIdx, Status: StatusDropped}}
 	for attempt := 0; attempt <= s.opts.MaxRetries; attempt++ {
@@ -614,7 +568,7 @@ func (s *Supervisor) superviseOne(ctx context.Context, exec invocationExecutor, 
 				"attempt", strconv.Itoa(attempt))
 			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts").Inc()
 		}
-		inv, err := s.attempt(ctx, exec, b, code, opts, invIdx, attempt, fault, spanKV...)
+		inv, err := s.attempt(ctx, exec, b, code, opts, invIdx, attempt, fault, sim)
 		if err == nil {
 			var quarantined int
 			quarantined, err = validateSamples(inv)
@@ -650,14 +604,19 @@ func (s *Supervisor) superviseOne(ctx context.Context, exec invocationExecutor, 
 	return slot, true
 }
 
-// attempt runs a single isolated invocation attempt through the executor.
+// attempt runs a single invocation attempt: it gets a simulation through
+// the executor, then measures it through the attempt's noise stream.
+// Hang, Stall and ChildKill attempts run their own sabotaged simulation;
+// every other attempt replays *sim, simulating first if no attempt of the
+// Run has yet done so successfully (a failed simulation is not kept).
+// CorruptSample and WrongChecksum edit the measured copy, never *sim.
 // Panics — injected or genuine engine bugs — are recovered and converted
-// into ordinary attempt failures, so one bad invocation can never take the
-// campaign down (a child-process crash never even reaches this process;
-// the executor reports it as an error).
+// into ordinary attempt failures, so one bad invocation can never take
+// the campaign down (a child-process crash never even reaches this
+// process; the executor reports it as an error).
 func (s *Supervisor) attempt(ctx context.Context, exec invocationExecutor, b workloads.Benchmark,
 	code *minipy.Code, opts Options, invIdx, attempt int,
-	fault faults.Fault, spanKV ...string) (inv *Invocation, err error) {
+	fault faults.Fault, sim **Invocation) (inv *Invocation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			inv, err = nil, fmt.Errorf("invocation panicked: %v", r)
@@ -668,6 +627,17 @@ func (s *Supervisor) attempt(ctx context.Context, exec invocationExecutor, b wor
 	if attempt > 0 {
 		noiseIdx = invIdx + attempt*retrySalt
 	}
+	obs := s.r.obs
+	var invSpan trace.Span
+	if obs.Trace != nil {
+		invSpan = obs.Trace.Begin(trace.CatInvocation, fmt.Sprintf("invocation %d", noiseIdx),
+			"index", strconv.Itoa(noiseIdx))
+	}
+	defer invSpan.End() // deferred so panicking attempts still close the span
+	gc := metrics.StartGCSample(obs.Metrics)
+	defer gc.Stop()
+
+	var run *Invocation
 	switch fault.Kind {
 	case faults.CompileError:
 		return nil, fmt.Errorf("faults: injected transient compile error")
@@ -678,20 +648,25 @@ func (s *Supervisor) attempt(ctx context.Context, exec invocationExecutor, b wor
 		// must fire, simulating a hung invocation being reaped.
 		o := opts
 		o.MaxStepsPerInvocation = hangBudgetSteps
-		return exec.run(ctx, b, code, o, noiseIdx, workerSabotage{}, spanKV...)
+		run, err = exec.simulate(ctx, b, code, o, workerSabotage{})
 	case faults.ChildKill:
 		// The child dies abruptly mid-attempt (in-process: the attempt is
 		// aborted with the same fate).
-		return exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{Exit: true}, spanKV...)
+		run, err = exec.simulate(ctx, b, code, opts, workerSabotage{Exit: true})
 	case faults.Stall:
 		// The child livelocks until the watchdog reaps it (in-process:
 		// degraded to the budget-guard hang realization).
-		return exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{Stall: true}, spanKV...)
+		run, err = exec.simulate(ctx, b, code, opts, workerSabotage{Stall: true})
+	default:
+		if *sim == nil {
+			*sim, err = exec.simulate(ctx, b, code, opts, workerSabotage{})
+		}
+		run = *sim
 	}
-	inv, err = exec.run(ctx, b, code, opts, noiseIdx, workerSabotage{}, spanKV...)
 	if err != nil {
 		return nil, err
 	}
+	inv = s.r.measure(run, opts, noiseIdx)
 	switch fault.Kind {
 	case faults.CorruptSample:
 		if fault.Iteration < len(inv.TimesSec) {

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/noise"
+	"repro/internal/procexec"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/wal"
 )
@@ -405,4 +409,122 @@ func TestSupervisionJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Supervision, res.Supervision) {
 		t.Fatal("supervision lost in round trip")
 	}
+}
+
+// countEvents counts tr's events named name.
+func countEvents(tr *trace.Tracer, name string) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// countFaults counts the attempts in sv's log that drew one of kinds.
+func countFaults(sv *Supervision, kinds ...faults.Kind) int {
+	n := 0
+	for _, lg := range sv.Log {
+		for _, at := range lg.Attempts {
+			for _, k := range kinds {
+				if at.Fault == k.String() {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestSimulatesOncePerExperiment pins the run's cost contract: the VM runs
+// once per Run, and every slot replays that run through its own noise
+// stream. Only an attempt that must realize its own fault (a hang, or a
+// sabotaged child) runs the VM again; a corrupted or mis-checksummed
+// attempt edits its own copy, so later slots still replay clean data.
+func TestSimulatesOncePerExperiment(t *testing.T) {
+	b := mustBench(t, "fib")
+	opts := Options{Invocations: 10, Iterations: 3, Seed: 42, Noise: noise.Default()}
+
+	t.Run("clean", func(t *testing.T) {
+		tr := trace.New()
+		r := NewRunner()
+		r.SetObserver(Observer{Trace: tr})
+		if _, err := r.Run(b, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := countEvents(tr, "module-setup"); got != 1 {
+			t.Errorf("%d module-setup spans, want 1", got)
+		}
+		if got := countEvents(tr, "replay"); got != 10 {
+			t.Errorf("%d replay spans, want 10", got)
+		}
+	})
+
+	t.Run("hangs", func(t *testing.T) {
+		tr := trace.New()
+		r := NewRunner()
+		r.SetObserver(Observer{Trace: tr})
+		so := SupervisorOptions{MaxRetries: 8,
+			Faults: faults.Params{HangProb: 0.2, CorruptProb: 0.1, ChecksumProb: 0.1}}
+		res, err := NewSupervisor(r, so).Run(context.Background(), b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv := res.Supervision
+		hangs := countFaults(sv, faults.Hang)
+		if hangs == 0 || countFaults(sv, faults.CorruptSample, faults.WrongChecksum) == 0 {
+			t.Fatalf("the pinned schedule drew no hang or no edit fault: %+v", sv.Log)
+		}
+		if got := countEvents(tr, "module-setup"); got != 1+hangs {
+			t.Errorf("the VM ran %d times, want 1 + %d hang attempts", got, hangs)
+		}
+		if sv.EffectiveN() != opts.Invocations {
+			t.Errorf("effective N %d, want %d: an edit fault reached the kept run", sv.EffectiveN(), opts.Invocations)
+		}
+	})
+
+	t.Run("isolated", func(t *testing.T) {
+		log := filepath.Join(t.TempDir(), "requests")
+		iso := testIsolation(t)
+		iso.Env = []string{"PYBENCH_TEST_WORKER=" + log}
+		so := SupervisorOptions{MaxRetries: 6, Isolation: iso,
+			Faults: faults.Params{KillProb: 0.3, HangProb: 0.2}}
+		res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kills := countFaults(res.Supervision, faults.ChildKill)
+		hangs := countFaults(res.Supervision, faults.Hang)
+		if kills == 0 || hangs == 0 {
+			t.Fatalf("the pinned schedule drew %d kills and %d hangs", kills, hangs)
+		}
+		f, err := os.Open(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var requests, sabotaged int
+		for {
+			raw, err := procexec.ReadFrame(f)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var req workerRequest
+			if err := json.Unmarshal(raw, &req); err != nil {
+				t.Fatal(err)
+			}
+			requests++
+			if req.Sabotage != (workerSabotage{}) {
+				sabotaged++
+			}
+		}
+		if sabotaged != kills || requests != 1+kills+hangs {
+			t.Errorf("the child got %d requests (%d sabotaged), want 1 simulation + %d kills + %d hangs",
+				requests, sabotaged, kills, hangs)
+		}
+	})
 }

@@ -12,25 +12,23 @@ import (
 	"repro/internal/workloads"
 )
 
-// The worker protocol: the supervisor shells each invocation out to a
+// The worker protocol: the supervisor shells each simulation out to a
 // child process running WorkerMain (reached via the hidden `pybench
 // -worker` re-exec mode). Requests and responses are JSON payloads inside
-// procexec frames. The child executes runInvocation with exactly the same
-// pure inputs — (benchmark, options, noise index) — the in-process path
-// would use, so an isolated run's sample set is bit-identical to an
-// in-process run; Go's JSON encoder emits float64s at round-trip
-// precision, and benchgate -equivalence holds the proof.
+// procexec frames. The child runs simulate on exactly the same pure
+// inputs — (benchmark, options) — the in-process path would use, and
+// returns the noise-free record; the parent applies the noise. So an
+// isolated run's sample set is bit-identical to an in-process run: Go's
+// JSON encoder emits float64s at round-trip precision, and benchgate
+// -equivalence holds the proof.
 
-// workerRequest is one invocation order sent to a worker child.
+// workerRequest is one simulation order sent to a worker child.
 type workerRequest struct {
 	// Benchmark names the workload (resolved via workloads.ByName in the
 	// child, which compiles it through its own cache).
 	Benchmark string
-	// Opts is the full experiment configuration of the invocation.
+	// Opts is the full experiment configuration of the simulation.
 	Opts Options
-	// NoiseIdx is the noise-stream invocation id (retry-salted by the
-	// supervisor; the child never knows about attempts).
-	NoiseIdx int
 	// Sabotage carries injected environment faults for the child to
 	// realize against itself (zero in production).
 	Sabotage workerSabotage `json:",omitempty"`
@@ -61,14 +59,14 @@ type workerResponse struct {
 const killedExitCode = 42
 
 // WorkerMain is the body of the hidden `pybench -worker` mode: it serves
-// invocation requests over the procexec protocol until the supervisor
+// simulation requests over the procexec protocol until the supervisor
 // closes stdin. The worker is stateless between campaigns — its only
 // cross-request state is the compiled-code cache, which is semantically
 // invisible (compilation is deterministic).
 func WorkerMain(r io.Reader, w io.Writer) error {
 	runner := NewRunner()
 	return procexec.Serve(r, w, func(req []byte) []byte {
-		resp := serveInvocation(runner, req)
+		resp := serveSimulation(runner, req)
 		out, err := json.Marshal(resp)
 		if err != nil {
 			out, _ = json.Marshal(workerResponse{
@@ -78,9 +76,9 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	})
 }
 
-// serveInvocation executes one request, converting panics and errors into
+// serveSimulation executes one request, converting panics and errors into
 // response payloads (the supervisor owns retry policy, not the worker).
-func serveInvocation(runner *Runner, raw []byte) (resp workerResponse) {
+func serveSimulation(runner *Runner, raw []byte) (resp workerResponse) {
 	defer func() {
 		if p := recover(); p != nil {
 			resp = workerResponse{Error: fmt.Sprintf("worker: invocation panicked: %v", p)}
@@ -109,8 +107,8 @@ func serveInvocation(runner *Runner, raw []byte) (resp workerResponse) {
 		return workerResponse{Error: fmt.Sprintf("worker: compiling %s: %v", req.Benchmark, err)}
 	}
 	// The supervisor cancels a child by killing it; in here, only the wall
-	// budget carried in req.Opts can end the invocation early.
-	inv, err := runner.runInvocation(context.Background(), code, req.Opts, req.NoiseIdx)
+	// budget carried in req.Opts can end the simulation early.
+	inv, err := runner.simulate(context.Background(), code, req.Opts)
 	if err != nil {
 		return workerResponse{Error: err.Error()}
 	}

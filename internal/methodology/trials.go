@@ -22,17 +22,8 @@ type TrialGenerator struct {
 // Sample produces one experiment's measurement matrix for the given seed.
 func (g TrialGenerator) Sample(seed uint64, invocations, iterations int) stats.HierarchicalSample {
 	times := make([][]float64, invocations)
-	for i := 0; i < invocations; i++ {
-		src := noise.NewSource(g.Noise, seed, i)
-		row := make([]float64, iterations)
-		for j := 0; j < iterations; j++ {
-			base := g.Base[len(g.Base)-1]
-			if j < len(g.Base) {
-				base = g.Base[j]
-			}
-			row[j] = src.Apply(base)
-		}
-		times[i] = row
+	for i := range times {
+		times[i] = noise.Perturb(g.Noise, seed, i, g.Base, iterations)
 	}
 	return stats.HierarchicalSample{Times: times}
 }

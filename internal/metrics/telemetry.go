@@ -36,23 +36,7 @@ type Calibration struct {
 // non-nil, records the results as gauges. The paper's methodology requires
 // knowing the timer floor before trusting sub-microsecond effects.
 func CalibrateTimer(reg *Registry) Calibration {
-	cal := CalibrateTimerQuick(2000, 4096)
-	reg.Gauge(TimerResolutionNs, "smallest observed positive monotonic-clock delta").Set(cal.ResolutionNs)
-	reg.Gauge(TimerOverheadNs, "mean cost of one clock reading").Set(cal.OverheadNs)
-	return cal
-}
-
-// CalibrateTimerQuick measures the clock with caller-chosen probe counts
-// and no registry side effects. The parallel harness runs one per worker
-// shard, concurrently, as its interference guard: dispersion across the
-// shards' measurements is direct evidence of cross-shard contention.
-func CalibrateTimerQuick(resolutionProbes, overheadCalls int) Calibration {
-	if resolutionProbes <= 0 {
-		resolutionProbes = 256
-	}
-	if overheadCalls <= 0 {
-		overheadCalls = 1024
-	}
+	const resolutionProbes, overheadCalls = 2000, 4096
 	minDelta := time.Duration(1<<63 - 1)
 	prev := time.Now() //benchlint:allow clock
 	for i := 0; i < resolutionProbes; i++ {
@@ -68,10 +52,13 @@ func CalibrateTimerQuick(resolutionProbes, overheadCalls int) Calibration {
 	}
 	elapsed := time.Since(begin) //benchlint:allow clock
 
-	return Calibration{
+	cal := Calibration{
 		ResolutionNs: float64(minDelta.Nanoseconds()),
 		OverheadNs:   float64(elapsed.Nanoseconds()) / float64(overheadCalls),
 	}
+	reg.Gauge(TimerResolutionNs, "smallest observed positive monotonic-clock delta").Set(cal.ResolutionNs)
+	reg.Gauge(TimerOverheadNs, "mean cost of one clock reading").Set(cal.OverheadNs)
+	return cal
 }
 
 // GCSampler brackets a region of work (one invocation) and attributes the

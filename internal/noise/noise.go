@@ -109,3 +109,21 @@ func (s *Source) Apply(base float64) float64 {
 	s.iter++
 	return t
 }
+
+// Perturb returns the measured times of invocation inv: n iterations whose
+// noise-free times are base (past its end, base's last value repeats, as
+// in a steady state), each perturbed in order by the (seed, inv) stream.
+// It is the one noise loop: the harness replays a simulation through it,
+// and the synthetic trials of the methodology package are drawn with it.
+func Perturb(p Params, seed uint64, inv int, base []float64, n int) []float64 {
+	src := NewSource(p, seed, inv)
+	row := make([]float64, n)
+	for j := range row {
+		b := base[len(base)-1]
+		if j < len(base) {
+			b = base[j]
+		}
+		row[j] = src.Apply(b)
+	}
+	return row
+}

@@ -44,9 +44,9 @@ func (c Config) withDefaults() Config {
 
 // Client owns one worker child process and issues one call at a time over
 // its stdin/stdout pair. It is not safe for concurrent Calls — the harness
-// gives each shard its own Client. After any error from Call the client is
-// dead: the caller replaces it (Respawn) rather than resuming a stream
-// whose framing can no longer be trusted.
+// keeps one Client per experiment run. After any error from Call the
+// client is dead: the caller replaces it (Respawn) rather than resuming a
+// stream whose framing can no longer be trusted.
 type Client struct {
 	cfg    Config
 	cmd    *exec.Cmd

@@ -9,7 +9,7 @@ import (
 
 // workerRequestJSON is a request as the harness's worker protocol encodes
 // it (internal/harness workerRequest): the frames Call sends in production.
-const workerRequestJSON = `{"Benchmark":"fib","Opts":{"Mode":"interp","Invocations":2,"Iterations":3,"Seed":42,"Noise":{"InvocationSigma":0.003,"IterationSigma":0.001,"SpikeProb":0.001,"SpikeScale":0.02,"DriftPerIter":0},"Cost":{"DispatchOverhead":0,"JITDivisor":0,"JITThreshold":0,"CompileCostPerOp":0,"GuardFailPenalty":0,"GuardFailLimit":0,"BridgeCompileCost":0,"InlineCache":false,"ICWarmup":0,"ICDivisor":0},"WithCounters":false,"FreqGHz":3,"MaxStepsPerInvocation":4294967296},"NoiseIdx":1,"Sabotage":{}}`
+const workerRequestJSON = `{"Benchmark":"fib","Opts":{"Mode":"interp","Invocations":2,"Iterations":3,"Seed":42,"Noise":{"InvocationSigma":0.003,"IterationSigma":0.001,"SpikeProb":0.001,"SpikeScale":0.02,"DriftPerIter":0},"Cost":{"DispatchOverhead":0,"JITDivisor":0,"JITThreshold":0,"CompileCostPerOp":0,"GuardFailPenalty":0,"GuardFailLimit":0,"BridgeCompileCost":0,"InlineCache":false,"ICWarmup":0,"ICDivisor":0},"WithCounters":false,"FreqGHz":3,"MaxStepsPerInvocation":4294967296},"Sabotage":{}}`
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder. No input may
 // panic it; a payload it accepts must re-encode through WriteFrame to the

@@ -24,9 +24,6 @@ const (
 	CatIteration  = "iteration"
 	CatPhase      = "phase"
 	CatSupervisor = "supervisor"
-	// CatWorker spans cover one shard's lifetime in a parallel run; their
-	// invocation child spans carry the shard id in a "worker" argument.
-	CatWorker = "worker"
 	// CatTrack instants are benchtrack history operations: snapshot
 	// ingests, changepoint alerts, and acknowledgements.
 	CatTrack = "track"
@@ -45,7 +42,7 @@ type Event struct {
 }
 
 // Tracer accumulates events in memory. It is safe for concurrent use: the
-// supervisor may fan invocations out across goroutines.
+// daemon's control plane reads a campaign's events while it runs.
 type Tracer struct {
 	mu     sync.Mutex
 	start  time.Time

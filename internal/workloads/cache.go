@@ -16,11 +16,12 @@ type Compiled struct {
 	Analysis *analysis.Summary
 }
 
-// CodeCache is a concurrency-safe compile-once cache. The parallel harness
-// hands one cache to every worker shard: reads take a shared lock, the
-// first compile of a benchmark takes the exclusive lock, and the inventory
-// listing is served under the same lock discipline — iterating the map
-// without it is a data race the moment shards run concurrently.
+// CodeCache is a concurrency-safe compile-once cache. A runner shared by
+// concurrent experiments hands them one cache: reads take a shared lock,
+// the first compile of a benchmark takes the exclusive lock, and the
+// inventory listing is served under the same lock discipline — iterating
+// the map without it is a data race the moment experiments run
+// concurrently.
 type CodeCache struct {
 	mu      sync.RWMutex
 	entries map[string]Compiled
@@ -94,7 +95,7 @@ func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err 
 }
 
 // Inventory returns the names of every cached benchmark, sorted. The copy
-// is taken under the read lock, so listing is safe while shards compile.
+// is taken under the read lock, so listing is safe during compiles.
 func (c *CodeCache) Inventory() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

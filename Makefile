@@ -1,7 +1,6 @@
 GO ?= go
 SMOKEDIR ?= .smoke
 GATEDIR ?= .gate
-TRACKDIR ?= .track
 DAEMONDIR ?= .daemon-smoke
 # Pinned configuration of the committed perf-gate baseline
 # (cmd/benchgate/testdata/baseline.json). Regenerating the baseline and
@@ -10,7 +9,7 @@ DAEMONDIR ?= .daemon-smoke
 GATE_BENCH = fib
 GATE_FLAGS = -bench $(GATE_BENCH) -invocations 6 -iterations 10 -seed 42 -noise quiet -json
 
-.PHONY: all build test lint verify bench bench-smoke bench-gate bench-go bench-go-baseline bench-track chaos-soak daemon-smoke perfbench-check clean
+.PHONY: all build test lint verify bench bench-smoke bench-gate bench-go bench-go-baseline chaos-soak daemon-smoke perfbench-check clean
 
 # Pinned configuration of the wall-clock VM microbenchmarks. BENCH_vm.json
 # is the committed register-tier baseline; bench-go compares a fresh run
@@ -37,10 +36,13 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs go vet plus benchlint, the repo's own methodology vet pass
-# (sanctioned clock sites, allocation-free hot paths, no global rand), and
-# lints every shipped MiniPy workload with the static-analysis subsystem.
+# lint fails on any file gofmt would change, then runs go vet plus
+# benchlint, the repo's own methodology vet pass (sanctioned clock sites,
+# allocation-free hot paths, no global rand), and lints every shipped
+# MiniPy workload with the static-analysis subsystem.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/benchlint ./cmd ./internal ./examples
 	$(GO) run ./cmd/pybench -lint > /dev/null
@@ -115,33 +117,6 @@ bench-gate:
 		-candidate cmd/benchgate/testdata/slow20.json
 	rm -rf $(GATEDIR)
 
-# bench-track exercises the longitudinal tracking pipeline end to end on a
-# scratch copy of the committed history (the committed BENCH_history.jsonl
-# is an anchor, never mutated by CI):
-#   1. a fresh run of the pinned-seed experiment is ingested — simulated
-#      times are host-independent, so it extends the committed series with
-#      an identical value and the trend stays flat;
-#   2. `benchtrack report` fails the target on any fresh (unacknowledged)
-#      regression alert; the JSON trend report is written first so CI can
-#      upload it as an artifact even when the gate fails;
-#   3. benchgate cross-references the longitudinal trend next to its
-#      two-snapshot verdict.
-bench-track:
-	rm -rf $(TRACKDIR) && mkdir -p $(TRACKDIR)
-	cp BENCH_history.jsonl $(TRACKDIR)/history.jsonl
-	$(GO) run ./cmd/pybench $(GATE_FLAGS) > $(TRACKDIR)/run.json
-	$(GO) run ./cmd/benchtrack ingest -history $(TRACKDIR)/history.jsonl \
-		$(TRACKDIR)/run.json
-	-$(GO) run ./cmd/benchtrack report -history $(TRACKDIR)/history.jsonl \
-		-json > $(TRACKDIR)/trend.json
-	$(GO) run ./cmd/benchtrack report -history $(TRACKDIR)/history.jsonl \
-		-trace $(TRACKDIR)/track.trace.json -metrics
-	$(GO) run ./cmd/tracecheck $(TRACKDIR)/track.trace.json
-	$(GO) run ./cmd/benchtrack summary -history $(TRACKDIR)/history.jsonl \
-		-bench $(GATE_BENCH)
-	$(GO) run ./cmd/benchgate -baseline cmd/benchgate/testdata/baseline.json \
-		-candidate $(TRACKDIR)/run.json -history $(TRACKDIR)/history.jsonl
-
 # daemon-smoke exercises benchmarking-as-a-service end to end: build the
 # real pybench and pybenchd binaries, start the daemon on a loopback port,
 # submit a two-benchmark campaign through the Go client, stream it to
@@ -174,5 +149,5 @@ chaos-soak:
 # when it keeps failure artifacts.
 clean:
 	$(GO) clean ./...
-	rm -rf $(SMOKEDIR) $(GATEDIR) $(TRACKDIR) $(DAEMONDIR) .pybenchd
+	rm -rf $(SMOKEDIR) $(GATEDIR) $(DAEMONDIR) .pybenchd
 	rm -rf .smoke-* .race-artifacts .gate-artifacts

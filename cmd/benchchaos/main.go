@@ -245,10 +245,10 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 }
 
 // compare asserts the chaos result carries exactly the reference's sample
-// set: the same surviving slots, bit-identical measurements. Dropped slots
-// (possible when the schedule exhausts a retry budget) must be the same
-// slots in both runs — fates are seed-determined, so a divergence means the
-// environment machinery leaked into the science.
+// set: the same surviving slots and harness.SameSamples over them. Dropped
+// slots (possible when the schedule exhausts a retry budget) must be the
+// same slots in both runs — fates are seed-determined, so a divergence
+// means the environment machinery leaked into the science.
 func compare(ref, chaos *harness.Result, round int, stdout, stderr io.Writer) int {
 	rs, cs := survivors(ref), survivors(chaos)
 	if !reflect.DeepEqual(rs, cs) {
@@ -256,22 +256,9 @@ func compare(ref, chaos *harness.Result, round int, stdout, stderr io.Writer) in
 			round, rs, cs)
 		return exitcode.Finding
 	}
-	if len(ref.Invocations) != len(chaos.Invocations) {
-		fmt.Fprintf(stderr, "benchchaos: round %d: FAIL: invocation counts differ: %d vs %d\n",
-			round, len(ref.Invocations), len(chaos.Invocations))
+	if err := harness.SameSamples(ref, chaos); err != nil {
+		fmt.Fprintf(stderr, "benchchaos: round %d: FAIL: %v\n", round, err)
 		return exitcode.Finding
-	}
-	for i := range ref.Invocations {
-		ri, ci := ref.Invocations[i], chaos.Invocations[i]
-		if !reflect.DeepEqual(ri.TimesSec, ci.TimesSec) {
-			fmt.Fprintf(stderr, "benchchaos: round %d: FAIL: slot %d sample vectors differ\n", round, rs[i])
-			return exitcode.Finding
-		}
-		if ri.Checksum != ci.Checksum {
-			fmt.Fprintf(stderr, "benchchaos: round %d: FAIL: slot %d checksums differ: %s vs %s\n",
-				round, rs[i], ri.Checksum, ci.Checksum)
-			return exitcode.Finding
-		}
 	}
 	if dropped := ref.Supervision.Dropped; dropped > 0 {
 		fmt.Fprintf(stdout, "benchchaos: round %d: note: %d slot(s) dropped by the fault schedule in both runs (footnoted degradation, not divergence)\n",

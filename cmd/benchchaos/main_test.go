@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/noise"
+	"repro/internal/workloads"
 )
 
 // TestMain lets the test binary serve as its own isolated worker: the soak
@@ -85,5 +89,41 @@ func TestUsageErrors(t *testing.T) {
 		if code, _, _ := soak(t, args...); code != 2 {
 			t.Errorf("args %v exited %d, want 2 (usage)", args, code)
 		}
+	}
+}
+
+// compare holds a chaos result to the whole sample-set contract: a chaos
+// round that changed one cycle or step count, with times and checksums
+// intact, is a divergence.
+func TestCompareCatchesCycleAndStepDrift(t *testing.T) {
+	b, _ := workloads.ByName("fib")
+	opts := harness.Options{Invocations: 3, Iterations: 3, Seed: 42, Noise: noise.Default()}
+	ref, err := harness.NewSupervisor(harness.NewRunner(), harness.SupervisorOptions{}).Run(context.Background(), b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"cycles", "steps"} {
+		chaos := *ref
+		chaos.Invocations = slices.Clone(ref.Invocations)
+		inv := &chaos.Invocations[1]
+		switch field {
+		case "cycles":
+			inv.Cycles = slices.Clone(inv.Cycles)
+			inv.Cycles[2]++
+		case "steps":
+			inv.Steps = slices.Clone(inv.Steps)
+			inv.Steps[2]++
+		}
+		var out, errb bytes.Buffer
+		if code := compare(ref, &chaos, 0, &out, &errb); code != 1 {
+			t.Fatalf("%s drift exited %d, want 1\n%s", field, code, errb.String())
+		}
+		if want := "invocation 1 " + field + " differ"; !strings.Contains(errb.String(), want) {
+			t.Fatalf("%s drift not pinpointed (want %q):\n%s", field, want, errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := compare(ref, ref, 0, &out, &errb); code != 0 {
+		t.Fatalf("self-compare exited %d\n%s", code, errb.String())
 	}
 }

@@ -13,10 +13,11 @@
 //
 // -equivalence switches to the determinism check: instead of a
 // statistical comparison, the two results must contain the *identical*
-// per-invocation sample set (times, cycles, steps), invocation by
-// invocation — the property isolated and resumed runs guarantee against
-// the in-process run at equal seeds (DESIGN.md §10, §12). The memory
-// gate over benchjson documents lives in cmd/benchjson.
+// per-invocation sample set (times, cycles, steps, checksums; see
+// harness.SameSamples), invocation by invocation — the property isolated
+// and resumed runs guarantee against the in-process run at equal seeds
+// (DESIGN.md §10, §12). benchgate is the one gate for simulated samples;
+// the memory gate over benchjson documents lives in cmd/benchjson.
 //
 // Exit codes follow the repository taxonomy: 0 = pass; 1 = regression (or
 // equivalence failure); 2 = usage (bad flags, incomparable inputs); 3 =
@@ -31,9 +32,7 @@ import (
 
 	"repro/internal/exitcode"
 	"repro/internal/harness"
-	"repro/internal/perfstore"
 	"repro/internal/stats"
-	"repro/internal/wal"
 )
 
 func main() {
@@ -53,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		minEffect   = fs.Float64("min-effect", stats.DefaultGateMinEffect, "minimum relative slowdown treated as a regression (negative = none)")
 		resamples   = fs.Int("resamples", 0, "bootstrap resamples (0 = library default)")
 		seed        = fs.Uint64("seed", 1, "bootstrap RNG seed (the gate decision is deterministic per seed)")
-		histPath    = fs.String("history", "", "benchtrack history (BENCH_history.jsonl): print the longitudinal trend next to the verdict")
-		trendLast   = fs.Int("trend-last", 10, "trend window (runs) for the -history summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,43 +77,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var code int
 	if *equivalence {
-		code = runEquivalence(base, cand, stdout, stderr)
-	} else {
-		code = runGate(base, cand, stats.GateThresholds{
-			Confidence: *confidence,
-			MinEffect:  *minEffect,
-			Resamples:  *resamples,
-		}, *seed, stdout, stderr)
+		return runEquivalence(base, cand, stdout, stderr)
 	}
-	// The two-snapshot verdict and the trajectory view cross-reference each
-	// other: a PASS here can still sit on a slow multi-run drift, and a
-	// FAIL is easier to triage next to the commit-attributed history.
-	if *histPath != "" {
-		printTrend(*histPath, base.Benchmark, *trendLast, stdout, stderr)
-	}
-	return code
-}
-
-// printTrend prints benchtrack's one-line longitudinal summary for the
-// gated benchmark. Trend problems never change the gate verdict — the
-// trajectory alert lives in `benchtrack report` — so failures here only
-// warn.
-func printTrend(histPath, benchmark string, lastN int, stdout, stderr io.Writer) {
-	store, err := perfstore.Open(wal.OSFS{}, histPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate: trend unavailable:", err)
-		return
-	}
-	//benchlint:allow uncheckederr — read-only use of the journal
-	defer store.Close()
-	line := perfstore.TrendLine(store.Runs(), store.Acked(), benchmark, lastN)
-	if line == "" {
-		fmt.Fprintf(stdout, "benchgate: no longitudinal history for %s in %s\n", benchmark, histPath)
-		return
-	}
-	fmt.Fprintf(stdout, "benchgate: %s\n", line)
+	return runGate(base, cand, stats.GateThresholds{
+		Confidence: *confidence,
+		MinEffect:  *minEffect,
+		Resamples:  *resamples,
+	}, *seed, stdout, stderr)
 }
 
 func readResult(path string) (*harness.Result, error) {
@@ -167,59 +135,15 @@ func runGate(base, cand *harness.Result, th stats.GateThresholds, seed uint64,
 	return 0
 }
 
-// runEquivalence checks the determinism contract: identical
-// per-invocation measurement vectors in canonical invocation order.
+// runEquivalence checks the determinism contract, harness.SameSamples:
+// identical per-invocation measurement vectors in canonical invocation
+// order.
 func runEquivalence(base, cand *harness.Result, stdout, stderr io.Writer) int {
-	if len(base.Invocations) != len(cand.Invocations) {
-		fmt.Fprintf(stderr, "benchgate: FAIL: invocation counts differ: %d vs %d\n",
-			len(base.Invocations), len(cand.Invocations))
+	if err := harness.SameSamples(base, cand); err != nil {
+		fmt.Fprintln(stderr, "benchgate: FAIL:", err)
 		return 1
-	}
-	for i := range base.Invocations {
-		bi, ci := base.Invocations[i], cand.Invocations[i]
-		if err := equalVectors(bi.TimesSec, ci.TimesSec); err != nil {
-			fmt.Fprintf(stderr, "benchgate: FAIL: invocation %d times differ: %v\n", i, err)
-			return 1
-		}
-		if err := equalUints(bi.Cycles, ci.Cycles); err != nil {
-			fmt.Fprintf(stderr, "benchgate: FAIL: invocation %d cycles differ: %v\n", i, err)
-			return 1
-		}
-		if err := equalUints(bi.Steps, ci.Steps); err != nil {
-			fmt.Fprintf(stderr, "benchgate: FAIL: invocation %d steps differ: %v\n", i, err)
-			return 1
-		}
-		if bi.Checksum != ci.Checksum {
-			fmt.Fprintf(stderr, "benchgate: FAIL: invocation %d checksums differ: %s vs %s\n",
-				i, bi.Checksum, ci.Checksum)
-			return 1
-		}
 	}
 	fmt.Fprintf(stdout, "benchgate: PASS: %d invocations bit-identical (%s/%s)\n",
 		len(base.Invocations), base.Benchmark, base.Mode)
 	return 0
-}
-
-func equalVectors(a, b []float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("lengths %d vs %d", len(a), len(b))
-	}
-	for j := range a {
-		if a[j] != b[j] {
-			return fmt.Errorf("iteration %d: %v vs %v", j, a[j], b[j])
-		}
-	}
-	return nil
-}
-
-func equalUints(a, b []uint64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("lengths %d vs %d", len(a), len(b))
-	}
-	for j := range a {
-		if a[j] != b[j] {
-			return fmt.Errorf("iteration %d: %d vs %d", j, a[j], b[j])
-		}
-	}
-	return nil
 }

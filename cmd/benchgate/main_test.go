@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/perfstore"
-	"repro/internal/wal"
 )
 
 const (
@@ -143,53 +141,4 @@ func writeFixture(t *testing.T, res *harness.Result) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// -history cross-references the two-snapshot verdict with benchtrack's
-// longitudinal view: the one-line trend summary for the gated benchmark
-// prints next to the verdict without changing the gate decision.
-func TestHistoryTrendLinePrintsNextToVerdict(t *testing.T) {
-	hist := filepath.Join(t.TempDir(), "hist.jsonl")
-	store, err := perfstore.Open(wal.OSFS{}, hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := []float64{1.00, 1.00, 1.01, 0.99, 1.00, 1.00, 1.20, 1.20, 1.21, 1.20}
-	for i, v := range values {
-		rec := perfstore.Record{
-			Kind:   perfstore.KindRun,
-			Commit: strings.Repeat("a", 39) + string(rune('a'+i)),
-			Source: perfstore.SourcePybench,
-			Host:   perfstore.Simulated,
-			Points: []perfstore.Point{{Benchmark: "fib/interp", Value: v, Unit: "s/iter"}},
-		}
-		if err := store.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store.Close()
-
-	code, stdout, _ := gate(t, "-baseline", baselineFixture, "-candidate", baselineFixture,
-		"-history", hist)
-	if code != 0 {
-		t.Fatalf("gate verdict changed by -history: exit %d\n%s", code, stdout)
-	}
-	if !strings.Contains(stdout, "trend (10 runs)") || !strings.Contains(stdout, "fib/interp") {
-		t.Fatalf("trend line missing:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "↑") {
-		t.Fatalf("trend direction arrow missing:\n%s", stdout)
-	}
-}
-
-func TestHistoryMissingSeriesIsReportedNotFatal(t *testing.T) {
-	hist := filepath.Join(t.TempDir(), "empty.jsonl")
-	code, stdout, _ := gate(t, "-baseline", baselineFixture, "-candidate", baselineFixture,
-		"-history", hist)
-	if code != 0 {
-		t.Fatalf("empty history changed the verdict: exit %d", code)
-	}
-	if !strings.Contains(stdout, "no longitudinal history") {
-		t.Fatalf("missing-history note absent:\n%s", stdout)
-	}
 }

@@ -23,8 +23,8 @@
 //
 // Emitted documents carry a provenance block (commit SHA, branch, Go
 // version, UTC timestamp — override with -commit/-branch, drop with
-// -no-stamp) so cmd/benchtrack can attribute every measurement to the
-// commit range it landed in without side-channel flags.
+// -no-stamp), so a committed baseline such as BENCH_vm.json records which
+// commit and toolchain measured it.
 //
 // Exit codes follow the repository taxonomy: 0 = pass; 1 = a -require or
 // memory gate failed; 2 = usage; 3 = unreadable/unwritable input or output.
@@ -150,7 +150,7 @@ func (r *requireList) Set(s string) error {
 	return nil
 }
 
-// stampProvenance fills the attribution block benchtrack relies on.
+// stampProvenance fills the document's provenance block.
 // Explicit flags win; otherwise commit and branch come from git. A missing
 // git (exported tree, bare container) degrades attribution, never the
 // document: the fields are simply left empty.

@@ -22,7 +22,7 @@
 //     experiments replay bit-identically.
 //   - uncheckederr: statement-position calls that drop error returns from
 //     the durable-write surface — os write-path functions (Remove, Rename,
-//     WriteFile, ...) and WAL/perfstore methods (Append, Rotate, Close,
+//     WriteFile, ...) and WAL and writer methods (Append, Rotate, Close,
 //     Sync, Flush), bare or deferred — must handle the error or carry
 //     //benchlint:allow uncheckederr with a reason. A campaign journal
 //     whose rotation failed silently is how crash recovery loses data.

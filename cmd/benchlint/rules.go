@@ -252,18 +252,18 @@ var uncheckedOSFuncs = map[string]bool{
 }
 
 // uncheckedMethods are the method names of the repository's durable-write
-// surface — the WAL journals (Append/Rotate/Close), the perfstore
-// (Append/Close), and buffered writers (Flush/Sync) — plus Close itself,
-// whose error is the only place a deferred final write can fail. The match
-// is syntactic (any receiver), which is exactly the point: every dropped
-// error on a name in this set deserves either handling or an explicit
-// //benchlint:allow uncheckederr with a reason.
+// surface — the WAL journals (Append/Rotate/Close) and buffered writers
+// (Flush/Sync) — plus Close itself, whose error is the only place a
+// deferred final write can fail. The match is syntactic (any receiver),
+// which is exactly the point: every dropped error on a name in this set
+// deserves either handling or an explicit //benchlint:allow uncheckederr
+// with a reason.
 var uncheckedMethods = map[string]bool{
 	"Append": true, "Rotate": true, "Close": true, "Sync": true, "Flush": true,
 }
 
 // checkUncheckedErr enforces the durable-write invariant: error returns
-// from WAL/perfstore/os write paths may not be dropped. A statement-
+// from WAL and os write paths may not be dropped. A statement-
 // position call of a listed os function or write-surface method — bare or
 // deferred — is flagged unless the line carries the allow directive.
 // Checked calls (`if err := j.Append(...)`) never match: the rule only

@@ -344,30 +344,17 @@ func (o *observability) finish(w *os.File, printMetrics bool) error {
 
 // doSuite runs the rigorous methodology across the whole suite with
 // family-wise (Holm–Bonferroni) error control, under the configured
-// supervision policy.
+// supervision policy. Its design is core's resolved configuration, so
+// -suite and -exp share one set of defaults.
 func doSuite(cfg core.Config, style renderStyle, o *observability) error {
-	inv, iter := cfg.Invocations, cfg.Iterations
-	if inv == 0 {
-		inv = 10
-	}
-	if iter == 0 {
-		iter = 30
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	np := cfg.Noise
-	if np == (noise.Params{}) {
-		np = noise.Default()
-	}
+	cfg = core.New(cfg).Config()
 	runner := harness.NewRunner()
 	o.attach(runner, "suite")
 	sup := harness.NewSupervisor(runner, cfg.SupervisorOptions())
 	var names []string
 	var baselines, treatments []stats.HierarchicalSample
 	var degradedNotes []string
-	opts := harness.Options{Invocations: inv, Iterations: iter, Seed: seed, Noise: np}
+	opts := harness.Options{Invocations: cfg.Invocations, Iterations: cfg.Iterations, Seed: cfg.Seed, Noise: cfg.Noise}
 	for _, wl := range workloads.Suite() {
 		interp, jit, err := sup.RunPair(context.Background(), wl, opts)
 		if err != nil {
@@ -384,9 +371,9 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 		}
 	}
 	results := methodology.CompareSuite(names, baselines, treatments,
-		methodology.Rigorous{Seed: seed}, 0.05)
+		methodology.Rigorous{Seed: cfg.Seed}, 0.05)
 	t := report.NewTable(
-		fmt.Sprintf("Suite comparison: JIT vs interpreter (%d×%d, Holm at α=0.05)", inv, iter),
+		fmt.Sprintf("Suite comparison: JIT vs interpreter (%d×%d, Holm at α=0.05)", cfg.Invocations, cfg.Iterations),
 		"benchmark", "speedup", "CI lo", "CI hi", "p-value", "verdict")
 	var speedups []float64
 	for _, r := range results {

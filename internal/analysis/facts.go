@@ -141,15 +141,6 @@ type ModuleFacts struct {
 	graphs map[*minipy.Code]*Graph
 }
 
-// ClaimsFor returns the interval claims for a code object the facts were
-// computed over, or nil.
-func (m *ModuleFacts) ClaimsFor(code *minipy.Code) map[int]ival {
-	if r := m.Runs[code]; r != nil {
-		return r.claims
-	}
-	return nil
-}
-
 // buildCertificate assembles the stable public artifact from the internal
 // facts. Everything is sorted so the JSON is byte-stable.
 func buildCertificate(m *ModuleFacts) *Certificate {

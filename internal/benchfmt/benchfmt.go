@@ -4,9 +4,9 @@
 // -benchmem` text, and the memory-regression gate that compares two
 // documents' allocs_per_op / bytes_per_op with a practical-effect floor.
 //
-// It exists so the three consumers — cmd/benchjson (emission + compare),
-// cmd/benchgate (CI gating), and internal/perfstore (longitudinal
-// ingestion) — agree on one document type instead of three mirrors.
+// cmd/benchjson (emission, compare and the memory gate) is its consumer;
+// the package keeps the document type apart from the command so tests
+// and tools read the committed files through one definition.
 package benchfmt
 
 import (
@@ -30,9 +30,9 @@ type Entry struct {
 }
 
 // Doc is the benchmark JSON document. The provenance block (commit,
-// branch, go_version, time_utc) is stamped on emission so cmd/benchtrack
-// can attribute the measurements to a commit without side-channel flags;
-// readers tolerate docs that predate the stamp.
+// branch, go_version, time_utc) is stamped on emission so a committed
+// baseline says which commit and toolchain measured it; readers tolerate
+// docs that predate the stamp.
 type Doc struct {
 	Goos      string `json:"goos,omitempty"`
 	Goarch    string `json:"goarch,omitempty"`

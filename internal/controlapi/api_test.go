@@ -198,8 +198,8 @@ func TestSubmitRejections(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 		},
 		{
-			name: "tenant quota exceeded",
-			body: func(t *testing.T) []byte { return mustMarshal(t, tinySpec()) },
+			name:   "tenant quota exceeded",
+			body:   func(t *testing.T) []byte { return mustMarshal(t, tinySpec()) },
 			mutate: func(o *Options) { o.TenantQuota = 1 },
 			prepare: func(t *testing.T, s *Server, ts *httptest.Server) {
 				// Executors are not started, so this one stays in flight.
@@ -223,9 +223,9 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "queue full",
 		},
 		{
-			name:    "daemon draining",
-			body:    func(t *testing.T) []byte { return mustMarshal(t, tinySpec()) },
-			prepare: func(t *testing.T, s *Server, ts *httptest.Server) { s.Drain() },
+			name:       "daemon draining",
+			body:       func(t *testing.T) []byte { return mustMarshal(t, tinySpec()) },
+			prepare:    func(t *testing.T, s *Server, ts *httptest.Server) { s.Drain() },
 			wantStatus: http.StatusServiceUnavailable,
 			wantIn:     "draining",
 		},

@@ -162,31 +162,12 @@ func (l *ledger) checkpointDir(id string) string {
 	return filepath.Join(l.dir, "campaigns", id)
 }
 
-// saveResult atomically persists a campaign's result document
-// (temp + fsync + rename, the same discipline as wal's journal repair):
-// a crash mid-write can never leave a half-written result behind.
+// saveResult atomically persists a campaign's result document with wal's
+// temp + fsync + rename: a crash mid-write can never leave a half-written
+// result behind.
 func (l *ledger) saveResult(id string, data []byte) error {
-	path := l.resultPath(id)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := wal.AtomicRewrite(wal.OSFS{}, l.resultPath(id), data); err != nil {
 		return fmt.Errorf("controlapi: writing result: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the write error wins
-		f.Close()
-		return fmt.Errorf("controlapi: writing result: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		//benchlint:allow uncheckederr — cleanup; the sync error wins
-		f.Close()
-		return fmt.Errorf("controlapi: syncing result: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("controlapi: closing result: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("controlapi: publishing result: %w", err)
 	}
 	return nil
 }

@@ -372,44 +372,11 @@ func (e *Engine) AblationInlineCache() (*report.Table, error) {
 // inside each Run is the per-benchmark witness that -opt 2 preserves
 // program results.
 func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
-	t := report.NewTable("Ablation A7: bytecode optimizer + superinstructions (-opt 2)",
-		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
-	arm := func(b workloads.Benchmark, opt int) (*harness.Result, error) {
-		return e.runner.Run(b, harness.Options{
-			Mode:        vm.ModeInterp,
-			Invocations: e.cfg.Invocations,
-			Iterations:  e.cfg.Iterations,
-			// Salt the seed per arm: the arms must not share a noise stream
-			// or the comparison would difference out real perturbations.
-			Seed:  e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ uint64(opt)<<48,
-			Noise: e.cfg.Noise,
-			Opt:   opt,
-		})
+	t, err := e.twoArmAblation("Ablation A7: bytecode optimizer + superinstructions (-opt 2)",
+		harness.Options{Opt: 0}, harness.Options{Opt: 2}, 0, 2)
+	if err != nil {
+		return nil, err
 	}
-	var opsRels, speedups []float64
-	for _, b := range e.cfg.Benchmarks {
-		base, err := arm(b, 0)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := arm(b, 2)
-		if err != nil {
-			return nil, err
-		}
-		// Executed-op reduction is deterministic (simulated counts are
-		// noise-free), so the last steady iteration of one invocation is
-		// exact; the wall-clock effect needs the full interval machinery.
-		sb := base.Invocations[0].Steps
-		so := opt.Invocations[0].Steps
-		opsRel := float64(so[len(so)-1]) / float64(sb[len(sb)-1])
-		cmp := rig.Compare(base.Hierarchical(), opt.Hierarchical())
-		opsRels = append(opsRels, opsRel)
-		speedups = append(speedups, cmp.Speedup)
-		t.AddRow(b.Name, string(b.Class), opsRel,
-			cmp.Speedup, cmp.CI.Lo, cmp.CI.Hi, cmp.Verdict.String())
-	}
-	t.AddRow("GEOMEAN", "", stats.GeoMean(opsRels), stats.GeoMean(speedups), "", "", "")
 	t.Caption = fmt.Sprintf(
 		"Interpreter, %d invocations × %d iterations per arm; speedup = opt-0 time / opt-2 time with %v%% Kalibera–Jones CIs; rel. ops = executed bytecode ops per steady iteration, opt 2 / opt 0.",
 		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
@@ -430,39 +397,11 @@ func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
 // by the analysis package's demo-program tests, and every Run here
 // validates checksums, witnessing that -opt 3 preserves results.
 func (e *Engine) AblationFactGates() (*report.Table, error) {
-	t := report.NewTable("Ablation A8: certificate-gated rewrites (-opt 3 vs -opt 2)",
-		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
-	arm := func(b workloads.Benchmark, opt int) (*harness.Result, error) {
-		return e.runner.Run(b, harness.Options{
-			Mode:        vm.ModeInterp,
-			Invocations: e.cfg.Invocations,
-			Iterations:  e.cfg.Iterations,
-			Seed:        e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ uint64(opt)<<48,
-			Noise:       e.cfg.Noise,
-			Opt:         opt,
-		})
+	t, err := e.twoArmAblation("Ablation A8: certificate-gated rewrites (-opt 3 vs -opt 2)",
+		harness.Options{Opt: 2}, harness.Options{Opt: 3}, 2, 3)
+	if err != nil {
+		return nil, err
 	}
-	var opsRels, speedups []float64
-	for _, b := range e.cfg.Benchmarks {
-		base, err := arm(b, 2)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := arm(b, 3)
-		if err != nil {
-			return nil, err
-		}
-		sb := base.Invocations[0].Steps
-		so := opt.Invocations[0].Steps
-		opsRel := float64(so[len(so)-1]) / float64(sb[len(sb)-1])
-		cmp := rig.Compare(base.Hierarchical(), opt.Hierarchical())
-		opsRels = append(opsRels, opsRel)
-		speedups = append(speedups, cmp.Speedup)
-		t.AddRow(b.Name, string(b.Class), opsRel,
-			cmp.Speedup, cmp.CI.Lo, cmp.CI.Hi, cmp.Verdict.String())
-	}
-	t.AddRow("GEOMEAN", "", stats.GeoMean(opsRels), stats.GeoMean(speedups), "", "", "")
 	t.Caption = fmt.Sprintf(
 		"Interpreter, %d invocations × %d iterations per arm; speedup = opt-2 time / opt-3 time with %v%% Kalibera–Jones CIs; rel. ops = executed bytecode ops per steady iteration, opt 3 / opt 2. rel. ops = 1.000 means no certificate license fired on that benchmark.",
 		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
@@ -480,41 +419,57 @@ func (e *Engine) AblationFactGates() (*report.Table, error) {
 // the checksum validation inside each Run witnesses that elision preserves
 // program results even though it is not sample-set-preserving.
 func (e *Engine) AblationRegisterElision() (*report.Table, error) {
-	t := report.NewTable("Ablation A9: register-tier move elision (-vm reg-elide)",
+	t, err := e.twoArmAblation("Ablation A9: register-tier move elision (-vm reg-elide)",
+		harness.Options{VM: "reg"}, harness.Options{VM: "reg-elide"}, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	t.Caption = fmt.Sprintf(
+		"Register tier, %d invocations × %d iterations per arm; speedup = reg time / reg-elide time with %v%% Kalibera–Jones CIs; rel. ops = executed register ops per steady iteration, elided / 1:1. rel. ops < 1 measures deleted forwarding moves.",
+		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
+	return t, nil
+}
+
+// twoArmAblation tabulates an interpreter ablation of cand against base:
+// one row per benchmark, then a GEOMEAN row. base and cand carry what
+// differs between the arms (Opt, VM); both arms run the configured
+// rigorous design, and each arm's salt gives it its own noise stream, so
+// the comparison does not difference out real perturbations. rel. ops is
+// the executed-op ratio of invocation 0's last iteration: simulated counts
+// are noise-free, so one steady iteration is exact, while the time effect
+// needs the full Kalibera–Jones interval. The checksum validation inside
+// each Run witnesses that cand preserves program results.
+func (e *Engine) twoArmAblation(title string, base, cand harness.Options, baseSalt, candSalt uint64) (*report.Table, error) {
+	t := report.NewTable(title,
 		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
 	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
-	arm := func(b workloads.Benchmark, vmSpec string, salt uint64) (*harness.Result, error) {
-		return e.runner.Run(b, harness.Options{
-			Mode:        vm.ModeInterp,
-			Invocations: e.cfg.Invocations,
-			Iterations:  e.cfg.Iterations,
-			Seed:        e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ salt<<48,
-			Noise:       e.cfg.Noise,
-			VM:          vmSpec,
-		})
+	arm := func(b workloads.Benchmark, o harness.Options, salt uint64) (*harness.Result, error) {
+		o.Mode = vm.ModeInterp
+		o.Invocations = e.cfg.Invocations
+		o.Iterations = e.cfg.Iterations
+		o.Seed = e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ salt<<48
+		o.Noise = e.cfg.Noise
+		return e.runner.Run(b, o)
 	}
 	var opsRels, speedups []float64
 	for _, b := range e.cfg.Benchmarks {
-		base, err := arm(b, "reg", 0)
+		br, err := arm(b, base, baseSalt)
 		if err != nil {
 			return nil, err
 		}
-		elided, err := arm(b, "reg-elide", 1)
+		cr, err := arm(b, cand, candSalt)
 		if err != nil {
 			return nil, err
 		}
-		sb := base.Invocations[0].Steps
-		se := elided.Invocations[0].Steps
-		opsRel := float64(se[len(se)-1]) / float64(sb[len(sb)-1])
-		cmp := rig.Compare(base.Hierarchical(), elided.Hierarchical())
+		sb := br.Invocations[0].Steps
+		sc := cr.Invocations[0].Steps
+		opsRel := float64(sc[len(sc)-1]) / float64(sb[len(sb)-1])
+		cmp := rig.Compare(br.Hierarchical(), cr.Hierarchical())
 		opsRels = append(opsRels, opsRel)
 		speedups = append(speedups, cmp.Speedup)
 		t.AddRow(b.Name, string(b.Class), opsRel,
 			cmp.Speedup, cmp.CI.Lo, cmp.CI.Hi, cmp.Verdict.String())
 	}
 	t.AddRow("GEOMEAN", "", stats.GeoMean(opsRels), stats.GeoMean(speedups), "", "", "")
-	t.Caption = fmt.Sprintf(
-		"Register tier, %d invocations × %d iterations per arm; speedup = reg time / reg-elide time with %v%% Kalibera–Jones CIs; rel. ops = executed register ops per steady iteration, elided / 1:1. rel. ops < 1 measures deleted forwarding moves.",
-		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
 	return t, nil
 }

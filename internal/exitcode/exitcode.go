@@ -1,5 +1,5 @@
 // Package exitcode is the repository-wide exit-status taxonomy. Every
-// command (pybench, benchgate, benchlint, benchjson, benchtrack, pylint,
+// command (pybench, pybenchd, benchgate, benchlint, benchjson, pylint,
 // tracecheck, benchchaos) maps its outcomes onto the same five codes, so CI
 // scripts can branch on *why* a step failed without parsing stderr:
 //

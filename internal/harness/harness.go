@@ -207,6 +207,47 @@ func (r *Result) CyclesMatrix() [][]uint64 {
 	return out
 }
 
+// SameSamples is the sample-set contract: got carries want's invocations
+// in the same order, with identical times, cycles, steps and checksums.
+// Isolated, resumed, chaos-soaked and daemon runs meet it against the
+// in-process run at equal seeds. The error names the first invocation and
+// field that differ.
+func SameSamples(want, got *Result) error {
+	if len(want.Invocations) != len(got.Invocations) {
+		return fmt.Errorf("invocation counts differ: %d vs %d",
+			len(want.Invocations), len(got.Invocations))
+	}
+	for i := range want.Invocations {
+		w, g := &want.Invocations[i], &got.Invocations[i]
+		if err := sameSeries(w.TimesSec, g.TimesSec); err != nil {
+			return fmt.Errorf("invocation %d times differ: %w", i, err)
+		}
+		if err := sameSeries(w.Cycles, g.Cycles); err != nil {
+			return fmt.Errorf("invocation %d cycles differ: %w", i, err)
+		}
+		if err := sameSeries(w.Steps, g.Steps); err != nil {
+			return fmt.Errorf("invocation %d steps differ: %w", i, err)
+		}
+		if w.Checksum != g.Checksum {
+			return fmt.Errorf("invocation %d checksums differ: %s vs %s", i, w.Checksum, g.Checksum)
+		}
+	}
+	return nil
+}
+
+// sameSeries compares two per-iteration series element by element.
+func sameSeries[T float64 | uint64](a, b []T) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("lengths %d vs %d", len(a), len(b))
+	}
+	for j := range a {
+		if a[j] != b[j] {
+			return fmt.Errorf("iteration %d: %v vs %v", j, a[j], b[j])
+		}
+	}
+	return nil
+}
+
 // Runner executes experiments. Compiled workloads are cached in a
 // concurrency-safe workloads.CodeCache, so repeated experiments on the same
 // benchmark skip the front end and concurrent experiments (the daemon's

@@ -439,3 +439,35 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal("broken JSON must error")
 	}
 }
+
+// SameSamples is the one definition of "same samples": every field of the
+// sample set counts, and the error names the first invocation and field
+// that differ.
+func TestSameSamplesNamesFirstDifference(t *testing.T) {
+	mk := func() *Result {
+		return &Result{Invocations: []Invocation{
+			{TimesSec: []float64{1, 2}, Cycles: []uint64{10, 20}, Steps: []uint64{5, 6}, Checksum: "a"},
+			{TimesSec: []float64{3, 4}, Cycles: []uint64{30, 40}, Steps: []uint64{7, 8}, Checksum: "b"},
+		}}
+	}
+	if err := SameSamples(mk(), mk()); err != nil {
+		t.Fatalf("identical sets differ: %v", err)
+	}
+	cases := []struct {
+		edit func(*Result)
+		want string
+	}{
+		{func(r *Result) { r.Invocations = r.Invocations[:1] }, "invocation counts differ: 2 vs 1"},
+		{func(r *Result) { r.Invocations[1].TimesSec[1] = 4.5 }, "invocation 1 times differ: iteration 1: 4 vs 4.5"},
+		{func(r *Result) { r.Invocations[1].Cycles[0] = 31 }, "invocation 1 cycles differ: iteration 0: 30 vs 31"},
+		{func(r *Result) { r.Invocations[0].Steps = r.Invocations[0].Steps[:1] }, "invocation 0 steps differ: lengths 2 vs 1"},
+		{func(r *Result) { r.Invocations[1].Checksum = "c" }, "invocation 1 checksums differ: b vs c"},
+	}
+	for _, c := range cases {
+		got := mk()
+		c.edit(got)
+		if err := SameSamples(mk(), got); err == nil || err.Error() != c.want {
+			t.Errorf("SameSamples = %v, want %q", err, c.want)
+		}
+	}
+}

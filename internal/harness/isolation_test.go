@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -55,19 +54,11 @@ func testIsolation(t *testing.T) IsolationOptions {
 	}
 }
 
-// sameSamples asserts two results carry bit-identical sample sets.
+// sameSamples asserts two results meet the sample-set contract.
 func sameSamples(t *testing.T, want, got *Result, label string) {
 	t.Helper()
-	if len(want.Invocations) != len(got.Invocations) {
-		t.Fatalf("%s: %d invocations vs %d", label, len(got.Invocations), len(want.Invocations))
-	}
-	for i := range want.Invocations {
-		if !reflect.DeepEqual(want.Invocations[i].TimesSec, got.Invocations[i].TimesSec) {
-			t.Fatalf("%s: invocation %d samples differ", label, i)
-		}
-		if want.Invocations[i].Checksum != got.Invocations[i].Checksum {
-			t.Fatalf("%s: invocation %d checksum differs", label, i)
-		}
+	if err := SameSamples(want, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

@@ -19,44 +19,44 @@ type ROp uint8
 // the cost model, inline caches and probe address synthesis key off the
 // stack program's values.
 const (
-	RopNop            ROp = iota
-	RopLoadConst          // A = consts[Arg]
-	RopLoadLocal          // A = local B (Arg = B, the source slot)
-	RopStoreLocal         // local A = B
-	RopLoadGlobal         // A = global names[Arg]
-	RopStoreGlobal        // global names[Arg] = A
-	RopLoadCell           // A = cell Arg contents
-	RopStoreCell          // cell Arg contents = A
-	RopPushCell           // A = the *Cell itself (closure capture)
-	RopLoadAttr           // B = A.names[Arg] (B = A under 1:1 lowering)
-	RopStoreAttr          // A.names[Arg] = B
-	RopBinary             // C = A ⊙ B (Arg = BinOpCode; C = A under 1:1 lowering)
-	RopUnary              // B = ⊙A (Arg = UnOpCode; B = A under 1:1 lowering)
-	RopJump               // pc = Arg
-	RopJumpIfFalse        // if !truth(A): pc = Arg
-	RopJumpIfTrue         // if truth(A): pc = Arg
-	RopJumpIfFalseKeep    // like RopJumpIfFalse but A survives on the jump path
-	RopJumpIfTrueKeep     // like RopJumpIfTrue but A survives on the jump path
-	RopCall               // B = call A(A+1 .. A+Arg) (B = A under 1:1 lowering)
-	RopReturn             // return A
-	RopDrop               // discard A (clears the register for GC hygiene)
-	RopDup                // A = B
-	RopDup2               // A, A+1 = B, B+1
-	RopBuildList          // B = list of A .. A+Arg-1 (B = A under 1:1 lowering)
-	RopBuildTuple         // B = tuple of A .. A+Arg-1 (B = A under 1:1 lowering)
-	RopBuildDict          // A = dict of Arg (key, value) register pairs at A
-	RopBuildClass         // A = class from [name, base, (name, value)*Arg] at A
-	RopIndexGet           // C = A[B] (C = A under 1:1 lowering)
-	RopIndexSet           // A[B] = C
-	RopSliceGet           // A = A[B:C]
-	RopDelIndex           // del A[B]
-	RopGetIter            // A = iter(A)
-	RopForIter            // A+1 = next(A) or clear A and pc = Arg
-	RopMakeFunction       // A = function(consts[Arg]); free cells at A .. A+nf-1
-	RopUnpack             // A..A+Arg-1 = unpack sequence in A (first item last)
-	RopLoadLocalPair      // A = local B; A+1 = local C (Arg = original packed arg)
-	RopLoadLocalConst     // A = local B; A+1 = consts[Arg>>12]
-	RopBinaryJumpIfFalse  // if !truth(A ⊙ B): pc = Arg>>4 (⊙ = Arg&0xF)
+	RopNop               ROp = iota
+	RopLoadConst             // A = consts[Arg]
+	RopLoadLocal             // A = local B (Arg = B, the source slot)
+	RopStoreLocal            // local A = B
+	RopLoadGlobal            // A = global names[Arg]
+	RopStoreGlobal           // global names[Arg] = A
+	RopLoadCell              // A = cell Arg contents
+	RopStoreCell             // cell Arg contents = A
+	RopPushCell              // A = the *Cell itself (closure capture)
+	RopLoadAttr              // B = A.names[Arg] (B = A under 1:1 lowering)
+	RopStoreAttr             // A.names[Arg] = B
+	RopBinary                // C = A ⊙ B (Arg = BinOpCode; C = A under 1:1 lowering)
+	RopUnary                 // B = ⊙A (Arg = UnOpCode; B = A under 1:1 lowering)
+	RopJump                  // pc = Arg
+	RopJumpIfFalse           // if !truth(A): pc = Arg
+	RopJumpIfTrue            // if truth(A): pc = Arg
+	RopJumpIfFalseKeep       // like RopJumpIfFalse but A survives on the jump path
+	RopJumpIfTrueKeep        // like RopJumpIfTrue but A survives on the jump path
+	RopCall                  // B = call A(A+1 .. A+Arg) (B = A under 1:1 lowering)
+	RopReturn                // return A
+	RopDrop                  // discard A (clears the register for GC hygiene)
+	RopDup                   // A = B
+	RopDup2                  // A, A+1 = B, B+1
+	RopBuildList             // B = list of A .. A+Arg-1 (B = A under 1:1 lowering)
+	RopBuildTuple            // B = tuple of A .. A+Arg-1 (B = A under 1:1 lowering)
+	RopBuildDict             // A = dict of Arg (key, value) register pairs at A
+	RopBuildClass            // A = class from [name, base, (name, value)*Arg] at A
+	RopIndexGet              // C = A[B] (C = A under 1:1 lowering)
+	RopIndexSet              // A[B] = C
+	RopSliceGet              // A = A[B:C]
+	RopDelIndex              // del A[B]
+	RopGetIter               // A = iter(A)
+	RopForIter               // A+1 = next(A) or clear A and pc = Arg
+	RopMakeFunction          // A = function(consts[Arg]); free cells at A .. A+nf-1
+	RopUnpack                // A..A+Arg-1 = unpack sequence in A (first item last)
+	RopLoadLocalPair         // A = local B; A+1 = local C (Arg = original packed arg)
+	RopLoadLocalConst        // A = local B; A+1 = consts[Arg>>12]
+	RopBinaryJumpIfFalse     // if !truth(A ⊙ B): pc = Arg>>4 (⊙ = Arg&0xF)
 
 	// Quickened forms: rewritten in place by the register interpreter after
 	// first execution observes a monomorphic operand shape. Never produced

@@ -156,16 +156,6 @@ func (p *Profiler) Flat() []LineCost {
 	return out
 }
 
-// Top returns the n most expensive lines (all of them when n <= 0 or
-// exceeds the line count).
-func (p *Profiler) Top(n int) []LineCost {
-	flat := p.Flat()
-	if n > 0 && n < len(flat) {
-		flat = flat[:n]
-	}
-	return flat
-}
-
 // OpCosts returns the dynamic opcode histogram sorted by descending
 // cycles, ties broken by opcode order.
 func (p *Profiler) OpCosts() []OpCost {

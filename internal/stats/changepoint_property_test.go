@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Property tests for changepoint attribution: benchtrack's commit
-// attribution is only as good as PELT's localization, so these pin the
-// contract the longitudinal store depends on — an injected step lands
-// within ±1 index of where it was injected, and pure noise never alarms —
-// across many seeds and step geometries.
+// Property tests for changepoint localization: steady-state classification
+// (ClassifySteadyState, ablation A4) cuts warm-up where PELT places a
+// changepoint, so these pin the contract it depends on — an injected step
+// lands within ±1 index of where it was injected, and pure noise never
+// alarms — across many seeds and step geometries.
 
 // noisySteps builds a series of n points at the given segment levels
 // (boundaries are the indices where each later segment begins), with
@@ -66,8 +66,7 @@ func TestPELTDoubleStepBothLocalizedWithinOne(t *testing.T) {
 // Pure noise: a statistical detector has a false-positive rate, so the
 // property is two-sided — false alarms are rare (a few percent of seeds),
 // and any spurious changepoint is practically insignificant: its segment
-// delta sits below the 5% floor perfstore.Analyze filters on, so noise can
-// never become a regression alert downstream.
+// delta sits below 5%, so noise alone never reads as a level shift.
 func TestPELTPureNoiseRarelyAndOnlyTriviallyAlarms(t *testing.T) {
 	const seeds = 50
 	alarms := 0

@@ -24,9 +24,6 @@ const (
 	CatIteration  = "iteration"
 	CatPhase      = "phase"
 	CatSupervisor = "supervisor"
-	// CatTrack instants are benchtrack history operations: snapshot
-	// ingests, changepoint alerts, and acknowledgements.
-	CatTrack = "track"
 )
 
 // Event is one recorded trace event. TS and Dur are offsets from the

@@ -12,9 +12,9 @@ import (
 // LineJournal is the append-only journal: its records are CRC32C-framed
 // *JSON lines*, so the file is valid JSONL (one JSON object per line),
 // git-diffable, and greppable while keeping a crash-only recovery
-// contract. It backs the supervisor's checkpoints (*.ckpt.wal), the
-// daemon's ledger (ledger.wal), and the committed perf history
-// (BENCH_history.jsonl), each of which must survive a crash mid-append.
+// contract. It backs the supervisor's checkpoints (*.ckpt.wal) and the
+// daemon's ledger (ledger.wal), each of which must survive a crash
+// mid-append.
 //
 // Each line is the envelope
 //
@@ -138,7 +138,7 @@ func OpenLines(fsys FS, path string) (*LineJournal, [][]byte, RecoveryReport, er
 	}
 	payloads, goodLen, rep := decodeAllLines(data)
 	if goodLen < len(data) {
-		if err := atomicRewrite(fsys, path, data[:goodLen]); err != nil {
+		if err := AtomicRewrite(fsys, path, data[:goodLen]); err != nil {
 			return nil, nil, rep, fmt.Errorf("wal: truncating damaged journal %s: %w", path, err)
 		}
 	}
@@ -150,9 +150,11 @@ func OpenLines(fsys FS, path string) (*LineJournal, [][]byte, RecoveryReport, er
 	return j, payloads, rep, nil
 }
 
-// atomicRewrite replaces path with raw via temp file + fsync + rename, so
-// the repair itself is atomic.
-func atomicRewrite(fsys FS, path string, raw []byte) error {
+// AtomicRewrite replaces path with raw via temp file + fsync + rename, so
+// a crash mid-write leaves either the old file or the new one, never a
+// half-written one. Journal repair and the daemon's result documents use
+// it.
+func AtomicRewrite(fsys FS, path string, raw []byte) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {

@@ -58,6 +58,9 @@ type Comparison struct {
 }
 
 // Methodology compares a baseline and a treatment experiment.
+// EvaluateMethodology runs trials through stats.ParallelFor, so Compare
+// may be called concurrently and must not share mutable state between
+// calls; none of the six here keeps any.
 type Methodology interface {
 	Name() string
 	Compare(baseline, treatment stats.HierarchicalSample) Comparison
@@ -201,12 +204,7 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 	}
 	rng := stats.NewRNG(r.Seed ^ 0xB00757A9)
 
-	wa, sa := r.trimWarmup(baseline)
-	wb, sb := r.trimWarmup(treatment)
-	dropped := wa
-	if wb > dropped {
-		dropped = wb
-	}
+	dropped, sa, sb := r.trimWarmup(baseline, treatment)
 	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, conf, r.Resamples, rng)
 	sp := stats.Mean(sa.InvocationMeans()) / stats.Mean(sb.InvocationMeans())
 	verdict := Indistinguishable
@@ -226,16 +224,22 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 	}
 }
 
-// trimWarmup detects each invocation's steady segment and returns the
-// trimmed sample along with the maximum number of dropped iterations.
-func (r Rigorous) trimWarmup(h stats.HierarchicalSample) (int, stats.HierarchicalSample) {
+// trimWarmup detects the steady segment of every invocation of a and b,
+// the invocations of both through one stats.ParallelFor, and returns the
+// trimmed samples along with the most iterations dropped from any one
+// invocation.
+func (r Rigorous) trimWarmup(a, b stats.HierarchicalSample) (int, stats.HierarchicalSample, stats.HierarchicalSample) {
 	maxFrac := r.MaxWarmupFrac
 	if maxFrac == 0 {
 		maxFrac = 0.5
 	}
-	out := make([][]float64, len(h.Times))
-	maxDropped := 0
-	for i, inv := range h.Times {
+	ta, tb := make([][]float64, len(a.Times)), make([][]float64, len(b.Times))
+	stats.ParallelFor(len(ta)+len(tb), func(i int) {
+		in, out := a.Times, ta
+		if i >= len(ta) {
+			in, out, i = b.Times, tb, i-len(ta)
+		}
+		inv := in[i]
 		res := stats.ClassifySteadyState(inv, 0, 0, 0)
 		start := 0
 		switch res.Class {
@@ -249,12 +253,16 @@ func (r Rigorous) trimWarmup(h stats.HierarchicalSample) (int, stats.Hierarchica
 		if limit := int(maxFrac * float64(len(inv))); start > limit {
 			start = limit
 		}
-		if start > maxDropped {
-			maxDropped = start
-		}
 		out[i] = inv[start:]
+	})
+	dropped := 0
+	for i, inv := range a.Times {
+		dropped = max(dropped, len(inv)-len(ta[i]))
 	}
-	return maxDropped, stats.HierarchicalSample{Times: out}
+	for i, inv := range b.Times {
+		dropped = max(dropped, len(inv)-len(tb[i]))
+	}
+	return dropped, stats.HierarchicalSample{Times: ta}, stats.HierarchicalSample{Times: tb}
 }
 
 // All returns every methodology, naive ones first, for the comparison

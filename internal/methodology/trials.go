@@ -73,27 +73,41 @@ func (e ErrorRates) MissRate() float64 {
 // EvaluateMethodology runs `trials` synthetic experiments comparing baseline
 // vs treatment generators and scores m against the ground truth.
 // equivBand is the relative effect below which the truth counts as a tie
-// (the paper's "practically equivalent" band).
+// (the paper's "practically equivalent" band). It draws every trial's seed
+// pair first, in trial order, runs the trials through stats.ParallelFor,
+// and adds up their results in trial order: the rates are the same bits at
+// any GOMAXPROCS.
 func EvaluateMethodology(m Methodology, baseline, treatment TrialGenerator,
 	invocations, iterations, trials int, equivBand float64, seed uint64) ErrorRates {
 	truthSpeedup := baseline.TrueSpeedupOver(treatment)
 	truth := VerdictFor(truthSpeedup, equivBand)
+	type trial struct {
+		seedA, seedB uint64
+		verdict      Verdict
+		relErr       float64
+	}
+	ts := make([]trial, max(trials, 0))
+	rng := stats.NewRNG(seed)
+	for t := range ts {
+		ts[t].seedA = rng.Uint64()
+		ts[t].seedB = rng.Uint64()
+	}
+	stats.ParallelFor(len(ts), func(t int) {
+		tr := &ts[t]
+		cmp := m.Compare(baseline.Sample(tr.seedA, invocations, iterations),
+			treatment.Sample(tr.seedB, invocations, iterations))
+		tr.verdict, tr.relErr = cmp.Verdict, RelativeError(cmp.Speedup, truthSpeedup)
+	})
 	out := ErrorRates{Methodology: m.Name(), Trials: trials}
 	sumRelErr := 0.0
-	rng := stats.NewRNG(seed)
-	for t := 0; t < trials; t++ {
-		sa := rng.Uint64()
-		sb := rng.Uint64()
-		hsA := baseline.Sample(sa, invocations, iterations)
-		hsB := treatment.Sample(sb, invocations, iterations)
-		cmp := m.Compare(hsA, hsB)
-		if Misleading(cmp.Verdict, truth) {
+	for _, tr := range ts {
+		if Misleading(tr.verdict, truth) {
 			out.Misleading++
 		}
-		if Missed(cmp.Verdict, truth) {
+		if Missed(tr.verdict, truth) {
 			out.Missed++
 		}
-		sumRelErr += RelativeError(cmp.Speedup, truthSpeedup)
+		sumRelErr += tr.relErr
 	}
 	out.MeanRelErr = sumRelErr / float64(trials)
 	return out

@@ -1,0 +1,141 @@
+package methodology
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/noise"
+	"repro/internal/stats"
+)
+
+// sequentialEvaluate is EvaluateMethodology before its trials ran through
+// stats.ParallelFor: one trial after another, each drawing its seed pair
+// in turn. It is the reference the parallel form must match bit for bit.
+func sequentialEvaluate(m Methodology, baseline, treatment TrialGenerator,
+	invocations, iterations, trials int, equivBand float64, seed uint64) ErrorRates {
+	truthSpeedup := baseline.TrueSpeedupOver(treatment)
+	truth := VerdictFor(truthSpeedup, equivBand)
+	out := ErrorRates{Methodology: m.Name(), Trials: trials}
+	sumRelErr := 0.0
+	rng := stats.NewRNG(seed)
+	for t := 0; t < trials; t++ {
+		sa := rng.Uint64()
+		sb := rng.Uint64()
+		hsA := baseline.Sample(sa, invocations, iterations)
+		hsB := treatment.Sample(sb, invocations, iterations)
+		cmp := m.Compare(hsA, hsB)
+		if Misleading(cmp.Verdict, truth) {
+			out.Misleading++
+		}
+		if Missed(cmp.Verdict, truth) {
+			out.Missed++
+		}
+		sumRelErr += RelativeError(cmp.Speedup, truthSpeedup)
+	}
+	out.MeanRelErr = sumRelErr / float64(trials)
+	return out
+}
+
+func TestEvaluateMethodologyBitIdentical(t *testing.T) {
+	p := noise.Default()
+	pairs := []struct {
+		name                string
+		baseline, treatment TrialGenerator
+	}{
+		{"flat", flatGen(1, p), flatGen(1, p).Scaled(1.02)},
+		{"jit-warmup", flatGen(1, p), warmupGen(0.4, p)},
+	}
+	for _, pair := range pairs {
+		for _, m := range All(11) {
+			for _, trials := range []int{1, 2, 10, 37} {
+				want := sequentialEvaluate(m, pair.baseline, pair.treatment, 5, 12, trials, 0.01, 99)
+				got := EvaluateMethodology(m, pair.baseline, pair.treatment, 5, 12, trials, 0.01, 99)
+				if got.Methodology != want.Methodology || got.Trials != want.Trials ||
+					got.Misleading != want.Misleading || got.Missed != want.Missed ||
+					math.Float64bits(got.MeanRelErr) != math.Float64bits(want.MeanRelErr) {
+					t.Fatalf("%s, %s, %d trials: %+v, sequential %+v", pair.name, m.Name(), trials, got, want)
+				}
+			}
+		}
+	}
+}
+
+// perSampleTrim is Rigorous.trimWarmup before it classified both samples'
+// invocations through one stats.ParallelFor: one sample at a time.
+func perSampleTrim(r Rigorous, h stats.HierarchicalSample) (int, stats.HierarchicalSample) {
+	maxFrac := r.MaxWarmupFrac
+	if maxFrac == 0 {
+		maxFrac = 0.5
+	}
+	out := make([][]float64, len(h.Times))
+	maxDropped := 0
+	for i, inv := range h.Times {
+		res := stats.ClassifySteadyState(inv, 0, 0, 0)
+		start := 0
+		switch res.Class {
+		case stats.ClassWarmup, stats.ClassSlowdown:
+			start = res.SteadyStart
+		case stats.ClassNoSteadyState:
+			start = len(inv) / 2
+		}
+		if limit := int(maxFrac * float64(len(inv))); start > limit {
+			start = limit
+		}
+		if start > maxDropped {
+			maxDropped = start
+		}
+		out[i] = inv[start:]
+	}
+	return maxDropped, stats.HierarchicalSample{Times: out}
+}
+
+// TestTrimWarmupMatchesPerSample checks the joint warm-up trim against the
+// per-sample one on ragged samples of warming, slowing and flat
+// invocations: the same cut of every invocation, and the same
+// WarmupDropped from Compare.
+func TestTrimWarmupMatchesPerSample(t *testing.T) {
+	gen := stats.NewRNG(31)
+	ragged := func() stats.HierarchicalSample {
+		times := make([][]float64, gen.Intn(9))
+		for i := range times {
+			times[i] = make([]float64, 1+gen.Intn(40))
+			warm := gen.Intn(len(times[i])/2 + 1)
+			shift := 1 + 2*(gen.Float64()-0.3) // a warm-up above 1, a slowdown below
+			for j := range times[i] {
+				times[i][j] = 1 + 0.01*gen.NormFloat64()
+				if j < warm {
+					times[i][j] *= shift
+				}
+			}
+		}
+		return stats.HierarchicalSample{Times: times}
+	}
+	for trial := 0; trial < 60; trial++ {
+		a, b := ragged(), ragged()
+		for _, r := range []Rigorous{{Seed: 3, Resamples: 50}, {Seed: 3, Resamples: 50, MaxWarmupFrac: 0.2}} {
+			wa, sa := perSampleTrim(r, a)
+			wb, sb := perSampleTrim(r, b)
+			dropped, ga, gb := r.trimWarmup(a, b)
+			if want := max(wa, wb); dropped != want {
+				t.Fatalf("trial %d, %+v: dropped %d, per sample %d", trial, r, dropped, want)
+			}
+			for k, pair := range [2][2]stats.HierarchicalSample{{ga, sa}, {gb, sb}} {
+				got, want := pair[0].Times, pair[1].Times
+				if len(got) != len(want) {
+					t.Fatalf("trial %d, sample %d: %d invocations, per sample %d", trial, k, len(got), len(want))
+				}
+				for i := range want {
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("trial %d, sample %d, invocation %d: kept %d iterations, per sample %d",
+							trial, k, i, len(got[i]), len(want[i]))
+					}
+				}
+			}
+			if len(a.Times) > 0 && len(b.Times) > 0 {
+				if got := r.Compare(a, b).WarmupDropped; got != max(wa, wb) {
+					t.Fatalf("trial %d, %+v: Compare dropped %d, per sample %d", trial, r, got, max(wa, wb))
+				}
+			}
+		}
+	}
+}

@@ -8,7 +8,8 @@
 //
 // Three views are produced:
 //
-//   - a flat per-line table (Flat), cost attributed to code.Lines[pc];
+//   - a flat per-line table (Annotate, and FuncCosts by function), cost
+//     attributed to code.Lines[pc];
 //   - a per-opcode histogram (OpCosts), the dynamic opcode mix by cost;
 //   - collapsed call stacks (WriteCollapsed), one "f;g;h cycles" line per
 //     unique stack, the folded format flamegraph.pl, speedscope, and
@@ -137,9 +138,9 @@ func (p *Profiler) OnOp(code *minipy.Code, pc int, op minipy.Op, cycles uint64) 
 // Counters.Cycles delta, making reconciliation exact.
 func (p *Profiler) Total() (ops, cycles uint64) { return p.ops, p.cycles }
 
-// Flat returns per-line costs sorted by descending cycles (function name,
+// flat returns per-line costs sorted by descending cycles (function name,
 // then line number break ties, so output is deterministic).
-func (p *Profiler) Flat() []LineCost {
+func (p *Profiler) flat() []LineCost {
 	out := make([]LineCost, 0, len(p.byLine))
 	for _, lc := range p.byLine {
 		out = append(out, *lc)

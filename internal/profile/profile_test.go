@@ -55,7 +55,7 @@ func TestProfilerReconcilesWithEngineCounters(t *testing.T) {
 		// The per-line, per-opcode, and per-stack views must each conserve
 		// the total.
 		var lineSum, opSum, stackSum uint64
-		for _, lc := range p.Flat() {
+		for _, lc := range p.flat() {
 			lineSum += lc.Cycles
 		}
 		for _, oc := range p.OpCosts() {
@@ -112,7 +112,7 @@ func TestCollapsedStacks(t *testing.T) {
 
 func TestLineAttributionLandsOnHotLine(t *testing.T) {
 	p, _ := profiledRun(t, "fib", vm.ModeInterp)
-	flat := p.Flat()
+	flat := p.flat()
 	if len(flat) == 0 {
 		t.Fatal("no lines attributed")
 	}
@@ -158,7 +158,7 @@ func TestResetClears(t *testing.T) {
 	p, _ := profiledRun(t, "fib", vm.ModeInterp)
 	p.Reset()
 	ops, cycles := p.Total()
-	if ops != 0 || cycles != 0 || len(p.Flat()) != 0 || len(p.Stacks()) != 0 {
+	if ops != 0 || cycles != 0 || len(p.flat()) != 0 || len(p.Stacks()) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }

@@ -299,19 +299,3 @@ func (t *Table) Markdown(w io.Writer) {
 		fmt.Fprintf(w, "\n> %s\n", fn)
 	}
 }
-
-// TrendArrow classifies a relative delta (in percent) into a direction
-// glyph for one-line trend summaries. Both tracked units are time costs,
-// so a rising series points up (slower), a falling one points down
-// (faster), and shifts within ±2% — the methodology's default equivalence
-// tolerance — are flat.
-func TrendArrow(deltaPct float64) string {
-	switch {
-	case deltaPct > 2:
-		return "↑"
-	case deltaPct < -2:
-		return "↓"
-	default:
-		return "→"
-	}
-}

@@ -158,17 +158,3 @@ func TestTableMarkdown(t *testing.T) {
 		}
 	}
 }
-
-func TestTrendArrow(t *testing.T) {
-	cases := []struct {
-		delta float64
-		want  string
-	}{
-		{10, "↑"}, {2.1, "↑"}, {2, "→"}, {0, "→"}, {-2, "→"}, {-2.1, "↓"}, {-15, "↓"},
-	}
-	for _, c := range cases {
-		if got := TrendArrow(c.delta); got != c.want {
-			t.Errorf("TrendArrow(%v) = %q, want %q", c.delta, got, c.want)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -32,14 +31,14 @@ func BootstrapCI(xs []float64, stat func([]float64) float64,
 	return percentileInterval(estimates, confidence)
 }
 
-// percentileInterval sorts the bootstrap estimates in place and returns
-// their central confidence interval.
+// percentileInterval returns the central confidence interval of the
+// bootstrap estimates, the quantiles quantileSorted reads from them in
+// sort.Float64s order, found by selection. It reorders estimates.
 func percentileInterval(estimates []float64, confidence float64) Interval {
-	sort.Float64s(estimates)
 	alpha := (1 - confidence) / 2
 	return Interval{
-		Lo:         quantileSorted(estimates, alpha),
-		Hi:         quantileSorted(estimates, 1-alpha),
+		Lo:         selectQuantile(estimates, alpha),
+		Hi:         selectQuantile(estimates, 1-alpha),
 		Confidence: confidence,
 	}
 }
@@ -79,8 +78,9 @@ func (h HierarchicalSample) Flatten() []float64 {
 // BootstrapHierarchicalRatioCI bootstraps the ratio of grand means between
 // two two-level experiments by resampling invocations first and iterations
 // within each resampled invocation second, following Kalibera & Jones'
-// recommended hierarchical bootstrap for speedup CIs. It runs on up to
-// GOMAXPROCS cores, bit for bit as one sequential pass over rng's stream.
+// recommended hierarchical bootstrap for speedup CIs. It runs on the
+// cores ParallelFor's budget has spare, bit for bit as one sequential pass
+// over rng's stream.
 func BootstrapHierarchicalRatioCI(a, b HierarchicalSample,
 	confidence float64, resamples int, rng *RNG) Interval {
 	if len(a.Times) == 0 || len(b.Times) == 0 {
@@ -112,19 +112,27 @@ func bootstrapWorkers(resamples int, a, b HierarchicalSample) int {
 
 // fillRatios sets est[r] to the r-th ratio of one sequential pass over
 // rng's stream, in workers contiguous chunks, and leaves rng where that
-// pass ends. Chunk w+1 starts where replaying chunk w's invocation picks,
-// and skipping each pick's iteration draws, leaves rng. The caller fills
-// the last chunk with rng. Each other chunk runs on a goroutine as soon as
-// its start is known, from an RNG value on that goroutine's stack: states
-// kept side by side in one slice would share a cache line.
+// pass ends. Each chunk but the last goes to a helper from ParallelFor's
+// budget, as soon as its start is known, with an RNG value on the helper's
+// stack (states kept side by side in one slice would share a cache line);
+// the caller then finds the next chunk's start by replaying the chunk's
+// invocation picks and skipping each pick's iteration draws. With no
+// helper spare, the caller fills the chunk itself with rng, and nothing is
+// replayed. The caller fills the last chunk with rng.
 func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
 	var wg sync.WaitGroup
 	lo := 0
 	for w := 1; w < workers; w++ {
 		hi := w * len(est) / workers
+		if !acquireHelper() {
+			resampleRatios(est[lo:hi], a, b, rng)
+			lo = hi
+			continue
+		}
 		wg.Add(1)
 		go func(chunk []float64, chunkRNG RNG) {
 			defer wg.Done()
+			defer helpers.Add(-1)
 			resampleRatios(chunk, a, b, &chunkRNG)
 		}(est[lo:hi], RNG{state: rng.state})
 		for ; lo < hi; lo++ {

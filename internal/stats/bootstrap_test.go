@@ -186,25 +186,81 @@ func TestHierarchicalBootstrapBitIdentical(t *testing.T) {
 			if *rng != *ref {
 				t.Fatalf("trial %d, %d resamples: rng ends at %+v, sequential at %+v", trial, resamples, *rng, *ref)
 			}
-			for _, workers := range []int{2, 3, 5} {
-				if workers > resamples {
-					continue
-				}
-				est := make([]float64, resamples)
-				rng := NewRNG(seed)
-				rng.NormFloat64()
-				fillRatios(est, a, b, workers, rng)
-				for r := range est {
-					if !sameBits(est[r], wantEst[r]) {
-						t.Fatalf("trial %d, %d resamples, %d workers: ratio %d = %v, sequential %v",
-							trial, resamples, workers, r, est[r], wantEst[r])
+			// With the budget claimed, every chunk is filled inline.
+			for _, exhausted := range []bool{false, true} {
+				for _, workers := range []int{2, 3, 5} {
+					if workers > resamples {
+						continue
 					}
-				}
-				if *rng != *ref {
-					t.Fatalf("trial %d, %d resamples, %d workers: rng ends at %+v, sequential at %+v",
-						trial, resamples, workers, *rng, *ref)
+					release := func() {}
+					if exhausted {
+						release = claimBudget()
+					}
+					est := make([]float64, resamples)
+					rng := NewRNG(seed)
+					rng.NormFloat64()
+					fillRatios(est, a, b, workers, rng)
+					release()
+					for r := range est {
+						if !sameBits(est[r], wantEst[r]) {
+							t.Fatalf("trial %d, %d resamples, %d workers, exhausted %v: ratio %d = %v, sequential %v",
+								trial, resamples, workers, exhausted, r, est[r], wantEst[r])
+						}
+					}
+					if *rng != *ref {
+						t.Fatalf("trial %d, %d resamples, %d workers, exhausted %v: rng ends at %+v, sequential at %+v",
+							trial, resamples, workers, exhausted, *rng, *ref)
+					}
 				}
 			}
 		}
 	}
 }
+
+// TestPercentileIntervalMatchesSort checks the selected quantiles against
+// sort.Float64s and quantileSorted, the sort they replaced, bit for bit,
+// on samples with ties, infinities and NaNs. Zeros are all +0: the sort
+// leaves +0 and -0 in no fixed order, so neither can a selection match it.
+// A NaN quantile matches any NaN: which operand's payload an addition of
+// two NaNs keeps depends on the compiler's operand order, not on the data.
+func TestPercentileIntervalMatchesSort(t *testing.T) {
+	gen := NewRNG(29)
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0}
+	confidence := 0.95
+	alpha := (1 - confidence) / 2 // in float64, as percentileInterval has it
+	for n := 1; n <= 300; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch u := gen.Float64(); {
+			case u < 0.05:
+				xs[i] = special[gen.Intn(len(special))]
+			case u < 0.35:
+				xs[i] = float64(1 + gen.Intn(4)) // ties
+			default:
+				xs[i] = gen.LogNormal(0, 1)
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0, alpha, 0.5, 1 - alpha, 1, gen.Float64()} {
+			s := append([]float64(nil), xs...)
+			got, want := selectQuantile(s, q), quantileSorted(sorted, q)
+			if !sameQuantile(got, want) {
+				t.Fatalf("n=%d, q=%v: selected %v, sorted %v (sample %v)", n, q, got, want, xs)
+			}
+			sort.Float64s(s)
+			for i := range s {
+				if !sameBits(s[i], sorted[i]) {
+					t.Fatalf("n=%d, q=%v: selection lost or changed %v", n, q, sorted[i])
+				}
+			}
+		}
+		got := percentileInterval(append([]float64(nil), xs...), confidence)
+		want := Interval{Lo: quantileSorted(sorted, alpha), Hi: quantileSorted(sorted, 1-alpha), Confidence: confidence}
+		if !sameQuantile(got.Lo, want.Lo) || !sameQuantile(got.Hi, want.Hi) || got.Confidence != want.Confidence {
+			t.Fatalf("n=%d: interval %+v, sorted %+v", n, got, want)
+		}
+	}
+}
+
+func sameQuantile(x, y float64) bool { return sameBits(x, y) || (math.IsNaN(x) && math.IsNaN(y)) }

@@ -41,20 +41,6 @@ func MeanCI(xs []float64, confidence float64) Interval {
 	return Interval{Lo: m - t*se, Hi: m + t*se, Confidence: confidence}
 }
 
-// MeanCINormal returns the z-based interval (known-variance approximation);
-// used by the naive-methodology baselines and for large n.
-func MeanCINormal(xs []float64, confidence float64) Interval {
-	n := len(xs)
-	if n < 2 {
-		nan := math.NaN()
-		return Interval{Lo: nan, Hi: nan, Confidence: confidence}
-	}
-	m := Mean(xs)
-	se := StdDev(xs) / math.Sqrt(float64(n))
-	z := NormalQuantile(1 - (1-confidence)/2)
-	return Interval{Lo: m - z*se, Hi: m + z*se, Confidence: confidence}
-}
-
 // RequiredN estimates how many samples are needed for the mean's CI
 // half-width to shrink to target, given a pilot sample. It inverts
 // hw = t * s / sqrt(n) using the normal quantile (adequate for planning).

@@ -71,20 +71,6 @@ func TestMeanCICoverage(t *testing.T) {
 	}
 }
 
-func TestMeanCINormalNarrowerThanT(t *testing.T) {
-	rng := NewRNG(3)
-	xs := make([]float64, 8)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	tci := MeanCI(xs, 0.95)
-	zci := MeanCINormal(xs, 0.95)
-	if zci.HalfWidth() >= tci.HalfWidth() {
-		t.Fatalf("z-interval (%v) must be narrower than t-interval (%v) at n=8",
-			zci.HalfWidth(), tci.HalfWidth())
-	}
-}
-
 func TestRequiredN(t *testing.T) {
 	rng := NewRNG(5)
 	pilot := make([]float64, 30)

@@ -102,6 +102,67 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
+// selectQuantile is quantileSorted of s in sort.Float64s order (NaNs
+// first) without the sort: it selects the one or two order statistics the
+// quantile reads, in expected linear time, and leaves s reordered.
+func selectQuantile(s []float64, q float64) float64 {
+	n := len(s)
+	if n == 1 {
+		return s[0]
+	}
+	h := q * float64(n-1)
+	lo := int(math.Floor(h))
+	hi := lo + 1
+	if hi >= n {
+		return selectOrderStat(s, n-1)
+	}
+	frac := h - float64(lo)
+	x := selectOrderStat(s, lo)
+	y := s[hi] // the next order statistic is the least of s[hi:]
+	for _, v := range s[hi+1:] {
+		if sortsBefore(v, y) {
+			y = v
+		}
+	}
+	return x*(1-frac) + y*frac
+}
+
+// selectOrderStat reorders s so that s[k] holds the value sort.Float64s
+// would put there, nothing before it sorts after it and nothing after it
+// sorts before it, and returns s[k]. It is Hoare's FIND.
+func selectOrderStat(s []float64, k int) float64 {
+	l, r := 0, len(s)-1
+	for l < r {
+		p := s[l+(r-l)/2]
+		i, j := l, r
+		for i <= j {
+			for sortsBefore(s[i], p) {
+				i++
+			}
+			for sortsBefore(p, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
+}
+
+// sortsBefore is sort.Float64s' order: ascending, NaNs first.
+func sortsBefore(x, y float64) bool { return x < y || (x != x && y == y) }
+
 // Median returns the 0.5 quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -173,24 +234,4 @@ func Summarize(xs []float64) Summary {
 		P95:    quantileSorted(s, 0.95),
 		Max:    s[len(s)-1],
 	}
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation coefficient.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	num, den := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		den += (xs[i] - m) * (xs[i] - m)
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	for i := 0; i < n-lag; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
 }

@@ -108,22 +108,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// A strongly alternating series has negative lag-1 autocorrelation.
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if ac := Autocorrelation(alt, 1); ac >= -0.5 {
-		t.Fatalf("alternating lag-1 autocorr %v, want strongly negative", ac)
-	}
-	// A trending series has positive lag-1 autocorrelation.
-	trend := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	if ac := Autocorrelation(trend, 1); ac <= 0.3 {
-		t.Fatalf("trend lag-1 autocorr %v, want positive", ac)
-	}
-	if !math.IsNaN(Autocorrelation(alt, 0)) || !math.IsNaN(Autocorrelation(alt, 8)) {
-		t.Fatal("invalid lags must be NaN")
-	}
-}
-
 // Property: mean is translation-equivariant and variance is
 // translation-invariant.
 func TestMeanVarianceTranslationProperty(t *testing.T) {

@@ -108,8 +108,8 @@ func main() {
 		retries     = flag.Int("retries", 0, "per-invocation retry budget for supervised runs")
 		quorum      = flag.Int("quorum", 0, "minimum successful invocations per experiment (0 = all)")
 		resume      = flag.String("resume", "", "checkpoint directory: save progress after every invocation and resume interrupted runs")
-		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
-		metricsOn   = flag.Bool("metrics", false, "collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
+		traceOut    = flag.String("trace", "", "with -bench or -suite: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
+		metricsOn   = flag.Bool("metrics", false, "with -bench or -suite: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format)")
 		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
 		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
@@ -165,6 +165,14 @@ func main() {
 	}
 	if *markdown {
 		style = renderMarkdown
+	}
+	// -bench and -suite are the only commands that write a trace or print
+	// metrics (-list, -profile, -dis and -lint take precedence over them
+	// below). Any other command would exit 0 having done neither, so the
+	// combination is a usage error until -exp honours the flags.
+	if (*traceOut != "" || *metricsOn) &&
+		(*list || *profileName != "" || *dis != "" || *lint || (!*suite && *bench == "")) {
+		fatal(usageError{errors.New("-trace and -metrics apply only to -bench and -suite")})
 	}
 	obs := newObservability(*traceOut, *metricsOn)
 

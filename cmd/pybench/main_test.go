@@ -3,13 +3,16 @@ package main
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/controlapi"
 	"repro/internal/core"
+	"repro/internal/exitcode"
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/noise"
@@ -17,6 +20,49 @@ import (
 	"repro/internal/version"
 	"repro/internal/workloads"
 )
+
+// TestMain lets the test binary run pybench itself: given -pybench as its
+// first argument, it runs main on the arguments after it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-pybench" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestObservabilityFlagsNeedBenchOrSuite runs pybench with -trace or
+// -metrics beside every command that would ignore them, -list also beside
+// -bench, which it takes precedence over: each is a usage error that
+// prints nothing to stdout and writes no trace.
+func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceFile := filepath.Join(t.TempDir(), "out.trace.json")
+	commands := [][]string{{"-exp", "T1"}, {"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}}
+	for _, command := range commands {
+		for _, obs := range [][]string{{"-trace", traceFile}, {"-metrics"}} {
+			args := append(append([]string{"-pybench"}, command...), obs...)
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(exe, args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != exitcode.Usage {
+				t.Errorf("pybench %s: %v, want exit %d", strings.Join(args[1:], " "), err, exitcode.Usage)
+			}
+			if stdout.Len() > 0 || !strings.Contains(stderr.String(), "apply only to -bench and -suite") {
+				t.Errorf("pybench %s: stdout %q, stderr %q", strings.Join(args[1:], " "), stdout.String(), stderr.String())
+			}
+			if _, err := os.Stat(traceFile); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("pybench %s wrote a trace (%v)", strings.Join(args[1:], " "), err)
+			}
+		}
+	}
+}
 
 // noObs is the disabled observability bundle used by tests that exercise
 // other behavior; every sink is nil so it must be free.

@@ -285,28 +285,3 @@ func TestModelTLBIntegration(t *testing.T) {
 		t.Fatal("TLB MPKI not derived")
 	}
 }
-
-func TestTopOps(t *testing.T) {
-	m := NewModel()
-	for i := 0; i < 5; i++ {
-		m.OnOp(minipy.OpBinary, 1)
-	}
-	for i := 0; i < 3; i++ {
-		m.OnOp(minipy.OpLoadLocal, 1)
-	}
-	m.OnOp(minipy.OpCall, 1)
-	top := m.TopOps(2)
-	if len(top) != 2 {
-		t.Fatalf("top %v", top)
-	}
-	if top[0].Op != minipy.OpBinary || top[0].Count != 5 {
-		t.Fatalf("top[0] = %+v", top[0])
-	}
-	if top[1].Op != minipy.OpLoadLocal || top[1].Count != 3 {
-		t.Fatalf("top[1] = %+v", top[1])
-	}
-	all := m.TopOps(0)
-	if len(all) != 3 {
-		t.Fatalf("all ops %v", all)
-	}
-}

@@ -198,30 +198,3 @@ func (m *Model) Mix() InstructionMix {
 	}
 	return mix
 }
-
-// OpCount pairs an opcode with its execution count.
-type OpCount struct {
-	Op    minipy.Op
-	Count uint64
-}
-
-// TopOps returns the n most-executed opcodes, descending — the per-opcode
-// execution profile behind the instruction-mix summary.
-func (m *Model) TopOps(n int) []OpCount {
-	out := make([]OpCount, 0, minipy.NumOps)
-	for op, c := range m.OpHist {
-		if c > 0 {
-			out = append(out, OpCount{Op: minipy.Op(op), Count: c})
-		}
-	}
-	// Insertion sort: the list is at most NumOps long.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Count > out[j-1].Count; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}

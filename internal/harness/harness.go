@@ -198,15 +198,6 @@ func (r *Result) HierarchicalFrom(skip int) stats.HierarchicalSample {
 	return stats.HierarchicalSample{Times: times}
 }
 
-// CyclesMatrix returns the noise-free cycle counts per invocation/iteration.
-func (r *Result) CyclesMatrix() [][]uint64 {
-	out := make([][]uint64, len(r.Invocations))
-	for i, inv := range r.Invocations {
-		out[i] = inv.Cycles
-	}
-	return out
-}
-
 // SameSamples is the sample-set contract: got carries want's invocations
 // in the same order, with identical times, cycles, steps and checksums.
 // Isolated, resumed, chaos-soaked and daemon runs meet it against the

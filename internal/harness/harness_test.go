@@ -167,9 +167,6 @@ func TestHierarchicalViews(t *testing.T) {
 	if over.Times[0] != nil {
 		t.Fatal("over-trim should produce empty rows")
 	}
-	if m := res.CyclesMatrix(); len(m) != 2 || len(m[0]) != 6 {
-		t.Fatal("cycles matrix shape")
-	}
 }
 
 func TestRunPairValidatesChecksums(t *testing.T) {

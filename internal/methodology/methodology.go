@@ -93,8 +93,8 @@ func (BestOfN) Name() string { return "best-of-n" }
 
 // Compare implements Methodology.
 func (BestOfN) Compare(baseline, treatment stats.HierarchicalSample) Comparison {
-	a := stats.Min(baseline.Flatten())
-	b := stats.Min(treatment.Flatten())
+	a := flatMin(baseline)
+	b := flatMin(treatment)
 	sp := a / b
 	return Comparison{Methodology: "best-of-n", Speedup: sp, Verdict: signVerdict(sp, 0)}
 }
@@ -108,8 +108,8 @@ func (MeanOnly) Name() string { return "mean-only" }
 
 // Compare implements Methodology.
 func (MeanOnly) Compare(baseline, treatment stats.HierarchicalSample) Comparison {
-	a := stats.Mean(baseline.Flatten())
-	b := stats.Mean(treatment.Flatten())
+	a := flatMean(baseline)
+	b := flatMean(treatment)
 	sp := a / b
 	return Comparison{Methodology: "mean-only", Speedup: sp, Verdict: signVerdict(sp, 0)}
 }
@@ -131,8 +131,8 @@ func (m MeanThreshold) Compare(baseline, treatment stats.HierarchicalSample) Com
 	if th == 0 {
 		th = 0.01
 	}
-	a := stats.Mean(baseline.Flatten())
-	b := stats.Mean(treatment.Flatten())
+	a := flatMean(baseline)
+	b := flatMean(treatment)
 	sp := a / b
 	return Comparison{Methodology: "mean-threshold", Speedup: sp, Verdict: signVerdict(sp, th)}
 }
@@ -147,17 +147,66 @@ func (FirstIterationMean) Name() string { return "first-iteration" }
 
 // Compare implements Methodology.
 func (FirstIterationMean) Compare(baseline, treatment stats.HierarchicalSample) Comparison {
-	first := func(h stats.HierarchicalSample) float64 {
-		xs := make([]float64, 0, len(h.Times))
-		for _, inv := range h.Times {
-			if len(inv) > 0 {
-				xs = append(xs, inv[0])
+	sp := firstMean(baseline) / firstMean(treatment)
+	return Comparison{Methodology: "first-iteration", Speedup: sp, Verdict: signVerdict(sp, 0)}
+}
+
+// flatMin is stats.Min(h.Flatten()) read in place: the same comparisons
+// in the same order, without the copy. The naive methodologies and
+// Rigorous.Compare read the two-level sample in place like this.
+func flatMin(h stats.HierarchicalSample) float64 {
+	m, seen := math.NaN(), false
+	for _, inv := range h.Times {
+		for _, x := range inv {
+			if !seen || x < m {
+				m, seen = x, true
 			}
 		}
-		return stats.Mean(xs)
 	}
-	sp := first(baseline) / first(treatment)
-	return Comparison{Methodology: "first-iteration", Speedup: sp, Verdict: signVerdict(sp, 0)}
+	return m
+}
+
+// flatMean is stats.Mean(h.Flatten()) read in place: the same sum.
+func flatMean(h stats.HierarchicalSample) float64 {
+	s, n := 0.0, 0
+	for _, inv := range h.Times {
+		for _, x := range inv {
+			s += x
+		}
+		n += len(inv)
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return s / float64(n)
+}
+
+// firstMean is stats.Mean of each non-empty invocation's first iteration,
+// read in place.
+func firstMean(h stats.HierarchicalSample) float64 {
+	s, n := 0.0, 0
+	for _, inv := range h.Times {
+		if len(inv) > 0 {
+			s += inv[0]
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return s / float64(n)
+}
+
+// meanOfMeans is stats.Mean(h.InvocationMeans()) read in place.
+func meanOfMeans(h stats.HierarchicalSample) float64 {
+	if len(h.Times) == 0 {
+		return math.NaN()
+	}
+	s := 0.0
+	for _, inv := range h.Times {
+		s += stats.Mean(inv)
+	}
+	return s / float64(len(h.Times))
 }
 
 func signVerdict(speedup, tol float64) Verdict {
@@ -206,7 +255,7 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 
 	dropped, sa, sb := r.trimWarmup(baseline, treatment)
 	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, conf, r.Resamples, rng)
-	sp := stats.Mean(sa.InvocationMeans()) / stats.Mean(sb.InvocationMeans())
+	sp := meanOfMeans(sa) / meanOfMeans(sb)
 	verdict := Indistinguishable
 	if !ci.Contains(1) {
 		if sp > 1 {

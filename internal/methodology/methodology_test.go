@@ -1,6 +1,7 @@
 package methodology
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/noise"
@@ -234,6 +235,100 @@ func TestAllReturnsEveryMethodology(t *testing.T) {
 		"mean-only", "mean-threshold", "rigorous"} {
 		if !names[want] {
 			t.Errorf("methodology %s missing", want)
+		}
+	}
+}
+
+// naiveReference is a naive methodology's Compare as it was before the
+// methodologies read the sample in place: stats.Min and stats.Mean of
+// copies (Flatten, and a slice of each invocation's first iteration). It
+// is the reference the in-place forms must match bit for bit.
+func naiveReference(m Methodology, a, b stats.HierarchicalSample) Comparison {
+	first := func(h stats.HierarchicalSample) float64 {
+		xs := make([]float64, 0, len(h.Times))
+		for _, inv := range h.Times {
+			if len(inv) > 0 {
+				xs = append(xs, inv[0])
+			}
+		}
+		return stats.Mean(xs)
+	}
+	var sp, tol float64
+	switch m := m.(type) {
+	case BestOfN:
+		sp = stats.Min(a.Flatten()) / stats.Min(b.Flatten())
+	case MeanOnly:
+		sp = stats.Mean(a.Flatten()) / stats.Mean(b.Flatten())
+	case MeanThreshold:
+		sp, tol = stats.Mean(a.Flatten())/stats.Mean(b.Flatten()), m.Threshold
+		if tol == 0 {
+			tol = 0.01
+		}
+	case FirstIterationMean:
+		sp = first(a) / first(b)
+	}
+	return Comparison{Methodology: m.Name(), Speedup: sp, Verdict: signVerdict(sp, tol)}
+}
+
+// raggedSample has 0–5 invocations of 0–5 iterations each, with ties and,
+// in a quarter of the samples, a NaN as the first value.
+func raggedSample(rng *stats.RNG) stats.HierarchicalSample {
+	times := make([][]float64, rng.Intn(6))
+	var first *float64
+	for i := range times {
+		times[i] = make([]float64, rng.Intn(6))
+		for j := range times[i] {
+			times[i][j] = rng.LogNormal(0, 0.3)
+			if rng.Intn(4) == 0 {
+				times[i][j] = math.Round(2*times[i][j]) / 2
+			}
+			if first == nil {
+				first = &times[i][j]
+			}
+		}
+	}
+	if first != nil && rng.Intn(4) == 0 {
+		*first = math.NaN()
+	}
+	return stats.HierarchicalSample{Times: times}
+}
+
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestInPlaceReadsBitIdentical checks the naive methodologies and the
+// rigorous point estimate against their copying references on ragged
+// samples with empty invocations and NaN first values.
+func TestInPlaceReadsBitIdentical(t *testing.T) {
+	rng := stats.NewRNG(23)
+	naive := []Methodology{BestOfN{}, MeanOnly{}, MeanThreshold{}, MeanThreshold{Threshold: 0.2}, FirstIterationMean{}}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := raggedSample(rng), raggedSample(rng)
+		if got, want := meanOfMeans(a), stats.Mean(a.InvocationMeans()); !sameFloat(got, want) {
+			t.Fatalf("meanOfMeans(%v) = %v, stats.Mean of InvocationMeans %v", a.Times, got, want)
+		}
+		for _, m := range naive {
+			got, want := m.Compare(a, b), naiveReference(m, a, b)
+			if got.Methodology != want.Methodology || !sameFloat(got.Speedup, want.Speedup) ||
+				got.Verdict != want.Verdict || got.CI != want.CI || got.WarmupDropped != 0 {
+				t.Fatalf("%s on %v vs %v: %+v, reference %+v", m.Name(), a.Times, b.Times, got, want)
+			}
+		}
+	}
+}
+
+// TestNaiveCompareAllocs guards the in-place reads: no naive methodology
+// allocates.
+func TestNaiveCompareAllocs(t *testing.T) {
+	p := noise.Default()
+	a, b := flatGen(1, p).Sample(1, 6, 16), warmupGen(0.4, p).Sample(2, 6, 16)
+	for _, m := range All(1) {
+		if _, ok := m.(Rigorous); ok {
+			continue
+		}
+		if got := testing.AllocsPerRun(100, func() { m.Compare(a, b) }); got != 0 {
+			t.Errorf("%s: Compare makes %v allocations, want 0", m.Name(), got)
 		}
 	}
 }

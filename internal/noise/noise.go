@@ -73,7 +73,7 @@ func None() Params { return Params{} }
 // Source generates the noise for one VM invocation.
 type Source struct {
 	p         Params
-	rng       *stats.RNG
+	rng       stats.RNG
 	invFactor float64
 	iter      int
 }
@@ -81,17 +81,19 @@ type Source struct {
 // NewSource creates the noise stream for invocation index inv under the
 // experiment seed. Different (seed, inv) pairs are independent.
 func NewSource(p Params, seed uint64, inv int) *Source {
-	rng := stats.NewRNG(seed).Split(uint64(inv) + 0x5151)
-	invFactor := 1.0
-	if p.InvocationSigma > 0 {
-		invFactor = rng.LogNormal(0, p.InvocationSigma)
-	}
-	return &Source{p: p, rng: rng, invFactor: invFactor}
+	src := newSource(p, seed, inv)
+	return &src
 }
 
-// InvocationFactor exposes the drawn per-invocation multiplier (useful for
-// tests and variance-decomposition validation).
-func (s *Source) InvocationFactor() float64 { return s.invFactor }
+// newSource is NewSource by value, so that Perturb can keep the stream on
+// its stack.
+func newSource(p Params, seed uint64, inv int) Source {
+	src := Source{p: p, rng: *stats.NewRNG(seed).Split(uint64(inv) + 0x5151), invFactor: 1}
+	if p.InvocationSigma > 0 {
+		src.invFactor = src.rng.LogNormal(0, p.InvocationSigma)
+	}
+	return src
+}
 
 // Apply perturbs one iteration's base time (seconds) and advances the
 // stream. Iterations must be applied in order.
@@ -115,8 +117,10 @@ func (s *Source) Apply(base float64) float64 {
 // in a steady state), each perturbed in order by the (seed, inv) stream.
 // It is the one noise loop: the harness replays a simulation through it,
 // and the synthetic trials of the methodology package are drawn with it.
+// The stream lives on Perturb's stack, so the returned row is its one
+// allocation.
 func Perturb(p Params, seed uint64, inv int, base []float64, n int) []float64 {
-	src := NewSource(p, seed, inv)
+	src := newSource(p, seed, inv)
 	row := make([]float64, n)
 	for j := range row {
 		b := base[len(base)-1]

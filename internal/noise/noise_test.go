@@ -27,8 +27,8 @@ func TestDeterministicPerSeedAndInvocation(t *testing.T) {
 	}
 	c := NewSource(p, 42, 4)
 	d := NewSource(p, 43, 3)
-	if c.InvocationFactor() == a.InvocationFactor() &&
-		d.InvocationFactor() == a.InvocationFactor() {
+	if c.invFactor == a.invFactor &&
+		d.invFactor == a.invFactor {
 		t.Fatal("different invocations/seeds should differ")
 	}
 }
@@ -37,7 +37,7 @@ func TestInvocationFactorDistribution(t *testing.T) {
 	p := Default()
 	var factors []float64
 	for i := 0; i < 3000; i++ {
-		factors = append(factors, NewSource(p, 99, i).InvocationFactor())
+		factors = append(factors, NewSource(p, 99, i).invFactor)
 	}
 	m := stats.Mean(factors)
 	if math.Abs(m-1) > 0.01 {
@@ -134,5 +134,44 @@ func TestApplyScalesWithBase(t *testing.T) {
 		if math.Abs(y/x-10) > 1e-9 {
 			t.Fatalf("noise must be multiplicative in base: %v vs %v", x, y)
 		}
+	}
+}
+
+// TestPerturbMatchesSource checks Perturb against NewSource and Apply,
+// the loop it stands for, bit for bit: every preset, base profiles shorter
+// and longer than the row, and empty rows.
+func TestPerturbMatchesSource(t *testing.T) {
+	drift := Noisy()
+	drift.DriftPerIter = 0.01
+	rng := stats.NewRNG(24)
+	for _, p := range []Params{None(), Quiet(), Default(), Noisy(), drift} {
+		for rep := 0; rep < 20; rep++ {
+			seed, inv := rng.Uint64(), rng.Intn(50)
+			base := make([]float64, 1+rng.Intn(12))
+			for j := range base {
+				base[j] = rng.LogNormal(0, 1)
+			}
+			n := rng.Intn(25)
+			got := Perturb(p, seed, inv, base, n)
+			src := NewSource(p, seed, inv)
+			if len(got) != n {
+				t.Fatalf("%+v: %d times, want %d", p, len(got), n)
+			}
+			for j := range got {
+				want := src.Apply(base[min(j, len(base)-1)])
+				if math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("%+v, seed %d, invocation %d: time %d = %v, NewSource+Apply %v", p, seed, inv, j, got[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPerturbAllocs guards the stack-held stream: the row is Perturb's
+// one allocation.
+func TestPerturbAllocs(t *testing.T) {
+	base := []float64{3, 2, 1}
+	if got := testing.AllocsPerRun(100, func() { Perturb(Noisy(), 7, 3, base, 16) }); got != 1 {
+		t.Fatalf("Perturb makes %v allocations, want 1 (the row)", got)
 	}
 }

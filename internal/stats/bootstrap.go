@@ -90,10 +90,24 @@ func BootstrapHierarchicalRatioCI(a, b HierarchicalSample,
 	if resamples <= 0 {
 		resamples = DefaultBootstrapResamples
 	}
-	estimates := make([]float64, resamples)
+	buf, _ := estimatesPool.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
+	}
+	if cap(*buf) < resamples {
+		*buf = make([]float64, resamples)
+	}
+	estimates := (*buf)[:resamples]
 	fillRatios(estimates, a, b, bootstrapWorkers(resamples, a, b), rng)
-	return percentileInterval(estimates, confidence)
+	ci := percentileInterval(estimates, confidence)
+	estimatesPool.Put(buf)
+	return ci
 }
+
+// estimatesPool keeps BootstrapHierarchicalRatioCI's estimate buffers
+// (*[]float64) between calls, so that the comparisons of a Table-4 row do
+// not each allocate and collect 2000 floats.
+var estimatesPool sync.Pool
 
 // bootstrapChunkDraws is the fewest expected draws worth a worker: ~150 µs.
 const bootstrapChunkDraws = 1 << 15

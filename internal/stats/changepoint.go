@@ -5,9 +5,25 @@ import (
 	"sort"
 )
 
+// steadyStackLen is the longest series that PELT, robustNoiseVariance and
+// ClassifySteadyState analyse in scratch on their own stacks; a longer
+// series takes its scratch from the heap. The experiments classify at
+// most 60 iterations per invocation.
+const steadyStackLen = 64
+
+// workspace returns the first n elements of stack, or a fresh heap slice
+// when stack is shorter than n.
+func workspace[T any](stack []T, n int) []T {
+	if n <= len(stack) {
+		return stack[:n]
+	}
+	return make([]T, n)
+}
+
 // PELT detects changes in the mean of a series using the Pruned Exact
 // Linear Time algorithm with a Gaussian (squared-error) segment cost. It
-// returns the sorted indices at which new segments begin (excluding 0).
+// returns the sorted indices at which new segments begin (excluding 0), or
+// nil if there are none; only a non-empty result allocates.
 // penalty <= 0 selects the default 3·ln(n)·σ̂², with σ̂² estimated robustly
 // from first differences so slow drifts don't inflate it.
 func PELT(xs []float64, penalty float64) []int {
@@ -23,9 +39,15 @@ func PELT(xs []float64, penalty float64) []int {
 		penalty = 3 * math.Log(float64(n)) * sigma2
 	}
 
+	// The prefix sums, the optimal costs f and the back-pointers, with
+	// room for every candidate, start zeroed as make would leave them.
+	var fStack [3 * (steadyStackLen + 1)]float64
+	var iStack [2 * (steadyStackLen + 1)]int
+	fs, is := workspace(fStack[:], 3*(n+1)), workspace(iStack[:], 2*(n+1))
+	cum, cum2, f := fs[:n+1], fs[n+1:2*(n+1)], fs[2*(n+1):]
+	prev, candidates := is[:n+1], is[n+1:n+1]
+
 	// Prefix sums for O(1) segment cost: cost(i,j] = SSE over xs[i:j].
-	cum := make([]float64, n+1)
-	cum2 := make([]float64, n+1)
 	for i, x := range xs {
 		cum[i+1] = cum[i] + x
 		cum2[i+1] = cum2[i] + x*x
@@ -37,10 +59,8 @@ func PELT(xs []float64, penalty float64) []int {
 	}
 
 	const minSeg = 2
-	f := make([]float64, n+1)
 	f[0] = -penalty
-	prev := make([]int, n+1)
-	candidates := []int{0}
+	candidates = append(candidates, 0)
 	for t := minSeg; t <= n; t++ {
 		best := math.Inf(1)
 		bestTau := 0
@@ -66,16 +86,20 @@ func PELT(xs []float64, penalty float64) []int {
 		candidates = append(kept, t-minSeg+1)
 	}
 
-	var cps []int
-	for t := n; t > 0; t = prev[t] {
-		if prev[t] != 0 {
-			cps = append(cps, prev[t])
-		}
-		if prev[t] == 0 {
-			break
-		}
+	// Walk the back-pointers from n; each is below the last, so the
+	// changepoints come out in descending order.
+	k := 0
+	for t := prev[n]; t != 0; t = prev[t] {
+		k++
 	}
-	sort.Ints(cps)
+	if k == 0 {
+		return nil
+	}
+	cps := make([]int, k)
+	for t := prev[n]; t != 0; t = prev[t] {
+		k--
+		cps[k] = t
+	}
 	return cps
 }
 
@@ -85,11 +109,14 @@ func robustNoiseVariance(xs []float64) float64 {
 	if len(xs) < 3 {
 		return Variance(xs)
 	}
-	diffs := make([]float64, len(xs)-1)
+	n := len(xs) - 1
+	var stack [2 * steadyStackLen]float64
+	buf := workspace(stack[:], 2*n)
+	diffs := buf[:n]
 	for i := 1; i < len(xs); i++ {
 		diffs[i-1] = xs[i] - xs[i-1]
 	}
-	mad := MAD(diffs)
+	mad := medianAbsDev(diffs, buf[n:])
 	sigma := mad / 0.6745 / math.Sqrt2
 	return sigma * sigma
 }
@@ -143,17 +170,28 @@ type SteadyStateResult struct {
 // shifts survive because shifted points are the local majority in their
 // windows.
 func Despike(xs []float64, window int, k float64) []float64 {
+	out := make([]float64, len(xs))
+	despike(out, xs, window, k)
+	return out
+}
+
+// defaultDespikeWindow is Despike's window when window <= 0.
+const defaultDespikeWindow = 25
+
+// despike writes Despike(xs, window, k) to out. It sorts each window in
+// scratch on its stack, or on the heap for a window wider than the default.
+func despike(out, xs []float64, window int, k float64) {
 	n := len(xs)
 	if window <= 0 {
-		window = 25
+		window = defaultDespikeWindow
 	}
 	if k <= 0 {
 		k = 3
 	}
-	out := make([]float64, n)
 	copy(out, xs)
 	half := window / 2
-	buf := make([]float64, 0, window)
+	var stack [defaultDespikeWindow - 1]float64
+	win := workspace(stack[:], 2*half)
 	for i := 0; i < n; i++ {
 		lo, hi := i-half, i+half+1
 		if lo < 0 {
@@ -162,7 +200,7 @@ func Despike(xs []float64, window int, k float64) []float64 {
 		if hi > n {
 			hi = n
 		}
-		buf = buf[:0]
+		buf := win[:0]
 		for j := lo; j < hi; j++ {
 			if j != i {
 				buf = append(buf, xs[j])
@@ -177,7 +215,6 @@ func Despike(xs []float64, window int, k float64) []float64 {
 			out[i] = quantileSorted(buf, 0.5)
 		}
 	}
-	return out
 }
 
 // tukeyFences returns the inlier range [Q1−k·IQR, Q3+k·IQR] of a sorted,
@@ -202,7 +239,9 @@ func ClassifySteadyState(xs []float64, penalty, minTailFrac, relTol float64) Ste
 		relTol = 0.02
 	}
 	raw := xs
-	xs = Despike(xs, 0, 0)
+	var stack [steadyStackLen]float64
+	xs = workspace(stack[:], len(raw))
+	despike(xs, raw, 0, 0)
 	cps := PELT(xs, penalty)
 	n := len(xs)
 	if len(cps) == 0 {

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -296,5 +298,246 @@ func TestLeadingTransientCap(t *testing.T) {
 	}
 	if res.SteadyStart < 27 || res.SteadyStart > 33 {
 		t.Fatalf("steady start %d, want ~30 from PELT", res.SteadyStart)
+	}
+}
+
+// despikeReference, peltReference, noiseVarianceReference and
+// classifyReference are Despike, PELT, robustNoiseVariance and
+// ClassifySteadyState before they took their scratch from the stack: every
+// array from make, and the two MAD medians from copy-and-sort Median
+// calls. They are the references the stack forms must match bit for bit.
+func despikeReference(xs []float64, window int, k float64) []float64 {
+	n := len(xs)
+	if window <= 0 {
+		window = 25
+	}
+	if k <= 0 {
+		k = 3
+	}
+	out := make([]float64, n)
+	copy(out, xs)
+	half := window / 2
+	buf := make([]float64, 0, window)
+	for i := 0; i < n; i++ {
+		buf = buf[:0]
+		for j := max(0, i-half); j < min(n, i+half+1); j++ {
+			if j != i {
+				buf = append(buf, xs[j])
+			}
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		sort.Float64s(buf)
+		fLo, fHi := tukeyFences(buf, k)
+		if xs[i] < fLo || xs[i] > fHi {
+			out[i] = quantileSorted(buf, 0.5)
+		}
+	}
+	return out
+}
+
+func peltReference(xs []float64, penalty float64) []int {
+	n := len(xs)
+	if n < 4 {
+		return nil
+	}
+	if penalty <= 0 {
+		sigma2 := noiseVarianceReference(xs)
+		if sigma2 <= 0 {
+			sigma2 = 1e-12
+		}
+		penalty = 3 * math.Log(float64(n)) * sigma2
+	}
+	cum := make([]float64, n+1)
+	cum2 := make([]float64, n+1)
+	for i, x := range xs {
+		cum[i+1] = cum[i] + x
+		cum2[i+1] = cum2[i] + x*x
+	}
+	segCost := func(i, j int) float64 {
+		m := float64(j - i)
+		s := cum[j] - cum[i]
+		return (cum2[j] - cum2[i]) - s*s/m
+	}
+	const minSeg = 2
+	f := make([]float64, n+1)
+	f[0] = -penalty
+	prev := make([]int, n+1)
+	candidates := []int{0}
+	for t := minSeg; t <= n; t++ {
+		best := math.Inf(1)
+		bestTau := 0
+		for _, tau := range candidates {
+			if t-tau < minSeg {
+				continue
+			}
+			c := f[tau] + segCost(tau, t) + penalty
+			if c < best {
+				best = c
+				bestTau = tau
+			}
+		}
+		f[t] = best
+		prev[t] = bestTau
+		kept := candidates[:0]
+		for _, tau := range candidates {
+			if t-tau < minSeg || f[tau]+segCost(tau, t) <= f[t] {
+				kept = append(kept, tau)
+			}
+		}
+		candidates = append(kept, t-minSeg+1)
+	}
+	var cps []int
+	for t := n; t > 0; t = prev[t] {
+		if prev[t] != 0 {
+			cps = append(cps, prev[t])
+		}
+		if prev[t] == 0 {
+			break
+		}
+	}
+	sort.Ints(cps)
+	return cps
+}
+
+func noiseVarianceReference(xs []float64) float64 {
+	if len(xs) < 3 {
+		return Variance(xs)
+	}
+	diffs := make([]float64, len(xs)-1)
+	for i := 1; i < len(xs); i++ {
+		diffs[i-1] = xs[i] - xs[i-1]
+	}
+	m := Median(diffs)
+	dev := make([]float64, len(diffs))
+	for i, d := range diffs {
+		dev[i] = math.Abs(d - m)
+	}
+	sigma := Median(dev) / 0.6745 / math.Sqrt2
+	return sigma * sigma
+}
+
+func classifyReference(xs []float64, penalty, minTailFrac, relTol float64) SteadyStateResult {
+	if minTailFrac <= 0 {
+		minTailFrac = 0.25
+	}
+	if relTol <= 0 {
+		relTol = 0.02
+	}
+	raw := xs
+	xs = despikeReference(xs, 0, 0)
+	cps := peltReference(xs, penalty)
+	n := len(xs)
+	if len(cps) == 0 {
+		m := Mean(xs)
+		res := SteadyStateResult{Class: ClassFlat, SteadyMean: m, FirstMean: m}
+		if k := leadingTransient(raw, m, relTol); k > 0 {
+			res.Class = ClassWarmup
+			res.SteadyStart = k
+			res.FirstMean = Mean(raw[:k])
+		}
+		return res
+	}
+	lastStart := cps[len(cps)-1]
+	firstMean := Mean(xs[:cps[0]])
+	lastMean := Mean(xs[lastStart:])
+	res := SteadyStateResult{ChangePts: cps, SteadyStart: lastStart, SteadyMean: lastMean, FirstMean: firstMean}
+	if n-lastStart < int(minTailFrac*float64(n)) {
+		res.Class = ClassNoSteadyState
+		return res
+	}
+	switch {
+	case lastMean < firstMean*(1-relTol):
+		res.Class = ClassWarmup
+	case lastMean > firstMean*(1+relTol):
+		res.Class = ClassSlowdown
+	default:
+		res.Class = ClassFlat
+		res.SteadyStart = 0
+		if k := leadingTransient(raw, lastMean, relTol); k > 0 {
+			res.Class = ClassWarmup
+			res.SteadyStart = k
+			res.FirstMean = Mean(raw[:k])
+		}
+	}
+	return res
+}
+
+// kernelSeries is a series of n points for the bit-identity tests: up to
+// three level shifts under jitter, with interference spikes, ties and,
+// in some series, ±Inf.
+func kernelSeries(rng *RNG, n int) []float64 {
+	xs := make([]float64, n)
+	level := 1 + rng.Float64()
+	infs := rng.Intn(4) == 0
+	for i := range xs {
+		if rng.Intn(max(n/3, 1)) == 0 {
+			level = 0.5 + 2*rng.Float64() // a level shift
+		}
+		xs[i] = level * (1 + 0.02*rng.NormFloat64())
+		switch u := rng.Intn(20); {
+		case u == 0:
+			xs[i] *= 1.5 + rng.Float64() // an interference spike
+		case u <= 3:
+			xs[i] = math.Round(4*xs[i]) / 4 // a tie
+		case u == 4 && infs:
+			xs[i] = math.Inf(1 - 2*rng.Intn(2))
+		}
+	}
+	return xs
+}
+
+// TestSteadyStateKernelsBitIdentical checks Despike, PELT and
+// ClassifySteadyState against their references on series of every length
+// from 0 to 200, across the stack bound: changepoints and classes equal,
+// every float the same bits. A NaN matches any NaN, as in
+// TestPercentileIntervalMatchesSort.
+func TestSteadyStateKernelsBitIdentical(t *testing.T) {
+	rng := NewRNG(21)
+	for n := 0; n <= 200; n++ {
+		xs := kernelSeries(rng, n)
+		// The default window sorts in stack scratch, a wider one on the heap.
+		for _, window := range []int{0, 30} {
+			got, want := Despike(xs, window, 1.5), despikeReference(xs, window, 1.5)
+			for i := range want {
+				if !sameQuantile(got[i], want[i]) {
+					t.Fatalf("n=%d: Despike(window %d)[%d] = %v, reference %v (series %v)", n, window, i, got[i], want[i], xs)
+				}
+			}
+		}
+		for _, penalty := range []float64{0, 0.05} {
+			if got, want := PELT(xs, penalty), peltReference(xs, penalty); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("n=%d: PELT(penalty %v) = %v, reference %v (series %v)", n, penalty, got, want, xs)
+			}
+		}
+		for _, p := range [][3]float64{{0, 0, 0}, {0.02, 0.4, 0.05}} {
+			got, want := ClassifySteadyState(xs, p[0], p[1], p[2]), classifyReference(xs, p[0], p[1], p[2])
+			if got.Class != want.Class || got.SteadyStart != want.SteadyStart ||
+				!slices.Equal(got.ChangePts, want.ChangePts) || (got.ChangePts == nil) != (want.ChangePts == nil) ||
+				!sameQuantile(got.SteadyMean, want.SteadyMean) || !sameQuantile(got.FirstMean, want.FirstMean) {
+				t.Fatalf("n=%d: ClassifySteadyState%v = %+v, reference %+v (series %v)", n, p, got, want, xs)
+			}
+		}
+	}
+}
+
+// TestClassifySteadyStateAllocs guards the stack scratch: classifying a
+// 30-iteration invocation allocates nothing, or only its changepoints.
+func TestClassifySteadyStateAllocs(t *testing.T) {
+	flat := stepSeries(NewRNG(46), []int{30}, []float64{1}, 0.01)
+	step := stepSeries(NewRNG(47), []int{10, 20}, []float64{3, 1}, 0.01)
+	for _, c := range []struct {
+		name   string
+		xs     []float64
+		cps    int
+		allocs float64
+	}{{"flat", flat, 0, 0}, {"one level shift", step, 1, 1}} {
+		if got := len(ClassifySteadyState(c.xs, 0, 0, 0).ChangePts); got != c.cps {
+			t.Fatalf("%s: %d changepoints, want %d", c.name, got, c.cps)
+		}
+		if got := testing.AllocsPerRun(100, func() { ClassifySteadyState(c.xs, 0, 0, 0) }); got > c.allocs {
+			t.Errorf("%s: ClassifySteadyState makes %v allocations, want at most %v", c.name, got, c.allocs)
+		}
 	}
 }

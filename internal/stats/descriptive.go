@@ -168,12 +168,23 @@ func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // MAD returns the median absolute deviation (unscaled).
 func MAD(xs []float64) float64 {
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
+	return medianAbsDev(xs, make([]float64, len(xs)))
+}
+
+// medianAbsDev is MAD with scratch for len(xs) values: it reads both
+// medians from scratch, sorted, as Quantile reads them from its copy.
+func medianAbsDev(xs, scratch []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
 	}
-	return Median(dev)
+	copy(scratch, xs)
+	sort.Float64s(scratch)
+	m := quantileSorted(scratch, 0.5)
+	for i, x := range xs {
+		scratch[i] = math.Abs(x - m)
+	}
+	sort.Float64s(scratch)
+	return quantileSorted(scratch, 0.5)
 }
 
 // GeoMean returns the geometric mean of positive values; NaN if any value is

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TTestResult reports a two-sample Welch t-test.
 type TTestResult struct {
@@ -33,69 +30,6 @@ func WelchTTest(a, b []float64) TTestResult {
 	df := (va + vb) * (va + vb) / (va*va/(na-1) + vb*vb/(nb-1))
 	p := 2 * (1 - StudentTCDF(math.Abs(t), df))
 	return TTestResult{T: t, DF: df, P: p}
-}
-
-// MannWhitneyResult reports the rank-sum test.
-type MannWhitneyResult struct {
-	U float64
-	Z float64 // normal approximation with tie correction
-	P float64 // two-sided p-value
-}
-
-// MannWhitneyU performs the two-sample Mann–Whitney U test using the normal
-// approximation with tie correction — the robust non-parametric companion
-// to the t-test for skewed timing distributions.
-func MannWhitneyU(a, b []float64) MannWhitneyResult {
-	na, nb := len(a), len(b)
-	if na == 0 || nb == 0 {
-		nan := math.NaN()
-		return MannWhitneyResult{U: nan, Z: nan, P: nan}
-	}
-	type obs struct {
-		v float64
-		g int // 0 = a, 1 = b
-	}
-	all := make([]obs, 0, na+nb)
-	for _, v := range a {
-		all = append(all, obs{v, 0})
-	}
-	for _, v := range b {
-		all = append(all, obs{v, 1})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Midranks with tie groups.
-	ranks := make([]float64, len(all))
-	tieCorrection := 0.0
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[k] = mid
-		}
-		t := float64(j - i)
-		tieCorrection += t*t*t - t
-		i = j
-	}
-	ra := 0.0
-	for i, o := range all {
-		if o.g == 0 {
-			ra += ranks[i]
-		}
-	}
-	u := ra - float64(na*(na+1))/2
-	n := float64(na + nb)
-	mu := float64(na) * float64(nb) / 2
-	sigma2 := float64(na) * float64(nb) / 12 * ((n + 1) - tieCorrection/(n*(n-1)))
-	if sigma2 <= 0 {
-		return MannWhitneyResult{U: u, Z: 0, P: 1}
-	}
-	z := (u - mu) / math.Sqrt(sigma2)
-	p := 2 * (1 - NormalCDF(math.Abs(z)))
-	return MannWhitneyResult{U: u, Z: z, P: p}
 }
 
 // CohensD returns the standardized mean difference using the pooled

@@ -157,7 +157,6 @@ type jitState struct {
 	TracesCompiled  int
 	BridgesCompiled int
 	GuardFails      int
-	OpsInTraces     uint64
 }
 
 func newJITState(p CostParams) *jitState {

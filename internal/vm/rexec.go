@@ -411,7 +411,6 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				if instrs == 0 {
 					instrs = 1
 				}
-				jit.OpsInTraces++
 			}
 		}
 		if ic != nil && !inTrace && icSpecializable(op) {

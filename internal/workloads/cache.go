@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
@@ -92,19 +91,6 @@ func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err 
 	entry = Compiled{Code: oc, Analysis: base.Analysis}
 	c.entries[key] = entry
 	return entry, false, nil
-}
-
-// Inventory returns the names of every cached benchmark, sorted. The copy
-// is taken under the read lock, so listing is safe during compiles.
-func (c *CodeCache) Inventory() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.entries))
-	for name := range c.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Len reports the number of cached benchmarks.

@@ -41,6 +41,9 @@
 // key); -profile prints a per-line cost attribution, and -collapsed FILE
 // additionally writes folded call stacks for flamegraph tools; -version
 // prints the producer identification stamped into emitted artifacts.
+// -trace and -metrics go only with -bench or -suite, -json only with
+// -bench and -collapsed only with -profile: beside any other command each
+// is a usage error.
 //
 // Exit codes: 0 = success; 1 = finding (-lint diagnostics); 2 = usage;
 // 3 = infrastructure failure; 4 = run degraded below quorum.
@@ -101,7 +104,7 @@ func main() {
 		markdown    = flag.Bool("markdown", false, "emit tables as Markdown")
 		suite       = flag.Bool("suite", false, "rigorous interp-vs-JIT suite comparison with Holm correction")
 		lint        = flag.Bool("lint", false, "statically analyze every workload (CFG, definite assignment, types, liveness, determinism) and exit non-zero on findings")
-		jsonOut     = flag.Bool("json", false, "with -bench: dump the raw result (all invocations) as JSON")
+		jsonOut     = flag.Bool("json", false, "with -bench: dump the raw result (all invocations) as JSON (a usage error with any other command)")
 		profileName = flag.String("profile", "", "print the per-line and per-opcode cost profile of a benchmark")
 		dis         = flag.String("dis", "", "disassemble a benchmark's bytecode")
 		faultsSpec  = flag.String("faults", "", "fault injection: none, light, heavy, or kind=prob list (kinds: panic, hang, corrupt, checksum, compile)")
@@ -110,7 +113,7 @@ func main() {
 		resume      = flag.String("resume", "", "checkpoint directory: save progress after every invocation and resume interrupted runs")
 		traceOut    = flag.String("trace", "", "with -bench or -suite: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
 		metricsOn   = flag.Bool("metrics", false, "with -bench or -suite: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
-		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format)")
+		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format; a usage error with any other command)")
 		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
 		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
 		isolate     = flag.Bool("isolate", false, "simulate each experiment in a watchdogged worker subprocess; this process applies the noise (crash isolation; the sample set is bit-identical to in-process execution)")
@@ -128,6 +131,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pybench: unexpected argument %q\n\n", flag.Arg(0))
 		flag.Usage()
 		os.Exit(exitcode.Usage)
+	}
+	// Some flags are read by one or two commands only. Beside any other
+	// command they would do nothing, so the combination is a usage error,
+	// refused before any work. The commands take precedence in the order
+	// of the switch below: -list, -profile, -dis and -lint come before
+	// -suite, which comes before -bench.
+	ahead := *list || *profileName != "" || *dis != "" || *lint
+	runsSuite := !ahead && *suite
+	runsBench := !ahead && !*suite && *bench != ""
+	if (*traceOut != "" || *metricsOn) && !runsSuite && !runsBench {
+		fatal(usageError{errors.New("-trace and -metrics apply only to -bench and -suite")})
+	}
+	if *jsonOut && !runsBench {
+		fatal(usageError{errors.New("-json applies only to -bench")})
+	}
+	if *collapsed != "" && (*list || *profileName == "") {
+		fatal(usageError{errors.New("-collapsed applies only to -profile")})
 	}
 
 	np, err := noiseByName(*noiseName)
@@ -165,14 +185,6 @@ func main() {
 	}
 	if *markdown {
 		style = renderMarkdown
-	}
-	// -bench and -suite are the only commands that write a trace or print
-	// metrics (-list, -profile, -dis and -lint take precedence over them
-	// below). Any other command would exit 0 having done neither, so the
-	// combination is a usage error until -exp honours the flags.
-	if (*traceOut != "" || *metricsOn) &&
-		(*list || *profileName != "" || *dis != "" || *lint || (!*suite && *bench == "")) {
-		fatal(usageError{errors.New("-trace and -metrics apply only to -bench and -suite")})
 	}
 	obs := newObservability(*traceOut, *metricsOn)
 

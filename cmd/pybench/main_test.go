@@ -64,6 +64,47 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 	}
 }
 
+// TestJSONAndCollapsedNeedTheirCommand runs pybench with -json beside
+// every command but -bench, and with -collapsed beside every command but
+// -profile (and with no command, and with -list ahead of the one that
+// reads the flag): each is a usage error that prints nothing to stdout and
+// writes no file.
+func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := filepath.Join(t.TempDir(), "out.folded")
+	for _, c := range []struct {
+		flag     []string
+		commands [][]string
+		msg      string
+	}{
+		{[]string{"-json"}, [][]string{{"-exp", "T1"}, {"-suite"}, {"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}, {"-suite", "-bench", "fib"}, {}},
+			"-json applies only to -bench"},
+		{[]string{"-collapsed", folded}, [][]string{{"-bench", "fib", "-invocations", "1", "-iterations", "1"}, {"-exp", "T1"}, {"-suite"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-profile", "fib"}, {}},
+			"-collapsed applies only to -profile"},
+	} {
+		for _, command := range c.commands {
+			args := append(append([]string{"-pybench"}, command...), c.flag...)
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(exe, args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != exitcode.Usage {
+				t.Errorf("pybench %s: %v, want exit %d", strings.Join(args[1:], " "), err, exitcode.Usage)
+			}
+			if stdout.Len() > 0 || !strings.Contains(stderr.String(), c.msg) {
+				t.Errorf("pybench %s: stdout %q, stderr %q", strings.Join(args[1:], " "), stdout.String(), stderr.String())
+			}
+			if _, err := os.Stat(folded); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("pybench %s wrote %s (%v)", strings.Join(args[1:], " "), folded, err)
+			}
+		}
+	}
+}
+
 // noObs is the disabled observability bundle used by tests that exercise
 // other behavior; every sink is nil so it must be free.
 func noObs() *observability { return newObservability("", false) }

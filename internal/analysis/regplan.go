@@ -35,10 +35,10 @@ func registerPlan(code *minipy.Code, claims map[int]ival) RegisterFacts {
 	if err != nil {
 		return RegisterFacts{Reason: err.Error()}
 	}
-	if err := minipy.VerifyRegister(rc); err != nil {
+	if err := minipy.VerifyRegister(&rc); err != nil {
 		return RegisterFacts{Reason: err.Error()}
 	}
-	elided := minipy.ElideMoves(rc)
+	elided := minipy.ElideMoves(&rc)
 	unboxed := 0
 	for _, ins := range rc.Ops {
 		if _, ok := claims[int(ins.Orig)]; ok {

@@ -23,13 +23,16 @@ import "fmt"
 // (stackDepths); code that fails them (a bad operand, an unbalanced stack,
 // an inconsistent join) returns the verifier's error, which the VM reports
 // to the caller that tried to run the code object.
-func LowerToRegister(code *Code) (*RCode, error) {
+//
+// The result is a value, so an owner that keeps it (the VM lowers each
+// code object once per interpreter) pays only for its two slices.
+func LowerToRegister(code *Code) (RCode, error) {
 	depth, err := stackDepths(code)
 	if err != nil {
-		return nil, err
+		return RCode{}, err
 	}
 	L := len(code.LocalNames)
-	rc := &RCode{
+	rc := RCode{
 		Code:      code,
 		NumLocals: L,
 		NumRegs:   L + maxDepth(depth),
@@ -45,7 +48,7 @@ func LowerToRegister(code *Code) (*RCode, error) {
 		}
 		ri, err := lowerOne(code, ins, int32(L), d)
 		if err != nil {
-			return nil, fmt.Errorf("minipy: lower %s at pc %d: %w", code.Name, pc, err)
+			return RCode{}, fmt.Errorf("minipy: lower %s at pc %d: %w", code.Name, pc, err)
 		}
 		ri.Orig = int32(pc)
 		rc.Ops[pc] = ri

@@ -21,7 +21,7 @@ func lowerAll(t *testing.T, code *minipy.Code) []*minipy.RCode {
 	if err != nil {
 		t.Fatalf("lower %s: %v", code.Name, err)
 	}
-	out := []*minipy.RCode{rc}
+	out := []*minipy.RCode{&rc}
 	for _, k := range code.Consts {
 		if sub, ok := k.(*minipy.Code); ok {
 			out = append(out, lowerAll(t, sub)...)
@@ -127,7 +127,7 @@ func TestElideMovesVerifies(t *testing.T) {
 
 // TestVerifyRegisterRejects exercises the register verifier's failure
 // modes: out-of-range registers, bad jump targets, and quickened opcodes
-// in templates.
+// in freshly lowered code.
 func TestVerifyRegisterRejects(t *testing.T) {
 	code, err := minipy.CompileSource("def run():\n    return 1 + 2\n")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestVerifyRegisterRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rc
+		return &rc
 	}
 	rc := fresh()
 	rc.Ops[0].A = 99
@@ -158,7 +158,7 @@ func TestVerifyRegisterRejects(t *testing.T) {
 	rc.Ops[0].Op = minipy.RopBinaryII
 	if err := minipy.VerifyRegister(rc); err == nil ||
 		!strings.Contains(err.Error(), "quickened") {
-		t.Errorf("quickened template op: got %v", err)
+		t.Errorf("quickened op in lowered code: got %v", err)
 	}
 }
 

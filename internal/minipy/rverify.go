@@ -13,11 +13,11 @@ func (e *RVerifyError) Error() string {
 	return fmt.Sprintf("minipy: rverify %s at pc %d: %s", e.RCode.Code.Name, e.PC, e.Msg)
 }
 
-// VerifyRegister checks a lowered register-code template for structural
+// VerifyRegister checks freshly lowered register code for structural
 // soundness: every register operand addresses within the frame's register
 // file, every pool index (constants, names, cells) is in range, every jump
-// target lands inside the code, and no quickened opcode appears (quickened
-// forms exist only in per-invocation runtime copies, never in templates).
+// target lands inside the code, and no quickened opcode appears (an
+// interpreter quickens its own lowering only after verifying it).
 // The test suite runs it over every lowered workload and over randomly
 // generated programs, mirroring the stack verifier's trusted-but-verified
 // contract.
@@ -295,7 +295,7 @@ func VerifyRegister(rc *RCode) error {
 				return err
 			}
 		case RopBinaryII, RopBinaryFF, RopBinaryJumpIfFalseII, RopForIterRange:
-			return fail(pc, "quickened opcode %v in code template", ins.Op)
+			return fail(pc, "quickened opcode %v in freshly lowered code", ins.Op)
 		default:
 			return fail(pc, "unknown register opcode %d", int(ins.Op))
 		}

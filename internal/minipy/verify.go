@@ -148,7 +148,11 @@ func stackDepths(code *Code) ([]int32, error) {
 		depth[i] = -1 // unreachable / unknown
 	}
 	depth[0] = 0
-	work := []int{0}
+	// The worklist holds the pending branch targets, rarely more than a
+	// few, so it starts on the stack: lowering a code object for each
+	// interpreter that runs it then allocates only what the lowering keeps.
+	var workBuf [16]int
+	work := append(workBuf[:0], 0)
 	// propagate records a successor's depth, checking join consistency.
 	propagate := func(from, to int, d int32) error {
 		if d < 0 {

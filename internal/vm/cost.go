@@ -124,34 +124,48 @@ func icSpecializable(op minipy.Op) bool {
 	return false
 }
 
-// loopSite identifies a loop head (back-edge target) within a code object.
-type loopSite struct {
-	code *minipy.Code
-	head int32
+// opCosts is a per-opcode instruction charge, precomputed from the cost
+// parameters so the dispatch loop indexes instead of dividing. Sized 256,
+// like baseInstr, so a uint8 opcode indexes it without a bounds check.
+type opCosts [256]uint64
+
+// fillTrace sets each opcode's in-trace charge,
+// max(1, (base+DispatchOverhead)/JITDivisor). The sum wraps in uint32, as
+// the charge outside a trace does.
+func (t *opCosts) fillTrace(p CostParams) {
+	for op, base := range baseInstr {
+		t[op] = max(1, uint64(base+p.DispatchOverhead)/uint64(p.JITDivisor))
+	}
 }
 
-// branchSite identifies a static conditional branch.
-type branchSite struct {
-	code *minipy.Code
-	pc   int32
+// fillIC sets each opcode's charge at a warmed-up inline-cache site,
+// max(1, dispatch + base/divisor).
+func (t *opCosts) fillIC(dispatch, divisor uint32) {
+	for op, base := range baseInstr {
+		t[op] = max(1, uint64(dispatch)+uint64(base)/uint64(divisor))
+	}
 }
 
-type guardInfo struct {
-	expect  bool
-	seen    bool
-	fails   int
-	bridged bool
+// jitSite is the simulated JIT's bookkeeping for one source pc of one code
+// object (codeState.jit): whether the pc lies in a compiled trace, the
+// back-edge count while it is an uncompiled loop head, and its guard when
+// it is a conditional branch inside a trace.
+type jitSite struct {
+	hot      int  // taken back edges to this loop head until it compiles
+	fails    int  // side exits taken by this guard
+	compiled bool // the pc lies in a compiled trace
+	seen     bool // the guard has observed its first direction
+	expect   bool // the direction the guard was trained on
+	bridged  bool // a bridge covers the other direction
 }
 
-// jitState holds the simulated tracing JIT's bookkeeping for one VM
-// invocation. It persists across benchmark iterations within the invocation
-// — that persistence is what produces warmup curves.
+// jitState holds the simulated tracing JIT's parameters and statistics for
+// one VM invocation; the per-pc bookkeeping lives with each code object's
+// state. Both persist across benchmark iterations within the invocation —
+// that persistence is what produces warmup curves.
 type jitState struct {
-	params   CostParams
-	hot      map[loopSite]int
-	compiled map[*minipy.Code][]bool
-	guards   map[branchSite]*guardInfo
-	version  uint64
+	params    CostParams
+	traceCost opCosts
 
 	// Stats exposed for analysis.
 	TracesCompiled  int
@@ -160,48 +174,35 @@ type jitState struct {
 }
 
 func newJITState(p CostParams) *jitState {
-	return &jitState{
-		params:   p,
-		hot:      map[loopSite]int{},
-		compiled: map[*minipy.Code][]bool{},
-		guards:   map[branchSite]*guardInfo{},
-	}
+	j := &jitState{params: p}
+	j.traceCost.fillTrace(p)
+	return j
 }
 
-// onBackEdge records a taken back edge and compiles the loop region when it
-// becomes hot. It returns the compile-pause cycles to charge (0 normally).
-func (j *jitState) onBackEdge(code *minipy.Code, from, to int32) uint64 {
-	mask := j.compiled[code]
-	if mask != nil && mask[to] {
+// onBackEdge records a taken back edge from source pc from to loop head to
+// in the code object whose sites are given, and compiles the loop region
+// when it becomes hot. It returns the compile-pause cycles to charge (0
+// normally).
+func (j *jitState) onBackEdge(sites []jitSite, from, to int32) uint64 {
+	head := &sites[to]
+	if head.compiled {
 		return 0 // already compiled
 	}
-	site := loopSite{code: code, head: to}
-	j.hot[site]++
-	if j.hot[site] < j.params.JITThreshold {
+	head.hot++
+	if head.hot < j.params.JITThreshold {
 		return 0
 	}
-	if mask == nil {
-		mask = make([]bool, len(code.Ops))
-		j.compiled[code] = mask
-	}
 	for pc := to; pc <= from; pc++ {
-		mask[pc] = true
+		sites[pc].compiled = true
 	}
 	j.TracesCompiled++
-	j.version++
-	delete(j.hot, site)
 	return uint64(from-to+1) * j.params.CompileCostPerOp
 }
 
-// onGuard models a guarded branch inside a compiled trace. It returns the
-// stall cycles for side exits and bridge compilation.
-func (j *jitState) onGuard(code *minipy.Code, pc int32, taken bool) uint64 {
-	site := branchSite{code: code, pc: pc}
-	g := j.guards[site]
-	if g == nil {
-		g = &guardInfo{}
-		j.guards[site] = g
-	}
+// onGuard models the guarded branch at source pc inside a compiled trace.
+// It returns the stall cycles for side exits and bridge compilation.
+func (j *jitState) onGuard(sites []jitSite, pc int32, taken bool) uint64 {
+	g := &sites[pc]
 	if g.bridged {
 		return 0
 	}

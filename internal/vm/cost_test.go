@@ -25,37 +25,39 @@ func TestBaseInstrCoversAllOps(t *testing.T) {
 	}
 }
 
+// The JIT model's per-pc bookkeeping is a code object's codeState.jit
+// slice; these tests drive it directly on a 20- and an 8-pc code object.
+
 func TestJITStateBackEdgeCompilation(t *testing.T) {
 	p := DefaultCostParams()
 	p.JITThreshold = 3
 	j := newJITState(p)
-	code := &minipy.Code{Ops: make([]minipy.Instr, 20)}
+	sites := make([]jitSite, 20)
 
 	// Below threshold: no compilation.
 	for i := 0; i < 2; i++ {
-		if pause := j.onBackEdge(code, 10, 4); pause != 0 {
+		if pause := j.onBackEdge(sites, 10, 4); pause != 0 {
 			t.Fatalf("premature compile at count %d", i)
 		}
 	}
 	// Threshold hit: compile pause proportional to region size.
-	pause := j.onBackEdge(code, 10, 4)
+	pause := j.onBackEdge(sites, 10, 4)
 	if want := uint64(7) * p.CompileCostPerOp; pause != want {
 		t.Fatalf("compile pause %d, want %d", pause, want)
 	}
 	if j.TracesCompiled != 1 {
 		t.Fatalf("traces %d", j.TracesCompiled)
 	}
-	mask := j.compiled[code]
 	for pc := 4; pc <= 10; pc++ {
-		if !mask[pc] {
+		if !sites[pc].compiled {
 			t.Fatalf("pc %d not in trace mask", pc)
 		}
 	}
-	if mask[3] || mask[11] {
+	if sites[3].compiled || sites[11].compiled {
 		t.Fatal("mask extends outside the loop region")
 	}
 	// Further back edges on a compiled head are free.
-	if pause := j.onBackEdge(code, 10, 4); pause != 0 {
+	if pause := j.onBackEdge(sites, 10, 4); pause != 0 {
 		t.Fatal("re-compilation of a compiled loop")
 	}
 }
@@ -64,31 +66,31 @@ func TestJITStateGuardLifecycle(t *testing.T) {
 	p := DefaultCostParams()
 	p.GuardFailLimit = 3
 	j := newJITState(p)
-	code := &minipy.Code{Ops: make([]minipy.Instr, 8)}
+	sites := make([]jitSite, 8)
 
 	// First observation trains the guard.
-	if pause := j.onGuard(code, 2, true); pause != 0 {
+	if pause := j.onGuard(sites, 2, true); pause != 0 {
 		t.Fatal("training observation should be free")
 	}
 	// Matching direction: free.
-	if pause := j.onGuard(code, 2, true); pause != 0 {
+	if pause := j.onGuard(sites, 2, true); pause != 0 {
 		t.Fatal("matching direction should be free")
 	}
 	// Mismatches pay the penalty until the bridge limit.
 	for i := 0; i < p.GuardFailLimit-1; i++ {
-		if pause := j.onGuard(code, 2, false); pause != p.GuardFailPenalty {
+		if pause := j.onGuard(sites, 2, false); pause != p.GuardFailPenalty {
 			t.Fatalf("fail %d: pause %d, want %d", i, pause, p.GuardFailPenalty)
 		}
 	}
 	// Limit reached: bridge compiled once.
-	if pause := j.onGuard(code, 2, false); pause != p.BridgeCompileCost {
+	if pause := j.onGuard(sites, 2, false); pause != p.BridgeCompileCost {
 		t.Fatal("bridge compile pause missing")
 	}
 	if j.BridgesCompiled != 1 {
 		t.Fatalf("bridges %d", j.BridgesCompiled)
 	}
 	// After bridging: both directions free.
-	if j.onGuard(code, 2, true) != 0 || j.onGuard(code, 2, false) != 0 {
+	if j.onGuard(sites, 2, true) != 0 || j.onGuard(sites, 2, false) != 0 {
 		t.Fatal("bridged guard should be free both ways")
 	}
 }

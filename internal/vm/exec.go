@@ -39,14 +39,14 @@ func (in *Interp) buildClass(seg []minipy.Value, n int) (minipy.Value, error) {
 // inside a compiled trace, to the JIT guard model. The dispatch loop guards
 // the call so plain-interpreter branches skip it entirely.
 // benchlint:hotpath
-func (in *Interp) branchEvent(code *minipy.Code, cid uint64, pc int, taken, inTrace bool) {
+func (in *Interp) branchEvent(st *codeState, pc int, taken, inTrace bool) {
 	if in.probe != nil {
-		stall := in.probe.OnBranch(cid|uint64(pc), taken)
+		stall := in.probe.OnBranch(st.id|uint64(pc), taken)
 		in.stalls += stall
 		in.cycles += stall
 	}
-	if inTrace && in.jit != nil {
-		pause := in.jit.onGuard(code, int32(pc), taken)
+	if inTrace {
+		pause := in.jit.onGuard(st.jit, int32(pc), taken)
 		if pause > 0 {
 			in.cycles += pause
 			in.jitPauses += pause

@@ -3,7 +3,6 @@ package vm
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/minipy"
 )
@@ -19,88 +18,33 @@ import (
 // were generated by the stack interpreter this engine replaced and pin
 // those streams byte for byte.
 
-// regTemplate is the immutable, process-wide register form of one code
-// object: the verified lowering plus pre-tagged constants, or the error
-// that lowering or register verification returned. Templates never mutate
-// (VerifyRegister rejects quickened opcodes in them), so they are shared
-// across Interps; each Interp quickens a private copy of the op array
-// (codeState.rops).
-type regTemplate struct {
-	rc      *minipy.RCode
-	rconsts []rslot
-	err     error
-}
-
-// regTemplates / regTemplatesElided cache lowering per code object. The
-// elided variant (ablation A9) changes the executed stream, so it gets its
-// own cache.
-var (
-	regTemplates       sync.Map // *minipy.Code -> *regTemplate
-	regTemplatesElided sync.Map
-)
-
-// lowerCached returns the (possibly move-elided) register template for
-// code, lowering and verifying on first use.
-func lowerCached(code *minipy.Code, elide bool) *regTemplate {
-	m := &regTemplates
-	if elide {
-		m = &regTemplatesElided
-	}
-	if v, ok := m.Load(code); ok {
-		return v.(*regTemplate)
-	}
-	rt := &regTemplate{}
-	rc, err := minipy.LowerToRegister(code)
+// lower lowers code to this Interp's register form (move-elided under
+// ablation A9) and register-verifies it, or records the error that lowering
+// or verification returned. The Interp owns the stream, so quickening
+// rewrites it in place: no other Interp can see it, and a fresh Interp
+// always starts from the unquickened lowering.
+func (st *codeState) lower(code *minipy.Code, elide bool) {
+	var err error
+	st.rc, err = minipy.LowerToRegister(code)
 	if err == nil {
 		if elide {
-			rc = minipy.ElideMoves(rc)
+			st.rc = *minipy.ElideMoves(&st.rc)
 		}
 		// Trust-but-verify: a lowering bug must surface as an error,
 		// never execute unchecked.
-		err = minipy.VerifyRegister(rc)
+		err = minipy.VerifyRegister(&st.rc)
 	}
 	if err != nil {
-		rt.err = fmt.Errorf("vm: cannot run code object %s: %w", code.Name, err)
-	} else {
-		rt.rc = rc
-		rt.rconsts = make([]rslot, len(code.Consts))
+		st.rc = minipy.RCode{}
+		st.err = fmt.Errorf("vm: cannot run code object %s: %w", code.Name, err)
+		return
+	}
+	if len(code.Consts) > 0 {
+		st.rconsts = make([]rslot, len(code.Consts))
 		for i, c := range code.Consts {
-			rt.rconsts[i] = runbox(c)
+			st.rconsts[i] = runbox(c)
 		}
 	}
-	m.Store(code, rt)
-	return rt
-}
-
-// regCode resolves (lazily creating) the register state for code on this
-// Interp: the shared template plus the private quickenable op copy. It
-// returns the template's error when code could not be lowered.
-func (in *Interp) regCode(code *minipy.Code, st *codeState) (*regTemplate, error) {
-	if st.rt == nil {
-		st.rt = lowerCached(code, in.regElide)
-		if st.rt.err == nil {
-			// Copy-on-quicken: share the immutable template op stream
-			// until the first in-place rewrite. Code that never quickens
-			// (module bodies, straight-line glue) never pays for a
-			// private copy.
-			st.rops = st.rt.rc.Ops
-		}
-	}
-	return st.rt, st.rt.err
-}
-
-// quickenOp rewrites the opcode at pc on this Interp's private op stream,
-// cloning the shared template on first write. It always writes through
-// st.rops — a frame holding a stale pre-clone slice must never write the
-// template, which other Interps execute concurrently. Returns the current
-// private stream so the caller can refresh its hoisted local.
-func (st *codeState) quickenOp(pc int, op minipy.ROp) []minipy.RInstr {
-	if !st.ropsOwned {
-		st.rops = append([]minipy.RInstr(nil), st.rt.rc.Ops...)
-		st.ropsOwned = true
-	}
-	st.rops[pc].Op = op
-	return st.rops
 }
 
 // callFunctionReg invokes a *Function in the register tier with args
@@ -112,12 +56,11 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 		return rslot{}, typeErr("%s() takes %d arguments (%d given)",
 			code.Name, code.NumParams, len(args))
 	}
-	st := in.state(code)
-	rt, err := in.regCode(code, st)
+	st, err := in.state(code)
 	if err != nil {
 		return rslot{}, err
 	}
-	regs := in.getRegs(rt.rc.NumRegs)
+	regs := in.getRegs(st.rc.NumRegs)
 	copy(regs, args)
 	var cells []*minipy.Cell
 	if n := code.NumCells(); n > 0 {
@@ -127,7 +70,7 @@ func (in *Interp) callFunctionReg(fn *minipy.Function, args []rslot) (rslot, err
 		}
 		copy(cells[len(code.CellLocals):], fn.Free)
 	}
-	ret, err := in.enterFrame(code, rt, st, regs, cells)
+	ret, err := in.enterFrame(code, st, regs, cells)
 	in.putRegs(regs)
 	return ret, err
 }
@@ -141,12 +84,11 @@ func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value)
 		return nil, typeErr("%s() takes %d arguments (%d given)",
 			code.Name, code.NumParams, len(args))
 	}
-	st := in.state(code)
-	rt, err := in.regCode(code, st)
+	st, err := in.state(code)
 	if err != nil {
 		return nil, err
 	}
-	regs := in.getRegs(rt.rc.NumRegs)
+	regs := in.getRegs(st.rc.NumRegs)
 	for i, a := range args {
 		regs[i] = runbox(a)
 	}
@@ -158,7 +100,7 @@ func (in *Interp) callFunctionRegBoxed(fn *minipy.Function, args []minipy.Value)
 		}
 		copy(cells[len(code.CellLocals):], fn.Free)
 	}
-	ret, err := in.enterFrame(code, rt, st, regs, cells)
+	ret, err := in.enterFrame(code, st, regs, cells)
 	in.putRegs(regs)
 	return rbox(&ret), err
 }
@@ -177,7 +119,7 @@ func (in *Interp) callBoundReg(bm *minipy.BoundMethod, args []rslot) (rslot, err
 // enterFrame executes one register-tier activation: depth guard, tracer
 // frame events, then the dispatch loop. The register file is owned (pooled)
 // by the caller.
-func (in *Interp) enterFrame(code *minipy.Code, rt *regTemplate, st *codeState,
+func (in *Interp) enterFrame(code *minipy.Code, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
 	in.depth++
 	if in.depth > in.maxDepth {
@@ -189,7 +131,7 @@ func (in *Interp) enterFrame(code *minipy.Code, rt *regTemplate, st *codeState,
 		in.tracer.OnEnter(code)
 		defer in.tracer.OnExit(code)
 	}
-	return in.regLoop(code, rt, st, regs, cells)
+	return in.regLoop(code, st, regs, cells)
 }
 
 // intBinFast computes the inline int ⊙ int subset into dst, reporting
@@ -335,26 +277,27 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 // while a probe is attached. Counter values at each observation point are
 // therefore those of the unhoisted form.
 // benchlint:hotpath
-func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
+func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
 	var (
 		ret      rslot
 		errv     error
 		pc       int
-		rc       = rt.rc
-		ops      = st.rops // shared template until first quicken (see quickenOp)
-		rconsts  = rt.rconsts
+		rc       = &st.rc
+		ops      = rc.Ops // this Interp's own stream, quickened in place
+		rconsts  = st.rconsts
 		names    = code.Names
 		L        = rc.NumLocals
 		probe    = in.probe
 		tracer   = in.tracer
 		vtracer  = in.vtracer
 		jit      = in.jit
+		sites    = st.jit // per-pc JIT bookkeeping; nil outside ModeJIT
 		cancel   = in.cancel
 		maxSteps = in.maxSteps
 		dispatch = in.cost.DispatchOverhead
 		icWarmup = in.icWarmup
-		cid      = st.id
+		icCost   = in.icCost
 		gcache   = st.globals
 		acache   = st.attrs
 		ic       = st.ic
@@ -365,15 +308,13 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		frameBase = uint64(0x8000) + uint64(in.depth)*512
 	)
 
-	var mask []bool
-	var maskVer uint64
+	var traceCost *opCosts
 	var opPC int
 	// Boxed shadow stack, materialized per op only for ValueTracer
 	// observers (the soundness checker); nil tracers pay nothing.
 	var vstack []minipy.Value
 	if jit != nil {
-		mask = jit.compiled[code]
-		maskVer = jit.version
+		traceCost = &jit.traceCost
 	}
 	if vtracer != nil {
 		vstack = make([]minipy.Value, 0, rc.NumRegs-L)
@@ -398,27 +339,16 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		opc := int(ins.Orig)
 
 		// ---- Cost accounting (keyed by the source stack op and pc) ----
+		// Frames of one code object share its sites, so a trace compiled
+		// in a recursive activation is seen here on the next op.
 		instrs := uint64(baseInstr[op] + dispatch)
-		inTrace := false
-		if jit != nil {
-			if maskVer != jit.version {
-				mask = jit.compiled[code]
-				maskVer = jit.version
-			}
-			if mask != nil && mask[opc] {
-				inTrace = true
-				instrs /= uint64(in.cost.JITDivisor)
-				if instrs == 0 {
-					instrs = 1
-				}
-			}
+		inTrace := sites != nil && sites[opc].compiled
+		if inTrace {
+			instrs = traceCost[op]
 		}
 		if ic != nil && !inTrace && icSpecializable(op) {
 			if c := ic[opc]; c >= icWarmup {
-				instrs = uint64(dispatch) + uint64(baseInstr[op])/uint64(in.icDivisor)
-				if instrs == 0 {
-					instrs = 1
-				}
+				instrs = icCost[op]
 			} else {
 				ic[opc] = c + 1
 			}
@@ -570,10 +500,10 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				intBinFast(&regs[ins.C], bop, a.num, b.num) {
 				// Monomorphic int site: quicken in place. The guard is
 				// re-checked by the quickened form on every execution.
-				ops = st.quickenOp(pc, minipy.RopBinaryII)
+				ops[pc].Op = minipy.RopBinaryII
 			} else if a.tag == tagFloat && b.tag == tagFloat &&
 				floatBinFast(&regs[ins.C], bop, rfloat(&a), rfloat(&b)) {
-				ops = st.quickenOp(pc, minipy.RopBinaryFF)
+				ops[pc].Op = minipy.RopBinaryFF
 			} else if err := in.regBinaryGeneric(bop, &a, &b, &regs[ins.C]); err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
@@ -623,12 +553,10 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 			target := int(ins.Arg)
 			if jit != nil && ops[target].Orig <= ins.Orig {
 				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				pause := jit.onBackEdge(code, ins.Orig, ops[target].Orig)
+				pause := jit.onBackEdge(sites, ins.Orig, ops[target].Orig)
 				if pause > 0 {
 					in.cycles += pause
 					in.jitPauses += pause
-					mask = jit.compiled[code]
-					maskVer = jit.version
 				}
 				cyclesTot = in.cycles
 			}
@@ -639,7 +567,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				(ins.Op == minipy.RopJumpIfTrue && cond)
 			if probe != nil || inTrace {
 				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				in.branchEvent(code, cid, opc, taken, inTrace)
+				in.branchEvent(st, opc, taken, inTrace)
 				cyclesTot = in.cycles
 			}
 			if taken {
@@ -653,7 +581,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				(ins.Op == minipy.RopJumpIfTrueKeep && cond)
 			if probe != nil || inTrace {
 				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				in.branchEvent(code, cid, opc, taken, inTrace)
+				in.branchEvent(st, opc, taken, inTrace)
 				cyclesTot = in.cycles
 			}
 			if taken {
@@ -827,7 +755,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 		case minipy.RopForIter, minipy.RopForIterRange:
 			if r, ok := regs[ins.A].ref.(*rangeIter); ok {
 				if ins.Op == minipy.RopForIter {
-					ops = st.quickenOp(pc, minipy.RopForIterRange)
+					ops[pc].Op = minipy.RopForIterRange
 				}
 				// Inline range protocol: the produced element stays an
 				// unboxed tagInt, so large loop counters never box.
@@ -837,7 +765,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				}
 				if probe != nil || inTrace {
 					in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-					in.branchEvent(code, cid, opc, !more, inTrace)
+					in.branchEvent(st, opc, !more, inTrace)
 					cyclesTot = in.cycles
 				}
 				if !more {
@@ -853,7 +781,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 				v, more := it.next()
 				if probe != nil || inTrace {
 					in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-					in.branchEvent(code, cid, opc, !more, inTrace)
+					in.branchEvent(st, opc, !more, inTrace)
 					cyclesTot = in.cycles
 				}
 				if !more {
@@ -940,7 +868,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 			var taken bool
 			if a.tag == tagInt && b.tag == tagInt && intBinFast(&tmp, bop, a.num, b.num) {
 				if ins.Op == minipy.RopBinaryJumpIfFalse {
-					ops = st.quickenOp(pc, minipy.RopBinaryJumpIfFalseII)
+					ops[pc].Op = minipy.RopBinaryJumpIfFalseII
 				}
 				taken = !rtruth(&tmp)
 			} else {
@@ -953,7 +881,7 @@ func (in *Interp) regLoop(code *minipy.Code, rt *regTemplate, st *codeState,
 			}
 			if probe != nil || inTrace {
 				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				in.branchEvent(code, cid, opc, taken, inTrace)
+				in.branchEvent(st, opc, taken, inTrace)
 				cyclesTot = in.cycles
 			}
 			if taken {
@@ -994,10 +922,8 @@ done:
 // object has not executed (no state, or it could not be lowered).
 func (in *Interp) DisassembleQuickened(code *minipy.Code) string {
 	st, ok := in.codeStates[code]
-	if !ok || st.rt == nil || st.rt.err != nil {
+	if !ok || st.err != nil {
 		return ""
 	}
-	view := *st.rt.rc
-	view.Ops = st.rops
-	return view.Disassemble()
+	return st.rc.Disassemble()
 }

@@ -127,9 +127,10 @@ type Interp struct {
 	depth     int
 	maxDepth  int
 
-	// Per-code-object interpreter state (stable id, simulated IC counters,
-	// host-level inline caches), resolved with one map lookup per frame
-	// entry and a one-entry hot cache in front for tight recursion.
+	// Per-code-object interpreter state (stable id, register code, simulated
+	// IC counters and JIT sites, host-level inline caches), resolved with
+	// one map lookup per frame entry and a one-entry hot cache in front for
+	// tight recursion.
 	codeStates map[*minipy.Code]*codeState
 	lastCode   *minipy.Code
 	lastState  *codeState
@@ -144,10 +145,10 @@ type Interp struct {
 	aepoch uint64
 
 	// Simulated inline-cache (specializing interpreter) parameters: per-site
-	// execution counts live in codeState.ic, saturating at icWarmup.
-	icEnabled bool
-	icWarmup  uint8
-	icDivisor uint32
+	// execution counts live in codeState.ic, saturating at icWarmup, and a
+	// warmed-up site charges icCost[op] (nil unless CostParams.InlineCache).
+	icWarmup uint8
+	icCost   *opCosts
 
 	// Boxed argument and operand buffers are recycled LIFO across
 	// activations so steady-state frames allocate nothing. Purely a
@@ -159,25 +160,31 @@ type Interp struct {
 	regArena regArena
 }
 
-// codeState is the per-invocation interpreter state of one code object: the
-// probe's site id, the simulated inline-cache counters, the host-level
-// inline caches and the register code.
+// codeState is the per-invocation interpreter state of one code object:
+// the probe's site id, the simulated inline-cache counters, the JIT's per-pc
+// bookkeeping, the host-level inline caches and the register code. The VM
+// keeps no state about a code object outside the Interps that ran it, so
+// the code dies with the last of them.
 type codeState struct {
 	// id builds stable branch-site addresses for the probe.
 	id uint64
 	// ic holds the simulated specializing-interpreter counters (nil unless
 	// CostParams.InlineCache).
 	ic []uint8
+	// jit holds the simulated JIT's compiled mask, loop-head counts and
+	// guards, indexed by source pc (nil unless ModeJIT).
+	jit []jitSite
 	// globals caches LOAD_GLOBAL resolutions by name index, keyed on gver.
 	globals []gslot
 	// attrs caches LOAD_ATTR class-method resolutions by pc, keyed on
 	// aepoch (nil when the code has no LOAD_ATTR sites).
 	attrs []aslot
-	// The shared immutable register template (or its lowering error) and
-	// this Interp's private quickenable op copy.
-	rt        *regTemplate
-	rops      []minipy.RInstr
-	ropsOwned bool
+	// rc is this Interp's register form of the code, quickened in place,
+	// and rconsts its pre-tagged constants; err is the error lowering or
+	// register verification returned instead.
+	rc      minipy.RCode
+	rconsts []rslot
+	err     error
 }
 
 // gslot is a monomorphic global-load cache entry: the value the name
@@ -187,10 +194,11 @@ type gslot struct {
 	val minipy.Value
 }
 
-// state returns (creating on first use) the per-code interpreter state.
-func (in *Interp) state(code *minipy.Code) *codeState {
+// state returns the per-code interpreter state, creating it and lowering
+// the code on first use, or the error lowering returned.
+func (in *Interp) state(code *minipy.Code) (*codeState, error) {
 	if in.lastCode == code {
-		return in.lastState
+		return in.lastState, nil
 	}
 	st, ok := in.codeStates[code]
 	if !ok {
@@ -198,8 +206,11 @@ func (in *Interp) state(code *minipy.Code) *codeState {
 			in.codeStates = map[*minipy.Code]*codeState{}
 		}
 		st = &codeState{id: uint64(len(in.codeStates)+1) << 20}
-		if in.icEnabled {
+		if in.icCost != nil {
 			st.ic = make([]uint8, len(code.Ops))
+		}
+		if in.jit != nil {
+			st.jit = make([]jitSite, len(code.Ops))
 		}
 		if len(code.Names) > 0 {
 			st.globals = make([]gslot, len(code.Names))
@@ -211,9 +222,13 @@ func (in *Interp) state(code *minipy.Code) *codeState {
 			}
 		}
 		in.codeStates[code] = st
+		st.lower(code, in.regElide)
+	}
+	if st.err != nil {
+		return nil, st.err
 	}
 	in.lastCode, in.lastState = code, st
-	return st
+	return st, nil
 }
 
 // getLocals takes an n-slot locals array from the pool, cleared to nil so
@@ -287,15 +302,16 @@ func New(cfg Config) *Interp {
 		in.jit = newJITState(cost)
 	}
 	if cost.InlineCache {
-		in.icEnabled = true
 		in.icWarmup = cost.ICWarmup
 		if in.icWarmup == 0 {
 			in.icWarmup = 2
 		}
-		in.icDivisor = cost.ICDivisor
-		if in.icDivisor == 0 {
-			in.icDivisor = 3
+		divisor := cost.ICDivisor
+		if divisor == 0 {
+			divisor = 3
 		}
+		in.icCost = new(opCosts)
+		in.icCost.fillIC(cost.DispatchOverhead, divisor)
 	}
 	return in
 }
@@ -370,13 +386,12 @@ func (in *Interp) RunModule(code *minipy.Code) (minipy.Value, error) {
 		return nil, typeErr("RunModule requires module code")
 	}
 	in.invalidateCaches()
-	st := in.state(code)
-	rt, err := in.regCode(code, st)
+	st, err := in.state(code)
 	if err != nil {
 		return nil, err
 	}
-	regs := in.getRegs(rt.rc.NumRegs)
-	ret, err := in.enterFrame(code, rt, st, regs, nil)
+	regs := in.getRegs(st.rc.NumRegs)
+	ret, err := in.enterFrame(code, st, regs, nil)
 	in.putRegs(regs)
 	return rbox(&ret), err
 }

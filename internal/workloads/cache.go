@@ -92,10 +92,3 @@ func (c *CodeCache) GetOpt(b Benchmark, opt int) (entry Compiled, hit bool, err 
 	c.entries[key] = entry
 	return entry, false, nil
 }
-
-// Len reports the number of cached benchmarks.
-func (c *CodeCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}

@@ -3,6 +3,8 @@ package workloads
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/minipy"
 )
 
 func TestCodeCacheGetAndInventory(t *testing.T) {
@@ -31,8 +33,16 @@ func TestCodeCacheGetAndInventory(t *testing.T) {
 	if e2.Code != e1.Code {
 		t.Fatal("hit must return the cached code object")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	nbody, ok := ByName("nbody")
+	if !ok {
+		t.Fatal("nbody missing")
+	}
+	e3, hit, err := c.Get(nbody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || e3.Code == e1.Code {
+		t.Fatal("each benchmark must get its own entry")
 	}
 }
 
@@ -42,39 +52,49 @@ func TestCodeCacheCompileErrorNotCached(t *testing.T) {
 	if _, _, err := c.Get(bad); err == nil {
 		t.Fatal("broken source must fail to compile")
 	}
-	if c.Len() != 0 {
-		t.Fatal("failed compiles must not be cached")
+	fixed := Benchmark{Name: "broken", Source: "def run():\n    return 1\n"}
+	if _, hit, err := c.Get(fixed); err != nil || hit {
+		t.Fatalf("failed compiles must not be cached: hit=%v err=%v", hit, err)
 	}
 }
 
-// TestCodeCacheConcurrentInventory hits the cache from concurrent shards —
-// compiles of distinct benchmarks racing repeated counts of the cached
-// entries — and relies on the race detector (make verify runs go test
-// -race) to prove the map is lock-protected.
+// TestCodeCacheConcurrentInventory hits the cache from concurrent shards,
+// compiles of distinct benchmarks racing hits on the cached entries, and
+// relies on the race detector (make verify runs go test -race) to prove
+// the map is lock-protected. Every shard must get the one code object
+// compiled for each benchmark.
 func TestCodeCacheConcurrentInventory(t *testing.T) {
 	c := NewCodeCache()
 	suite := Suite()
 	const shards = 8
+	got := make([][]*minipy.Code, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
+		got[s] = make([]*minipy.Code, len(suite))
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
 			for i := 0; i < len(suite); i++ {
-				b := suite[(shard+i)%len(suite)]
-				if _, _, err := c.Get(b); err != nil {
+				k := (shard + i) % len(suite)
+				e, _, err := c.Get(suite[k])
+				if err != nil {
 					t.Errorf("shard %d: %v", shard, err)
 					return
 				}
-				if c.Len() == 0 {
-					t.Errorf("shard %d: empty cache after a Get", shard)
-					return
-				}
+				got[shard][k] = e.Code
 			}
 		}(s)
 	}
 	wg.Wait()
-	if c.Len() != len(suite) {
-		t.Fatalf("cached %d benchmarks, want %d", c.Len(), len(suite))
+	for k, b := range suite {
+		e, hit, err := c.Get(b)
+		if err != nil || !hit {
+			t.Fatalf("%s: hit=%v err=%v after every shard compiled it", b.Name, hit, err)
+		}
+		for s := range got {
+			if got[s][k] != e.Code {
+				t.Fatalf("%s: shard %d got a different code object", b.Name, s)
+			}
+		}
 	}
 }

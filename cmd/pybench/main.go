@@ -41,9 +41,10 @@
 // key); -profile prints a per-line cost attribution, and -collapsed FILE
 // additionally writes folded call stacks for flamegraph tools; -version
 // prints the producer identification stamped into emitted artifacts.
-// -trace and -metrics go only with -bench or -suite, -json only with
-// -bench and -collapsed only with -profile: beside any other command each
-// is a usage error.
+// -trace and -metrics go only with -bench or -suite, -opt only with -bench
+// or -dis, -json, -mode, -vm and -daemon-addr only with -bench, and
+// -collapsed only with -profile: beside any other command each is a usage
+// error.
 //
 // Exit codes: 0 = success; 1 = finding (-lint diagnostics); 2 = usage;
 // 3 = infrastructure failure; 4 = run degraded below quorum.
@@ -94,7 +95,7 @@ func main() {
 		list        = flag.Bool("list", false, "list benchmarks and experiment ids")
 		exp         = flag.String("exp", "", "experiment id (T1..T5, F1..F8, A1..A9) or 'all'")
 		bench       = flag.String("bench", "", "run a single benchmark experiment")
-		mode        = flag.String("mode", "interp", "engine for -bench: interp or jit")
+		mode        = flag.String("mode", "interp", "engine for -bench: interp or jit (a usage error with any other command)")
 		invocations = flag.Int("invocations", 0, "invocations per experiment (0 = default)")
 		iterations  = flag.Int("iterations", 0, "iterations per invocation (0 = default)")
 		trials      = flag.Int("trials", 0, "synthetic trials for T4/F8 (0 = default)")
@@ -114,11 +115,11 @@ func main() {
 		traceOut    = flag.String("trace", "", "with -bench or -suite: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
 		metricsOn   = flag.Bool("metrics", false, "with -bench or -suite: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format; a usage error with any other command)")
-		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8)")
-		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9)")
+		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8; a usage error with any other command)")
+		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9; a usage error with any other command)")
 		isolate     = flag.Bool("isolate", false, "simulate each experiment in a watchdogged worker subprocess; this process applies the noise (crash isolation; the sample set is bit-identical to in-process execution)")
 		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-request deadline before a hung worker is killed (0 = 30s default)")
-		daemonAddr  = flag.String("daemon-addr", "", "with -bench: submit the campaign to a pybenchd daemon at HOST:PORT instead of running in-process (sample set is bit-identical)")
+		daemonAddr  = flag.String("daemon-addr", "", "with -bench: submit the campaign to a pybenchd daemon at HOST:PORT instead of running in-process (sample set is bit-identical; a usage error with any other command)")
 		showVersion = flag.Bool("version", false, "print version, Go version, and platform, then exit")
 	)
 	flag.Usage = usage
@@ -133,22 +134,29 @@ func main() {
 		os.Exit(exitcode.Usage)
 	}
 	// Some flags are read by one or two commands only. Beside any other
-	// command they would do nothing, so the combination is a usage error,
+	// command they would do nothing, so giving them is a usage error,
 	// refused before any work. The commands take precedence in the order
 	// of the switch below: -list, -profile, -dis and -lint come before
 	// -suite, which comes before -bench.
 	ahead := *list || *profileName != "" || *dis != "" || *lint
+	runsProfile := !*list && *profileName != ""
+	runsDis := !*list && !runsProfile && *dis != ""
 	runsSuite := !ahead && *suite
 	runsBench := !ahead && !*suite && *bench != ""
-	if (*traceOut != "" || *metricsOn) && !runsSuite && !runsBench {
-		fatal(usageError{errors.New("-trace and -metrics apply only to -bench and -suite")})
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	refuse := func(ok bool, msg string, flags ...string) {
+		for _, name := range flags {
+			if given[name] && !ok {
+				fatal(usageError{errors.New(msg)})
+			}
+		}
 	}
-	if *jsonOut && !runsBench {
-		fatal(usageError{errors.New("-json applies only to -bench")})
-	}
-	if *collapsed != "" && (*list || *profileName == "") {
-		fatal(usageError{errors.New("-collapsed applies only to -profile")})
-	}
+	refuse(runsBench || runsSuite, "-trace and -metrics apply only to -bench and -suite", "trace", "metrics")
+	refuse(runsBench, "-json applies only to -bench", "json")
+	refuse(runsProfile, "-collapsed applies only to -profile", "collapsed")
+	refuse(runsBench || runsDis, "-opt applies only to -bench and -dis", "opt")
+	refuse(runsBench, "-mode, -vm and -daemon-addr apply only to -bench", "mode", "vm", "daemon-addr")
 
 	np, err := noiseByName(*noiseName)
 	if err != nil {
@@ -363,35 +371,28 @@ func (o *observability) finish(w *os.File, printMetrics bool) error {
 }
 
 // doSuite runs the rigorous methodology across the whole suite with
-// family-wise (Holm–Bonferroni) error control, under the configured
-// supervision policy. Its design is core's resolved configuration, so
-// -suite and -exp share one set of defaults.
+// family-wise (Holm–Bonferroni) error control. Its pairs are core's, as
+// F3's are: the same design, seeds and supervision policy, so every row's
+// speedup and interval equal F3's, and the Holm step can only downgrade a
+// verdict to indistinguishable.
 func doSuite(cfg core.Config, style renderStyle, o *observability) error {
-	cfg = core.New(cfg).Config()
-	runner := harness.NewRunner()
-	o.attach(runner, "suite")
-	sup := harness.NewSupervisor(runner, cfg.SupervisorOptions())
-	var names []string
+	engine := core.New(cfg)
+	cfg = engine.Config()
+	o.attach(engine.Runner(), "suite")
+	var names, lost []string
 	var baselines, treatments []stats.HierarchicalSample
-	var degradedNotes []string
-	opts := harness.Options{Invocations: cfg.Invocations, Iterations: cfg.Iterations, Seed: cfg.Seed, Noise: cfg.Noise}
-	for _, wl := range workloads.Suite() {
-		interp, jit, err := sup.RunPair(context.Background(), wl, opts)
+	for _, b := range cfg.Benchmarks {
+		interp, jit, err := engine.RunPair(b, cfg.Iterations)
 		if err != nil {
 			return err
 		}
-		names = append(names, wl.Name)
+		names = append(names, b.Name)
 		baselines = append(baselines, interp.Hierarchical())
 		treatments = append(treatments, jit.Hierarchical())
-		for _, arm := range []*harness.Result{interp, jit} {
-			if sv := arm.Supervision; sv.Degraded() {
-				degradedNotes = append(degradedNotes,
-					fmt.Sprintf("%s/%s: %s", wl.Name, arm.Mode, sv.Summary()))
-			}
-		}
+		lost = append(lost, core.LostWork(interp, jit)...)
 	}
 	results := methodology.CompareSuite(names, baselines, treatments,
-		methodology.Rigorous{Seed: cfg.Seed}, 0.05)
+		methodology.Rigorous{Confidence: cfg.Confidence, Seed: cfg.Seed}, 0.05)
 	t := report.NewTable(
 		fmt.Sprintf("Suite comparison: JIT vs interpreter (%d×%d, Holm at α=0.05)", cfg.Invocations, cfg.Iterations),
 		"benchmark", "speedup", "CI lo", "CI hi", "p-value", "verdict")
@@ -406,9 +407,7 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 		t.AddFootnote("supervised: faults=%s, retries=%d, quorum=%d",
 			cfg.Faults, cfg.Retries, cfg.Quorum)
 	}
-	for _, n := range degradedNotes {
-		t.AddFootnote("%s", n)
-	}
+	t.Footnotes = append(t.Footnotes, lost...)
 	emit(t, style)
 	return nil
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,10 +68,12 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 }
 
 // TestJSONAndCollapsedNeedTheirCommand runs pybench with -json beside
-// every command but -bench, and with -collapsed beside every command but
-// -profile (and with no command, and with -list ahead of the one that
-// reads the flag): each is a usage error that prints nothing to stdout and
-// writes no file.
+// every command but -bench, with -collapsed beside every command but
+// -profile, with -opt beside commands other than -bench and -dis, and with
+// -mode (also at its default value), -vm or -daemon-addr beside commands
+// other than -bench (and with no command, and with a command ahead of the
+// one that reads the flag): each is a usage error that prints nothing to
+// stdout and writes no file.
 func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -84,6 +89,16 @@ func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 			"-json applies only to -bench"},
 		{[]string{"-collapsed", folded}, [][]string{{"-bench", "fib", "-invocations", "1", "-iterations", "1"}, {"-exp", "T1"}, {"-suite"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-profile", "fib"}, {}},
 			"-collapsed applies only to -profile"},
+		{[]string{"-opt", "3"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-lint"}, {"-list"}, {"-list", "-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
+			"-opt applies only to -bench and -dis"},
+		{[]string{"-vm", "reg-elide"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
+			"-mode, -vm and -daemon-addr apply only to -bench"},
+		{[]string{"-mode", "jit"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-list", "-bench", "fib"}},
+			"-mode, -vm and -daemon-addr apply only to -bench"},
+		{[]string{"-mode", "interp"}, [][]string{{"-suite"}, {"-dis", "fib"}, {}},
+			"-mode, -vm and -daemon-addr apply only to -bench"},
+		{[]string{"-daemon-addr", "127.0.0.1:1"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-list"}, {}},
+			"-mode, -vm and -daemon-addr apply only to -bench"},
 	} {
 		for _, command := range c.commands {
 			args := append(append([]string{"-pybench"}, command...), c.flag...)
@@ -252,9 +267,10 @@ func TestDoBenchSupervisedWithFaults(t *testing.T) {
 }
 
 // TestSuiteAndBenchShareCheckpointLayout: -suite -resume leaves one
-// <bench>_<mode>.ckpt.wal per arm, and a -bench run of the same experiment
-// over that directory resumes the suite's interp arm instead of re-running
-// it — every surface uses the harness's one checkpoint layout.
+// <bench>_<mode>.ckpt.wal per arm, written by core's pair at its salted
+// seeds, so core's pair over that directory (F3's runs) resumes both arms
+// instead of re-running them, while -bench at the user's seed is a
+// different experiment and is refused.
 func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.Config{Invocations: 2, Iterations: 2, Seed: 7, Noise: noise.Quiet(), CheckpointDir: dir}
@@ -272,16 +288,167 @@ func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
 		}
 	}
 
-	out := captureStdout(t, func() error {
-		return doBench(benchSpec("fib", "interp", 2, 2, 7, "quiet"), dir, "", true, noObs())
-	})
-	res, err := harness.ReadResultJSON(strings.NewReader(out))
+	fib, _ := workloads.ByName("fib")
+	interp, jit, err := core.New(cfg).RunPair(fib, cfg.Iterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Supervision.ResumedFrom != 2 {
-		t.Fatalf("-bench did not resume the suite's journal: ResumedFrom = %d, want 2",
-			res.Supervision.ResumedFrom)
+	for _, arm := range []*harness.Result{interp, jit} {
+		if arm.Supervision.ResumedFrom != cfg.Invocations {
+			t.Errorf("core's pair did not resume the suite's %s journal: ResumedFrom = %d, want %d",
+				arm.Mode, arm.Supervision.ResumedFrom, cfg.Invocations)
+		}
+	}
+
+	err = doBench(benchSpec("fib", "interp", 2, 2, 7, "quiet"), dir, "", true, noObs())
+	if err == nil || !strings.Contains(err.Error(), "belongs to a different experiment") {
+		t.Fatalf("-bench over the suite's journals: %v, want a different-experiment refusal", err)
+	}
+}
+
+// suiteAndF3 renders -suite and -exp F3 under one configuration and returns
+// both outputs.
+func suiteAndF3(t *testing.T, cfg core.Config, style renderStyle) (suite, f3 string) {
+	t.Helper()
+	suite = captureStdout(t, func() error { return doSuite(cfg, style, noObs()) })
+	f3 = captureStdout(t, func() error { return doExperiments("F3", cfg, style) })
+	return suite, f3
+}
+
+// csvRows parses CSV table output into rows keyed by their first cell.
+func csvRows(t *testing.T, out string) map[string][]string {
+	t.Helper()
+	records, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	rows := map[string][]string{}
+	for _, rec := range records[1:] {
+		rows[rec[0]] = rec
+	}
+	return rows
+}
+
+// TestSuiteRowsEqualF3: -suite runs F3's pairs, so every row's speedup and
+// interval equal F3's, and the Holm step can only downgrade a verdict to
+// indistinguishable. At 2x2 it downgrades fib's, which F3 calls faster.
+func TestSuiteRowsEqualF3(t *testing.T) {
+	for _, c := range []struct {
+		inv, iter  int
+		downgraded string
+	}{{3, 6, ""}, {2, 2, "fib"}} {
+		cfg := core.Config{Invocations: c.inv, Iterations: c.iter, Seed: 7, Noise: noise.Quiet()}
+		suiteOut, f3Out := suiteAndF3(t, cfg, renderCSV)
+		suite, f3 := csvRows(t, suiteOut), csvRows(t, f3Out)
+		if len(suite) != len(f3) || len(suite) != len(workloads.Suite())+1 {
+			t.Fatalf("%dx%d: %d -suite rows, %d F3 rows", c.inv, c.iter, len(suite), len(f3))
+		}
+		for name, fr := range f3 {
+			sr := suite[name]
+			// F3: benchmark, speedup, CI lo, CI hi, verdict; -suite puts the
+			// p-value before its verdict.
+			if sr == nil || !reflect.DeepEqual(sr[1:4], fr[1:4]) {
+				t.Errorf("%dx%d %s: -suite %v, F3 %v", c.inv, c.iter, name, sr, fr)
+				continue
+			}
+			if name == "GEOMEAN" {
+				continue
+			}
+			sv, fv := sr[5], fr[4]
+			if sv != fv && sv != "indistinguishable" {
+				t.Errorf("%dx%d %s: -suite verdict %q, F3 %q", c.inv, c.iter, name, sv, fv)
+			}
+			if name == c.downgraded && (sv != "indistinguishable" || fv == sv) {
+				t.Errorf("%dx%d %s: -suite verdict %q, F3 %q; want a Holm downgrade",
+					c.inv, c.iter, name, sv, fv)
+			}
+		}
+	}
+}
+
+// TestF3AndSuiteFootnoteLostWork: under a fault policy that drops
+// invocations, F3 and -suite print one footnote per degraded arm, in the
+// same words, and those are the arms whose supervision degraded.
+func TestF3AndSuiteFootnoteLostWork(t *testing.T) {
+	fp, err := faults.Parse("panic=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Invocations: 4, Iterations: 4, Seed: 7, Faults: fp, Quorum: 2}
+	var want []string
+	engine := core.New(cfg)
+	for _, b := range engine.Config().Benchmarks {
+		interp, jit, err := engine.RunPair(b, cfg.Iterations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range []*harness.Result{interp, jit} {
+			if arm.Supervision.Degraded() {
+				want = append(want, fmt.Sprintf("note: %s/%s: %s", b.Name, arm.Mode, arm.Supervision.Summary()))
+			}
+		}
+		if !strings.Contains(strings.Join(want, "\n"), "note: "+b.Name+"/") {
+			t.Errorf("%s: no arm lost work; the fault policy no longer exercises the footnotes", b.Name)
+		}
+	}
+	lostWork := func(out string) []string {
+		var notes []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "note: ") && !strings.HasPrefix(line, "note: supervised:") {
+				notes = append(notes, line)
+			}
+		}
+		return notes
+	}
+	suite, f3 := suiteAndF3(t, cfg, renderText)
+	if got := lostWork(f3); !reflect.DeepEqual(got, want) {
+		t.Errorf("F3 footnotes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := lostWork(suite); !reflect.DeepEqual(got, want) {
+		t.Errorf("-suite footnotes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSuiteTraceAndMetrics: -suite's -trace and -metrics reach the runner
+// core's pairs run on. One simulation per arm: a module-setup span and a
+// benchmark span per arm, a replay span per invocation.
+func TestSuiteTraceAndMetrics(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "suite.trace.json")
+	o := newObservability(traceFile, true)
+	cfg := core.Config{Invocations: 2, Iterations: 2, Seed: 7, Noise: noise.Quiet()}
+	out := captureStdout(t, func() error {
+		if err := doSuite(cfg, renderText, o); err != nil {
+			return err
+		}
+		return o.finish(os.Stdout, true)
+	})
+	data, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatalf("trace file not written: %v", err)
+	}
+	if _, err := trace.Validate(data); err != nil {
+		t.Fatalf("emitted trace is not schema-valid: %v", err)
+	}
+	counts := map[string]int{}
+	for _, ev := range o.obs.Trace.Events() {
+		if ev.Phase != "X" {
+			continue
+		}
+		key := ev.Cat
+		if key == trace.CatPhase {
+			key = ev.Name
+		}
+		counts[key]++
+	}
+	arms := 2 * len(workloads.Suite())
+	for key, want := range map[string]int{trace.CatSuite: 1, trace.CatBenchmark: arms,
+		"module-setup": arms, "replay": arms * cfg.Invocations} {
+		if counts[key] != want {
+			t.Errorf("%d %q spans, want %d", counts[key], key, want)
+		}
+	}
+	if want := fmt.Sprintf("harness_invocations_total %d", arms*cfg.Invocations); !strings.Contains(out, want) {
+		t.Errorf("metrics snapshot missing %q:\n%s", want, out)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/methodology"
 	"repro/internal/noise"
@@ -59,12 +60,11 @@ func main() {
 	fmt.Println("Suite comparison (interp vs JIT) with Holm–Bonferroni correction")
 	fmt.Println("-----------------------------------------------------------------")
 	suite := workloads.Suite()[:8] // keep the example quick
+	engine := core.New(core.Config{Seed: 21, Invocations: 8, Noise: noise.Default()})
 	var names []string
 	var baselines, treatments []stats.HierarchicalSample
 	for _, wl := range suite {
-		interp, jit, err := sup.RunPair(ctx, wl, harness.Options{
-			Invocations: 8, Iterations: 20, Seed: 21, Noise: noise.Default(),
-		})
+		interp, jit, err := engine.RunPair(wl, 20)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,11 +5,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/harness"
+	"repro/internal/core"
 	"repro/internal/methodology"
 	"repro/internal/noise"
 	"repro/internal/stats"
@@ -34,16 +33,11 @@ def run():
 
 	// 2. Run the rigorous experiment design: multiple fresh VM invocations,
 	// multiple iterations each, on a simulated noisy machine. The
-	// supervisor's zero policy retries nothing and requires every
-	// invocation to succeed.
-	sup := harness.NewSupervisor(harness.NewRunner(), harness.SupervisorOptions{})
-	opts := harness.Options{
-		Invocations: 10,
-		Iterations:  30,
-		Seed:        42,
-		Noise:       noise.Default(),
-	}
-	interp, jit, err := sup.RunPair(context.Background(), bench, opts)
+	// interpreter and JIT arms each draw their own noise; the zero
+	// supervision policy retries nothing and requires every invocation to
+	// succeed.
+	engine := core.New(core.Config{Seed: 42, Invocations: 10, Noise: noise.Default()})
+	interp, jit, err := engine.RunPair(bench, 30)
 	if err != nil {
 		log.Fatal(err)
 	}

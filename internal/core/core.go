@@ -129,6 +129,10 @@ func New(cfg Config) *Engine {
 // Config returns the resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
+// Runner returns the runner every experiment of the engine runs on, so a
+// caller can attach its observer (trace and metrics sinks) to it.
+func (e *Engine) Runner() *harness.Runner { return e.runner }
+
 // run executes one benchmark × engine experiment with the configured noise
 // under the configured supervision policy.
 func (e *Engine) run(b workloads.Benchmark, mode vm.Mode, inv, iter int, counters bool) (*harness.Result, error) {
@@ -256,9 +260,9 @@ type SpeedupResult struct {
 	Speedup   float64
 	CI        stats.Interval
 	Verdict   methodology.Verdict
-	// Degradation is a human-readable account of lost work under
-	// supervision ("" when both arms ran clean).
-	Degradation string
+	// Degradation holds the LostWork footnotes of the two arms (nil when
+	// both ran clean).
+	Degradation []string
 }
 
 // CompareEngines runs the rigorous methodology on every configured
@@ -269,7 +273,7 @@ func (e *Engine) CompareEngines() ([]SpeedupResult, float64, error) {
 	var out []SpeedupResult
 	var speedups []float64
 	for _, b := range e.cfg.Benchmarks {
-		ri, rj, err := e.runPair(b)
+		ri, rj, err := e.RunPair(b, e.cfg.Iterations)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -279,43 +283,61 @@ func (e *Engine) CompareEngines() ([]SpeedupResult, float64, error) {
 			Speedup:     cmp.Speedup,
 			CI:          cmp.CI,
 			Verdict:     cmp.Verdict,
-			Degradation: degradationNote(ri, rj),
+			Degradation: LostWork(ri, rj),
 		})
 		speedups = append(speedups, cmp.Speedup)
 	}
 	return out, stats.GeoMean(speedups), nil
 }
 
-// degradationNote summarizes lost work across both arms of a comparison
-// ("" when both arms ran clean).
-func degradationNote(ri, rj *harness.Result) string {
-	note := func(arm string, r *harness.Result) string {
-		sv := r.Supervision
-		if sv == nil || !sv.Degraded() {
-			return ""
+// LostWork is the footnote rule for lost work that F3 and pybench -suite
+// share: one line per arm whose supervision degraded, naming the benchmark
+// and the arm.
+func LostWork(arms ...*harness.Result) []string {
+	var notes []string
+	for _, r := range arms {
+		if sv := r.Supervision; sv != nil && sv.Degraded() {
+			notes = append(notes, fmt.Sprintf("%s/%s: %s", r.Benchmark, r.Mode, sv.Summary()))
 		}
-		return fmt.Sprintf("%s: N %d/%d, %d retries, %d quarantined",
-			arm, sv.EffectiveN(), sv.Planned, sv.Retries, sv.QuarantinedSamples)
 	}
-	ni, nj := note("interp", ri), note("jit", rj)
-	switch {
-	case ni != "" && nj != "":
-		return ni + "; " + nj
-	case ni != "":
-		return ni
-	default:
-		return nj
-	}
+	return notes
 }
 
-func (e *Engine) runPair(b workloads.Benchmark) (*harness.Result, *harness.Result, error) {
-	ri, err := e.run(b, vm.ModeInterp, e.cfg.Invocations, e.cfg.Iterations, false)
+// RunPair runs benchmark b's interpreter and JIT arms, one after the
+// other, at the configured invocation count and the given iteration count,
+// under the configured supervision policy. It is the one code path that
+// runs an interp-vs-JIT pair to compare them. Each arm runs at
+// Seed ^ benchSeed(name, mode), so each draws its own invocation effects,
+// as the two-level random-effects model wants: effects shared by both arms
+// would cancel in every ratio and narrow its interval. A failing arm is
+// named in the error, and the arms' checksums must agree.
+func (e *Engine) RunPair(b workloads.Benchmark, iterations int) (interp, jit *harness.Result, err error) {
+	interp, err = e.run(b, vm.ModeInterp, e.cfg.Invocations, iterations, false)
 	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s [interp arm]: %w", b.Name, err)
+	}
+	jit, err = e.run(b, vm.ModeJIT, e.cfg.Invocations, iterations, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s [jit arm]: %w", b.Name, err)
+	}
+	if err := pairChecksumError(b.Name, interp, jit); err != nil {
 		return nil, nil, err
 	}
-	rj, err := e.run(b, vm.ModeJIT, e.cfg.Invocations, e.cfg.Iterations, false)
-	if err != nil {
-		return nil, nil, err
+	return interp, jit, nil
+}
+
+// pairChecksumError validates cross-engine agreement: both arms of a pair
+// must produce the same result checksum, or the comparison is measuring
+// two different computations.
+func pairChecksumError(bench string, interp, jit *harness.Result) error {
+	if len(interp.Invocations) == 0 || len(jit.Invocations) == 0 {
+		return fmt.Errorf("core: %s: cannot validate checksums without invocations", bench)
 	}
-	return ri, rj, nil
+	ci := interp.Invocations[0].Checksum
+	cj := jit.Invocations[0].Checksum
+	if ci != cj {
+		return fmt.Errorf("core: engines disagree on %s: interp=%s jit=%s",
+			bench, ci, cj)
+	}
+	return nil
 }

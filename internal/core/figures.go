@@ -95,6 +95,7 @@ func (e *Engine) Figure3() (*report.Table, error) {
 	}
 	for _, r := range results {
 		t.AddRow(r.Benchmark, r.Speedup, r.CI.Lo, r.CI.Hi, r.Verdict.String())
+		t.Footnotes = append(t.Footnotes, r.Degradation...)
 	}
 	t.AddRow("GEOMEAN", geomean, "", "", "")
 	t.Caption = "Hierarchical bootstrap over invocations after changepoint warmup removal; verdict requires the CI to exclude 1."
@@ -140,11 +141,7 @@ func (e *Engine) Figure5() (*report.Table, error) {
 	t := report.NewTable("Figure 5: warmup handling vs reported JIT speedup",
 		"benchmark", "include-all", "drop-5", "detected", "true steady")
 	for _, b := range e.cfg.Benchmarks {
-		ri, err := e.run(b, vm.ModeInterp, e.cfg.Invocations, e.cfg.WarmupIterations, false)
-		if err != nil {
-			return nil, err
-		}
-		rj, err := e.run(b, vm.ModeJIT, e.cfg.Invocations, e.cfg.WarmupIterations, false)
+		ri, rj, err := e.RunPair(b, e.cfg.WarmupIterations)
 		if err != nil {
 			return nil, err
 		}

@@ -13,9 +13,10 @@ import (
 
 // CheckpointDir is where a supervised run persists its progress: one
 // write-ahead journal per experiment, <bench>_<mode>.ckpt.wal, so the two
-// arms of a pair never clobber each other and every surface that runs the
-// same experiment (pybench -bench, -exp, -suite, the daemon) can resume
-// the others' work. The zero value disables checkpointing.
+// arms of a pair never clobber each other. A run resumes a journal only
+// when its experiment key matches (see checkpointKey), whichever surface
+// (pybench -bench, -exp, -suite, the daemon) wrote it. The zero value
+// disables checkpointing.
 type CheckpointDir struct {
 	// Dir is the existing directory holding the journals ("" = none).
 	Dir string

@@ -169,24 +169,9 @@ func TestHierarchicalViews(t *testing.T) {
 	}
 }
 
-func TestRunPairValidatesChecksums(t *testing.T) {
-	interp, jit, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), mustBench(t, "quicksort"), Options{
-		Invocations: 2, Iterations: 4, Seed: 9, Noise: noise.Default(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interp.Mode != vm.ModeInterp || jit.Mode != vm.ModeJIT {
-		t.Fatal("modes not set")
-	}
-	if interp.Invocations[0].Checksum != jit.Invocations[0].Checksum {
-		t.Fatal("pair checksums differ")
-	}
-}
-
-// TestChecksumValidation is the table-driven coverage of the cross-engine
-// result-validation path: declared-checksum agreement, deliberate
-// mismatches under both engines, and the arm labelling RunPair adds.
+// TestChecksumValidation is the table-driven coverage of the result
+// validation path: declared-checksum agreement and deliberate mismatches
+// under both engines. The cross-engine check of a pair is core's.
 func TestChecksumValidation(t *testing.T) {
 	mk := func(ret, want string) workloads.Benchmark {
 		return workloads.Benchmark{
@@ -225,56 +210,6 @@ func TestChecksumValidation(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", c.wantErr, err)
 			}
 		})
-	}
-}
-
-// TestPairChecksumError exercises the engine-agreement check directly with
-// fabricated results, including the disagreement case the end-to-end path
-// cannot produce (both engines share semantics by construction).
-func TestPairChecksumError(t *testing.T) {
-	res := func(sum string) *Result {
-		return &Result{Invocations: []Invocation{{Checksum: sum}}}
-	}
-	cases := []struct {
-		name        string
-		interp, jit *Result
-		wantErr     string
-	}{
-		{"agree", res("42"), res("42"), ""},
-		{"disagree", res("42"), res("43"), "engines disagree on b: interp=42 jit=43"},
-		{"empty interp", &Result{}, res("42"), "cannot validate"},
-		{"empty jit", res("42"), &Result{}, "cannot validate"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := pairChecksumError("b", c.interp, c.jit)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("want %q, got %v", c.wantErr, err)
-			}
-		})
-	}
-}
-
-func TestRunPairFailureNamesBenchmarkAndArm(t *testing.T) {
-	bad := workloads.Benchmark{
-		Name:     "badsum",
-		Source:   "def run():\n    return 1",
-		Checksum: "2",
-	}
-	_, _, err := NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), bad, Options{Invocations: 1, Iterations: 1})
-	if err == nil {
-		t.Fatal("checksum mismatch must fail the pair")
-	}
-	for _, want := range []string{"badsum", "[interp arm]"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("pair error %q missing %q", err.Error(), want)
-		}
 	}
 }
 

@@ -693,45 +693,3 @@ func validateSamples(inv *Invocation) (quarantined int, err error) {
 	}
 	return 0, nil
 }
-
-// RunPair runs the benchmark under both engines with the same options and
-// policy, one arm after the other (the comparison design wants the arms'
-// samples, not the arms themselves, interleaved). Each arm journals to its
-// own <bench>_<mode>.ckpt.wal. A failure in either arm is wrapped with the
-// benchmark name and engine mode, so a multi-benchmark campaign report
-// pinpoints what broke, and cross-engine checksum agreement is validated
-// on the surviving invocations.
-func (s *Supervisor) RunPair(ctx context.Context, b workloads.Benchmark, opts Options) (interp, jit *Result, err error) {
-	oi := opts
-	oi.Mode = vm.ModeInterp
-	interp, err = s.Run(ctx, b, oi)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [interp arm]: %w", b.Name, err)
-	}
-	oj := opts
-	oj.Mode = vm.ModeJIT
-	jit, err = s.Run(ctx, b, oj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s [jit arm]: %w", b.Name, err)
-	}
-	if err := pairChecksumError(b.Name, interp, jit); err != nil {
-		return nil, nil, err
-	}
-	return interp, jit, nil
-}
-
-// pairChecksumError validates cross-engine agreement: both arms of a pair
-// must produce the same result checksum, or the comparison is measuring
-// two different computations.
-func pairChecksumError(bench string, interp, jit *Result) error {
-	if len(interp.Invocations) == 0 || len(jit.Invocations) == 0 {
-		return fmt.Errorf("harness: %s: cannot validate checksums without invocations", bench)
-	}
-	ci := interp.Invocations[0].Checksum
-	cj := jit.Invocations[0].Checksum
-	if ci != cj {
-		return fmt.Errorf("harness: engines disagree on %s: interp=%s jit=%s",
-			bench, ci, cj)
-	}
-	return nil
-}

@@ -331,59 +331,36 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 
 // TestSupervisorCheckpointLayout pins the one checkpoint layout: every
 // experiment journals to <bench>_<mode>.ckpt.wal in the checkpoint
-// directory, so the arms of a pair stay apart and a later run over the same
-// directory resumes each arm.
+// directory, so the two arms of a pair stay apart and a later run over the
+// same directory resumes each arm.
 func TestSupervisorCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	b := mustBench(t, "fib")
 	s := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}})
-	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	refI, refJ, err := s.RunPair(context.Background(), b, opts)
-	if err != nil {
-		t.Fatal(err)
+	arms := func() []*Result {
+		var out []*Result
+		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
+			res, err := s.Run(context.Background(), b, Options{Mode: mode, Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
 	}
+	ref := arms()
 	for _, name := range []string{"fib_interp.ckpt.wal", "fib_jit.ckpt.wal"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("arm journal missing: %v", err)
 		}
 	}
-	gotI, gotJ, err := s.RunPair(context.Background(), b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, arm := range []struct{ ref, got *Result }{{refI, gotI}, {refJ, gotJ}} {
-		if arm.got.Supervision.ResumedFrom != 2 {
-			t.Fatalf("%s resume: ResumedFrom = %d", arm.got.Mode, arm.got.Supervision.ResumedFrom)
+	for i, got := range arms() {
+		if got.Supervision.ResumedFrom != 2 {
+			t.Fatalf("%s resume: ResumedFrom = %d", got.Mode, got.Supervision.ResumedFrom)
 		}
-		if !reflect.DeepEqual(arm.got.Invocations, arm.ref.Invocations) {
-			t.Fatalf("%s: resumed result differs", arm.got.Mode)
+		if !reflect.DeepEqual(got.Invocations, ref[i].Invocations) {
+			t.Fatalf("%s: resumed result differs", got.Mode)
 		}
-	}
-}
-
-func TestSupervisorRunPair(t *testing.T) {
-	b := mustBench(t, "quicksort")
-	s := NewSupervisor(NewRunner(), SupervisorOptions{
-		MaxRetries: 2, Quorum: 2, Faults: faults.Light(),
-		Checkpoint: CheckpointDir{Dir: t.TempDir()},
-	})
-	opts := Options{Invocations: 3, Iterations: 3, Seed: 17, Noise: noise.Default()}
-	interp, jit, err := s.RunPair(context.Background(), b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interp.Mode != vm.ModeInterp || jit.Mode != vm.ModeJIT {
-		t.Fatal("modes not set")
-	}
-	if interp.Supervision == nil || jit.Supervision == nil {
-		t.Fatal("both arms must carry supervision accounting")
-	}
-	// A failing arm is labelled.
-	bad := mustBench(t, "fib")
-	bad.Checksum = "wrong"
-	_, _, err = NewSupervisor(NewRunner(), SupervisorOptions{}).RunPair(context.Background(), bad, opts)
-	if err == nil || !strings.Contains(err.Error(), "[interp arm]") {
-		t.Fatalf("arm label missing: %v", err)
 	}
 }
 

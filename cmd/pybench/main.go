@@ -41,8 +41,8 @@
 // key); -profile prints a per-line cost attribution, and -collapsed FILE
 // additionally writes folded call stacks for flamegraph tools; -version
 // prints the producer identification stamped into emitted artifacts.
-// -trace and -metrics go only with -bench or -suite, -opt only with -bench
-// or -dis, -json, -mode, -vm and -daemon-addr only with -bench, and
+// -trace and -metrics go only with -bench, -suite or -exp, -opt only with
+// -bench or -dis, -json, -mode, -vm and -daemon-addr only with -bench, and
 // -collapsed only with -profile: beside any other command each is a usage
 // error.
 //
@@ -112,8 +112,8 @@ func main() {
 		retries     = flag.Int("retries", 0, "per-invocation retry budget for supervised runs")
 		quorum      = flag.Int("quorum", 0, "minimum successful invocations per experiment (0 = all)")
 		resume      = flag.String("resume", "", "checkpoint directory: save progress after every invocation and resume interrupted runs")
-		traceOut    = flag.String("trace", "", "with -bench or -suite: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
-		metricsOn   = flag.Bool("metrics", false, "with -bench or -suite: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
+		traceOut    = flag.String("trace", "", "with -bench, -suite or -exp: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
+		metricsOn   = flag.Bool("metrics", false, "with -bench, -suite or -exp: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format; a usage error with any other command)")
 		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8; a usage error with any other command)")
 		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9; a usage error with any other command)")
@@ -141,7 +141,6 @@ func main() {
 	ahead := *list || *profileName != "" || *dis != "" || *lint
 	runsProfile := !*list && *profileName != ""
 	runsDis := !*list && !runsProfile && *dis != ""
-	runsSuite := !ahead && *suite
 	runsBench := !ahead && !*suite && *bench != ""
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
@@ -152,7 +151,7 @@ func main() {
 			}
 		}
 	}
-	refuse(runsBench || runsSuite, "-trace and -metrics apply only to -bench and -suite", "trace", "metrics")
+	refuse(!ahead && (*suite || *bench != "" || *exp != ""), "-trace and -metrics apply only to -bench, -suite and -exp", "trace", "metrics")
 	refuse(runsBench, "-json applies only to -bench", "json")
 	refuse(runsProfile, "-collapsed applies only to -profile", "collapsed")
 	refuse(runsBench || runsDis, "-opt applies only to -bench and -dis", "opt")
@@ -245,7 +244,10 @@ func main() {
 			fatal(err)
 		}
 	case *exp != "":
-		if err := doExperiments(*exp, cfg, style); err != nil {
+		if err := doExperiments(*exp, cfg, style, obs); err != nil {
+			fatal(err)
+		}
+		if err := obs.finish(os.Stdout, true); err != nil {
 			fatal(err)
 		}
 	default:
@@ -460,8 +462,11 @@ func doList() {
 	fmt.Println("Experiments:", core.ExperimentIDs())
 }
 
-func doExperiments(id string, cfg core.Config, style renderStyle) error {
+// doExperiments regenerates the paper's tables and figures; every run of
+// every experiment goes through the engine's runner and its observer.
+func doExperiments(id string, cfg core.Config, style renderStyle, o *observability) error {
 	engine := core.New(cfg)
+	o.attach(engine.Runner(), "exp "+id)
 	ids := []string{id}
 	if id == "all" {
 		ids = core.ExperimentIDs()

@@ -36,16 +36,17 @@ func TestMain(m *testing.M) {
 }
 
 // TestObservabilityFlagsNeedBenchOrSuite runs pybench with -trace or
-// -metrics beside every command that would ignore them, -list also beside
-// -bench, which it takes precedence over: each is a usage error that
-// prints nothing to stdout and writes no trace.
+// -metrics beside every command that would ignore them (all but -bench,
+// -suite and -exp), -list also beside -bench, which it takes precedence
+// over: each is a usage error that prints nothing to stdout and writes no
+// trace.
 func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	traceFile := filepath.Join(t.TempDir(), "out.trace.json")
-	commands := [][]string{{"-exp", "T1"}, {"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}}
+	commands := [][]string{{"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}}
 	for _, command := range commands {
 		for _, obs := range [][]string{{"-trace", traceFile}, {"-metrics"}} {
 			args := append(append([]string{"-pybench"}, command...), obs...)
@@ -57,7 +58,7 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != exitcode.Usage {
 				t.Errorf("pybench %s: %v, want exit %d", strings.Join(args[1:], " "), err, exitcode.Usage)
 			}
-			if stdout.Len() > 0 || !strings.Contains(stderr.String(), "apply only to -bench and -suite") {
+			if stdout.Len() > 0 || !strings.Contains(stderr.String(), "apply only to -bench, -suite and -exp") {
 				t.Errorf("pybench %s: stdout %q, stderr %q", strings.Join(args[1:], " "), stdout.String(), stderr.String())
 			}
 			if _, err := os.Stat(traceFile); !errors.Is(err, fs.ErrNotExist) {
@@ -198,7 +199,7 @@ func TestDoProfileAndDisassembleErrors(t *testing.T) {
 }
 
 func TestDoExperimentsUnknownID(t *testing.T) {
-	if err := doExperiments("T99", core.Config{Invocations: 2, Iterations: 2}, renderText); err == nil {
+	if err := doExperiments("T99", core.Config{Invocations: 2, Iterations: 2}, renderText, noObs()); err == nil {
 		t.Fatal("unknown experiment id must error")
 	}
 }
@@ -226,8 +227,10 @@ func captureStdout(t *testing.T, f func() error) string {
 	return string(out)
 }
 
+// TestSupervisorOptionsMapping: the campaign seed is the fault seed, which
+// the supervisor salts per benchmark and mode.
 func TestSupervisorOptionsMapping(t *testing.T) {
-	cfg := core.Config{Retries: 3, Quorum: 2, Faults: faults.Light(), FaultSeed: 99,
+	cfg := core.Config{Seed: 99, Retries: 3, Quorum: 2, Faults: faults.Light(),
 		CheckpointDir: "ckpt"}
 	so := cfg.SupervisorOptions()
 	if so.MaxRetries != 3 || so.Quorum != 2 || so.FaultSeed != 99 || so.Faults != faults.Light() {
@@ -267,25 +270,25 @@ func TestDoBenchSupervisedWithFaults(t *testing.T) {
 }
 
 // TestSuiteAndBenchShareCheckpointLayout: -suite -resume leaves one
-// <bench>_<mode>.ckpt.wal per arm, written by core's pair at its salted
-// seeds, so core's pair over that directory (F3's runs) resumes both arms
-// instead of re-running them, while -bench at the user's seed is a
-// different experiment and is refused.
+// journal per arm, named by the arm's experiment key, so core's pair over
+// that directory (F3's runs) resumes both arms instead of re-running them,
+// while -bench at the user's seed is another experiment: over the suite's
+// directory it adds one journal and prints what it prints over an empty
+// directory.
 func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.Config{Invocations: 2, Iterations: 2, Seed: 7, Noise: noise.Quiet(), CheckpointDir: dir}
 	captureStdout(t, func() error { return doSuite(cfg, renderText, noObs()) })
 	suite := workloads.Suite()
-	files, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(files) != 2*len(suite) {
-		t.Fatalf("want %d journals in %s, got %v (err %v)", 2*len(suite), dir, files, err)
-	}
-	for _, wl := range suite {
-		for _, mode := range []string{"interp", "jit"} {
-			if _, err := os.Stat(filepath.Join(dir, wl.Name+"_"+mode+".ckpt.wal")); err != nil {
-				t.Fatalf("suite arm journal missing: %v", err)
-			}
+	journals := func() []string {
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return files
+	}
+	if files := journals(); len(files) != 2*len(suite) {
+		t.Fatalf("want %d journals in %s, got %v", 2*len(suite), dir, files)
 	}
 
 	fib, _ := workloads.ByName("fib")
@@ -300,9 +303,14 @@ func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
 		}
 	}
 
-	err = doBench(benchSpec("fib", "interp", 2, 2, 7, "quiet"), dir, "", true, noObs())
-	if err == nil || !strings.Contains(err.Error(), "belongs to a different experiment") {
-		t.Fatalf("-bench over the suite's journals: %v, want a different-experiment refusal", err)
+	spec := benchSpec("fib", "interp", 2, 2, 7, "quiet")
+	fresh := captureStdout(t, func() error { return doBench(spec, t.TempDir(), "", false, noObs()) })
+	shared := captureStdout(t, func() error { return doBench(spec, dir, "", false, noObs()) })
+	if shared != fresh {
+		t.Errorf("-bench over the suite's journals:\n%s\nover an empty directory:\n%s", shared, fresh)
+	}
+	if files := journals(); len(files) != 2*len(suite)+1 {
+		t.Errorf("-bench added %d journals, want 1", len(files)-2*len(suite))
 	}
 }
 
@@ -311,7 +319,7 @@ func TestSuiteAndBenchShareCheckpointLayout(t *testing.T) {
 func suiteAndF3(t *testing.T, cfg core.Config, style renderStyle) (suite, f3 string) {
 	t.Helper()
 	suite = captureStdout(t, func() error { return doSuite(cfg, style, noObs()) })
-	f3 = captureStdout(t, func() error { return doExperiments("F3", cfg, style) })
+	f3 = captureStdout(t, func() error { return doExperiments("F3", cfg, style, noObs()) })
 	return suite, f3
 }
 
@@ -366,15 +374,16 @@ func TestSuiteRowsEqualF3(t *testing.T) {
 	}
 }
 
-// TestF3AndSuiteFootnoteLostWork: under a fault policy that drops
-// invocations, F3 and -suite print one footnote per degraded arm, in the
-// same words, and those are the arms whose supervision degraded.
+// TestF3AndSuiteFootnoteLostWork: under a fault policy that costs every
+// benchmark retried or dropped invocations, F3 and -suite print one
+// footnote per degraded arm, in the same words, and those are the arms
+// whose supervision degraded.
 func TestF3AndSuiteFootnoteLostWork(t *testing.T) {
-	fp, err := faults.Parse("panic=0.3")
+	fp, err := faults.Parse("panic=0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Invocations: 4, Iterations: 4, Seed: 7, Faults: fp, Quorum: 2}
+	cfg := core.Config{Invocations: 4, Iterations: 4, Seed: 7, Faults: fp, Retries: 2, Quorum: 2}
 	var want []string
 	engine := core.New(cfg)
 	for _, b := range engine.Config().Benchmarks {
@@ -410,14 +419,31 @@ func TestF3AndSuiteFootnoteLostWork(t *testing.T) {
 }
 
 // TestSuiteTraceAndMetrics: -suite's -trace and -metrics reach the runner
-// core's pairs run on. One simulation per arm: a module-setup span and a
-// benchmark span per arm, a replay span per invocation.
+// core's pairs run on.
 func TestSuiteTraceAndMetrics(t *testing.T) {
-	traceFile := filepath.Join(t.TempDir(), "suite.trace.json")
+	checkTraceAndMetrics(t, func(cfg core.Config, o *observability) error {
+		return doSuite(cfg, renderText, o)
+	})
+}
+
+// TestExpTraceAndMetrics: -exp's -trace and -metrics reach the runner
+// every experiment runs on. A9 runs two interpreter arms per benchmark.
+func TestExpTraceAndMetrics(t *testing.T) {
+	checkTraceAndMetrics(t, func(cfg core.Config, o *observability) error {
+		return doExperiments("A9", cfg, renderText, o)
+	})
+}
+
+// checkTraceAndMetrics runs a command of two arms per suite benchmark at
+// 2x2 with -trace and -metrics. One simulation per arm: a module-setup
+// span and a benchmark span per arm, a replay span per invocation.
+func checkTraceAndMetrics(t *testing.T, run func(core.Config, *observability) error) {
+	t.Helper()
+	traceFile := filepath.Join(t.TempDir(), "run.trace.json")
 	o := newObservability(traceFile, true)
 	cfg := core.Config{Invocations: 2, Iterations: 2, Seed: 7, Noise: noise.Quiet()}
 	out := captureStdout(t, func() error {
-		if err := doSuite(cfg, renderText, o); err != nil {
+		if err := run(cfg, o); err != nil {
 			return err
 		}
 		return o.finish(os.Stdout, true)

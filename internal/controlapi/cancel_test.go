@@ -103,11 +103,17 @@ func TestShutdownPastGraceLeavesCampaignResumable(t *testing.T) {
 	waitFor(t, ch1, st.ID, StateRunning)
 	// Shut down once fib's slots are journaled (key record + one line per
 	// slot): spectralnorm then simulates for a while.
-	journal := filepath.Join(s1.ledger.checkpointDir(st.ID), "fib_interp.ckpt.wal")
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if b, _ := os.ReadFile(journal); bytes.Count(b, []byte("\n")) >= 1+spec.Invocations {
-			break
+	journals := filepath.Join(s1.ledger.checkpointDir(st.ID), "*.ckpt.wal")
+	journaled := func() bool {
+		paths, _ := filepath.Glob(journals)
+		for _, p := range paths {
+			if b, _ := os.ReadFile(p); bytes.Count(b, []byte("\n")) >= 1+spec.Invocations {
+				return true
+			}
 		}
+		return false
+	}
+	for deadline := time.Now().Add(30 * time.Second); !journaled(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no slot was journaled")
 		}

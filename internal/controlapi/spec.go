@@ -202,9 +202,9 @@ type ExecOptions struct {
 	// Runner executes the campaign (nil = a fresh private runner).
 	Runner *harness.Runner
 	// CheckpointDir, when set, gives every benchmark × mode arm a
-	// crash-safe journal checkpoint there (<bench>_<mode>.ckpt.wal), so a
-	// killed process resumes the campaign without re-running completed
-	// invocations.
+	// crash-safe journal checkpoint there, named by the arm's experiment
+	// key, so a killed process resumes the campaign without re-running
+	// completed invocations.
 	CheckpointDir string
 	// Context, when non-nil, cancels the campaign once it ends: the engine
 	// stops within one VM poll interval, an isolated child is killed at

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/harness"
 	"repro/internal/methodology"
@@ -29,13 +26,7 @@ func (e *Engine) AblationDispatch() (*report.Table, error) {
 		for _, ov := range overheads {
 			cost := vm.DefaultCostParams()
 			cost.DispatchOverhead = ov
-			res, err := e.runner.Run(b, harness.Options{
-				Mode:        vm.ModeInterp,
-				Invocations: 1,
-				Iterations:  2,
-				Noise:       noise.None(),
-				Cost:        cost,
-			})
+			res, err := e.run(b, harness.Options{Mode: vm.ModeInterp, Invocations: 1, Iterations: 2, Cost: cost})
 			if err != nil {
 				return nil, err
 			}
@@ -67,13 +58,7 @@ func (e *Engine) AblationJITThreshold() (*report.Table, error) {
 		for _, th := range thresholds {
 			cost := vm.DefaultCostParams()
 			cost.JITThreshold = th
-			res, err := e.runner.Run(b, harness.Options{
-				Mode:        vm.ModeJIT,
-				Invocations: 1,
-				Iterations:  e.cfg.Iterations,
-				Noise:       noise.None(),
-				Cost:        cost,
-			})
+			res, err := e.run(b, harness.Options{Mode: vm.ModeJIT, Invocations: 1, Iterations: e.cfg.Iterations, Cost: cost})
 			if err != nil {
 				return nil, err
 			}
@@ -169,16 +154,7 @@ func noiseMean(p noise.Params, b float64) float64 {
 	return m
 }
 
-func lognormalMean(sigma float64) float64 {
-	if sigma == 0 {
-		return 1
-	}
-	return expHalfSq(sigma)
-}
-
-func expHalfSq(s float64) float64 {
-	return mathExp(s * s / 2)
-}
+func lognormalMean(sigma float64) float64 { return math.Exp(sigma * sigma / 2) }
 
 // AblationChangepoint — A4: steady-state detection accuracy versus the PELT
 // penalty multiplier on synthetic warmup series with a known changepoint.
@@ -199,7 +175,7 @@ func (e *Engine) AblationChangepoint() (*report.Table, error) {
 		for tr := 0; tr < trials; tr++ {
 			warm := syntheticWarmup(n, trueCP, 1.6, 0.01, rng)
 			sigma2 := 0.01 * 0.01
-			pen := mult * 3 * logf(n) * sigma2
+			pen := mult * 3 * math.Log(float64(n)) * sigma2
 			cps := stats.PELT(warm, pen)
 			if len(cps) > 0 {
 				detected++
@@ -251,9 +227,6 @@ func absInt(x int) int {
 	return x
 }
 
-func mathExp(x float64) float64 { return math.Exp(x) }
-func logf(n int) float64        { return math.Log(float64(n)) }
-
 // AblationNoiseModel — A5: how the simulated machine's noise level changes
 // the experiment cost needed for a ±1% grand-mean CI, using the adaptive
 // sequential design: the supervisor's stopping rule, under the engine's
@@ -263,37 +236,26 @@ func (e *Engine) AblationNoiseModel() (*report.Table, error) {
 	t := report.NewTable("Ablation A5: noise-model sensitivity (adaptive design, target ±1%)",
 		"machine", "median invocations", "converged%", "median CI ±%")
 	models := []struct {
-		name, dir string
-		p         noise.Params
+		name string
+		p    noise.Params
 	}{
-		{"quiet (tuned lab)", "quiet", noise.Quiet()},
-		{"default (desktop)", "default", noise.Default()},
-		{"noisy (shared CI)", "noisy", noise.Noisy()},
+		{"quiet (tuned lab)", noise.Quiet()},
+		{"default (desktop)", noise.Default()},
+		{"noisy (shared CI)", noise.Noisy()},
 	}
 	bench := e.cfg.Benchmarks
 	if len(bench) > 4 {
 		bench = bench[:4]
 	}
 	for _, m := range models {
-		// Each model runs the same benchmarks, mode and seed, so each
-		// keeps its journals in a directory of its own.
-		so := e.cfg.SupervisorOptions()
-		if so.Checkpoint.Dir != "" {
-			so.Checkpoint.Dir = filepath.Join(so.Checkpoint.Dir, "A5", m.dir)
-			if err := os.MkdirAll(so.Checkpoint.Dir, 0o755); err != nil {
-				return nil, fmt.Errorf("creating checkpoint dir: %w", err)
-			}
-		}
-		sup := harness.NewSupervisor(e.runner, so)
 		var invocations, widths []float64
 		converged := 0
 		total := 0
 		for _, b := range bench {
-			res, err := sup.Run(context.Background(), b, harness.Options{
+			res, err := e.run(b, harness.Options{
 				Mode:               vm.ModeInterp,
 				Invocations:        60,
 				Iterations:         e.cfg.Iterations,
-				Seed:               e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp),
 				Noise:              m.p,
 				TargetRelHalfWidth: 0.01,
 			})
@@ -324,13 +286,7 @@ func (e *Engine) AblationInlineCache() (*report.Table, error) {
 	steady := func(b workloads.Benchmark, mode vm.Mode, ic bool) (float64, error) {
 		cost := vm.DefaultCostParams()
 		cost.InlineCache = ic
-		res, err := e.runner.Run(b, harness.Options{
-			Mode:        mode,
-			Invocations: 1,
-			Iterations:  6,
-			Noise:       noise.None(),
-			Cost:        cost,
-		})
+		res, err := e.run(b, harness.Options{Mode: mode, Invocations: 1, Iterations: 6, Cost: cost})
 		if err != nil {
 			return 0, err
 		}
@@ -373,7 +329,7 @@ func (e *Engine) AblationInlineCache() (*report.Table, error) {
 // program results.
 func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
 	t, err := e.twoArmAblation("Ablation A7: bytecode optimizer + superinstructions (-opt 2)",
-		harness.Options{Opt: 0}, harness.Options{Opt: 2}, 0, 2)
+		harness.Options{Opt: 0}, harness.Options{Opt: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +354,7 @@ func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
 // validates checksums, witnessing that -opt 3 preserves results.
 func (e *Engine) AblationFactGates() (*report.Table, error) {
 	t, err := e.twoArmAblation("Ablation A8: certificate-gated rewrites (-opt 3 vs -opt 2)",
-		harness.Options{Opt: 2}, harness.Options{Opt: 3}, 2, 3)
+		harness.Options{Opt: 2}, harness.Options{Opt: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +376,7 @@ func (e *Engine) AblationFactGates() (*report.Table, error) {
 // program results even though it is not sample-set-preserving.
 func (e *Engine) AblationRegisterElision() (*report.Table, error) {
 	t, err := e.twoArmAblation("Ablation A9: register-tier move elision (-vm reg-elide)",
-		harness.Options{VM: "reg"}, harness.Options{VM: "reg-elide"}, 0, 1)
+		harness.Options{VM: "reg"}, harness.Options{VM: "reg-elide"})
 	if err != nil {
 		return nil, err
 	}
@@ -433,31 +389,27 @@ func (e *Engine) AblationRegisterElision() (*report.Table, error) {
 // twoArmAblation tabulates an interpreter ablation of cand against base:
 // one row per benchmark, then a GEOMEAN row. base and cand carry what
 // differs between the arms (Opt, VM); both arms run the configured
-// rigorous design, and each arm's salt gives it its own noise stream, so
-// the comparison does not difference out real perturbations. rel. ops is
-// the executed-op ratio of invocation 0's last iteration: simulated counts
-// are noise-free, so one steady iteration is exact, while the time effect
-// needs the full Kalibera–Jones interval. The checksum validation inside
-// each Run witnesses that cand preserves program results.
-func (e *Engine) twoArmAblation(title string, base, cand harness.Options, baseSalt, candSalt uint64) (*report.Table, error) {
+// rigorous design, and Engine.run salts each arm's seed by its executed
+// stream, giving it its own noise stream, so the comparison does not
+// difference out real perturbations. rel. ops is the executed-op ratio of
+// invocation 0's last iteration: simulated counts are noise-free, so one
+// steady iteration is exact, while the time effect needs the full
+// Kalibera–Jones interval. The checksum validation inside each Run
+// witnesses that cand preserves program results.
+func (e *Engine) twoArmAblation(title string, base, cand harness.Options) (*report.Table, error) {
 	t := report.NewTable(title,
 		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
 	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
-	arm := func(b workloads.Benchmark, o harness.Options, salt uint64) (*harness.Result, error) {
-		o.Mode = vm.ModeInterp
-		o.Invocations = e.cfg.Invocations
-		o.Iterations = e.cfg.Iterations
-		o.Seed = e.cfg.Seed ^ benchSeed(b.Name, vm.ModeInterp) ^ salt<<48
-		o.Noise = e.cfg.Noise
-		return e.runner.Run(b, o)
+	for _, o := range []*harness.Options{&base, &cand} {
+		o.Mode, o.Invocations, o.Iterations, o.Noise = vm.ModeInterp, e.cfg.Invocations, e.cfg.Iterations, e.cfg.Noise
 	}
 	var opsRels, speedups []float64
 	for _, b := range e.cfg.Benchmarks {
-		br, err := arm(b, base, baseSalt)
+		br, err := e.run(b, base)
 		if err != nil {
 			return nil, err
 		}
-		cr, err := arm(b, cand, candSalt)
+		cr, err := e.run(b, cand)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/methodology"
 	"repro/internal/noise"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -41,8 +42,10 @@ type Config struct {
 	// Benchmarks restricts the suite (nil = full suite).
 	Benchmarks []workloads.Benchmark
 
-	// Supervision policy. Every experiment runs under harness.Supervisor;
-	// the zero policy reproduces the bare Runner's sample sets.
+	// Supervision policy. Every run of every experiment goes through
+	// Engine.run under harness.Supervisor; the zero policy reproduces the
+	// bare Runner's sample sets. The fault schedule is drawn from Seed,
+	// which the supervisor salts per benchmark and mode.
 
 	// Retries is the per-invocation retry budget.
 	Retries int
@@ -51,11 +54,10 @@ type Config struct {
 	Quorum int
 	// Faults is the injected fault model (zero = none).
 	Faults faults.Params
-	// FaultSeed seeds the fault schedule (0 = the experiment seed).
-	FaultSeed uint64
-	// CheckpointDir, when set, persists per-experiment progress there (as
-	// crash-safe write-ahead journals) so interrupted runs resume without
-	// re-running completed invocations.
+	// CheckpointDir, when set, persists every run's progress there, one
+	// crash-safe write-ahead journal per experiment key, so interrupted
+	// runs resume without re-running completed invocations, and every
+	// experiment (and pybench -suite or -bench) can share the directory.
 	CheckpointDir string
 	// Isolation shells each experiment's VM runs out to a watchdogged
 	// worker subprocess (zero value = in-process execution).
@@ -69,13 +71,15 @@ func (c Config) Supervised() bool {
 }
 
 // SupervisorOptions maps the config's supervision knobs onto the harness
-// policy.
+// policy. The fault seed is the campaign seed, unsalted: the supervisor
+// salts it per benchmark and mode, so each benchmark draws its own fault
+// schedule, the one pybench -bench draws at the same seed.
 func (c Config) SupervisorOptions() harness.SupervisorOptions {
 	return harness.SupervisorOptions{
 		MaxRetries: c.Retries,
 		Quorum:     c.Quorum,
 		Faults:     c.Faults,
-		FaultSeed:  c.FaultSeed,
+		FaultSeed:  c.Seed,
 		Checkpoint: harness.CheckpointDir{Dir: c.CheckpointDir},
 		Isolation:  c.Isolation,
 	}
@@ -114,7 +118,8 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cfg      Config
 	runner   *harness.Runner
-	profiles map[string][]float64 // key: bench/mode
+	profiles map[string][]float64 // key: bench/mode/iterations
+	lost     []string             // LostWork lines of the runs since Experiment began
 }
 
 // New creates an experiment engine.
@@ -133,18 +138,29 @@ func (e *Engine) Config() Config { return e.cfg }
 // caller can attach its observer (trace and metrics sinks) to it.
 func (e *Engine) Runner() *harness.Runner { return e.runner }
 
-// run executes one benchmark × engine experiment with the configured noise
-// under the configured supervision policy.
-func (e *Engine) run(b workloads.Benchmark, mode vm.Mode, inv, iter int, counters bool) (*harness.Result, error) {
-	opts := harness.Options{
-		Mode:         mode,
-		Invocations:  inv,
-		Iterations:   iter,
-		Seed:         e.cfg.Seed ^ benchSeed(b.Name, mode),
-		Noise:        e.cfg.Noise,
-		WithCounters: counters,
+// run executes experiment o of benchmark b under the configured
+// supervision policy; it is the only code in the package that runs the VM.
+// o carries the design (a zero Noise is noiseless); run sets the seed by
+// one rule, Seed ^ benchSeed(name, mode), salted <<48 by the opt level
+// plus the move-elision bit, so each executed stream of an ablation draws
+// noise of its own. Noise-free times do not depend on the seed. A run that
+// lost work leaves its LostWork line for Experiment to footnote.
+func (e *Engine) run(b workloads.Benchmark, o harness.Options) (*harness.Result, error) {
+	elide, err := vm.ParseVM(o.VM)
+	if err != nil {
+		return nil, err
 	}
-	return harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(context.Background(), b, opts)
+	salt := uint64(o.Opt)
+	if elide {
+		salt++
+	}
+	o.Seed = e.cfg.Seed ^ benchSeed(b.Name, o.Mode) ^ salt<<48
+	res, err := harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(context.Background(), b, o)
+	if err != nil {
+		return nil, err
+	}
+	e.lost = append(e.lost, LostWork(res)...)
+	return res, nil
 }
 
 // baseProfile returns the noise-free per-iteration base times of one
@@ -154,12 +170,7 @@ func (e *Engine) baseProfile(b workloads.Benchmark, mode vm.Mode, iterations int
 	if p, ok := e.profiles[key]; ok {
 		return p, nil
 	}
-	res, err := e.runner.Run(b, harness.Options{
-		Mode:        mode,
-		Invocations: 1,
-		Iterations:  iterations,
-		Noise:       noise.None(),
-	})
+	res, err := e.run(b, harness.Options{Mode: mode, Invocations: 1, Iterations: iterations})
 	if err != nil {
 		return nil, err
 	}
@@ -195,8 +206,24 @@ func benchSeed(name string, mode vm.Mode) uint64 {
 }
 
 // Experiment runs an experiment by id ("T1".."T5", "F1".."F8", "A1".."A9")
-// and returns its rendered report.
+// and returns its rendered report, footnoted with the LostWork line of
+// every run that lost work.
 func (e *Engine) Experiment(id string) (fmt.Stringer, error) {
+	e.lost = nil
+	out, err := e.experiment(id)
+	if err != nil {
+		return nil, err
+	}
+	switch r := out.(type) {
+	case *report.Table:
+		r.Footnotes = append(r.Footnotes, e.lost...)
+	case *report.Figure:
+		r.Footnotes = append(r.Footnotes, e.lost...)
+	}
+	return out, nil
+}
+
+func (e *Engine) experiment(id string) (fmt.Stringer, error) {
 	switch id {
 	case "T1":
 		return e.Table1()
@@ -260,9 +287,6 @@ type SpeedupResult struct {
 	Speedup   float64
 	CI        stats.Interval
 	Verdict   methodology.Verdict
-	// Degradation holds the LostWork footnotes of the two arms (nil when
-	// both ran clean).
-	Degradation []string
 }
 
 // CompareEngines runs the rigorous methodology on every configured
@@ -279,25 +303,32 @@ func (e *Engine) CompareEngines() ([]SpeedupResult, float64, error) {
 		}
 		cmp := rig.Compare(ri.Hierarchical(), rj.Hierarchical())
 		out = append(out, SpeedupResult{
-			Benchmark:   b.Name,
-			Speedup:     cmp.Speedup,
-			CI:          cmp.CI,
-			Verdict:     cmp.Verdict,
-			Degradation: LostWork(ri, rj),
+			Benchmark: b.Name,
+			Speedup:   cmp.Speedup,
+			CI:        cmp.CI,
+			Verdict:   cmp.Verdict,
 		})
 		speedups = append(speedups, cmp.Speedup)
 	}
 	return out, stats.GeoMean(speedups), nil
 }
 
-// LostWork is the footnote rule for lost work that F3 and pybench -suite
-// share: one line per arm whose supervision degraded, naming the benchmark
-// and the arm.
+// LostWork is the footnote rule for lost work that every experiment and
+// pybench -suite share: one line per run whose supervision degraded,
+// naming the benchmark and the arm (the mode, then the opt level and VM
+// stream when set).
 func LostWork(arms ...*harness.Result) []string {
 	var notes []string
 	for _, r := range arms {
 		if sv := r.Supervision; sv != nil && sv.Degraded() {
-			notes = append(notes, fmt.Sprintf("%s/%s: %s", r.Benchmark, r.Mode, sv.Summary()))
+			arm := fmt.Sprintf("%s/%s", r.Benchmark, r.Mode)
+			if r.Opts.Opt != 0 {
+				arm += fmt.Sprintf(" -opt %d", r.Opts.Opt)
+			}
+			if r.Opts.VM != "" {
+				arm += " -vm " + r.Opts.VM
+			}
+			notes = append(notes, arm+": "+sv.Summary())
 		}
 	}
 	return notes
@@ -312,11 +343,13 @@ func LostWork(arms ...*harness.Result) []string {
 // would cancel in every ratio and narrow its interval. A failing arm is
 // named in the error, and the arms' checksums must agree.
 func (e *Engine) RunPair(b workloads.Benchmark, iterations int) (interp, jit *harness.Result, err error) {
-	interp, err = e.run(b, vm.ModeInterp, e.cfg.Invocations, iterations, false)
+	o := harness.Options{Mode: vm.ModeInterp, Invocations: e.cfg.Invocations, Iterations: iterations, Noise: e.cfg.Noise}
+	interp, err = e.run(b, o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s [interp arm]: %w", b.Name, err)
 	}
-	jit, err = e.run(b, vm.ModeJIT, e.cfg.Invocations, iterations, false)
+	o.Mode = vm.ModeJIT
+	jit, err = e.run(b, o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s [jit arm]: %w", b.Name, err)
 	}

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/report"
+	"repro/internal/vm"
 )
 
 // parseF pulls a float out of a rendered table cell.
@@ -187,39 +193,137 @@ func TestAblation5NoiseOrdering(t *testing.T) {
 	}
 }
 
-// TestAblation5Resumes: A5 runs under the engine's supervision policy, so
-// a checkpoint directory reaches it. Its three noise models run the same
-// benchmarks, mode and seed, so each keeps journals of its own; a second
-// run over the same directory resumes all of them to the same table and
-// has nothing left to append.
-func TestAblation5Resumes(t *testing.T) {
+// TestExperimentsResume: every run of every experiment goes through
+// Engine.run, and a journal is named by its experiment key, so one
+// checkpoint directory serves them all. A second pass on a fresh engine
+// resumes every run to the same bytes and appends nothing, and no
+// experiment keeps a directory of its own.
+func TestExperimentsResume(t *testing.T) {
 	cfg := fastConfig()
 	cfg.CheckpointDir = t.TempDir()
-	first, err := New(cfg).AblationNoiseModel()
-	if err != nil {
-		t.Fatal(err)
+	pass := func() map[string]string {
+		e := New(cfg)
+		outs := map[string]string{}
+		for _, id := range ExperimentIDs() {
+			out, err := e.Experiment(id)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			outs[id] = out.String()
+		}
+		return outs
 	}
-	sizes := map[string]int64{}
-	for _, model := range []string{"quiet", "default", "noisy"} {
-		for _, b := range cfg.Benchmarks {
-			path := filepath.Join(cfg.CheckpointDir, "A5", model, b.Name+"_interp.ckpt.wal")
-			fi, err := os.Stat(path)
+	sizes := func() map[string]int64 {
+		entries, err := os.ReadDir(cfg.CheckpointDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, en := range entries {
+			fi, err := en.Info()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes[path] = fi.Size()
+			if fi.IsDir() {
+				t.Errorf("the checkpoint directory holds a subdirectory, %s", en.Name())
+			}
+			out[en.Name()] = fi.Size()
+		}
+		return out
+	}
+	first := pass()
+	written := sizes()
+	second := pass()
+	for _, id := range ExperimentIDs() {
+		if first[id] != second[id] {
+			t.Errorf("%s: resumed output differs:\n%s\nfirst pass:\n%s", id, second[id], first[id])
 		}
 	}
-	second, err := New(cfg).AblationNoiseModel()
-	if err != nil {
-		t.Fatal(err)
+	if resumed := sizes(); !reflect.DeepEqual(resumed, written) {
+		t.Errorf("journals changed on resume: %d files before, %d after", len(written), len(resumed))
+		for name, size := range written {
+			if resumed[name] != size {
+				t.Errorf("%s: %d bytes, was %d", name, resumed[name], size)
+			}
+		}
 	}
-	if first.String() != second.String() {
-		t.Fatalf("resumed table differs:\n%s\nfirst run:\n%s", second, first)
+}
+
+// TestExperimentsFailBelowQuorum: every VM run of every experiment goes
+// through the supervision policy, so under panic=1 each experiment fails
+// below quorum, except A3 and A4, which run no VM.
+func TestExperimentsFailBelowQuorum(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Faults = faults.Params{PanicProb: 1}
+	e := New(cfg)
+	for _, id := range ExperimentIDs() {
+		_, err := e.Experiment(id)
+		if id == "A3" || id == "A4" {
+			if err != nil {
+				t.Errorf("%s runs no VM, yet failed: %v", id, err)
+			}
+			continue
+		}
+		if !errors.Is(err, harness.ErrQuorum) {
+			t.Errorf("%s: %v, want an error wrapping harness.ErrQuorum", id, err)
+		}
 	}
-	for path, size := range sizes {
-		if fi, err := os.Stat(path); err != nil || fi.Size() != size {
-			t.Errorf("%s changed on resume (was %d bytes): %v, %v", path, size, fi, err)
+}
+
+// TestExperimentsFootnoteLostWork: under a policy that recovers
+// invocations, a table prints one note per run that lost work: T2's notes
+// are those of a bare supervisor run at each arm's seed, and every note of
+// A7–A9 names the arm (opt level or VM stream) that lost the work.
+func TestExperimentsFootnoteLostWork(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Retries = 2
+	cfg.Quorum = 2
+	cfg.Faults = faults.Params{PanicProb: 0.3}
+	e := New(cfg)
+	cfg = e.Config()
+	notes := func(id string) []string {
+		out, err := e.Experiment(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var lines []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "note: ") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	var want []string
+	for _, b := range cfg.Benchmarks {
+		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
+			res, err := harness.NewSupervisor(harness.NewRunner(), cfg.SupervisorOptions()).Run(context.Background(), b, harness.Options{
+				Mode: mode, Invocations: cfg.Invocations, Iterations: cfg.Iterations,
+				Seed: cfg.Seed ^ benchSeed(b.Name, mode), Noise: cfg.Noise})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Supervision.Degraded() {
+				want = append(want, fmt.Sprintf("note: %s/%s: %s", b.Name, mode, res.Supervision.Summary()))
+			}
+		}
+	}
+	if got := notes("T2"); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("T2 notes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for id, arms := range map[string][]string{
+		"A7": {"/interp: ", "/interp -opt 2: "},
+		"A8": {"/interp -opt 2: ", "/interp -opt 3: "},
+		"A9": {"/interp -vm reg: ", "/interp -vm reg-elide: "},
+	} {
+		got := notes(id)
+		if len(got) == 0 || len(got) > 2*len(cfg.Benchmarks) {
+			t.Errorf("%s: %d notes for %d runs", id, len(got), 2*len(cfg.Benchmarks))
+		}
+		for _, line := range got {
+			if !strings.Contains(line, arms[0]+"supervision:") && !strings.Contains(line, arms[1]+"supervision:") {
+				t.Errorf("%s: note names neither arm %q: %s", id, arms, line)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/harness"
 	"repro/internal/methodology"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -71,7 +72,7 @@ func (e *Engine) Figure2() (*report.Figure, error) {
 		"invocation (sorted)", "time / median")
 	invocations := e.cfg.Invocations * 2
 	for _, b := range e.cfg.Benchmarks {
-		res, err := e.run(b, vm.ModeInterp, invocations, e.cfg.Iterations/2, false)
+		res, err := e.run(b, harness.Options{Mode: vm.ModeInterp, Invocations: invocations, Iterations: e.cfg.Iterations / 2, Noise: e.cfg.Noise})
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +96,6 @@ func (e *Engine) Figure3() (*report.Table, error) {
 	}
 	for _, r := range results {
 		t.AddRow(r.Benchmark, r.Speedup, r.CI.Lo, r.CI.Hi, r.Verdict.String())
-		t.Footnotes = append(t.Footnotes, r.Degradation...)
 	}
 	t.AddRow("GEOMEAN", geomean, "", "", "")
 	t.Caption = "Hierarchical bootstrap over invocations after changepoint warmup removal; verdict requires the CI to exclude 1."
@@ -172,7 +172,7 @@ func (e *Engine) Figure6() (*report.Figure, error) {
 	var retiring, frontend, badspec, backend []float64
 	var names []string
 	for _, b := range e.cfg.Benchmarks {
-		res, err := e.run(b, vm.ModeInterp, 1, 3, true)
+		res, err := e.run(b, harness.Options{Mode: vm.ModeInterp, Invocations: 1, Iterations: 3, Noise: e.cfg.Noise, WithCounters: true})
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func (e *Engine) Figure7() (*report.Table, error) {
 		"benchmark", "engine", "between%", "within%", "CoV inv%", "CoV iter%")
 	for _, b := range e.cfg.Benchmarks {
 		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
-			res, err := e.run(b, mode, e.cfg.Invocations, e.cfg.Iterations, false)
+			res, err := e.run(b, harness.Options{Mode: mode, Invocations: e.cfg.Invocations, Iterations: e.cfg.Iterations, Noise: e.cfg.Noise})
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,6 +136,39 @@ func TestRunPairArmsDrawIndependentNoise(t *testing.T) {
 	for i := range interp.Invocations {
 		if reflect.DeepEqual(interp.Invocations[i].TimesSec, jit.Invocations[i].TimesSec) {
 			t.Errorf("invocation %d: both arms drew the same times %v", i, interp.Invocations[i].TimesSec)
+		}
+	}
+}
+
+// TestArmsDrawTheirBenchmarksFaultSchedule: a fault schedule is a pure
+// function of (campaign seed, benchmark, mode). Two benchmarks' arms draw
+// different fault seeds, and each arm draws the one a bare supervisor at
+// the campaign seed (pybench -bench) draws for its benchmark and mode.
+func TestArmsDrawTheirBenchmarksFaultSchedule(t *testing.T) {
+	cfg := Config{Invocations: 2, Seed: 7, Noise: noise.Quiet()}
+	e := New(cfg)
+	seen := map[uint64]string{}
+	for _, name := range []string{"fib", "nbody"} {
+		b := mustBench(t, name)
+		interp, jit, err := e.RunPair(b, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range []*harness.Result{interp, jit} {
+			bare, err := harness.NewSupervisor(harness.NewRunner(), harness.SupervisorOptions{}).Run(context.Background(), b,
+				harness.Options{Mode: arm.Mode, Invocations: 2, Iterations: 2, Seed: cfg.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := name + "/" + arm.Mode.String()
+			if got, want := arm.Supervision.FaultSeed, bare.Supervision.FaultSeed; got != want {
+				t.Errorf("%s: fault seed %d, want %d, as pybench -bench %s -seed %d draws",
+					label, got, want, name, cfg.Seed)
+			}
+			if other, dup := seen[arm.Supervision.FaultSeed]; dup {
+				t.Errorf("%s draws the fault schedule of %s", label, other)
+			}
+			seen[arm.Supervision.FaultSeed] = label
 		}
 	}
 }

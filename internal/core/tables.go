@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/harness"
 	"repro/internal/methodology"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -16,7 +17,7 @@ func (e *Engine) Table1() (*report.Table, error) {
 		"benchmark", "class", "ops/iter", "instr/iter",
 		"ld/st%", "arith%", "branch%", "call%", "alloc%")
 	for _, b := range e.cfg.Benchmarks {
-		res, err := e.run(b, vm.ModeInterp, 1, 2, true)
+		res, err := e.run(b, harness.Options{Mode: vm.ModeInterp, Invocations: 1, Iterations: 2, Noise: e.cfg.Noise, WithCounters: true})
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +44,7 @@ func (e *Engine) Table2() (*report.Table, error) {
 		"benchmark", "engine", "mean ms", "CoV%", "CI95 ±%", "inv for ±1%")
 	for _, b := range e.cfg.Benchmarks {
 		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
-			res, err := e.run(b, mode, e.cfg.Invocations, e.cfg.Iterations, false)
+			res, err := e.run(b, harness.Options{Mode: mode, Invocations: e.cfg.Invocations, Iterations: e.cfg.Iterations, Noise: e.cfg.Noise})
 			if err != nil {
 				return nil, err
 			}
@@ -71,7 +72,7 @@ func (e *Engine) Table3() (*report.Table, error) {
 	counts := map[string]int{}
 	for _, b := range e.cfg.Benchmarks {
 		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
-			res, err := e.run(b, mode, e.cfg.Invocations, e.cfg.WarmupIterations, false)
+			res, err := e.run(b, harness.Options{Mode: mode, Invocations: e.cfg.Invocations, Iterations: e.cfg.WarmupIterations, Noise: e.cfg.Noise})
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +158,7 @@ func (e *Engine) Table5() (*report.Table, error) {
 	t := report.NewTable("Table 5: microarchitectural characterization (interpreter)",
 		"benchmark", "IPC", "L1 MPKI", "L2 MPKI", "dTLB MPKI", "br MPKI", "dispatch miss%")
 	for _, b := range e.cfg.Benchmarks {
-		res, err := e.run(b, vm.ModeInterp, 1, 3, true)
+		res, err := e.run(b, harness.Options{Mode: vm.ModeInterp, Invocations: 1, Iterations: 3, Noise: e.cfg.Noise, WithCounters: true})
 		if err != nil {
 			return nil, err
 		}

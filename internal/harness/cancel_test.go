@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"strconv"
 	"syscall"
 	"testing"
@@ -129,7 +128,7 @@ func TestCancelLeavesJournalResumable(t *testing.T) {
 		t.Fatalf("the cancelled simulation was measured %d time(s)", got)
 	}
 
-	jn, records, _, err := wal.OpenLines(wal.OSFS{}, filepath.Join(so.Checkpoint.Dir, "spectralnorm_interp.ckpt.wal"))
+	jn, records, _, err := wal.OpenLines(wal.OSFS{}, onlyJournal(t, so.Checkpoint.Dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/vm"
 	"repro/internal/wal"
@@ -12,11 +13,11 @@ import (
 )
 
 // CheckpointDir is where a supervised run persists its progress: one
-// write-ahead journal per experiment, <bench>_<mode>.ckpt.wal, so the two
-// arms of a pair never clobber each other. A run resumes a journal only
-// when its experiment key matches (see checkpointKey), whichever surface
-// (pybench -bench, -exp, -suite, the daemon) wrote it. The zero value
-// disables checkpointing.
+// write-ahead journal per experiment key (see checkpointKey), named by the
+// key's digest, so two experiments never share a file and any mix of
+// surfaces (pybench -bench, -exp, -suite, the daemon) can share one
+// directory. A run resumes the journal its key names, whichever surface
+// wrote it. The zero value disables checkpointing.
 type CheckpointDir struct {
 	// Dir is the existing directory holding the journals ("" = none).
 	Dir string
@@ -35,7 +36,9 @@ type CheckpointDir struct {
 // move-elision arm to the key, so a version-4 journal is refused as a
 // different experiment; version 6 adds the adaptive stopping rule's
 // target, under which the invocation count is a cap. The key never held a
-// worker count, so simulating once per experiment needs no new version.
+// worker count, so simulating once per experiment needs no new version;
+// naming each journal by its key's digest changed no record either, and
+// the <bench>_<mode>.ckpt.wal journals of older builds are never opened.
 const checkpointVersion = 6
 
 // slotRecord is the complete supervised outcome of one invocation slot:
@@ -50,12 +53,12 @@ type slotRecord struct {
 	Quarantined int         `json:",omitempty"`
 }
 
-// checkpointKey derives the experiment identity a checkpoint belongs to.
-// Resuming under any changed configuration — different benchmark, seed,
-// design (adaptive target included), executed stream (opt level, move
-// elision), fault model, or retry policy — is refused rather than silently mixing incompatible partial
-// results. The VM option enters as its parsed elision bit, so "" and "reg"
-// are one arm.
+// checkpointKey derives the experiment identity a checkpoint belongs to,
+// and so the journal it is kept in: any changed configuration — different
+// benchmark, seed, design (adaptive target included), executed stream (opt
+// level, move elision), fault model, or retry policy — names another
+// journal, so incompatible partial results never mix. The VM option enters
+// as its parsed elision bit, so "" and "reg" are one arm.
 func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, faultSeed uint64) (string, error) {
 	elide, err := vm.ParseVM(opts.VM)
 	if err != nil {
@@ -66,18 +69,6 @@ func checkpointKey(b workloads.Benchmark, opts Options, so SupervisorOptions, fa
 		opts.Iterations, opts.Opt, elide, opts.Noise, opts.Cost, opts.WithCounters,
 		opts.FreqGHz, opts.MaxStepsPerInvocation, opts.WallBudget,
 		so.Faults, faultSeed, so.MaxRetries, so.Quorum, opts.TargetRelHalfWidth), nil
-}
-
-// checkpointBase sanitizes a benchmark name into a filesystem-safe stem.
-func checkpointBase(bench string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, bench)
 }
 
 // journalEntry is one checkpoint journal record. Record zero carries the
@@ -101,15 +92,17 @@ type checkpoint struct {
 	report  wal.RecoveryReport
 }
 
-// openCheckpoint recovers the journal of bench in mode inside cd and
-// replays its slots. A journal whose key record is not key belongs to a
-// different experiment and is refused.
-func openCheckpoint(cd CheckpointDir, bench string, mode vm.Mode, key string) (*checkpoint, error) {
+// openCheckpoint recovers the journal of the experiment key inside cd,
+// named by the first 16 bytes of the key's SHA-256, and replays its slots.
+// The key record comes first in every journal, and a journal whose key
+// record is not key is refused.
+func openCheckpoint(cd CheckpointDir, key string) (*checkpoint, error) {
 	fsys := cd.FS
 	if fsys == nil {
 		fsys = wal.OSFS{}
 	}
-	path := filepath.Join(cd.Dir, fmt.Sprintf("%s_%s.ckpt.wal", checkpointBase(bench), mode))
+	sum := sha256.Sum256([]byte(key))
+	path := filepath.Join(cd.Dir, hex.EncodeToString(sum[:16])+".ckpt.wal")
 	jn, records, report, err := wal.OpenLines(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("opening checkpoint journal: %w", err)
@@ -123,7 +116,7 @@ func openCheckpoint(cd CheckpointDir, bench string, mode vm.Mode, key string) (*
 		case err != nil:
 			err = fmt.Errorf("decoding checkpoint journal record %d: %w", i, err)
 		case i == 0 && e.Key != key:
-			err = fmt.Errorf("checkpoint %s belongs to a different experiment (saved %q, running %q); delete it or rerun with the original configuration",
+			err = fmt.Errorf("checkpoint %s belongs to a different experiment (saved %q, running %q); delete it",
 				path, e.Key, key)
 		case i > 0 && e.Slot != nil:
 			c.slots[e.Slot.Index] = *e.Slot

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -189,7 +188,7 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 	}
 
 	// Tear the tail: kill -9 mid-append leaves a half-written final line.
-	path := filepath.Join(ck.Dir, "fib_interp.ckpt.wal")
+	path := onlyJournal(t, ck.Dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -227,14 +226,19 @@ func TestBinaryJournalReadsAsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A crash point leaves the experiment's journal at its path; the old
+	// build's frames replace it.
 	ck := CheckpointDir{Dir: t.TempDir()}
+	if _, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 1}).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("want ErrCrashPoint, got %v", err)
+	}
 	var old []byte
 	for _, rec := range []string{`{"Header":{"Version":3,"Key":"v3|fib|interp"}}`, `{"Slot":{"Index":0}}`} {
 		old = binary.BigEndian.AppendUint32(old, uint32(len(rec)))
 		old = binary.BigEndian.AppendUint32(old, crc32.Checksum([]byte(rec), crc32.MakeTable(crc32.Castagnoli)))
 		old = append(old, rec...)
 	}
-	if err := os.WriteFile(filepath.Join(ck.Dir, "fib_interp.ckpt.wal"), old, 0o644); err != nil {
+	if err := os.WriteFile(onlyJournal(t, ck.Dir), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)

@@ -355,7 +355,7 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 		var key string
 		key, err = checkpointKey(b, opts, s.opts, faultSeed)
 		if err == nil {
-			ckpt, err = openCheckpoint(s.opts.Checkpoint, b.Name, opts.Mode, key)
+			ckpt, err = openCheckpoint(s.opts.Checkpoint, key)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)

@@ -276,44 +276,92 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	}
 }
 
-func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
-	b := mustBench(t, "fib")
-	so := SupervisorOptions{Checkpoint: CheckpointDir{Dir: t.TempDir()}}
-	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
-	if _, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts); err != nil {
-		t.Fatal(err)
-	}
-	// Same directory, different seed: refuse to resume.
-	opts2 := opts
-	opts2.Seed = 2
-	_, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
-	if err == nil || !strings.Contains(err.Error(), "different experiment") {
-		t.Fatalf("want key-mismatch error, got %v", err)
-	}
-	// A different executed stream is a different arm: another opt level or
-	// the move-elided register stream.
-	for _, arm := range []Options{{Opt: 2}, {VM: "reg-elide"}} {
-		opts2 := opts
-		opts2.Opt, opts2.VM = arm.Opt, arm.VM
-		_, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
-		if err == nil || !strings.Contains(err.Error(), "different experiment") {
-			t.Fatalf("opt=%d vm=%q: want key-mismatch error, got %v", arm.Opt, arm.VM, err)
-		}
-	}
-	// "reg" names the default stream, so it resumes the journal "" wrote.
-	opts2 = opts
-	opts2.VM = "reg"
-	res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts2)
+// journals lists the checkpoint journals in dir.
+func journals(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Supervision.ResumedFrom != opts.Invocations {
-		t.Fatalf("vm=reg: ResumedFrom = %d, want %d", res.Supervision.ResumedFrom, opts.Invocations)
+	return paths
+}
+
+// onlyJournal is the one checkpoint journal in dir.
+func onlyJournal(t *testing.T, dir string) string {
+	t.Helper()
+	paths := journals(t, dir)
+	if len(paths) != 1 {
+		t.Fatalf("want one journal in %s, got %v", dir, paths)
+	}
+	return paths[0]
+}
+
+// TestSupervisorCheckpointKeyMismatch: a journal is named by its
+// experiment key, so another seed, opt level or executed stream writes a
+// journal of its own and resumes nothing, while "" and "reg", one stream,
+// share one. A file at a key's path whose key record differs is refused,
+// and an undecodable record fails the run.
+func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
+	b := mustBench(t, "fib")
+	dir := t.TempDir()
+	so := SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}
+	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
+	run := func(o Options) (*Result, error) {
+		return NewSupervisor(NewRunner(), so).Run(context.Background(), b, o)
+	}
+	if _, err := run(opts); err != nil {
+		t.Fatal(err)
+	}
+	first := onlyJournal(t, dir)
+	// A different seed, opt level or executed stream (the move-elided
+	// register stream) is another experiment.
+	for i, arm := range []Options{{Seed: 2}, {Seed: 1, Opt: 2}, {Seed: 1, VM: "reg-elide"}} {
+		o := opts
+		o.Seed, o.Opt, o.VM = arm.Seed, arm.Opt, arm.VM
+		res, err := run(o)
+		if err != nil {
+			t.Fatalf("seed=%d opt=%d vm=%q: %v", arm.Seed, arm.Opt, arm.VM, err)
+		}
+		if res.Supervision.ResumedFrom != 0 {
+			t.Fatalf("seed=%d opt=%d vm=%q resumed another experiment's journal at %d",
+				arm.Seed, arm.Opt, arm.VM, res.Supervision.ResumedFrom)
+		}
+		if n := len(journals(t, dir)); n != 2+i {
+			t.Fatalf("seed=%d opt=%d vm=%q: %d journals, want %d", arm.Seed, arm.Opt, arm.VM, n, 2+i)
+		}
+	}
+	// "reg" names the default stream, so it resumes the journal "" wrote.
+	o := opts
+	o.VM = "reg"
+	res, err := run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Supervision.ResumedFrom != opts.Invocations || len(journals(t, dir)) != 4 {
+		t.Fatalf("vm=reg: ResumedFrom = %d over %d journals, want %d over 4",
+			res.Supervision.ResumedFrom, len(journals(t, dir)), opts.Invocations)
+	}
+	// A file at a key's path whose key record differs is refused.
+	other := journals(t, dir)[0]
+	if other == first {
+		other = journals(t, dir)[1]
+	}
+	raw, err := os.ReadFile(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(first, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(opts); err == nil || !strings.Contains(err.Error(), "different experiment") {
+		t.Fatalf("want key-mismatch error, got %v", err)
 	}
 	// An intact record that is not a checkpoint entry: decode error, not a
 	// crash.
-	dir := t.TempDir()
-	j, _, _, err := wal.OpenLines(wal.OSFS{}, filepath.Join(dir, "fib_interp.ckpt.wal"))
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err := wal.OpenLines(wal.OSFS{}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +371,15 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}).Run(context.Background(), b, opts)
-	if err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
+	if _, err := run(opts); err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
 		t.Fatalf("want decode error, got %v", err)
 	}
 }
 
 // TestSupervisorCheckpointLayout pins the one checkpoint layout: every
-// experiment journals to <bench>_<mode>.ckpt.wal in the checkpoint
-// directory, so the two arms of a pair stay apart and a later run over the
-// same directory resumes each arm.
+// experiment journals to a file of its own in the checkpoint directory,
+// named by its key, so the two arms of a pair stay apart and a later run
+// over the same directory resumes each arm.
 func TestSupervisorCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	b := mustBench(t, "fib")
@@ -349,10 +396,8 @@ func TestSupervisorCheckpointLayout(t *testing.T) {
 		return out
 	}
 	ref := arms()
-	for _, name := range []string{"fib_interp.ckpt.wal", "fib_jit.ckpt.wal"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("arm journal missing: %v", err)
-		}
+	if paths := journals(t, dir); len(paths) != 2 {
+		t.Fatalf("want one journal per arm in %s, got %v", dir, paths)
 	}
 	for i, got := range arms() {
 		if got.Supervision.ResumedFrom != 2 {

@@ -154,6 +154,8 @@ type Figure struct {
 	YLabel  string
 	Series  []Series
 	Caption string
+	// Footnotes are rendered after the caption, as a Table's are.
+	Footnotes []string
 }
 
 // Series is one line in a figure.
@@ -241,6 +243,9 @@ func (f *Figure) Render(w io.Writer) {
 	}
 	if f.Caption != "" {
 		fmt.Fprintf(w, "%s\n", f.Caption)
+	}
+	for _, fn := range f.Footnotes {
+		fmt.Fprintf(w, "note: %s\n", fn)
 	}
 }
 

@@ -144,6 +144,17 @@ func TestTableFootnotes(t *testing.T) {
 	}
 }
 
+func TestFigureFootnotes(t *testing.T) {
+	f := NewFigure("FN", "x", "y")
+	f.Add("s", []float64{1, 2})
+	f.Caption = "cap"
+	f.Footnotes = []string{"fib/interp: lost work"}
+	out := f.String()
+	if !strings.HasSuffix(out, "cap\nnote: fib/interp: lost work\n") {
+		t.Errorf("footnote must render after the caption:\n%s", out)
+	}
+}
+
 func TestTableMarkdown(t *testing.T) {
 	tbl := NewTable("MD", "name", "v")
 	tbl.AddRow("a|b", 1.0)

@@ -23,6 +23,7 @@ import (
 // benchConfig is the reduced-scale configuration for the bench harness.
 func benchConfig() core.Config {
 	return core.Config{
+		Noise:            noise.Default(),
 		Seed:             42,
 		Invocations:      6,
 		Iterations:       16,

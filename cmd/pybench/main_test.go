@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -148,8 +149,28 @@ func TestNoiseByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if none.InvocationSigma != 0 || none.SpikeProb != 0 {
-		t.Fatalf("none model should be noiseless: %+v", none)
+	if none != noise.None() {
+		t.Fatalf("none model should be the zero (noiseless) model: %+v", none)
+	}
+}
+
+// TestNoiseNoneIsNoiseless: under -noise none every measured time is the
+// simulated cycles at the clock rate, bit for bit.
+func TestNoiseNoneIsNoiseless(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return doBench(benchSpec("fib", "jit", 2, 3, 0, "none"), "", "", true, noObs())
+	})
+	var res harness.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatal(err)
+	}
+	hz := res.Opts.FreqGHz * 1e9
+	for i, inv := range res.Invocations {
+		for j, c := range inv.Cycles {
+			if got, want := inv.TimesSec[j], float64(c)/hz; got != want {
+				t.Fatalf("invocation %d iteration %d: %v s, want %d cycles / %v Hz = %v s", i, j, got, c, hz, want)
+			}
+		}
 	}
 }
 
@@ -383,7 +404,7 @@ func TestF3AndSuiteFootnoteLostWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Invocations: 4, Iterations: 4, Seed: 7, Faults: fp, Retries: 2, Quorum: 2}
+	cfg := core.Config{Invocations: 4, Iterations: 4, Seed: 7, Noise: noise.Default(), Faults: fp, Retries: 2, Quorum: 2}
 	var want []string
 	engine := core.New(cfg)
 	for _, b := range engine.Config().Benchmarks {

@@ -38,18 +38,19 @@ func registerPlan(code *minipy.Code, claims map[int]ival) RegisterFacts {
 	if err := minipy.VerifyRegister(&rc); err != nil {
 		return RegisterFacts{Reason: err.Error()}
 	}
-	elided := minipy.ElideMoves(&rc)
 	unboxed := 0
 	for _, ins := range rc.Ops {
 		if _, ok := claims[int(ins.Orig)]; ok {
 			unboxed++
 		}
 	}
+	ops := len(rc.Ops)
+	minipy.ElideMoves(&rc)
 	return RegisterFacts{
 		Lowered:      true,
 		Regs:         rc.NumRegs,
-		Ops:          len(rc.Ops),
-		OpsElided:    len(elided.Ops),
+		Ops:          ops,
+		OpsElided:    len(rc.Ops),
 		UnboxedSites: unboxed,
 	}
 }

@@ -112,9 +112,7 @@ func NoiseByName(name string) (noise.Params, error) {
 	case "noisy":
 		return noise.Noisy(), nil
 	case "none":
-		// The zero Params would read as "use the default" downstream, so
-		// nudge one field to keep it distinct while staying noiseless.
-		return noise.Params{SpikeProb: 0, IterationSigma: 1e-12}, nil
+		return noise.None(), nil
 	}
 	return noise.Params{}, specErrf("unknown noise model %q", name)
 }

@@ -35,7 +35,8 @@ type Config struct {
 	// Trials is the synthetic-trial count for methodology-error experiments
 	// (T4, F8). Default 200.
 	Trials int
-	// Noise selects the simulated machine. Default noise.Default().
+	// Noise selects the simulated machine's noise. The zero value is
+	// noiseless (noise.None), as everywhere else in the program.
 	Noise noise.Params
 	// Confidence for all intervals. Default 0.95.
 	Confidence float64
@@ -100,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Trials == 0 {
 		c.Trials = 200
-	}
-	if c.Noise == (noise.Params{}) {
-		c.Noise = noise.Default()
 	}
 	if c.Confidence == 0 {
 		c.Confidence = 0.95

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/noise"
 	"repro/internal/workloads"
 )
 
@@ -19,6 +20,7 @@ func fastConfig() Config {
 		}
 	}
 	return Config{
+		Noise:            noise.Default(),
 		Seed:             7,
 		Invocations:      4,
 		Iterations:       10,

@@ -1,6 +1,10 @@
 package minipy
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // LowerToRegister lowers verified stack bytecode to register form.
 //
@@ -149,9 +153,10 @@ func lowerOne(code *Code, ins Instr, L, d int32) (RInstr, error) {
 	return ri, nil
 }
 
-// ElideMoves is the stream-changing register optimization (ablation A9): it
+// ElideMoves is the stream-changing register optimization: it
 // copy-propagates register moves into their adjacent consumer and deletes
-// the move. Two patterns, both classic stack→register lowering wins:
+// the move, compacting rc in place. Two patterns, both classic
+// stack→register lowering wins:
 //
 //   - RLOAD_LOCAL r_s <- r_l followed by a consumer reading r_s: the
 //     consumer reads the local register r_l directly and the load vanishes.
@@ -165,15 +170,30 @@ func lowerOne(code *Code, ins Instr, L, d int32) (RInstr, error) {
 // A consumer (or store) that is a jump target keeps its moves: another
 // path could arrive with a live value in the stack register. Deleting
 // instructions renumbers pcs, so every jump target is remapped and Orig
-// keeps the source pc for line attribution and pc-keyed engine state. The
-// executed instruction stream — and therefore the simulated counters — is
-// intentionally different from the stack program's; the harness surfaces
-// this variant only as ablation A9, never under the default configuration
-// the goldens pin.
-func ElideMoves(rc *RCode) *RCode {
-	n := len(rc.Ops)
-	isTarget := make([]bool, n+1)
-	for _, ins := range rc.Ops {
+// keeps the source pc for line attribution and pc-keyed engine state.
+//
+// Each kept instruction records the moves it absorbed in RInstr.Pre and
+// RInstr.Post: an elided load is covered by the kept instruction after it
+// (its consumer, or the constant load the read was forwarded across), and
+// an elided store by the producer before it. So every kept instruction
+// covers a contiguous run of source pcs that always executes as a whole
+// (an elided move can neither raise nor branch), and a jump target's first
+// covered pc is the target's own source pc.
+//
+// The VM runs this stream in every interpreter without an observer and
+// charges each kept instruction for the source ops it covers, so the
+// simulated counters stay the stack program's; ablation A9 runs it
+// charging only the instructions it executes. Code of fewer than
+// elideStackOps instructions is elided without allocating.
+func ElideMoves(rc *RCode) {
+	ops := rc.Ops
+	n := len(ops)
+	var targetBuf [elideStackOps]bool
+	isTarget := targetBuf[:]
+	if n >= elideStackOps {
+		isTarget = make([]bool, n+1)
+	}
+	for _, ins := range ops {
 		switch ins.Op {
 		case RopJump, RopJumpIfFalse, RopJumpIfTrue, RopJumpIfFalseKeep,
 			RopJumpIfTrueKeep, RopForIter:
@@ -182,75 +202,75 @@ func ElideMoves(rc *RCode) *RCode {
 			isTarget[ins.Arg>>4] = true
 		}
 	}
-	assigned := definitelyAssigned(rc.Code)
-	keep := make([]bool, n)
-	out := make([]RInstr, n)
-	copy(out, rc.Ops)
-	for i := range keep {
-		keep[i] = true
-	}
-	for i := 0; i+1 < n; i++ {
-		if !keep[i] {
-			continue
-		}
-		cur, next := out[i], out[i+1]
-		// Load elision: forward the local register into the consumer.
-		if cur.Op == RopLoadLocal && !isTarget[i+1] &&
-			assigned != nil && assigned[i]&(1<<uint(cur.B)) != 0 {
-			if c, ok := replaceRead(next, cur.A, cur.B); ok {
-				out[i+1] = c
-				keep[i] = false
-				continue
-			}
-			// The dominant `local ⊙ const` shape puts one RLOAD_CONST
-			// between the load and its consumer. A constant load is
-			// transparent — it cannot raise, branch, or touch the forwarded
-			// registers — so the local read forwards across it.
-			if i+2 < n && next.Op == RopLoadConst && next.A != cur.A &&
-				!isTarget[i+2] {
-				if c, ok := replaceRead(out[i+2], cur.A, cur.B); ok {
-					out[i+2] = c
-					keep[i] = false
+	var assignedBuf [elideStackOps]uint64
+	assigned := definitelyAssigned(rc.Code, assignedBuf[:])
+	w := 0        // the kept stream is compacted into ops[:w]
+	var pre uint8 // elided loads the next kept instruction covers
+	for i := 0; i < n; i++ {
+		cur := ops[i]
+		if i+1 < n {
+			next := ops[i+1]
+			// Load elision: forward the local register into the consumer.
+			if cur.Op == RopLoadLocal && !isTarget[i+1] &&
+				assigned != nil && assigned[i]&(1<<uint(cur.B)) != 0 {
+				if c, ok := replaceRead(next, cur.A, cur.B); ok {
+					ops[i+1] = c
+					pre++
 					continue
+				}
+				// The dominant `local ⊙ const` shape puts one RLOAD_CONST
+				// between the load and its consumer. A constant load is
+				// transparent — it cannot raise, branch, or touch the
+				// forwarded registers — so the local read forwards across it.
+				if i+2 < n && next.Op == RopLoadConst && next.A != cur.A &&
+					!isTarget[i+2] {
+					if c, ok := replaceRead(ops[i+2], cur.A, cur.B); ok {
+						ops[i+2] = c
+						pre++
+						continue
+					}
+				}
+			}
+			// Store elision: retarget the producer's destination to the local.
+			if next.Op == RopStoreLocal && !isTarget[i+1] {
+				if c, ok := retargetDst(cur, next.B, next.A); ok {
+					cur = c
+					cur.Post = 1
+					i++ // the store is consumed; don't pair it with a successor
 				}
 			}
 		}
-		// Store elision: retarget the producer's destination to the local.
-		if next.Op == RopStoreLocal && !isTarget[i+1] {
-			if c, ok := retargetDst(cur, next.B, next.A); ok {
-				out[i] = c
-				keep[i+1] = false
-				i++ // the store is consumed; don't pair it with a successor
-			}
-		}
+		cur.Pre, pre = pre, 0
+		ops[w] = cur
+		w++
 	}
-	// Renumber: newIndex[old] = position after deletions.
-	newIndex := make([]int32, n+1)
-	var kept []RInstr
-	for i := 0; i < n; i++ {
-		newIndex[i] = int32(len(kept))
-		if keep[i] {
-			kept = append(kept, out[i])
-		}
-	}
-	newIndex[n] = int32(len(kept))
-	for i := range kept {
-		switch kept[i].Op {
+	// Renumber: an old target maps to the first kept instruction at or
+	// after it. Kept Origs are the old indices, in increasing order.
+	ops = ops[:w]
+	for i := range ops {
+		switch ops[i].Op {
 		case RopJump, RopJumpIfFalse, RopJumpIfTrue, RopJumpIfFalseKeep,
 			RopJumpIfTrueKeep, RopForIter:
-			kept[i].Arg = newIndex[kept[i].Arg]
+			ops[i].Arg = keptIndex(ops, ops[i].Arg)
 		case RopBinaryJumpIfFalse:
-			kept[i].Arg = kept[i].Arg&0xF | newIndex[kept[i].Arg>>4]<<4
+			ops[i].Arg = ops[i].Arg&0xF | keptIndex(ops, ops[i].Arg>>4)<<4
 		}
 	}
-	return &RCode{
-		Code:      rc.Code,
-		NumLocals: rc.NumLocals,
-		NumRegs:   rc.NumRegs,
-		Ops:       kept,
-		Depth:     rc.Depth,
-		Elided:    true,
-	}
+	rc.Ops = ops
+	rc.Elided = true
+}
+
+// elideStackOps bounds the code size ElideMoves handles with scratch on
+// its own stack.
+const elideStackOps = 512
+
+// keptIndex returns the index of the first instruction of kept whose
+// source pc is at least pc (len(kept) when none is).
+func keptIndex(kept []RInstr, pc int32) int32 {
+	i, _ := slices.BinarySearchFunc(kept, pc, func(ins RInstr, pc int32) int {
+		return cmp.Compare(ins.Orig, pc)
+	})
+	return int32(i)
 }
 
 // replaceRead rewrites ins's read of register from to register to. Only
@@ -336,15 +356,20 @@ func retargetDst(ins RInstr, dst, to int32) (RInstr, bool) {
 
 // definitelyAssigned computes, per pc, the bitmask of local slots that are
 // definitely assigned on entry to that pc (params at entry; intersection
-// at joins). Returns nil when the code has more than 64 locals — elision
-// then skips load forwarding rather than track wide bitsets.
-func definitelyAssigned(code *Code) []uint64 {
+// at joins), in buf when it is long enough. Returns nil when the code has
+// more than 64 locals — elision then skips load forwarding rather than
+// track wide bitsets.
+func definitelyAssigned(code *Code, buf []uint64) []uint64 {
 	if len(code.LocalNames) > 64 {
 		return nil
 	}
 	n := len(code.Ops)
 	const unknown = ^uint64(0)
-	in := make([]uint64, n)
+	in := buf[:0]
+	if cap(in) < n {
+		in = make([]uint64, n)
+	}
+	in = in[:n]
 	for i := range in {
 		in[i] = unknown // top: not yet reached
 	}
@@ -353,42 +378,43 @@ func definitelyAssigned(code *Code) []uint64 {
 		entry |= 1 << uint(i)
 	}
 	in[0] = entry
-	work := []int{0}
+	// Round-robin to the fixpoint: the sets only shrink, so the passes
+	// end, and they reach the same greatest solution a worklist would.
+	changed := true
 	propagate := func(to int, set uint64) {
 		if to < 0 || to >= n {
 			return
 		}
-		merged := set
-		if in[to] != unknown {
-			merged &= in[to]
-		}
-		if merged != in[to] {
+		if merged := set & in[to]; merged != in[to] {
 			in[to] = merged
-			work = append(work, to)
+			changed = true
 		}
 	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		set := in[pc]
-		ins := code.Ops[pc]
-		if ins.Op == OpStoreLocal {
-			set |= 1 << uint(ins.Arg)
-		}
-		arg := int(ins.Arg)
-		switch ins.Op {
-		case OpReturn:
-		case OpJump:
-			propagate(arg, set)
-		case OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep, OpJumpIfTrueKeep,
-			OpForIter:
-			propagate(arg, set)
-			propagate(pc+1, set)
-		case OpBinaryJumpIfFalse:
-			propagate(arg>>4, set)
-			propagate(pc+1, set)
-		default:
-			propagate(pc+1, set)
+	for changed {
+		changed = false
+		for pc, ins := range code.Ops {
+			set := in[pc]
+			if set == unknown {
+				continue
+			}
+			if ins.Op == OpStoreLocal {
+				set |= 1 << uint(ins.Arg)
+			}
+			arg := int(ins.Arg)
+			switch ins.Op {
+			case OpReturn:
+			case OpJump:
+				propagate(arg, set)
+			case OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep, OpJumpIfTrueKeep,
+				OpForIter:
+				propagate(arg, set)
+				propagate(pc+1, set)
+			case OpBinaryJumpIfFalse:
+				propagate(arg>>4, set)
+				propagate(pc+1, set)
+			default:
+				propagate(pc+1, set)
+			}
 		}
 	}
 	for i := range in {

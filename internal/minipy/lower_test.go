@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +86,14 @@ func TestLowerIsPCPreserving(t *testing.T) {
 	}
 }
 
+// elided returns the move-elided copy of rc, leaving rc as it was.
+func elided(rc *minipy.RCode) *minipy.RCode {
+	opt := *rc
+	opt.Ops = slices.Clone(rc.Ops)
+	minipy.ElideMoves(&opt)
+	return &opt
+}
+
 // TestElideMovesVerifies lowers every workload, runs the A9 move-elision
 // pass, and checks the result still verifies, shrinks, and keeps source-pc
 // attribution intact.
@@ -99,7 +108,7 @@ func TestElideMovesVerifies(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		for _, rc := range lowerAll(t, code) {
-			opt := minipy.ElideMoves(rc)
+			opt := elided(rc)
 			if !opt.Elided {
 				t.Fatalf("%s/%s: ElideMoves did not mark the result", b.Name, rc.Code.Name)
 			}
@@ -113,10 +122,19 @@ func TestElideMovesVerifies(t *testing.T) {
 			if err := minipy.VerifyRegister(opt); err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, rc.Code.Name, err)
 			}
+			// The kept instructions cover every reachable source pc once,
+			// in order.
+			next := 0
 			for _, ins := range opt.Ops {
-				if int(ins.Orig) >= len(rc.Code.Ops) {
-					t.Fatalf("%s/%s: Orig %d out of source range", b.Name, rc.Code.Name, ins.Orig)
+				first, last := int(ins.Orig)-int(ins.Pre), int(ins.Orig)+int(ins.Post)
+				if first != next || last >= len(rc.Code.Ops) {
+					t.Fatalf("%s/%s: covers %d-%d after %d (of %d source ops)",
+						b.Name, rc.Code.Name, first, last, next-1, len(rc.Code.Ops))
 				}
+				next = last + 1
+			}
+			if next != len(rc.Code.Ops) {
+				t.Fatalf("%s/%s: covers source pcs up to %d of %d", b.Name, rc.Code.Name, next-1, len(rc.Code.Ops))
 			}
 		}
 	}
@@ -179,7 +197,7 @@ func TestRegisterDisassembleGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, rc := range lowerAll(t, code) {
 		sb.WriteString(rc.Disassemble())
-		sb.WriteString(minipy.ElideMoves(rc).Disassemble())
+		sb.WriteString(elided(rc).Disassemble())
 	}
 	got := sb.String()
 	golden := filepath.Join("testdata", "fib.regdis.golden")

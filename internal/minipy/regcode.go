@@ -137,9 +137,17 @@ const NumROps = int(ropCount)
 // lowering, and the pre-elision pc after ElideMoves — used for every
 // pc-keyed side structure (IC arrays, attr caches, JIT trace masks, probe
 // branch sites, line attribution).
+//
+// Pre and Post record the source ops ElideMoves deleted into this
+// instruction: it covers source pcs Orig-Pre through Orig+Post, the elided
+// RLOAD_LOCAL before it and the elided RSTORE_LOCAL after it. Both are 0
+// under the 1:1 lowering. A VM that charges each covered op keeps the
+// stack program's counters while dispatching fewer instructions.
 type RInstr struct {
 	Op   ROp
 	Src  Op
+	Pre  uint8
+	Post uint8
 	A    int32
 	B    int32
 	C    int32
@@ -167,7 +175,8 @@ type RCode struct {
 }
 
 // Disassemble renders the register code (three-address operands plus the
-// source-pc column when elision changed the pc space) for debugging and
+// source-pc column when elision changed the pc space, with the source pcs
+// an instruction covers when it absorbed an elided move) for debugging and
 // byte-stable golden tests.
 func (rc *RCode) Disassemble() string {
 	var b strings.Builder
@@ -176,8 +185,12 @@ func (rc *RCode) Disassemble() string {
 		c.Name, rc.NumRegs, rc.NumLocals, rc.Elided)
 	for i, ins := range rc.Ops {
 		fmt.Fprintf(&b, "%4d  %-24s %s", i, ins.Op, rc.operands(ins))
-		if rc.Elided && int(ins.Orig) != i {
+		covers := ins.Pre != 0 || ins.Post != 0
+		if rc.Elided && (int(ins.Orig) != i || covers) {
 			fmt.Fprintf(&b, " ; src pc %d", ins.Orig)
+		}
+		if covers {
+			fmt.Fprintf(&b, " covers %d-%d", ins.Orig-int32(ins.Pre), ins.Orig+int32(ins.Post))
 		}
 		b.WriteString("\n")
 	}

@@ -53,8 +53,8 @@ func VerifyRegister(rc *RCode) error {
 		return nil
 	}
 	for pc, ins := range rc.Ops {
-		if int(ins.Orig) < 0 || int(ins.Orig) >= len(code.Ops) {
-			return fail(pc, "source pc %d out of range", ins.Orig)
+		if int(ins.Orig)-int(ins.Pre) < 0 || int(ins.Orig)+int(ins.Post) >= len(code.Ops) {
+			return fail(pc, "source pcs %d-%d out of range", int(ins.Orig)-int(ins.Pre), int(ins.Orig)+int(ins.Post))
 		}
 		arg := int(ins.Arg)
 		switch ins.Op {

@@ -57,6 +57,43 @@ func TestContextCancelStopsExecution(t *testing.T) {
 	}
 }
 
+// straddleSrc loops 16 steps per iteration on the elided stream, and its
+// prefix puts every multiple of 16 — so every multiple of
+// abortPollInterval — inside a dispatch that advances several steps: a poll
+// keyed on steps%abortPollInterval == 0 never runs in it.
+const straddleSrc = `
+def spin(n):
+    i = 1
+    t = 0
+    u = 0
+    t = -t
+    for j in range(n):
+        t = -t
+        t = t + i
+        t = t + i
+        u = 5
+    return t
+spin(100000)
+`
+
+// TestCancelStopsMultiStepDispatches: with its context cancelled before the
+// call, an unobserved interpreter stops straddleSrc at the first poll,
+// which comes as soon as the step count crosses abortPollInterval.
+func TestCancelStopsMultiStepDispatches(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("cancelled before the run")
+	cancel(cause)
+	in := New(Config{Context: ctx})
+	_, err := in.RunSource(straddleSrc)
+	var re *RuntimeError
+	if !errors.As(err, &re) || re.Kind != "AbortError" || re.Msg != cause.Error() {
+		t.Fatalf("want an AbortError carrying the cause, got %v", err)
+	}
+	if in.steps < abortPollInterval || in.steps > abortPollInterval+3 {
+		t.Fatalf("stopped at step %d, want the first poll at %d..%d", in.steps, abortPollInterval, abortPollInterval+3)
+	}
+}
+
 func TestLiveContextCleanRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

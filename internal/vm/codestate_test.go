@@ -35,8 +35,9 @@ def run(a, b):
     return total
 `
 
-// stateConfig is one way to run stateSrc: engine, executed stream, and
-// whether run() is fed ints (its sites quicken to the II forms) or floats
+// stateConfig is one way to run stateSrc: engine, whether it is ablation
+// A9 (elide; otherwise the unobserved default stream), and whether run()
+// is fed ints (its sites quicken to the II forms) or floats
 // (the FF forms).
 type stateConfig struct {
 	mode   Mode
@@ -177,7 +178,7 @@ func (r stateRun) check(c stateConfig) error {
 }
 
 // TestInterpretersQuickenOneCodeConcurrently runs one code object on many
-// interpreters at once, int-fed and float-fed, plain and move-elided,
+// interpreters at once, int-fed and float-fed, default and A9,
 // interpreter and JIT. Each must produce exactly what a lone interpreter
 // produces from its own compile of the source, quickened stream included:
 // quickening rewrites the interpreter's own lowering, so no interpreter

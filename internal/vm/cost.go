@@ -146,6 +146,60 @@ func (t *opCosts) fillIC(dispatch, divisor uint32) {
 	}
 }
 
+// icWarming flags a codeState.charge entry whose instruction is an
+// inline-cache site still counting its executions: the dispatch loop then
+// calls warm. Charges stay far below it (a covered op charges under 2^34).
+const icWarming = 1 << 63
+
+// chargeRange sums what the source ops [lo, hi) of st's code charge now:
+// the in-trace cost once a compiled trace covers the op, the specialized
+// cost once its inline-cache site is warm, and its base work plus dispatch
+// otherwise.
+func (in *Interp) chargeRange(st *codeState, lo, hi int) uint64 {
+	var sum uint64
+	for pc := lo; pc < hi; pc++ {
+		op := st.rc.Code.Ops[pc].Op
+		switch {
+		case st.jit != nil && st.jit[pc].compiled:
+			sum += in.jit.traceCost[op]
+		case st.ic != nil && icSpecializable(op) && st.ic[pc] >= in.icWarmup:
+			sum += in.icCost[op]
+		default:
+			sum += uint64(baseInstr[op] + in.cost.DispatchOverhead)
+		}
+	}
+	return sum
+}
+
+// recharge recomputes the charges of instructions [lo, hi) of st's
+// register stream from the source ops each covers, flagging an
+// inline-cache site that is still counting.
+func (in *Interp) recharge(st *codeState, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		ins := &st.rc.Ops[k]
+		o := int(ins.Orig)
+		c := in.chargeRange(st, o-int(ins.Pre), o+int(ins.Post)+1)
+		if st.ic != nil && icSpecializable(ins.Src) && st.ic[o] < in.icWarmup &&
+			(st.jit == nil || !st.jit[o].compiled) {
+			c |= icWarming
+		}
+		st.charge[k] = c
+	}
+}
+
+// warm counts one execution of the inline-cache site at instruction k,
+// which still charges its unspecialized cost, and rewrites k's charge once
+// the site is warm.
+func (in *Interp) warm(st *codeState, k int) uint64 {
+	c := st.charge[k] &^ icWarming
+	o := st.rc.Ops[k].Orig
+	st.ic[o]++
+	if st.ic[o] >= in.icWarmup {
+		in.recharge(st, k, k+1)
+	}
+	return c
+}
+
 // jitSite is the simulated JIT's bookkeeping for one source pc of one code
 // object (codeState.jit): whether the pc lies in a compiled trace, the
 // back-edge count while it is an uncompiled loop head, and its guard when

@@ -52,6 +52,10 @@ func zeroDivErr() *RuntimeError {
 	return &RuntimeError{Kind: "ZeroDivisionError", Msg: "division by zero"}
 }
 
+func budgetErr() *RuntimeError {
+	return &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted"}
+}
+
 func abortErr(format string, args ...interface{}) *RuntimeError {
 	return &RuntimeError{Kind: "AbortError", Msg: fmt.Sprintf(format, args...)}
 }

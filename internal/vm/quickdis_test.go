@@ -13,13 +13,33 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// nullTracer observes nothing, but an observed interpreter runs the plain
+// 1:1 register stream.
+type nullTracer struct{}
+
+func (nullTracer) OnEnter(*minipy.Code)                      {}
+func (nullTracer) OnExit(*minipy.Code)                       {}
+func (nullTracer) OnOp(*minipy.Code, int, minipy.Op, uint64) {}
+
 // TestQuickenedDisassemblyGolden pins the byte-exact register stream after
 // quickening: run the fib kernel on the register tier, then disassemble the
 // Interp's private op copies. The golden documents which sites quicken
-// (monomorphic int compare/sub sites become RBINARY_II) and which stay
-// generic (the call-result add), and any change to quickening policy or to
-// the disassembler's operand rendering shows up as a reviewed diff.
+// (the monomorphic int compare, subtract and add sites become RBINARY_II),
+// and any change to quickening policy or to the disassembler's operand
+// rendering shows up as a reviewed diff. The interpreter is observed, so
+// it runs the plain 1:1 stream.
 func TestQuickenedDisassemblyGolden(t *testing.T) {
+	checkQuickenedFib(t, Config{Tracer: nullTracer{}}, "fib.quickdis.golden")
+}
+
+// TestElidedQuickenedDisassemblyGolden pins the stream an unobserved
+// interpreter runs: the same kernel move-elided and quickened, each kept
+// instruction with the source pcs it covers and is charged for.
+func TestElidedQuickenedDisassemblyGolden(t *testing.T) {
+	checkQuickenedFib(t, Config{}, "fib.elided.quickdis.golden")
+}
+
+func checkQuickenedFib(t *testing.T, cfg Config, name string) {
 	const src = `
 def fib(n):
     if n < 2:
@@ -33,7 +53,7 @@ def run():
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(Config{})
+	in := New(cfg)
 	if _, err := in.RunModule(code); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +77,7 @@ def run():
 	if !bytes.Contains(got, []byte("RBINARY_II")) {
 		t.Fatalf("expected at least one quickened RBINARY_II site:\n%s", got)
 	}
-	golden := filepath.Join("testdata", "fib.quickdis.golden")
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)

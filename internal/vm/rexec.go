@@ -18,17 +18,22 @@ import (
 // were generated by the stack interpreter this engine replaced and pin
 // those streams byte for byte.
 
-// lower lowers code to this Interp's register form (move-elided under
-// ablation A9) and register-verifies it, or records the error that lowering
-// or verification returned. The Interp owns the stream, so quickening
-// rewrites it in place: no other Interp can see it, and a fresh Interp
-// always starts from the unquickened lowering.
-func (st *codeState) lower(code *minipy.Code, elide bool) {
+// lower lowers code to the register stream s and register-verifies it,
+// or records the error that lowering or verification returned. The Interp
+// owns the stream, so quickening rewrites it in place: no other Interp can
+// see it, and a fresh Interp always starts from the unquickened lowering.
+func (st *codeState) lower(code *minipy.Code, s stream) {
 	var err error
 	st.rc, err = minipy.LowerToRegister(code)
 	if err == nil {
-		if elide {
-			st.rc = *minipy.ElideMoves(&st.rc)
+		if s != streamPlain {
+			minipy.ElideMoves(&st.rc)
+		}
+		if s == streamA9 {
+			// A9 charges only the instructions it executes.
+			for i := range st.rc.Ops {
+				st.rc.Ops[i].Pre, st.rc.Ops[i].Post = 0, 0
+			}
 		}
 		// Trust-but-verify: a lowering bug must surface as an error,
 		// never execute unchecked.
@@ -264,9 +269,11 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 // regLoop is the dispatch loop: every simulated instruction passes through
 // here, so it must stay free of allocation-prone stdlib calls. Every
 // pc-keyed side structure (ic, attr cache, JIT mask, branch sites, line
-// attribution) is indexed by RInstr.Orig — the source stack pc — and every
-// op charges baseInstr[RInstr.Src], so the simulated stream is the stack
-// program's stream.
+// attribution) is indexed by RInstr.Orig — the source stack pc — and each
+// dispatch adds the precomputed charge of every source op the instruction
+// covers (codeState.charge) and one step per covered op, so the simulated
+// stream is the stack program's on the plain and on the move-elided
+// stream alike (DESIGN §16).
 //
 // The simulated counters (steps/instrs/cycles) are accumulated in local
 // variables so the hot path runs register-to-register instead of doing
@@ -275,7 +282,14 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 // observe or mutate them: probe and tracer hooks, nested calls, the JIT
 // back-edge hook, the value hook, and every helper that reaches memAccess
 // while a probe is attached. Counter values at each observation point are
-// therefore those of the unhoisted form.
+// therefore those of the unhoisted form: a nested call does not see the
+// elided store after it, and a raising instruction is not charged for it.
+//
+// The step budget and the abort poll share one test per dispatch against
+// limit. A dispatch that crosses the budget counts exactly the covered ops
+// that fit, as the plain stream would; the poll runs once the step count
+// crosses a multiple of abortPollInterval, however many steps a dispatch
+// adds.
 // benchlint:hotpath
 func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
@@ -283,8 +297,10 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		ret      rslot
 		errv     error
 		pc       int
+		ins      minipy.RInstr
 		rc       = &st.rc
 		ops      = rc.Ops // this Interp's own stream, quickened in place
+		charge   = st.charge
 		rconsts  = st.rconsts
 		names    = code.Names
 		L        = rc.NumLocals
@@ -295,63 +311,65 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		sites    = st.jit // per-pc JIT bookkeeping; nil outside ModeJIT
 		cancel   = in.cancel
 		maxSteps = in.maxSteps
-		dispatch = in.cost.DispatchOverhead
-		icWarmup = in.icWarmup
-		icCost   = in.icCost
 		gcache   = st.globals
 		acache   = st.attrs
-		ic       = st.ic
 		// Hoisted simulated counters (see above).
 		steps     = in.steps
 		instrsTot = in.instrs
 		cyclesTot = in.cycles
+		limit     = in.stepLimit(steps)
 		frameBase = uint64(0x8000) + uint64(in.depth)*512
 	)
 
-	var traceCost *opCosts
 	var opPC int
 	// Boxed shadow stack, materialized per op only for ValueTracer
 	// observers (the soundness checker); nil tracers pay nothing.
 	var vstack []minipy.Value
-	if jit != nil {
-		traceCost = &jit.traceCost
-	}
 	if vtracer != nil {
 		vstack = make([]minipy.Value, 0, rc.NumRegs-L)
 	}
 
 	for {
-		steps++
-		if steps > maxSteps {
-			errv = &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted"}
-			goto done
-		}
-		if cancel != nil && steps%abortPollInterval == 0 {
-			select {
-			case <-cancel:
-				errv = abortErr("%s", context.Cause(in.cfg.Context).Error())
-				goto done
-			default:
-			}
-		}
-		ins := ops[pc]
-		op := ins.Src
+		ins = ops[pc]
 		opc := int(ins.Orig)
-
-		// ---- Cost accounting (keyed by the source stack op and pc) ----
-		// Frames of one code object share its sites, so a trace compiled
-		// in a recursive activation is seen here on the next op.
-		instrs := uint64(baseInstr[op] + dispatch)
-		inTrace := sites != nil && sites[opc].compiled
-		if inTrace {
-			instrs = traceCost[op]
-		}
-		if ic != nil && !inTrace && icSpecializable(op) {
-			if c := ic[opc]; c >= icWarmup {
-				instrs = icCost[op]
-			} else {
-				ic[opc] = c + 1
+		steps += 1 + uint64(ins.Pre) + uint64(ins.Post)
+		if steps > limit {
+			if steps > maxSteps {
+				// The budget ends inside this dispatch. fit covered ops
+				// fit under it: charge them, in source order, and stop.
+				// When the kept op itself fits, only its elided store does
+				// not: run the op without the store, so the next dispatch
+				// (or the nested call's first) stops with the counters the
+				// plain stream stops with.
+				fit := maxSteps - (steps - 1 - uint64(ins.Pre) - uint64(ins.Post))
+				if fit <= uint64(ins.Pre) {
+					c := in.chargeRange(st, opc-int(ins.Pre), opc-int(ins.Pre)+int(fit))
+					steps, instrsTot, cyclesTot = maxSteps+1, instrsTot+c, cyclesTot+c
+					errv = budgetErr()
+					goto stop
+				}
+				c := in.chargeRange(st, opc+1, opc+1+int(ins.Post))
+				steps, instrsTot, cyclesTot = maxSteps, instrsTot-c, cyclesTot-c
+				ins.Post = 0
 			}
+			if cancel != nil {
+				select {
+				case <-cancel:
+					errv = abortErr("%s", context.Cause(in.cfg.Context).Error())
+					goto stop
+				default:
+				}
+			}
+			limit = in.stepLimit(steps)
+		}
+		op := ins.Src
+
+		// ---- Cost accounting (precomputed per instruction) ----
+		// Frames of one code object share its charges, so a trace compiled
+		// in a recursive activation is charged here on the next op.
+		instrs := charge[pc]
+		if instrs >= icWarming {
+			instrs = in.warm(st, pc)
 		}
 		instrsTot += instrs
 		cyclesTot += instrs
@@ -551,9 +569,15 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			pc++
 		case minipy.RopJump:
 			target := int(ins.Arg)
-			if jit != nil && ops[target].Orig <= ins.Orig {
+			// The loop head is the first source op the target covers.
+			if head := ops[target].Orig - int32(ops[target].Pre); jit != nil &&
+				head <= ins.Orig && !sites[head].compiled {
 				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				pause := jit.onBackEdge(sites, ins.Orig, ops[target].Orig)
+				pause := jit.onBackEdge(sites, ins.Orig, head)
+				if sites[head].compiled {
+					// The trace covers exactly instructions target..pc.
+					in.recharge(st, target, pc+1)
+				}
 				if pause > 0 {
 					in.cycles += pause
 					in.jitPauses += pause
@@ -562,6 +586,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			}
 			pc = target
 		case minipy.RopJumpIfFalse, minipy.RopJumpIfTrue:
+			inTrace := sites != nil && sites[opc].compiled
 			cond := rtruth(&regs[ins.A])
 			taken := (ins.Op == minipy.RopJumpIfFalse && !cond) ||
 				(ins.Op == minipy.RopJumpIfTrue && cond)
@@ -576,6 +601,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 				pc++
 			}
 		case minipy.RopJumpIfFalseKeep, minipy.RopJumpIfTrueKeep:
+			inTrace := sites != nil && sites[opc].compiled
 			cond := rtruth(&regs[ins.A])
 			taken := (ins.Op == minipy.RopJumpIfFalseKeep && !cond) ||
 				(ins.Op == minipy.RopJumpIfTrueKeep && cond)
@@ -599,8 +625,13 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 					flushCall = true
 				}
 			}
+			var stored uint64 // what the elided store after the call charges
 			if flushCall {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
+				// The callee runs before the store it returns into.
+				if ins.Post != 0 {
+					stored = in.chargeRange(st, opc+1, opc+1+int(ins.Post))
+				}
+				in.steps, in.instrs, in.cycles = steps-uint64(ins.Post), instrsTot-stored, cyclesTot-stored
 			}
 			var callRet rslot
 			var err error
@@ -622,11 +653,22 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 				callRet = runbox(v)
 			}
 			if flushCall {
-				steps, instrsTot, cyclesTot = in.steps, in.instrs, in.cycles
+				// A trace the callee compiled may cover the store.
+				if ins.Post != 0 {
+					stored = in.chargeRange(st, opc+1, opc+1+int(ins.Post))
+				}
+				steps, instrsTot, cyclesTot = in.steps+uint64(ins.Post), in.instrs+stored, in.cycles+stored
 			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
+			}
+			if steps > maxSteps {
+				// The callee spent the budget: the store it returns into
+				// finds it exhausted.
+				steps, instrsTot, cyclesTot = maxSteps+1, instrsTot-stored, cyclesTot-stored
+				errv = budgetErr()
+				goto stop
 			}
 			regs[ins.B] = callRet
 			pc++
@@ -753,6 +795,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			regs[ins.A] = rslot{ref: it, tag: tagRef}
 			pc++
 		case minipy.RopForIter, minipy.RopForIterRange:
+			inTrace := sites != nil && sites[opc].compiled
 			if r, ok := regs[ins.A].ref.(*rangeIter); ok {
 				if ins.Op == minipy.RopForIter {
 					ops[pc].Op = minipy.RopForIterRange
@@ -862,6 +905,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			regs[ins.A+1] = rconsts[ins.Arg>>12]
 			pc++
 		case minipy.RopBinaryJumpIfFalse, minipy.RopBinaryJumpIfFalseII:
+			inTrace := sites != nil && sites[opc].compiled
 			bop := minipy.BinOpCode(ins.Arg & 0xF)
 			a, b := regs[ins.A], regs[ins.B]
 			var tmp rslot
@@ -912,8 +956,24 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 	}
 
 done:
+	if errv != nil && ins.Post != 0 {
+		// The kept op raised, so the store it absorbed never ran.
+		c := in.chargeRange(st, int(ins.Orig)+1, int(ins.Orig)+1+int(ins.Post))
+		steps, instrsTot, cyclesTot = steps-uint64(ins.Post), instrsTot-c, cyclesTot-c
+	}
+stop:
 	in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 	return ret, errv
+}
+
+// stepLimit is the largest step count regLoop reaches before its slow
+// path: the budget, or with a cancellable Context the last step before the
+// next multiple of abortPollInterval.
+func (in *Interp) stepLimit(steps uint64) uint64 {
+	if in.cancel == nil {
+		return in.maxSteps
+	}
+	return min(in.maxSteps, steps|(abortPollInterval-1))
 }
 
 // DisassembleQuickened renders this Interp's current register stream for

@@ -27,10 +27,11 @@ func (m Mode) String() string {
 }
 
 // ParseVM parses the VM option shared by harness.Options.VM,
-// controlapi.CampaignSpec.VM and pybench -vm: "" or "reg" runs the default
-// register stream, and "reg-elide" runs it with the stream-changing
-// move-elision pass (ablation A9), a distinct experiment arm because it
-// executes fewer simulated ops. It returns the Config.RegElide setting.
+// controlapi.CampaignSpec.VM and pybench -vm: "" or "reg" simulates the
+// stack program, and "reg-elide" charges only the instructions the
+// move-elided stream executes (ablation A9), a distinct experiment arm
+// because it counts fewer simulated ops. It returns the Config.RegElide
+// setting.
 func ParseVM(s string) (regElide bool, err error) {
 	switch s {
 	case "", "reg":
@@ -44,10 +45,13 @@ func ParseVM(s string) (regElide bool, err error) {
 // Config configures one VM invocation.
 type Config struct {
 	Mode Mode
-	// RegElide enables the stream-changing register move-elision pass
-	// (ablation A9). It changes the executed instruction stream — and
-	// therefore the simulated counters — so it is opt-in and excluded from
-	// the committed goldens.
+	// RegElide selects ablation A9: the move-elided register stream
+	// charging only the instructions it executes. It changes the simulated
+	// counters, so it is opt-in and excluded from the committed goldens.
+	// Without it, an interpreter with no Probe or Tracer runs the same
+	// stream but charges each elided move to the instruction that absorbed
+	// it, and an observed one runs the 1:1 lowering (DESIGN §16); both
+	// simulate the stack program bit for bit.
 	RegElide bool
 	// Cost overrides the cost model; zero value means DefaultCostParams.
 	Cost CostParams
@@ -61,21 +65,23 @@ type Config struct {
 	Tracer Tracer
 	// Out receives print() output. Defaults to io.Discard.
 	Out io.Writer
-	// MaxSteps bounds executed bytecode ops per Run/Call (0 = 2^62).
+	// MaxSteps bounds the bytecode ops the interpreter executes, over
+	// RunModule and every later call together (0 = 2^62).
 	MaxSteps uint64
 	// MaxDepth bounds call nesting. Defaults to 4096.
 	MaxDepth int
-	// Context, when its Done channel is non-nil, is polled every
-	// abortPollInterval executed ops; once it is done, execution aborts
-	// with an AbortError carrying context.Cause. This is the supervisor's
-	// hook for wall-clock budgets and external cancellation — the VM
-	// itself stays free of time sources so simulations remain
-	// deterministic. A context that cannot be cancelled is never polled.
+	// Context, when its Done channel is non-nil, is polled whenever the
+	// step count crosses a multiple of abortPollInterval; once it is done,
+	// execution aborts with an AbortError carrying context.Cause. This is
+	// the supervisor's hook for wall-clock budgets and external
+	// cancellation — the VM itself stays free of time sources so
+	// simulations remain deterministic. A context that cannot be cancelled
+	// is never polled.
 	Context context.Context
 }
 
 // abortPollInterval is how often (in executed ops) Context is polled.
-// Power of two so the check compiles to a mask test on the hot path.
+// Power of two, so the next poll threshold is a mask away.
 const abortPollInterval = 1024
 
 // Counters is a snapshot of the engine's execution accounting.
@@ -155,10 +161,27 @@ type Interp struct {
 	// host-level optimization — simulated Allocations only counts alloc().
 	localsPool [][]minipy.Value
 
-	// The A9 move-elision flag and the register-file pool.
-	regElide bool
+	// The register stream this Interp runs, and the register-file pool.
+	stream   stream
 	regArena regArena
 }
+
+// stream is the register stream an Interp runs (DESIGN §16). It follows
+// only from Config.RegElide and the observers.
+type stream uint8
+
+const (
+	// streamElided is the move-elided stream, each kept instruction
+	// charged for every source op it covers: the stack program's counters
+	// at fewer dispatches. Every unobserved interpreter runs it.
+	streamElided stream = iota
+	// streamPlain is the 1:1 lowering: a Probe or Tracer sees every source
+	// op, with its own memory accesses and operand stack.
+	streamPlain
+	// streamA9 is the move-elided stream charging only the instructions it
+	// executes (ablation A9).
+	streamA9
+)
 
 // codeState is the per-invocation interpreter state of one code object:
 // the probe's site id, the simulated inline-cache counters, the JIT's per-pc
@@ -185,6 +208,11 @@ type codeState struct {
 	rc      minipy.RCode
 	rconsts []rslot
 	err     error
+	// charge is what each instruction of rc charges when it dispatches:
+	// the sum over the source ops it covers, rewritten when a trace
+	// compiles over it or its inline-cache site warms (icWarming marks a
+	// site still counting).
+	charge []uint64
 }
 
 // gslot is a monomorphic global-load cache entry: the value the name
@@ -222,7 +250,11 @@ func (in *Interp) state(code *minipy.Code) (*codeState, error) {
 			}
 		}
 		in.codeStates[code] = st
-		st.lower(code, in.regElide)
+		st.lower(code, in.stream)
+		if st.err == nil {
+			st.charge = make([]uint64, len(st.rc.Ops))
+			in.recharge(st, 0, len(st.charge))
+		}
 	}
 	if st.err != nil {
 		return nil, st.err
@@ -289,7 +321,12 @@ func New(cfg Config) *Interp {
 		allocAddr: 0x10000, // leave a synthetic "low memory" hole
 		gver:      1,       // 0 means "never cached" in gslot entries
 		aepoch:    1,
-		regElide:  cfg.RegElide,
+	}
+	switch {
+	case cfg.RegElide:
+		in.stream = streamA9
+	case cfg.Probe != nil || cfg.Tracer != nil:
+		in.stream = streamPlain
 	}
 	if vt, ok := cfg.Tracer.(ValueTracer); ok {
 		in.vtracer = vt

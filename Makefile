@@ -9,7 +9,7 @@ DAEMONDIR ?= .daemon-smoke
 GATE_BENCH = fib
 GATE_FLAGS = -bench $(GATE_BENCH) -invocations 6 -iterations 10 -seed 42 -noise quiet -json
 
-.PHONY: all build test lint verify bench bench-smoke bench-gate bench-go bench-go-baseline chaos-soak daemon-smoke perfbench-check clean
+.PHONY: all build test lint verify pins bench bench-smoke bench-gate bench-go bench-go-baseline chaos-soak daemon-smoke perfbench-check clean
 
 # Pinned configuration of the wall-clock VM microbenchmarks. BENCH_vm.json
 # is the committed register-tier baseline; bench-go compares a fresh run
@@ -51,6 +51,30 @@ lint:
 # under the race detector (the harness and supervisor are concurrent).
 verify: lint
 	$(GO) test -race ./...
+
+# pins checks that three commands print their committed bytes: the full
+# rigorous suite comparison (16 programs, interp vs JIT, 10x30 each), Figure
+# 3, which runs the same pairs (core.Engine.RunPair), and every table and
+# figure at 2x2, twice on one -resume directory, so that the second pass
+# resumes every run. Each experiment simulates once and replays the noise,
+# so this takes under a minute. The outputs stay in $(PINDIR) when a hash
+# differs.
+PINDIR ?= .pins
+PIN_SUITE = 7e11333decc3ff24e6b110578c1261ca4f870056f435e10f2551e40ca185dacb
+PIN_F3 = be3cfd05a406ba32d1c5f6c190763be664716d1091caf40a43ca7d23b3b5c650
+PIN_ALL = e6e76c4dbc05e877dd32a2767a161c1c798b3ee1407dea341a0f326cb758d1b3
+PIN_ALL_FLAGS = -exp all -invocations 2 -iterations 2 -trials 20 -resume $(PINDIR)/resume
+
+pins:
+	rm -rf $(PINDIR) && mkdir -p $(PINDIR)
+	$(GO) build -o $(PINDIR)/pybench ./cmd/pybench
+	$(PINDIR)/pybench -suite > $(PINDIR)/suite.txt
+	$(PINDIR)/pybench -exp F3 > $(PINDIR)/f3.txt
+	$(PINDIR)/pybench $(PIN_ALL_FLAGS) > $(PINDIR)/all.txt
+	$(PINDIR)/pybench $(PIN_ALL_FLAGS) > $(PINDIR)/all-resumed.txt
+	printf '%s  %s\n' $(PIN_SUITE) suite.txt $(PIN_F3) f3.txt \
+		$(PIN_ALL) all.txt $(PIN_ALL) all-resumed.txt | (cd $(PINDIR) && sha256sum --strict -c -)
+	rm -rf $(PINDIR)
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -149,5 +173,5 @@ chaos-soak:
 # when it keeps failure artifacts.
 clean:
 	$(GO) clean ./...
-	rm -rf $(SMOKEDIR) $(GATEDIR) $(DAEMONDIR) .pybenchd
+	rm -rf $(SMOKEDIR) $(GATEDIR) $(DAEMONDIR) $(PINDIR) .pybenchd
 	rm -rf .smoke-* .race-artifacts .gate-artifacts

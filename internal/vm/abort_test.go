@@ -3,7 +3,6 @@ package vm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/minipy"
@@ -47,9 +46,6 @@ func TestContextCancelStopsExecution(t *testing.T) {
 	var re *RuntimeError
 	if !errors.As(err, &re) || re.Kind != "AbortError" || re.Msg != cause.Error() {
 		t.Fatalf("want an AbortError carrying the cause, got %v", err)
-	}
-	if !IsBudgetError(err) {
-		t.Fatal("AbortError must classify as a budget error")
 	}
 	// The abort fires within one poll interval of the cancel.
 	if in.steps <= at || in.steps > at+abortPollInterval {
@@ -107,25 +103,5 @@ func TestLiveContextCleanRun(t *testing.T) {
 	// A context that can never end is not polled at all.
 	if in := New(Config{Context: context.Background()}); in.cancel != nil {
 		t.Fatal("an uncancellable context must leave the poll off")
-	}
-}
-
-func TestIsBudgetErrorClassification(t *testing.T) {
-	in := New(Config{MaxSteps: 100})
-	_, err := in.RunSource(loopSrc)
-	if err == nil {
-		t.Fatal("step budget must trip")
-	}
-	if !IsBudgetError(err) {
-		t.Fatalf("step-budget error must classify as budget: %v", err)
-	}
-	if IsBudgetError(typeErr("not a budget problem")) {
-		t.Fatal("TypeError must not classify as budget")
-	}
-	if IsBudgetError(fmt.Errorf("plain error")) {
-		t.Fatal("non-RuntimeError must not classify as budget")
-	}
-	if IsBudgetError(fmt.Errorf("wrapped: %w", abortErr("x"))) != true {
-		t.Fatal("wrapped AbortError must classify as budget")
 	}
 }

@@ -183,11 +183,82 @@ func TestElidedStreamBudgetIsExact(t *testing.T) {
 	}
 }
 
+// nthOp is a Tracer that notes the source line of the n-th op it sees.
+type nthOp struct {
+	observer
+	n, seen uint64
+	line    int32
+}
+
+func (o *nthOp) OnOp(code *minipy.Code, pc int, _ minipy.Op, _ uint64) {
+	if o.seen++; o.seen == o.n {
+		o.line = code.Lines[pc]
+	}
+}
+
+// budgetErrText is how a run stopped at step budget cfg.MaxSteps ends: with
+// the step-budget error naming the line of the op that ran out, the
+// (MaxSteps+1)-th op of the plain stream (no line when that op has none),
+// or, when the program ends first, as it ends without a budget.
+func budgetErrText(code *minipy.Code, cfg vm.Config, calls int) string {
+	at := &nthOp{n: cfg.MaxSteps + 1}
+	cfg.MaxSteps, cfg.Tracer = at.n, at
+	r := simulate(code, cfg, false, calls)
+	if at.seen < at.n {
+		return r.Err
+	}
+	return (&vm.RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted", Line: int(at.line)}).Error()
+}
+
+// TestBudgetErrorNamesTheOp stops both streams at every step budget of the
+// budgetSources programs: the error must name the line of the op that ran
+// out, wherever the budget ends — in a callee, at the store a call returns
+// into, at an elided load or store, or in module code. The compiler gives
+// every op a line but the module's implicit return; a callee stripped of
+// its lines must stop with none, not with the line of the call that led
+// there.
+func TestBudgetErrorNamesTheOp(t *testing.T) {
+	codes := map[string]*minipy.Code{}
+	for name, src := range budgetSources {
+		code, err := minipy.CompileSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[name] = code
+	}
+	code, err := minipy.CompileSource("def h(n):\n    return n + 1\n\ndef run():\n    return h(1)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range code.Consts {
+		if c, ok := k.(*minipy.Code); ok && c.Name == "h" {
+			clear(c.Lines)
+		}
+	}
+	codes["lineless callee"] = code
+	for name, code := range codes {
+		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
+			cfg := vm.Config{Mode: mode}
+			total := simulate(code, cfg, true, 1).Final.Steps
+			for budget := uint64(1); budget <= total; budget++ {
+				cfg.MaxSteps = budget
+				want := budgetErrText(code, cfg, 1)
+				for _, plain := range []bool{true, false} {
+					if got := simulate(code, cfg, plain, 1).Err; got != want {
+						t.Errorf("%s/%v/budget %d of %d, plain=%v: got %q, want %q",
+							name, mode, budget, total, plain, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzElidedStream holds the elided stream to the plain one on generated
 // programs (or, with seed 0, the inventory programs) at any opt level,
 // engine, dispatch overhead, JIT threshold, compile cost, inline-cache
-// model and step budget; the A9 stream must run the same input without
-// panicking.
+// model and step budget, and a budget error to the op that ran out; the
+// A9 stream must run the same input without panicking.
 func FuzzElidedStream(f *testing.F) {
 	benches := append(workloads.Suite(), workloads.Extended()...)
 	for i := range benches {
@@ -229,6 +300,9 @@ func FuzzElidedStream(f *testing.F) {
 		want := simulate(code, cfg, true, calls)
 		if got := simulate(code, cfg, false, calls); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the elided stream ran\n%+v\nthe plain stream\n%+v\n%s", describe(cfg), got, want, src)
+		}
+		if text := budgetErrText(code, cfg, calls); want.Err != text {
+			t.Fatalf("%s: both streams stopped with %q, want %q\n%s", describe(cfg), want.Err, text, src)
 		}
 		cfg.RegElide = true
 		simulate(code, cfg, false, calls)

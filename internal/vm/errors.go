@@ -5,10 +5,7 @@
 // benchmarking methodology measures.
 package vm
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // RuntimeError is a MiniPy-level execution error (TypeError, IndexError...).
 type RuntimeError struct {
@@ -52,22 +49,13 @@ func zeroDivErr() *RuntimeError {
 	return &RuntimeError{Kind: "ZeroDivisionError", Msg: "division by zero"}
 }
 
-func budgetErr() *RuntimeError {
-	return &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted"}
+// budgetErr is the step-budget error for an op on line, the first op the
+// budget did not cover. The line is final: failAt never stamps a budget
+// error, so a line of 0 stays none.
+func budgetErr(line int32) *RuntimeError {
+	return &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted", Line: int(line)}
 }
 
 func abortErr(format string, args ...interface{}) *RuntimeError {
 	return &RuntimeError{Kind: "AbortError", Msg: fmt.Sprintf(format, args...)}
-}
-
-// IsBudgetError reports whether err is a resource-budget violation: the
-// step-budget guard ("TimeoutError") or an abort on a done Config.Context
-// ("AbortError"). The harness supervisor uses this to classify an
-// invocation as hung rather than wrong.
-func IsBudgetError(err error) bool {
-	var re *RuntimeError
-	if !errors.As(err, &re) {
-		return false
-	}
-	return re.Kind == "TimeoutError" || re.Kind == "AbortError"
 }

@@ -4,9 +4,10 @@ import (
 	"repro/internal/minipy"
 )
 
-// failAt decorates a runtime error with the source line of the faulting pc.
+// failAt decorates a runtime error with the source line of the faulting pc,
+// unless it is a step-budget error, which names its own op (budgetErr).
 func (in *Interp) failAt(code *minipy.Code, pc int, err error) error {
-	if re, ok := err.(*RuntimeError); ok && re.Line == 0 {
+	if re, ok := err.(*RuntimeError); ok && re.Line == 0 && re.Kind != "TimeoutError" {
 		re.Line = int(code.Lines[pc])
 	}
 	return err
@@ -41,16 +42,10 @@ func (in *Interp) buildClass(seg []minipy.Value, n int) (minipy.Value, error) {
 // benchlint:hotpath
 func (in *Interp) branchEvent(st *codeState, pc int, taken, inTrace bool) {
 	if in.probe != nil {
-		stall := in.probe.OnBranch(st.id|uint64(pc), taken)
-		in.stalls += stall
-		in.cycles += stall
+		in.stalls += in.probe.OnBranch(st.id|uint64(pc), taken)
 	}
 	if inTrace {
-		pause := in.jit.onGuard(st.jit, int32(pc), taken)
-		if pause > 0 {
-			in.cycles += pause
-			in.jitPauses += pause
-		}
+		in.jitPauses += in.jit.onGuard(st.jit, int32(pc), taken)
 	}
 }
 

@@ -275,21 +275,22 @@ func (in *Interp) regIndexGet(a, b, dst *rslot) (bool, error) {
 // stream is the stack program's on the plain and on the move-elided
 // stream alike (DESIGN §16).
 //
-// The simulated counters (steps/instrs/cycles) are accumulated in local
-// variables so the hot path runs register-to-register instead of doing
-// three pointer-chasing read-modify-writes per op. The locals are flushed
-// to the Interp fields before — and reloaded after — every call that can
-// observe or mutate them: probe and tracer hooks, nested calls, the JIT
-// back-edge hook, the value hook, and every helper that reaches memAccess
-// while a probe is attached. Counter values at each observation point are
-// therefore those of the unhoisted form: a nested call does not see the
-// elided store after it, and a raising instruction is not charged for it.
+// The step and instruction counts are accumulated in local variables so
+// the hot path runs register-to-register. Stalls and JIT pauses go straight
+// to the Interp, and cycles are their sum with the instructions
+// (CountersSnapshot), so only the two locals need syncing: they are written
+// back before a nested frame runs (a call of a Function, BoundMethod or
+// Class), before a Tracer or ValueTracer hook and at stop, and read back
+// only after a nested frame, the one callee that reads and writes them.
+// Counter values at each observation point are therefore those of the
+// unhoisted form: a nested call does not see the elided store after it,
+// and a raising instruction is not charged for it.
 //
 // The step budget and the abort poll share one test per dispatch against
 // limit. A dispatch that crosses the budget counts exactly the covered ops
-// that fit, as the plain stream would; the poll runs once the step count
-// crosses a multiple of abortPollInterval, however many steps a dispatch
-// adds.
+// that fit, as the plain stream would, and its error names the line of the
+// first op that does not; the poll runs once the step count crosses a
+// multiple of abortPollInterval, however many steps a dispatch adds.
 // benchlint:hotpath
 func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 	regs []rslot, cells []*minipy.Cell) (rslot, error) {
@@ -316,12 +317,10 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		// Hoisted simulated counters (see above).
 		steps     = in.steps
 		instrsTot = in.instrs
-		cyclesTot = in.cycles
 		limit     = in.stepLimit(steps)
 		frameBase = uint64(0x8000) + uint64(in.depth)*512
 	)
 
-	var opPC int
 	// Boxed shadow stack, materialized per op only for ValueTracer
 	// observers (the soundness checker); nil tracers pay nothing.
 	var vstack []minipy.Value
@@ -336,21 +335,25 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		if steps > limit {
 			if steps > maxSteps {
 				// The budget ends inside this dispatch. fit covered ops
-				// fit under it: charge them, in source order, and stop.
-				// When the kept op itself fits, only its elided store does
-				// not: run the op without the store, so the next dispatch
-				// (or the nested call's first) stops with the counters the
-				// plain stream stops with.
+				// fit under it: charge them, in source order, and stop at
+				// the next. When the kept op itself fits, only its elided
+				// store does not: run the op without the store, so the
+				// next dispatch (or the nested call's first) stops with the
+				// counters the plain stream stops with. Unless the op
+				// raises or its callee runs out first, that stop names the
+				// store, which errv holds until then.
 				fit := maxSteps - (steps - 1 - uint64(ins.Pre) - uint64(ins.Post))
 				if fit <= uint64(ins.Pre) {
-					c := in.chargeRange(st, opc-int(ins.Pre), opc-int(ins.Pre)+int(fit))
-					steps, instrsTot, cyclesTot = maxSteps+1, instrsTot+c, cyclesTot+c
-					errv = budgetErr()
+					first := opc - int(ins.Pre)
+					steps, instrsTot = maxSteps+1, instrsTot+in.chargeRange(st, first, first+int(fit))
+					if errv == nil {
+						errv = budgetErr(code.Lines[first+int(fit)])
+					}
 					goto stop
 				}
-				c := in.chargeRange(st, opc+1, opc+1+int(ins.Post))
-				steps, instrsTot, cyclesTot = maxSteps, instrsTot-c, cyclesTot-c
+				steps, instrsTot = maxSteps, instrsTot-in.chargeRange(st, opc+1, opc+1+int(ins.Post))
 				ins.Post = 0
+				errv = budgetErr(code.Lines[opc+1])
 			}
 			if cancel != nil {
 				select {
@@ -372,21 +375,12 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			instrs = in.warm(st, pc)
 		}
 		instrsTot += instrs
-		cyclesTot += instrs
 		if probe != nil {
-			in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			stall := probe.OnOp(op, instrs)
-			in.stalls += stall
-			in.cycles += stall
-			instrsTot, cyclesTot = in.instrs, in.cycles
+			in.stalls += probe.OnOp(op, instrs)
 		}
 		if tracer != nil {
-			in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
+			in.steps, in.instrs = steps, instrsTot
 			tracer.OnOp(code, opc, op, instrs)
-			steps, instrsTot, cyclesTot = in.steps, in.instrs, in.cycles
-		}
-		if vtracer != nil {
-			opPC = opc
 		}
 
 		switch ins.Op {
@@ -397,9 +391,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			pc++
 		case minipy.RopLoadLocal:
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+uint64(ins.Arg)*8, false)
-				cyclesTot = in.cycles
 			}
 			src := &regs[ins.B]
 			if src.tag == tagEmpty {
@@ -411,18 +403,14 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			pc++
 		case minipy.RopStoreLocal:
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+uint64(ins.A)*8, true)
-				cyclesTot = in.cycles
 			}
 			regs[ins.A] = regs[ins.B]
 			pc++
 		case minipy.RopLoadGlobal:
 			name := names[ins.Arg]
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(0x4000+nameHash(name)%1024*8, false)
-				cyclesTot = in.cycles
 			}
 			var v minipy.Value
 			if s := &gcache[ins.Arg]; s.ver == in.gver {
@@ -444,9 +432,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		case minipy.RopStoreGlobal:
 			name := names[ins.Arg]
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(0x4000+nameHash(name)%1024*8, true)
-				cyclesTot = in.cycles
 			}
 			v := rbox(&regs[ins.A])
 			in.Globals[name] = v
@@ -456,9 +442,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		case minipy.RopLoadCell:
 			c := cells[ins.Arg]
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+256+uint64(ins.Arg)*8, false)
-				cyclesTot = in.cycles
 			}
 			if c.V == nil {
 				errv = in.failAt(code, opc, nameErr("free variable referenced before assignment"))
@@ -468,9 +452,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			pc++
 		case minipy.RopStoreCell:
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+256+uint64(ins.Arg)*8, true)
-				cyclesTot = in.cycles
 			}
 			cells[ins.Arg].V = rbox(&regs[ins.A])
 			pc++
@@ -478,9 +460,6 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			regs[ins.A] = rslot{ref: cells[ins.Arg], tag: tagRef}
 			pc++
 		case minipy.RopLoadAttr:
-			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			}
 			target := rbox(&regs[ins.A])
 			var v minipy.Value
 			var err error
@@ -489,9 +468,6 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			} else {
 				v, err = in.getAttr(target, names[ins.Arg])
 			}
-			if probe != nil {
-				cyclesTot = in.cycles
-			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
@@ -499,13 +475,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			rsetVal(&regs[ins.B], v)
 			pc++
 		case minipy.RopStoreAttr:
-			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			}
 			err := in.setAttr(rbox(&regs[ins.A]), names[ins.Arg], rbox(&regs[ins.B]))
-			if probe != nil {
-				cyclesTot = in.cycles
-			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
@@ -572,17 +542,11 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			// The loop head is the first source op the target covers.
 			if head := ops[target].Orig - int32(ops[target].Pre); jit != nil &&
 				head <= ins.Orig && !sites[head].compiled {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-				pause := jit.onBackEdge(sites, ins.Orig, head)
+				in.jitPauses += jit.onBackEdge(sites, ins.Orig, head)
 				if sites[head].compiled {
 					// The trace covers exactly instructions target..pc.
 					in.recharge(st, target, pc+1)
 				}
-				if pause > 0 {
-					in.cycles += pause
-					in.jitPauses += pause
-				}
-				cyclesTot = in.cycles
 			}
 			pc = target
 		case minipy.RopJumpIfFalse, minipy.RopJumpIfTrue:
@@ -591,9 +555,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			taken := (ins.Op == minipy.RopJumpIfFalse && !cond) ||
 				(ins.Op == minipy.RopJumpIfTrue && cond)
 			if probe != nil || inTrace {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.branchEvent(st, opc, taken, inTrace)
-				cyclesTot = in.cycles
 			}
 			if taken {
 				pc = int(ins.Arg)
@@ -606,9 +568,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			taken := (ins.Op == minipy.RopJumpIfFalseKeep && !cond) ||
 				(ins.Op == minipy.RopJumpIfTrueKeep && cond)
 			if probe != nil || inTrace {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.branchEvent(st, opc, taken, inTrace)
-				cyclesTot = in.cycles
 			}
 			if taken {
 				pc = int(ins.Arg)
@@ -618,20 +578,18 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		case minipy.RopCall:
 			n := int(ins.Arg)
 			callee := rbox(&regs[ins.A])
-			flushCall := probe != nil
-			if !flushCall {
-				switch callee.(type) {
-				case *minipy.Function, *minipy.BoundMethod, *minipy.Class:
-					flushCall = true
-				}
+			var nested bool // the callee runs a frame
+			switch callee.(type) {
+			case *minipy.Function, *minipy.BoundMethod, *minipy.Class:
+				nested = true
 			}
 			var stored uint64 // what the elided store after the call charges
-			if flushCall {
+			if nested {
 				// The callee runs before the store it returns into.
 				if ins.Post != 0 {
 					stored = in.chargeRange(st, opc+1, opc+1+int(ins.Post))
 				}
-				in.steps, in.instrs, in.cycles = steps-uint64(ins.Post), instrsTot-stored, cyclesTot-stored
+				in.steps, in.instrs = steps-uint64(ins.Post), instrsTot-stored
 			}
 			var callRet rslot
 			var err error
@@ -652,12 +610,12 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 				in.putLocals(boxed)
 				callRet = runbox(v)
 			}
-			if flushCall {
+			if nested {
 				// A trace the callee compiled may cover the store.
 				if ins.Post != 0 {
 					stored = in.chargeRange(st, opc+1, opc+1+int(ins.Post))
 				}
-				steps, instrsTot, cyclesTot = in.steps+uint64(ins.Post), in.instrs+stored, in.cycles+stored
+				steps, instrsTot = in.steps+uint64(ins.Post), in.instrs+stored
 			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
@@ -666,8 +624,8 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			if steps > maxSteps {
 				// The callee spent the budget: the store it returns into
 				// finds it exhausted.
-				steps, instrsTot, cyclesTot = maxSteps+1, instrsTot-stored, cyclesTot-stored
-				errv = budgetErr()
+				steps, instrsTot = maxSteps+1, instrsTot-stored
+				errv = budgetErr(code.Lines[opc+1])
 				goto stop
 			}
 			regs[ins.B] = callRet
@@ -740,9 +698,6 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			regs[ins.A] = rslot{ref: cls, tag: tagRef}
 			pc++
 		case minipy.RopIndexGet:
-			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			}
 			handled, err := in.regIndexGet(&regs[ins.A], &regs[ins.B], &regs[ins.C])
 			if !handled && err == nil {
 				var v minipy.Value
@@ -751,22 +706,13 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 					rsetVal(&regs[ins.C], v)
 				}
 			}
-			if probe != nil {
-				cyclesTot = in.cycles
-			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
 			}
 			pc++
 		case minipy.RopIndexSet:
-			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			}
 			err := in.indexSet(rbox(&regs[ins.A]), rbox(&regs[ins.B]), rbox(&regs[ins.C]))
-			if probe != nil {
-				cyclesTot = in.cycles
-			}
 			if err != nil {
 				errv = in.failAt(code, opc, err)
 				goto done
@@ -807,9 +753,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 					more = r.cur > r.stop
 				}
 				if probe != nil || inTrace {
-					in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 					in.branchEvent(st, opc, !more, inTrace)
-					cyclesTot = in.cycles
 				}
 				if !more {
 					regs[ins.A] = rslot{}
@@ -823,9 +767,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 				it := regs[ins.A].ref.(iterator)
 				v, more := it.next()
 				if probe != nil || inTrace {
-					in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 					in.branchEvent(st, opc, !more, inTrace)
-					cyclesTot = in.cycles
 				}
 				if !more {
 					regs[ins.A] = rslot{}
@@ -871,10 +813,8 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		case minipy.RopLoadLocalPair:
 			slotA, slotB := ins.B, ins.C
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+uint64(slotA)*8, false)
 				in.memAccess(frameBase+uint64(slotB)*8, false)
-				cyclesTot = in.cycles
 			}
 			if regs[slotA].tag == tagEmpty {
 				errv = in.failAt(code, opc, nameErr("local variable '%s' referenced before assignment",
@@ -892,9 +832,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 		case minipy.RopLoadLocalConst:
 			slot := ins.B
 			if probe != nil {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.memAccess(frameBase+uint64(slot)*8, false)
-				cyclesTot = in.cycles
 			}
 			if regs[slot].tag == tagEmpty {
 				errv = in.failAt(code, opc, nameErr("local variable '%s' referenced before assignment",
@@ -924,9 +862,7 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 				taken = !v.Truth()
 			}
 			if probe != nil || inTrace {
-				in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
 				in.branchEvent(st, opc, taken, inTrace)
-				cyclesTot = in.cycles
 			}
 			if taken {
 				pc = int(ins.Arg >> 4)
@@ -949,9 +885,8 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			for k := 0; k < d; k++ {
 				vstack = append(vstack, rbox(&regs[L+k]))
 			}
-			in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
-			vtracer.OnValue(code, opPC, op, vstack)
-			steps, instrsTot, cyclesTot = in.steps, in.instrs, in.cycles
+			in.steps, in.instrs = steps, instrsTot
+			vtracer.OnValue(code, opc, op, vstack)
 		}
 	}
 
@@ -959,10 +894,10 @@ done:
 	if errv != nil && ins.Post != 0 {
 		// The kept op raised, so the store it absorbed never ran.
 		c := in.chargeRange(st, int(ins.Orig)+1, int(ins.Orig)+1+int(ins.Post))
-		steps, instrsTot, cyclesTot = steps-uint64(ins.Post), instrsTot-c, cyclesTot-c
+		steps, instrsTot = steps-uint64(ins.Post), instrsTot-c
 	}
 stop:
-	in.steps, in.instrs, in.cycles = steps, instrsTot, cyclesTot
+	in.steps, in.instrs = steps, instrsTot
 	return ret, errv
 }
 

@@ -10,7 +10,8 @@ import "repro/internal/minipy"
 //
 // A nil Tracer is free: the engine checks one cached local per frame and
 // per op, exactly like the Probe hook, and the hot path allocates nothing
-// extra (guarded by TestNilHooksAddNoAllocations / BenchmarkIterationNilHooks).
+// extra (guarded by TestNilHooksZeroAllocsPerIteration and
+// BenchmarkIterationNilHooks).
 type Tracer interface {
 	// OnEnter is called when a frame for code is pushed (function call or
 	// module execution), before its first op executes.

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/minipy"
 )
 
@@ -201,5 +203,72 @@ def run():
 	}
 	if tr.enters != tr.exits {
 		t.Fatalf("error unwind unbalanced frames: %d enters, %d exits", tr.enters, tr.exits)
+	}
+}
+
+// countersAtOp is a Tracer that reads its interpreter's counters at every
+// op and holds them to the previous op's.
+type countersAtOp struct {
+	countingTracer
+	in   *Interp
+	prev Counters
+	bad  []string
+}
+
+func (c *countersAtOp) OnOp(code *minipy.Code, pc int, op minipy.Op, cycles uint64) {
+	c.countingTracer.OnOp(code, pc, op, cycles)
+	now := c.in.CountersSnapshot()
+	d := now.Sub(c.prev)
+	if (d.Steps != 1 || d.Instructions != cycles ||
+		now.Cycles != now.Instructions+now.StallCycles+now.JITPauses) && len(c.bad) < 5 {
+		c.bad = append(c.bad, fmt.Sprintf("op %d (%v at %s pc %d, charged %d): %+v after %+v",
+			c.ops, op, code.Name, pc, cycles, now, c.prev))
+	}
+	c.prev = now
+}
+
+// TestCountersAtEveryOp holds the counters a Tracer reads in OnOp on a JIT
+// run with a probe attached and nested calls, which runs the plain stream,
+// one op per dispatch: at every op, one more step than at the op before,
+// its instructions plus the charge OnOp reports, and cycles that are the
+// instructions plus the stalls plus the JIT pauses.
+func TestCountersAtEveryOp(t *testing.T) {
+	code, err := minipy.CompileSource(`
+def f(n):
+    if n < 2:
+        return n
+    a = f(n - 1)
+    return a + f(n - 2)
+
+def run():
+    s = 0
+    for i in range(40):
+        s = s + f(i % 7)
+    return s
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := DefaultCostParams()
+	cost.JITThreshold = 2
+	tr := &countersAtOp{}
+	tr.in = New(Config{Mode: ModeJIT, Cost: cost, Probe: counters.NewModel(), Tracer: tr})
+	if _, err := tr.in.RunModule(code); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := tr.in.CallGlobal("run"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range tr.bad {
+		t.Error(b)
+	}
+	end := tr.in.CountersSnapshot()
+	if end.Steps != tr.prev.Steps || end.Instructions != tr.prev.Instructions {
+		t.Errorf("steps or instructions moved after the last op: %+v after %+v", end, tr.prev)
+	}
+	if tr.maxDepth < 3 || end.StallCycles == 0 || end.JITPauses == 0 {
+		t.Fatalf("the run must nest calls, stall and pause: depth %d, %+v", tr.maxDepth, end)
 	}
 }

@@ -88,7 +88,7 @@ const abortPollInterval = 1024
 type Counters struct {
 	Steps        uint64 // executed bytecode ops
 	Instructions uint64 // abstract machine instructions
-	Cycles       uint64 // simulated cycles (instructions + stalls + pauses)
+	Cycles       uint64 // simulated cycles: Instructions + StallCycles + JITPauses
 	StallCycles  uint64 // probe-attributed stalls (cache, branch)
 	JITPauses    uint64 // compile/bridge pause cycles
 	Allocations  uint64 // heap objects allocated
@@ -125,7 +125,6 @@ type Interp struct {
 	steps     uint64
 	maxSteps  uint64
 	instrs    uint64
-	cycles    uint64
 	stalls    uint64
 	jitPauses uint64
 	allocs    uint64
@@ -356,12 +355,13 @@ func New(cfg Config) *Interp {
 // Mode reports the engine mode of this invocation.
 func (in *Interp) Mode() Mode { return in.cfg.Mode }
 
-// CountersSnapshot returns the current execution accounting.
+// CountersSnapshot returns the current execution accounting. Every cycle
+// is an instruction, a stall or a JIT pause, so Cycles is their sum.
 func (in *Interp) CountersSnapshot() Counters {
 	return Counters{
 		Steps:        in.steps,
 		Instructions: in.instrs,
-		Cycles:       in.cycles,
+		Cycles:       in.instrs + in.stalls + in.jitPauses,
 		StallCycles:  in.stalls,
 		JITPauses:    in.jitPauses,
 		Allocations:  in.allocs,
@@ -411,9 +411,7 @@ func (in *Interp) newDict() *minipy.Dict {
 // memAccess reports a simulated data access to the probe and charges stalls.
 func (in *Interp) memAccess(addr uint64, write bool) {
 	if in.probe != nil {
-		stall := in.probe.OnMem(addr, write)
-		in.stalls += stall
-		in.cycles += stall
+		in.stalls += in.probe.OnMem(addr, write)
 	}
 }
 

@@ -39,13 +39,15 @@ test:
 # lint fails on any file gofmt would change, then runs go vet plus
 # benchlint, the repo's own methodology vet pass (sanctioned clock sites,
 # allocation-free hot paths, no global rand), and lints every shipped
-# MiniPy workload with the static-analysis subsystem.
+# MiniPy workload with the static-analysis subsystem: pylint -strict fails
+# on any error or warning and on an uncertified workload (run it without
+# the redirect to see the findings).
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/benchlint ./cmd ./internal ./examples
-	$(GO) run ./cmd/pybench -lint > /dev/null
+	$(GO) run ./cmd/pylint -all -strict -q > /dev/null
 
 # verify is the pre-merge gate: static analysis plus the full test suite
 # under the race detector (the harness and supervisor are concurrent).

@@ -46,8 +46,9 @@
 // -collapsed only with -profile: beside any other command each is a usage
 // error.
 //
-// Exit codes: 0 = success; 1 = finding (-lint diagnostics); 2 = usage;
-// 3 = infrastructure failure; 4 = run degraded below quorum.
+// Exit codes: 0 = success; 2 = usage; 3 = infrastructure failure; 4 = run
+// degraded below quorum. A remote campaign exits with the code its
+// daemon reports.
 package main
 
 import (
@@ -104,7 +105,6 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit tables as CSV")
 		markdown    = flag.Bool("markdown", false, "emit tables as Markdown")
 		suite       = flag.Bool("suite", false, "rigorous interp-vs-JIT suite comparison with Holm correction")
-		lint        = flag.Bool("lint", false, "statically analyze every workload (CFG, definite assignment, types, liveness, determinism) and exit non-zero on findings")
 		jsonOut     = flag.Bool("json", false, "with -bench: dump the raw result (all invocations) as JSON (a usage error with any other command)")
 		profileName = flag.String("profile", "", "print the per-line and per-opcode cost profile of a benchmark")
 		dis         = flag.String("dis", "", "disassemble a benchmark's bytecode")
@@ -136,9 +136,9 @@ func main() {
 	// Some flags are read by one or two commands only. Beside any other
 	// command they would do nothing, so giving them is a usage error,
 	// refused before any work. The commands take precedence in the order
-	// of the switch below: -list, -profile, -dis and -lint come before
-	// -suite, which comes before -bench.
-	ahead := *list || *profileName != "" || *dis != "" || *lint
+	// of the switch below: -list, -profile and -dis come before -suite,
+	// which comes before -bench.
+	ahead := *list || *profileName != "" || *dis != ""
 	runsProfile := !*list && *profileName != ""
 	runsDis := !*list && !runsProfile && *dis != ""
 	runsBench := !ahead && !*suite && *bench != ""
@@ -206,10 +206,6 @@ func main() {
 		if err := doDisassemble(*dis, *optLevel); err != nil {
 			fatal(err)
 		}
-	case *lint:
-		if err := doLint(style); err != nil {
-			fatal(err)
-		}
 	case *suite:
 		if err := doSuite(cfg, style, obs); err != nil {
 			fatal(err)
@@ -258,10 +254,6 @@ func main() {
 
 // usageError marks a bad-input failure (exit 2 in the taxonomy).
 type usageError struct{ error }
-
-// findingError marks a successful run that surfaced gated findings
-// (exit 1 in the taxonomy) — -lint diagnostics, not tool failures.
-type findingError struct{ error }
 
 // usage is the custom flag.Usage: flags plus the benchmark inventory, so a
 // mistyped invocation tells the user what they can actually run.
@@ -415,21 +407,17 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 }
 
 // fatal prints the error and exits with its taxonomy code: usage errors
-// (including invalid campaign specs) exit 2, gated findings 1, a run
-// degraded below quorum 4, and everything else — I/O, environment,
+// (including invalid campaign specs) exit 2, a run degraded below quorum 4, and everything else — I/O, environment,
 // subprocess plumbing — 3 (infrastructure). Errors that carry their own
 // mapping (daemon API errors, remote campaign outcomes) exit with it.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pybench:", err)
 	var ue usageError
-	var fe findingError
 	var se *controlapi.SpecError
 	var ec interface{ ExitCode() int }
 	switch {
 	case errors.As(err, &ue), errors.As(err, &se):
 		os.Exit(exitcode.Usage)
-	case errors.As(err, &fe):
-		os.Exit(exitcode.Finding)
 	case errors.Is(err, harness.ErrQuorum):
 		os.Exit(exitcode.Degraded)
 	case errors.As(err, &ec):
@@ -598,56 +586,6 @@ func renderBenchResult(res *harness.Result, spec controlapi.CampaignSpec) error 
 			srep.QuarantinedSamples, srep.DroppedInvocations)
 	}
 	fmt.Print(t.String())
-	return nil
-}
-
-// doLint statically analyzes every shipped workload (canonical suite plus
-// extended set) and prints the per-benchmark digest: CFG size, dead code,
-// type-inference coverage, and the determinism verdict. Any error-severity
-// finding fails the command, so `pybench -lint` is the suite's pre-run
-// validation gate in script form.
-func doLint(style renderStyle) error {
-	all := append(append([]workloads.Benchmark{}, workloads.Suite()...),
-		workloads.Extended()...)
-	t := report.NewTable("Workload static analysis",
-		"benchmark", "funcs", "blocks", "instrs", "dead", "unreach",
-		"typed %", "deterministic", "verdict")
-	findings := 0
-	for _, b := range all {
-		rep, err := b.Analyze()
-		if err != nil {
-			return err
-		}
-		s := rep.Summarize()
-		det := "yes"
-		if !s.Certificate.Determinism.Certified {
-			det = "NO"
-		} else if s.Certificate.Determinism.UsesIO {
-			det = "yes (io)"
-		}
-		verdict := "ok"
-		if s.Errors > 0 {
-			verdict = fmt.Sprintf("%d error(s)", s.Errors)
-		} else if s.Warnings > 0 {
-			verdict = fmt.Sprintf("%d warning(s)", s.Warnings)
-		}
-		t.AddRow(b.Name, s.Functions, s.Blocks, s.Instructions, s.DeadStores,
-			s.UnreachableInstrs, fmt.Sprintf("%.1f", s.TypedInstrPct), det, verdict)
-		for _, d := range rep.Diagnostics {
-			if d.Severity >= analysis.Warning {
-				findings++
-				fmt.Fprintf(os.Stderr, "pybench: %s: %s\n", b.Name, d)
-			}
-		}
-		if !s.Certificate.Determinism.Certified {
-			findings++
-		}
-	}
-	t.Caption = "typed % = reachable instructions whose operand types the lattice resolved."
-	emit(t, style)
-	if findings > 0 {
-		return findingError{fmt.Errorf("%d finding(s) across the workload suite", findings)}
-	}
 	return nil
 }
 

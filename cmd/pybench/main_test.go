@@ -47,7 +47,7 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	traceFile := filepath.Join(t.TempDir(), "out.trace.json")
-	commands := [][]string{{"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}}
+	commands := [][]string{{"-profile", "fib"}, {"-dis", "fib"}, {"-list"}, {"-list", "-bench", "fib"}}
 	for _, command := range commands {
 		for _, obs := range [][]string{{"-trace", traceFile}, {"-metrics"}} {
 			args := append(append([]string{"-pybench"}, command...), obs...)
@@ -87,11 +87,11 @@ func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 		commands [][]string
 		msg      string
 	}{
-		{[]string{"-json"}, [][]string{{"-exp", "T1"}, {"-suite"}, {"-profile", "fib"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-bench", "fib"}, {"-suite", "-bench", "fib"}, {}},
+		{[]string{"-json"}, [][]string{{"-exp", "T1"}, {"-suite"}, {"-profile", "fib"}, {"-dis", "fib"}, {"-list"}, {"-list", "-bench", "fib"}, {"-suite", "-bench", "fib"}, {}},
 			"-json applies only to -bench"},
-		{[]string{"-collapsed", folded}, [][]string{{"-bench", "fib", "-invocations", "1", "-iterations", "1"}, {"-exp", "T1"}, {"-suite"}, {"-dis", "fib"}, {"-lint"}, {"-list"}, {"-list", "-profile", "fib"}, {}},
+		{[]string{"-collapsed", folded}, [][]string{{"-bench", "fib", "-invocations", "1", "-iterations", "1"}, {"-exp", "T1"}, {"-suite"}, {"-dis", "fib"}, {"-list"}, {"-list", "-profile", "fib"}, {}},
 			"-collapsed applies only to -profile"},
-		{[]string{"-opt", "3"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-lint"}, {"-list"}, {"-list", "-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
+		{[]string{"-opt", "3"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-list"}, {"-list", "-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
 			"-opt applies only to -bench and -dis"},
 		{[]string{"-vm", "reg-elide"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
 			"-mode, -vm and -daemon-addr apply only to -bench"},

@@ -490,8 +490,9 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 	code := g.Code
 	b := g.Blocks[bid]
 	last := b.End - 1
+	ins := code.Ops[last]
 	bodyEnd := b.End
-	if isTerminator(code, last) {
+	if ins.Op.EndsBlock() {
 		bodyEnd = last
 	}
 	if record {
@@ -506,8 +507,6 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 		return
 	}
 
-	ins := code.Ops[last]
-	arg := int(ins.Arg)
 	popN := func(s *astate, n int) {
 		if n > len(s.stack) {
 			n = len(s.stack)
@@ -526,6 +525,9 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 		r.typed++
 	}
 
+	// jump and fall are the states the terminator leaves on its jump and
+	// fall-through edges.
+	jump, fall := st, st
 	switch ins.Op {
 	case minipy.OpReturn:
 		v := top(st)
@@ -536,22 +538,12 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 			}
 			r.consume(v)
 		}
-	case minipy.OpJump:
-		emit(g.BlockOf[arg], st)
 	case minipy.OpJumpIfFalse, minipy.OpJumpIfTrue:
 		popN(st, 1)
-		emit(g.BlockOf[arg], st)
-		if arg != last+1 {
-			emit(g.BlockOf[last+1], st)
-		}
 	case minipy.OpJumpIfFalseKeep, minipy.OpJumpIfTrueKeep:
 		// Jump path keeps the value; fall path pops it.
-		emit(g.BlockOf[arg], st)
-		if arg != last+1 {
-			fall := st.clone()
-			popN(fall, 1)
-			emit(g.BlockOf[last+1], fall)
-		}
+		fall = st.clone()
+		popN(fall, 1)
 	case minipy.OpForIter:
 		iter := top(st)
 		if record {
@@ -561,39 +553,33 @@ func (r *absRun) transferBlock(g *Graph, env *absEnv, bid int, st *astate,
 			}
 			r.trips[last] = ivJoin(old, iter.length)
 		}
-		exit := st.clone()
-		popN(exit, 1)
-		emit(g.BlockOf[arg], exit)
-		if arg != last+1 {
-			loop := st.clone()
-			el := avTop
-			if iter.elem.isInt() {
-				el = avInt(iter.elem)
-			}
-			el.cls = cAny
-			if iter.cls == cIter {
-				el.cls = iter.elemCls
-			}
-			loop.stack = append(loop.stack, el)
-			emit(g.BlockOf[last+1], loop)
+		// The exit path pops the iterator; the loop path pushes the element.
+		jump = st.clone()
+		popN(jump, 1)
+		fall = st.clone()
+		el := avTop
+		if iter.elem.isInt() {
+			el = avInt(iter.elem)
 		}
+		el.cls = cAny
+		if iter.cls == cIter {
+			el.cls = iter.elemCls
+		}
+		fall.stack = append(fall.stack, el)
 	case minipy.OpBinaryJumpIfFalse:
-		bop := minipy.BinOpCode(arg & 0xF)
-		target := arg >> 4
-		if record && isDivOrMod(bop) {
+		if record && isDivOrMod(minipy.BinOpCode(ins.Arg&0xF)) {
 			n := len(st.stack)
 			if n >= 2 {
 				r.noteDiv(st.stack[n-1])
 			}
 		}
 		popN(st, 2)
-		emit(g.BlockOf[target], st)
-		if target != last+1 {
-			emit(g.BlockOf[last+1], st)
-		}
-	default:
-		// isTerminator and this switch must stay in sync.
-		emit(g.BlockOf[b.End], st)
+	}
+	// A block-ending op with successors branches, so its first successor
+	// is the jump target and any second one the fall-through pc.
+	succ, n := ins.Succs(last)
+	for i, to := range succ[:n] {
+		emit(g.BlockOf[to], [2]*astate{jump, fall}[i])
 	}
 }
 

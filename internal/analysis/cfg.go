@@ -43,56 +43,22 @@ type Graph struct {
 	Reachable []bool
 }
 
-// succsOf returns the successor pcs of the instruction at pc, following the
-// same edge semantics as the bytecode verifier.
-func succsOf(code *minipy.Code, pc int) []int {
-	ins := code.Ops[pc]
-	arg := int(ins.Arg)
-	switch ins.Op {
-	case minipy.OpReturn:
-		return nil
-	case minipy.OpJump:
-		return []int{arg}
-	case minipy.OpJumpIfFalse, minipy.OpJumpIfTrue,
-		minipy.OpJumpIfFalseKeep, minipy.OpJumpIfTrueKeep, minipy.OpForIter:
-		if arg == pc+1 {
-			return []int{arg}
-		}
-		return []int{arg, pc + 1}
-	case minipy.OpBinaryJumpIfFalse:
-		if t := arg >> 4; t != pc+1 {
-			return []int{t, pc + 1}
-		}
-		return []int{pc + 1}
-	}
-	return []int{pc + 1}
-}
-
-// isTerminator reports whether the instruction at pc ends a basic block.
-func isTerminator(code *minipy.Code, pc int) bool {
-	switch code.Ops[pc].Op {
-	case minipy.OpReturn, minipy.OpJump, minipy.OpJumpIfFalse, minipy.OpJumpIfTrue,
-		minipy.OpJumpIfFalseKeep, minipy.OpJumpIfTrueKeep, minipy.OpForIter,
-		minipy.OpBinaryJumpIfFalse:
-		return true
-	}
-	return false
-}
-
 // BuildCFG partitions a verified code object into basic blocks and computes
 // predecessors, successors, reachability, reverse postorder, and immediate
-// dominators. The code must already have passed minipy.Verify (jump targets
-// in range, no fall-off-the-end), which BuildCFG assumes rather than
-// re-checks.
+// dominators. Block ends and edges come from the bytecode format the
+// verifier reads (minipy.Op.EndsBlock, minipy.Instr.Succs). The code must
+// already have passed minipy.Verify (jump targets in range, no
+// fall-off-the-end), which BuildCFG assumes rather than re-checks.
 func BuildCFG(code *minipy.Code) *Graph {
 	n := len(code.Ops)
 	leader := make([]bool, n)
 	leader[0] = true
-	for pc := 0; pc < n; pc++ {
-		if !isTerminator(code, pc) {
+	for pc, ins := range code.Ops {
+		if !ins.Op.EndsBlock() {
 			continue
 		}
-		for _, s := range succsOf(code, pc) {
+		succ, k := ins.Succs(pc)
+		for _, s := range succ[:k] {
 			leader[s] = true
 		}
 		if pc+1 < n {
@@ -114,7 +80,8 @@ func BuildCFG(code *minipy.Code) *Graph {
 		g.Blocks = append(g.Blocks, b)
 	}
 	for _, b := range g.Blocks {
-		for _, s := range succsOf(code, b.End-1) {
+		succ, k := code.Ops[b.End-1].Succs(b.End - 1)
+		for _, s := range succ[:k] {
 			sb := g.BlockOf[s]
 			b.Succs = append(b.Succs, sb)
 			g.Blocks[sb].Preds = append(g.Blocks[sb].Preds, b.ID)

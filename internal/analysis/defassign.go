@@ -133,18 +133,12 @@ func checkDefiniteAssignment(g *Graph, r *Report) {
 		for pc := b.Start; pc < b.End; pc++ {
 			ins := c.Ops[pc]
 			switch ins.Op {
-			case minipy.OpLoadLocal:
+			case minipy.OpLoadLocal, minipy.OpLoadLocalPair, minipy.OpLoadLocalConst:
 				if report {
-					checkLoad(pc, false, int(ins.Arg))
-				}
-			case minipy.OpLoadLocalPair:
-				if report {
-					checkLoad(pc, false, int(ins.Arg)&0xFFF)
-					checkLoad(pc, false, int(ins.Arg)>>12)
-				}
-			case minipy.OpLoadLocalConst:
-				if report {
-					checkLoad(pc, false, int(ins.Arg)&0xFFF)
+					slots, n := ins.Locals()
+					for _, slot := range slots[:n] {
+						checkLoad(pc, false, slot)
+					}
 				}
 			case minipy.OpLoadCell:
 				// PUSH_CELL captures the cell container, not its value, so

@@ -55,25 +55,21 @@ func deadStorePCs(g *Graph) map[int]bool {
 		b := g.Blocks[id]
 		live := liveOut[id].clone()
 		for pc := b.End - 1; pc >= b.Start; pc-- {
-			ins := c.Ops[pc]
-			switch ins.Op {
-			case minipy.OpLoadLocal:
-				live.set(int(ins.Arg))
-			case minipy.OpLoadLocalPair:
-				live.set(int(ins.Arg) & 0xFFF)
-				live.set(int(ins.Arg) >> 12)
-			case minipy.OpLoadLocalConst:
-				live.set(int(ins.Arg) & 0xFFF)
-			case minipy.OpStoreLocal:
-				slot := int(ins.Arg)
-				if !live.get(slot) {
-					if dead == nil {
-						dead = map[int]bool{}
-					}
-					dead[pc] = true
+			slots, n := c.Ops[pc].Locals()
+			if c.Ops[pc].Op != minipy.OpStoreLocal {
+				for _, slot := range slots[:n] {
+					live.set(slot)
 				}
-				live[slot/64] &^= 1 << uint(slot%64)
+				continue
 			}
+			slot := slots[0]
+			if !live.get(slot) {
+				if dead == nil {
+					dead = map[int]bool{}
+				}
+				dead[pc] = true
+			}
+			live[slot/64] &^= 1 << uint(slot%64)
 		}
 	}
 	return dead
@@ -96,24 +92,15 @@ func localLiveness(g *Graph) []bitset {
 		liveOut[i] = newBitset(nlocals)
 		b := g.Blocks[i]
 		for pc := b.Start; pc < b.End; pc++ {
-			ins := c.Ops[pc]
-			switch ins.Op {
-			case minipy.OpLoadLocal:
-				if !def[i].get(int(ins.Arg)) {
-					use[i].set(int(ins.Arg))
-				}
-			case minipy.OpLoadLocalPair:
-				for _, slot := range []int{int(ins.Arg) & 0xFFF, int(ins.Arg) >> 12} {
-					if !def[i].get(slot) {
-						use[i].set(slot)
-					}
-				}
-			case minipy.OpLoadLocalConst:
-				if slot := int(ins.Arg) & 0xFFF; !def[i].get(slot) {
+			slots, n := c.Ops[pc].Locals()
+			if c.Ops[pc].Op == minipy.OpStoreLocal {
+				def[i].set(slots[0])
+				continue
+			}
+			for _, slot := range slots[:n] {
+				if !def[i].get(slot) {
 					use[i].set(slot)
 				}
-			case minipy.OpStoreLocal:
-				def[i].set(int(ins.Arg))
 			}
 		}
 	}

@@ -237,10 +237,11 @@ type Rigorous struct {
 	Resamples int
 	// Seed drives the bootstrap; comparisons are deterministic per seed.
 	Seed uint64
-	// MaxWarmupFrac caps the fraction of iterations dropped as warmup;
-	// 0 means 0.5.
-	MaxWarmupFrac float64
 }
+
+// maxWarmupFrac caps the fraction of an invocation's iterations Rigorous
+// drops as warmup.
+const maxWarmupFrac = 0.5
 
 // Name implements Methodology.
 func (Rigorous) Name() string { return "rigorous" }
@@ -253,7 +254,7 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 	}
 	rng := stats.NewRNG(r.Seed ^ 0xB00757A9)
 
-	dropped, sa, sb := r.trimWarmup(baseline, treatment)
+	dropped, sa, sb := trimWarmup(baseline, treatment)
 	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, conf, r.Resamples, rng)
 	sp := meanOfMeans(sa) / meanOfMeans(sb)
 	verdict := Indistinguishable
@@ -277,11 +278,7 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 // the invocations of both through one stats.ParallelFor, and returns the
 // trimmed samples along with the most iterations dropped from any one
 // invocation.
-func (r Rigorous) trimWarmup(a, b stats.HierarchicalSample) (int, stats.HierarchicalSample, stats.HierarchicalSample) {
-	maxFrac := r.MaxWarmupFrac
-	if maxFrac == 0 {
-		maxFrac = 0.5
-	}
+func trimWarmup(a, b stats.HierarchicalSample) (int, stats.HierarchicalSample, stats.HierarchicalSample) {
 	ta, tb := make([][]float64, len(a.Times)), make([][]float64, len(b.Times))
 	stats.ParallelFor(len(ta)+len(tb), func(i int) {
 		in, out := a.Times, ta
@@ -299,7 +296,7 @@ func (r Rigorous) trimWarmup(a, b stats.HierarchicalSample) (int, stats.Hierarch
 			// approximation (and flag via dropped count).
 			start = len(inv) / 2
 		}
-		if limit := int(maxFrac * float64(len(inv))); start > limit {
+		if limit := int(maxWarmupFrac * float64(len(inv))); start > limit {
 			start = limit
 		}
 		out[i] = inv[start:]

@@ -60,13 +60,9 @@ func TestEvaluateMethodologyBitIdentical(t *testing.T) {
 	}
 }
 
-// perSampleTrim is Rigorous.trimWarmup before it classified both samples'
+// perSampleTrim is trimWarmup before it classified both samples'
 // invocations through one stats.ParallelFor: one sample at a time.
-func perSampleTrim(r Rigorous, h stats.HierarchicalSample) (int, stats.HierarchicalSample) {
-	maxFrac := r.MaxWarmupFrac
-	if maxFrac == 0 {
-		maxFrac = 0.5
-	}
+func perSampleTrim(h stats.HierarchicalSample) (int, stats.HierarchicalSample) {
 	out := make([][]float64, len(h.Times))
 	maxDropped := 0
 	for i, inv := range h.Times {
@@ -78,7 +74,7 @@ func perSampleTrim(r Rigorous, h stats.HierarchicalSample) (int, stats.Hierarchi
 		case stats.ClassNoSteadyState:
 			start = len(inv) / 2
 		}
-		if limit := int(maxFrac * float64(len(inv))); start > limit {
+		if limit := int(maxWarmupFrac * float64(len(inv))); start > limit {
 			start = limit
 		}
 		if start > maxDropped {
@@ -110,31 +106,30 @@ func TestTrimWarmupMatchesPerSample(t *testing.T) {
 		}
 		return stats.HierarchicalSample{Times: times}
 	}
+	r := Rigorous{Seed: 3, Resamples: 50}
 	for trial := 0; trial < 60; trial++ {
 		a, b := ragged(), ragged()
-		for _, r := range []Rigorous{{Seed: 3, Resamples: 50}, {Seed: 3, Resamples: 50, MaxWarmupFrac: 0.2}} {
-			wa, sa := perSampleTrim(r, a)
-			wb, sb := perSampleTrim(r, b)
-			dropped, ga, gb := r.trimWarmup(a, b)
-			if want := max(wa, wb); dropped != want {
-				t.Fatalf("trial %d, %+v: dropped %d, per sample %d", trial, r, dropped, want)
+		wa, sa := perSampleTrim(a)
+		wb, sb := perSampleTrim(b)
+		dropped, ga, gb := trimWarmup(a, b)
+		if want := max(wa, wb); dropped != want {
+			t.Fatalf("trial %d: dropped %d, per sample %d", trial, dropped, want)
+		}
+		for k, pair := range [2][2]stats.HierarchicalSample{{ga, sa}, {gb, sb}} {
+			got, want := pair[0].Times, pair[1].Times
+			if len(got) != len(want) {
+				t.Fatalf("trial %d, sample %d: %d invocations, per sample %d", trial, k, len(got), len(want))
 			}
-			for k, pair := range [2][2]stats.HierarchicalSample{{ga, sa}, {gb, sb}} {
-				got, want := pair[0].Times, pair[1].Times
-				if len(got) != len(want) {
-					t.Fatalf("trial %d, sample %d: %d invocations, per sample %d", trial, k, len(got), len(want))
-				}
-				for i := range want {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("trial %d, sample %d, invocation %d: kept %d iterations, per sample %d",
-							trial, k, i, len(got[i]), len(want[i]))
-					}
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("trial %d, sample %d, invocation %d: kept %d iterations, per sample %d",
+						trial, k, i, len(got[i]), len(want[i]))
 				}
 			}
-			if len(a.Times) > 0 && len(b.Times) > 0 {
-				if got := r.Compare(a, b).WarmupDropped; got != max(wa, wb) {
-					t.Fatalf("trial %d, %+v: Compare dropped %d, per sample %d", trial, r, got, max(wa, wb))
-				}
+		}
+		if len(a.Times) > 0 && len(b.Times) > 0 {
+			if got := r.Compare(a, b).WarmupDropped; got != max(wa, wb) {
+				t.Fatalf("trial %d: Compare dropped %d, per sample %d", trial, got, max(wa, wb))
 			}
 		}
 	}

@@ -189,19 +189,7 @@ func ElideMoves(rc *RCode) {
 	ops := rc.Ops
 	n := len(ops)
 	var targetBuf [elideStackOps]bool
-	isTarget := targetBuf[:]
-	if n >= elideStackOps {
-		isTarget = make([]bool, n+1)
-	}
-	for _, ins := range ops {
-		switch ins.Op {
-		case RopJump, RopJumpIfFalse, RopJumpIfTrue, RopJumpIfFalseKeep,
-			RopJumpIfTrueKeep, RopForIter:
-			isTarget[ins.Arg] = true
-		case RopBinaryJumpIfFalse:
-			isTarget[ins.Arg>>4] = true
-		}
-	}
+	isTarget := markTargets(ops, targetBuf[:])
 	var assignedBuf [elideStackOps]uint64
 	assigned := definitelyAssigned(rc.Code, assignedBuf[:])
 	w := 0        // the kept stream is compacted into ops[:w]
@@ -247,15 +235,7 @@ func ElideMoves(rc *RCode) {
 	// Renumber: an old target maps to the first kept instruction at or
 	// after it. Kept Origs are the old indices, in increasing order.
 	ops = ops[:w]
-	for i := range ops {
-		switch ops[i].Op {
-		case RopJump, RopJumpIfFalse, RopJumpIfTrue, RopJumpIfFalseKeep,
-			RopJumpIfTrueKeep, RopForIter:
-			ops[i].Arg = keptIndex(ops, ops[i].Arg)
-		case RopBinaryJumpIfFalse:
-			ops[i].Arg = ops[i].Arg&0xF | keptIndex(ops, ops[i].Arg>>4)<<4
-		}
-	}
+	retarget(ops, func(t int) int { return keptIndex(ops, t) })
 	rc.Ops = ops
 	rc.Elided = true
 }
@@ -266,11 +246,11 @@ const elideStackOps = 512
 
 // keptIndex returns the index of the first instruction of kept whose
 // source pc is at least pc (len(kept) when none is).
-func keptIndex(kept []RInstr, pc int32) int32 {
-	i, _ := slices.BinarySearchFunc(kept, pc, func(ins RInstr, pc int32) int {
-		return cmp.Compare(ins.Orig, pc)
+func keptIndex(kept []RInstr, pc int) int {
+	i, _ := slices.BinarySearchFunc(kept, pc, func(ins RInstr, pc int) int {
+		return cmp.Compare(int(ins.Orig), pc)
 	})
-	return int32(i)
+	return i
 }
 
 // replaceRead rewrites ins's read of register from to register to. Only
@@ -400,20 +380,9 @@ func definitelyAssigned(code *Code, buf []uint64) []uint64 {
 			if ins.Op == OpStoreLocal {
 				set |= 1 << uint(ins.Arg)
 			}
-			arg := int(ins.Arg)
-			switch ins.Op {
-			case OpReturn:
-			case OpJump:
-				propagate(arg, set)
-			case OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep, OpJumpIfTrueKeep,
-				OpForIter:
-				propagate(arg, set)
-				propagate(pc+1, set)
-			case OpBinaryJumpIfFalse:
-				propagate(arg>>4, set)
-				propagate(pc+1, set)
-			default:
-				propagate(pc+1, set)
+			succ, k := ins.Succs(pc)
+			for _, to := range succ[:k] {
+				propagate(to, set)
 			}
 		}
 	}

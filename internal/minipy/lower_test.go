@@ -144,35 +144,56 @@ func TestElideMovesVerifies(t *testing.T) {
 }
 
 // TestVerifyRegisterRejects exercises the register verifier's failure
-// modes: out-of-range registers, bad jump targets, and quickened opcodes
-// in freshly lowered code.
+// modes: out-of-range registers, jump targets out of range (plain and
+// packed), and quickened opcodes in freshly lowered code.
 func TestVerifyRegisterRejects(t *testing.T) {
-	code, err := minipy.CompileSource("def run():\n    return 1 + 2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := minipy.Verify(code); err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() *minipy.RCode {
-		rc, err := minipy.LowerToRegister(code)
+	const src = "def run(n):\n    i = 0\n    while i < n:\n        i = i + 1\n    return i\n"
+	fresh := func(opt int) *minipy.RCode {
+		code, err := minipy.CompileSource(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &rc
+		if code, err = minipy.Optimize(code, opt, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := minipy.Verify(code); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range code.Consts {
+			if fn, ok := k.(*minipy.Code); ok && fn.Name == "run" {
+				rc, err := minipy.LowerToRegister(fn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := minipy.VerifyRegister(&rc); err != nil {
+					t.Fatalf("opt %d: fresh lowering rejected: %v", opt, err)
+				}
+				return &rc
+			}
+		}
+		t.Fatal("no run function")
+		return nil
 	}
-	rc := fresh()
+	rc := fresh(0)
 	rc.Ops[0].A = 99
 	if err := minipy.VerifyRegister(rc); err == nil {
 		t.Error("out-of-range register accepted")
 	}
-	rc = fresh()
-	for pc := range rc.Ops {
-		if rc.Ops[pc].Op == minipy.RopJump {
-			rc.Ops[pc].Arg = 1000
+	for _, c := range []struct {
+		opt int
+		op  minipy.ROp
+	}{{0, minipy.RopJump}, {2, minipy.RopBinaryJumpIfFalse}} {
+		rc := fresh(c.opt)
+		pc := slices.IndexFunc(rc.Ops, func(ins minipy.RInstr) bool { return ins.Op == c.op })
+		if pc < 0 {
+			t.Fatalf("opt %d: no %v in the lowered loop", c.opt, c.op)
+		}
+		rc.Ops[pc].SetTarget(1000)
+		if err := minipy.VerifyRegister(rc); err == nil || !strings.Contains(err.Error(), "jump target 1000") {
+			t.Errorf("opt %d: %v to pc 1000: got %v, want an error naming the target", c.opt, c.op, err)
 		}
 	}
-	rc = fresh()
+	rc = fresh(0)
 	rc.Ops[0].Op = minipy.RopBinaryII
 	if err := minipy.VerifyRegister(rc); err == nil ||
 		!strings.Contains(err.Error(), "quickened") {

@@ -153,23 +153,6 @@ func optimizeClone(c *Code, level int, facts *OptFacts) *Code {
 	return &nc
 }
 
-// jumpTargets returns the set of pcs that some instruction jumps to. An
-// instruction that is a jump target must not be absorbed into a preceding
-// pattern — control can land on it with the pattern's prefix not executed.
-func jumpTargets(c *Code) []bool {
-	t := make([]bool, len(c.Ops)+1)
-	for _, ins := range c.Ops {
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep,
-			OpJumpIfTrueKeep, OpForIter:
-			t[ins.Arg] = true
-		case OpBinaryJumpIfFalse:
-			t[ins.Arg>>4] = true
-		}
-	}
-	return t
-}
-
 // applyPureCalls replaces each certified pure-call window
 // `LOAD_GLOBAL f; LOAD_CONST×argc; CALL argc` with a LOAD_CONST of the
 // pre-evaluated result followed by Nops (compacted away later). The facts
@@ -180,7 +163,7 @@ func applyPureCalls(c *Code, calls map[int]PureCallFact) {
 	if len(calls) == 0 {
 		return
 	}
-	targets := jumpTargets(c)
+	targets := markTargets(c.Ops, nil)
 	// Sorted pc order: the appended constants' pool order (and so the
 	// output bytecode) must not depend on map iteration.
 	pcs := make([]int, 0, len(calls))
@@ -224,7 +207,7 @@ func applyElidedGuards(c *Code, guards map[int]GuardFact) {
 	if len(guards) == 0 {
 		return
 	}
-	targets := jumpTargets(c)
+	targets := markTargets(c.Ops, nil)
 	for pc, g := range guards {
 		if pc < 2 || pc+1 >= len(c.Ops) || c.Ops[pc].Op != OpBinary {
 			continue
@@ -271,7 +254,7 @@ func eliminateDeadStores(c *Code, dead map[int]bool) {
 // cannot raise. The folded value is computed with the same helpers the VM
 // uses, so optimized and baseline runs produce identical values.
 func foldConstants(c *Code) bool {
-	targets := jumpTargets(c)
+	targets := markTargets(c.Ops, nil)
 	changed := false
 	for pc := 0; pc+2 < len(c.Ops); pc++ {
 		if c.Ops[pc].Op != OpLoadConst || c.Ops[pc+1].Op != OpLoadConst ||
@@ -340,7 +323,7 @@ func foldIntBinary(op BinOpCode, x, y int64) (Value, bool) {
 // for constant stores). Loads that can raise (locals, globals, attributes)
 // are never candidates: removing them would suppress a runtime error.
 func cancelPushPop(c *Code) bool {
-	targets := jumpTargets(c)
+	targets := markTargets(c.Ops, nil)
 	changed := false
 	for pc := 0; pc+1 < len(c.Ops); pc++ {
 		if c.Ops[pc].Op == OpLoadConst && c.Ops[pc+1].Op == OpPop && !targets[pc+1] {
@@ -357,24 +340,12 @@ func cancelPushPop(c *Code) bool {
 // following chains to their final destination (with a visited guard against
 // jump cycles).
 func threadJumps(c *Code) {
-	final := func(t int32) int32 {
-		seen := 0
-		for int(t) < len(c.Ops) && c.Ops[t].Op == OpJump && seen < len(c.Ops) {
-			t = c.Ops[t].Arg
-			seen++
+	retarget(c.Ops, func(t int) int {
+		for seen := 0; t < len(c.Ops) && c.Ops[t].Op == OpJump && seen < len(c.Ops); seen++ {
+			t, _ = c.Ops[t].Target()
 		}
 		return t
-	}
-	for pc := range c.Ops {
-		switch c.Ops[pc].Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep,
-			OpJumpIfTrueKeep, OpForIter:
-			c.Ops[pc].Arg = final(c.Ops[pc].Arg)
-		case OpBinaryJumpIfFalse:
-			sub := c.Ops[pc].Arg & 0xF
-			c.Ops[pc].Arg = sub | final(c.Ops[pc].Arg>>4)<<4
-		}
-	}
+	})
 }
 
 // fuseSuperinstructions greedily rewrites adjacent pairs into fused ops.
@@ -382,7 +353,7 @@ func threadJumps(c *Code) {
 // packed arguments must fit their bit fields; pairs that fail either check
 // are left unfused.
 func fuseSuperinstructions(c *Code) {
-	targets := jumpTargets(c)
+	targets := markTargets(c.Ops, nil)
 	for pc := 0; pc+1 < len(c.Ops); pc++ {
 		a, b := c.Ops[pc], c.Ops[pc+1]
 		if targets[pc+1] {
@@ -401,7 +372,8 @@ func fuseSuperinstructions(c *Code) {
 			pc++
 		case a.Op == OpBinary && b.Op == OpJumpIfFalse &&
 			a.Arg < 1<<4 && b.Arg < 1<<27:
-			c.Ops[pc] = Instr{Op: OpBinaryJumpIfFalse, Arg: a.Arg | b.Arg<<4}
+			c.Ops[pc] = Instr{Op: OpBinaryJumpIfFalse, Arg: a.Arg}
+			c.Ops[pc].SetTarget(int(b.Arg))
 			c.Ops[pc+1] = Instr{Op: OpNop}
 			pc++
 		}
@@ -413,8 +385,8 @@ func fuseSuperinstructions(c *Code) {
 // instruction, which is semantically identical.
 func compact(c *Code) {
 	n := len(c.Ops)
-	newPC := make([]int32, n)
-	j := int32(0)
+	newPC := make([]int, n)
+	j := 0
 	hasNop := false
 	for i, ins := range c.Ops {
 		newPC[i] = j
@@ -433,15 +405,9 @@ func compact(c *Code) {
 		if ins.Op == OpNop {
 			continue
 		}
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalseKeep,
-			OpJumpIfTrueKeep, OpForIter:
-			ins.Arg = newPC[ins.Arg]
-		case OpBinaryJumpIfFalse:
-			ins.Arg = ins.Arg&0xF | newPC[ins.Arg>>4]<<4
-		}
 		ops = append(ops, ins)
 		lines = append(lines, c.Lines[i])
 	}
+	retarget(ops, func(t int) int { return newPC[t] })
 	c.Ops, c.Lines = ops, lines
 }

@@ -56,7 +56,7 @@ const (
 	RopUnpack                // A..A+Arg-1 = unpack sequence in A (first item last)
 	RopLoadLocalPair         // A = local B; A+1 = local C (Arg = original packed arg)
 	RopLoadLocalConst        // A = local B; A+1 = consts[Arg>>12]
-	RopBinaryJumpIfFalse     // if !truth(A ⊙ B): pc = Arg>>4 (⊙ = Arg&0xF)
+	RopBinaryJumpIfFalse     // if !truth(A ⊙ B): pc = target (Arg = ⊙ | target<<4)
 
 	// Quickened forms: rewritten in place by the register interpreter after
 	// first execution observes a monomorphic operand shape. Never produced
@@ -125,9 +125,6 @@ func (o ROp) String() string {
 	}
 	return fmt.Sprintf("ROp(%d)", int(o))
 }
-
-// NumROps is the number of defined register opcodes.
-const NumROps = int(ropCount)
 
 // RInstr is one register-form instruction. Src is the stack opcode this
 // instruction was lowered from: the engine charges baseInstr[Src], indexes

@@ -202,47 +202,3 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(xs)))
 }
-
-// Summary holds the standard descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	CoV    float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary in one pass over a sorted copy.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		nan := math.NaN()
-		return Summary{Mean: nan, Std: nan, CoV: nan, Min: nan, P25: nan,
-			Median: nan, P75: nan, P95: nan, Max: nan}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	m := Mean(xs)
-	sd := StdDev(xs)
-	cov := math.NaN()
-	if m != 0 {
-		cov = sd / m
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   m,
-		Std:    sd,
-		CoV:    cov,
-		Min:    s[0],
-		P25:    quantileSorted(s, 0.25),
-		Median: quantileSorted(s, 0.5),
-		P75:    quantileSorted(s, 0.75),
-		P95:    quantileSorted(s, 0.95),
-		Max:    s[len(s)-1],
-	}
-}

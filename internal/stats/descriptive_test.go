@@ -93,21 +93,6 @@ func TestMADAndMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if !almostEq(s.Mean, 3, 1e-12) {
-		t.Fatalf("mean %v", s.Mean)
-	}
-	empty := Summarize(nil)
-	if !math.IsNaN(empty.Mean) {
-		t.Fatal("empty summary must be NaN-filled")
-	}
-}
-
 // Property: mean is translation-equivariant and variance is
 // translation-invariant.
 func TestMeanVarianceTranslationProperty(t *testing.T) {

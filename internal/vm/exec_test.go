@@ -318,6 +318,50 @@ func TestMalformedCodeIsAnError(t *testing.T) {
 	}
 }
 
+// TestFrameTablesDisagreeingWithOpsAreErrors covers the tables a frame is
+// built from besides the ops: the line table, which a raising op indexes,
+// and the cell-boxed local slots, which a call indexes. Verify and the
+// lowering share one check of both, so such a code object is an error for
+// Verify and for RunModule, never a panic.
+func TestFrameTablesDisagreeingWithOpsAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		mutate    func(module *minipy.Code)
+	}{
+		{"no line table", "x = 1 // 0\n", func(m *minipy.Code) { m.Lines = nil }},
+		{"cell local out of range",
+			"def f():\n    y = 1\n    def g():\n        return y\n    return g()\nf()\n",
+			func(m *minipy.Code) {
+				for _, k := range m.Consts {
+					if f, ok := k.(*minipy.Code); ok && f.Name == "f" {
+						f.CellLocals[0] = 999
+					}
+				}
+			}},
+	} {
+		for _, mode := range []Mode{ModeInterp, ModeJIT} {
+			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				code, err := minipy.CompileSource(c.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.mutate(code)
+				if err := minipy.Verify(code); err == nil {
+					t.Error("Verify accepted the code object")
+				}
+				if _, err := New(Config{Mode: mode}).RunModule(code); err == nil {
+					t.Error("RunModule returned no error")
+				}
+			})
+		}
+	}
+}
+
 func TestRecursionLimit(t *testing.T) {
 	in := New(Config{MaxDepth: 50})
 	_, err := in.RunSource("def f(n):\n    return f(n + 1)\nf(0)")

@@ -6,9 +6,10 @@
 // merged sample set is bit-identical to the same campaign executed
 // in-process on reliable storage with no crashes.
 //
-// The reference run realizes the same deterministic fault schedule (fates
-// are a pure function of the seed), so the comparison isolates exactly
-// what chaos is allowed to change: nothing.
+// The reference run realizes the same deterministic VM fault schedule
+// (fates are a pure function of the seed) without a journal, so the
+// comparison isolates exactly what chaos is allowed to change: nothing.
+// The chaos run's supervisor realizes the storage kinds on its own journal.
 //
 // Usage:
 //
@@ -38,7 +39,6 @@ import (
 	"repro/internal/noise"
 	"repro/internal/stats"
 	"repro/internal/vm"
-	"repro/internal/wal"
 	"repro/internal/workloads"
 )
 
@@ -158,25 +158,25 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	base := harness.SupervisorOptions{
 		MaxRetries: cfg.retries,
 		Quorum:     1,
-		Faults:     cfg.faults,
+		Faults:     cfg.faults.VM(),
 	}
 
-	// Reference: same fault schedule, in-process, reliable storage, no
-	// crashes. This is the campaign's ground truth.
+	// Reference: same VM fault schedule, in-process, no journal (so no
+	// storage faults), no crashes. This is the campaign's ground truth.
 	ref, err := harness.NewSupervisor(harness.NewRunner(), base).Run(context.Background(), b, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchchaos: round %d: reference run failed: %v\n", round, err)
 		return exitcode.Infra
 	}
 
-	// Chaos: subprocess isolation, journal on a fault-injecting filesystem,
-	// and deliberate crash points with journal resume in between.
+	// Chaos: subprocess isolation, a journal whose writes the supervisor
+	// damages with the storage kinds, and deliberate crash points with
+	// journal resume in between.
 	journalDir := filepath.Join(cfg.dir, fmt.Sprintf("round%d", round))
 	if err := os.MkdirAll(journalDir, 0o755); err != nil {
 		fmt.Fprintf(stderr, "benchchaos: round %d: %v\n", round, err)
 		return exitcode.Infra
 	}
-	chaosFS := faults.NewChaosFS(wal.OSFS{}, cfg.faults.Storage(), cfg.seed)
 	iso := harness.IsolationOptions{}
 	if cfg.isolate {
 		exe, err := os.Executable()
@@ -193,8 +193,9 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	var res *harness.Result
 	segments := 0
 	so := base
+	so.Faults = cfg.faults
 	so.Isolation = iso
-	so.Checkpoint = harness.CheckpointDir{Dir: journalDir, FS: chaosFS}
+	so.CheckpointDir = journalDir
 	for {
 		so.CrashAfter = 0
 		if segments < cfg.crashes {
@@ -225,19 +226,15 @@ func soakRound(cfg config, round int, stdout, stderr io.Writer) int {
 	sup := res.Supervision
 	if cfg.verbose {
 		fmt.Fprintf(stdout, "benchchaos: round %d: %d segment(s); %s\n", round, segments, sup.Summary())
-		for _, rec := range chaosFS.Injected() {
-			fmt.Fprintf(stdout, "benchchaos: round %d: storage fault: %s at write %d (%s)\n",
-				round, rec.Kind, rec.Write, rec.Detail)
-		}
 	}
 	if code := compare(ref, res, round, stdout, stderr); code != exitcode.OK {
 		return code
 	}
-	activity := sup.WorkerKills + sup.Retries + sup.CheckpointErrors + len(chaosFS.Injected()) + (segments - 1)
+	activity := sup.WorkerKills + sup.Retries + sup.CheckpointErrors + sup.InjectedFaults + (segments - 1)
 	fmt.Fprintf(stdout,
-		"benchchaos: round %d (seed %d): PASS: %d invocations identical through %d crash(es), %d worker kill(s), %d retry(ies), %d storage fault(s), %d checkpoint error(s)\n",
+		"benchchaos: round %d (seed %d): PASS: %d invocations identical through %d crash(es), %d worker kill(s), %d retry(ies), %d injected fault(s), %d checkpoint error(s)\n",
 		round, cfg.seed, len(res.Invocations), segments-1, sup.WorkerKills, sup.Retries,
-		len(chaosFS.Injected()), sup.CheckpointErrors)
+		sup.InjectedFaults, sup.CheckpointErrors)
 	if activity == 0 && cfg.faults.Enabled() {
 		fmt.Fprintf(stdout, "benchchaos: round %d: note: schedule injected nothing; raise probabilities or invocations for a harder soak\n", round)
 	}

@@ -7,16 +7,13 @@
 //
 //	go test ./internal/vm -bench . -benchmem | benchjson -out BENCH_vm.json
 //	go test ./internal/vm -bench . -benchmem | benchjson -baseline BENCH_vm.json
-//	go test ... | benchjson -baseline BENCH_vm.json -require BenchmarkDispatchArith:25
 //	go test ... | benchjson -baseline BENCH_vm.json -max-alloc-growth 10 -max-bytes-growth 25
 //
 // Comparison prints per-benchmark ns/op deltas. Wall-clock numbers are
-// host-dependent, so the ns/op compare mode is informational by default;
-// -require NAME:PCT entries turn specific improvements into hard gates
-// (exit 1 when the named benchmark improved by less than PCT percent vs.
-// the baseline). allocs_per_op and bytes_per_op, by contrast, are
-// host-stable, so -max-alloc-growth / -max-bytes-growth gate *every*
-// benchmark's memory profile against the baseline: exit 1 when any grows
+// host-dependent, so the ns/op deltas are informational only.
+// allocs_per_op and bytes_per_op, by contrast, are host-stable, so
+// -max-alloc-growth / -max-bytes-growth gate *every* benchmark's memory
+// profile against the baseline: exit 1 when any grows
 // past the given percentage AND past the absolute practical-effect floor
 // (-alloc-floor / -bytes-floor) — the floor keeps one-allocation jitter on
 // lean benchmarks from failing CI (see internal/benchfmt.MemGate).
@@ -26,8 +23,8 @@
 // -no-stamp), so a committed baseline such as BENCH_vm.json records which
 // commit and toolchain measured it.
 //
-// Exit codes follow the repository taxonomy: 0 = pass; 1 = a -require or
-// memory gate failed; 2 = usage; 3 = unreadable/unwritable input or output.
+// Exit codes follow the repository taxonomy: 0 = pass; 1 = a memory gate
+// failed; 2 = usage; 3 = unreadable/unwritable input or output.
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,11 +55,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-type requirement struct {
-	name string
-	pct  float64
-}
-
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -79,10 +70,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		bytesPct   = fs.Float64("max-bytes-growth", -1, "fail when any benchmark's bytes_per_op grew more than this percent vs. the baseline (negative = off)")
 		allocFloor = fs.Int64("alloc-floor", def.AllocFloor, "absolute allocs_per_op growth below which the alloc gate never fails")
 		bytesFloor = fs.Int64("bytes-floor", def.BytesFloor, "absolute bytes_per_op growth below which the bytes gate never fails")
-
-		requires requireList
 	)
-	fs.Var(&requires, "require", "NAME:PCT — fail unless NAME improved by at least PCT% vs. the baseline (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,8 +100,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				return exitcode.Infra
 			}
 		}
-		if len(requires) > 0 || *allocPct >= 0 || *bytesPct >= 0 {
-			fmt.Fprintln(stderr, "benchjson: -require and the memory gates need -baseline")
+		if *allocPct >= 0 || *bytesPct >= 0 {
+			fmt.Fprintln(stderr, "benchjson: the memory gates need -baseline")
 			return exitcode.Usage
 		}
 		return exitcode.OK
@@ -129,25 +117,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		AllocFloor:        *allocFloor,
 		BytesFloor:        *bytesFloor,
 	}
-	return compare(base, doc, requires, th, stdout, stderr)
-}
-
-// requireList parses repeated -require NAME:PCT flags.
-type requireList []requirement
-
-func (r *requireList) String() string { return fmt.Sprint([]requirement(*r)) }
-
-func (r *requireList) Set(s string) error {
-	i := strings.LastIndex(s, ":")
-	if i < 0 {
-		return fmt.Errorf("want NAME:PCT, got %q", s)
-	}
-	pct, err := strconv.ParseFloat(s[i+1:], 64)
-	if err != nil {
-		return fmt.Errorf("bad percentage in %q: %v", s, err)
-	}
-	*r = append(*r, requirement{name: s[:i], pct: pct})
-	return nil
+	return compare(base, doc, th, stdout, stderr)
 }
 
 // stampProvenance fills the document's provenance block.
@@ -193,10 +163,8 @@ func writeDoc(doc *Doc, path string, stdout io.Writer) error {
 }
 
 // compare prints per-benchmark ns/op deltas vs. the baseline and enforces
-// any -require thresholds plus the memory gate. Positive improvement =
-// candidate is faster.
-func compare(base, cand *Doc, reqs []requirement, th benchfmt.MemThresholds, stdout, stderr io.Writer) int {
-	improvements := map[string]float64{}
+// the memory gate. A negative delta means the candidate is faster.
+func compare(base, cand *Doc, th benchfmt.MemThresholds, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-28s %14s %14s %9s %14s\n", "benchmark", "base ns/op", "new ns/op", "delta", "allocs/op")
 	for _, e := range cand.Benchmarks {
 		b, ok := base.Entry(e.Name)
@@ -204,25 +172,10 @@ func compare(base, cand *Doc, reqs []requirement, th benchfmt.MemThresholds, std
 			fmt.Fprintf(stdout, "%-28s %14s %14.0f %9s %8d->%-5d\n", e.Name, "(new)", e.NsPerOp, "", 0, e.AllocsPerOp)
 			continue
 		}
-		imp := 100 * (1 - e.NsPerOp/b.NsPerOp)
-		improvements[e.Name] = imp
 		fmt.Fprintf(stdout, "%-28s %14.0f %14.0f %+8.1f%% %8d->%-5d\n",
-			e.Name, b.NsPerOp, e.NsPerOp, -imp, b.AllocsPerOp, e.AllocsPerOp)
+			e.Name, b.NsPerOp, e.NsPerOp, 100*(e.NsPerOp/b.NsPerOp-1), b.AllocsPerOp, e.AllocsPerOp)
 	}
 	failed := 0
-	for _, r := range reqs {
-		imp, ok := improvements[r.name]
-		switch {
-		case !ok:
-			fmt.Fprintf(stderr, "benchjson: FAIL: %s missing from candidate or baseline\n", r.name)
-			failed++
-		case imp < r.pct:
-			fmt.Fprintf(stderr, "benchjson: FAIL: %s improved %.1f%%, need >= %.1f%%\n", r.name, imp, r.pct)
-			failed++
-		default:
-			fmt.Fprintf(stdout, "benchjson: PASS: %s improved %.1f%% (>= %.1f%%)\n", r.name, imp, r.pct)
-		}
-	}
 	if th.MaxAllocGrowthPct >= 0 || th.MaxBytesGrowthPct >= 0 {
 		violations := benchfmt.MemGate(base, cand, th)
 		for _, v := range violations {

@@ -56,44 +56,6 @@ func TestRunEmitsJSON(t *testing.T) {
 	}
 }
 
-func TestCompareRequire(t *testing.T) {
-	base := &Doc{Benchmarks: []Entry{
-		{Name: "BenchmarkDispatchArith", NsPerOp: 1000},
-		{Name: "BenchmarkCallFib", NsPerOp: 1000},
-	}}
-	cand := &Doc{Benchmarks: []Entry{
-		{Name: "BenchmarkDispatchArith", NsPerOp: 700}, // 30% faster
-		{Name: "BenchmarkCallFib", NsPerOp: 950},       // 5% faster
-	}}
-	var out, errB bytes.Buffer
-	code := compare(base, cand, []requirement{{name: "BenchmarkDispatchArith", pct: 25}}, gateOff, &out, &errB)
-	if code != 0 {
-		t.Fatalf("expected pass, got %d: %s", code, errB.String())
-	}
-	out.Reset()
-	errB.Reset()
-	code = compare(base, cand, []requirement{{name: "BenchmarkCallFib", pct: 25}}, gateOff, &out, &errB)
-	if code != 1 {
-		t.Fatalf("expected fail, got %d", code)
-	}
-	if !strings.Contains(errB.String(), "BenchmarkCallFib") {
-		t.Errorf("failure message missing name: %s", errB.String())
-	}
-}
-
-func TestRequireFlagParsing(t *testing.T) {
-	var r requireList
-	if err := r.Set("BenchmarkX:25"); err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 1 || r[0].name != "BenchmarkX" || r[0].pct != 25 {
-		t.Errorf("parsed %+v", r)
-	}
-	if err := r.Set("nocolon"); err == nil {
-		t.Error("expected error for missing colon")
-	}
-}
-
 func TestStampProvenance(t *testing.T) {
 	var out, errB bytes.Buffer
 	code := run([]string{"-commit", "abc123", "-branch", "perf-work"},
@@ -127,7 +89,7 @@ func TestCompareToleratesUnstampedBaseline(t *testing.T) {
 	base := &Doc{Benchmarks: []Entry{{Name: "BenchmarkDispatchArith", NsPerOp: 1000}}}
 	cand := &Doc{Commit: "abc", Benchmarks: []Entry{{Name: "BenchmarkDispatchArith", NsPerOp: 900}}}
 	var out, errB bytes.Buffer
-	if code := compare(base, cand, nil, gateOff, &out, &errB); code != 0 {
+	if code := compare(base, cand, gateOff, &out, &errB); code != 0 {
 		t.Fatalf("exit %d: %s", code, errB.String())
 	}
 }
@@ -178,7 +140,7 @@ func TestRunMemoryGate(t *testing.T) {
 	}
 }
 
-// The memory gates require a baseline, like -require.
+// The memory gates require a baseline.
 func TestMemoryGateNeedsBaseline(t *testing.T) {
 	var out, errB bytes.Buffer
 	code := run([]string{"-no-stamp", "-max-alloc-growth", "10"},

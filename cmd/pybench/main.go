@@ -17,9 +17,11 @@
 // {default,quiet,noisy,none}.
 //
 // Fault-tolerance knobs (supervised execution): -faults {none,light,heavy,
-// kind=prob,...}, -retries N, -quorum K, -resume DIR. With -resume, an
+// chaos,kind=prob,...}, -retries N, -quorum K, -resume DIR. With -resume, an
 // interrupted run picks up where it left off, skipping completed
 // invocations; the same seed always reproduces the same fault schedule.
+// The storage kinds (torn, badrecord, enospc) damage the checkpoint
+// journal's writes, so they need -resume.
 //
 // Crash-isolation knobs: -isolate runs each experiment's VM in a
 // watchdogged worker subprocess, which returns the noise-free run while
@@ -70,7 +72,6 @@ import (
 	"repro/internal/methodology"
 	"repro/internal/metrics"
 	"repro/internal/minipy"
-	"repro/internal/noise"
 	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -108,7 +109,7 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "with -bench: dump the raw result (all invocations) as JSON (a usage error with any other command)")
 		profileName = flag.String("profile", "", "print the per-line and per-opcode cost profile of a benchmark")
 		dis         = flag.String("dis", "", "disassemble a benchmark's bytecode")
-		faultsSpec  = flag.String("faults", "", "fault injection: none, light, heavy, or kind=prob list (kinds: panic, hang, corrupt, checksum, compile)")
+		faultsSpec  = flag.String("faults", "", "fault injection: none, light, heavy, chaos, or kind=prob list (kinds: panic, hang, corrupt, checksum, compile, kill, stall; torn, badrecord and enospc, which need -resume)")
 		retries     = flag.Int("retries", 0, "per-invocation retry budget for supervised runs")
 		quorum      = flag.Int("quorum", 0, "minimum successful invocations per experiment (0 = all)")
 		resume      = flag.String("resume", "", "checkpoint directory: save progress after every invocation and resume interrupted runs")
@@ -157,13 +158,17 @@ func main() {
 	refuse(runsBench || runsDis, "-opt applies only to -bench and -dis", "opt")
 	refuse(runsBench, "-mode, -vm and -daemon-addr apply only to -bench", "mode", "vm", "daemon-addr")
 
-	np, err := noiseByName(*noiseName)
+	np, err := controlapi.NoiseByName(*noiseName)
 	if err != nil {
 		fatal(usageError{err})
 	}
 	fp, err := faults.Parse(*faultsSpec)
 	if err != nil {
 		fatal(usageError{err})
+	}
+	// A daemon journals every campaign; a local run only with -resume.
+	if st := fp.Storage(); st.Enabled() && *resume == "" && *daemonAddr == "" {
+		fatal(usageError{fmt.Errorf("-faults %s damages checkpoint journal writes and needs -resume DIR", st)})
 	}
 	if *resume != "" {
 		if err := os.MkdirAll(*resume, 0o755); err != nil {
@@ -261,21 +266,15 @@ func usage() {
 	out := flag.CommandLine.Output()
 	fmt.Fprintf(out, "usage: pybench [flags]\n\nFlags:\n")
 	flag.PrintDefaults()
-	fmt.Fprintf(out, "\nBenchmarks: %s\n", strings.Join(benchmarkNames(), ", "))
+	fmt.Fprintf(out, "\nBenchmarks: %s\n", strings.Join(controlapi.BenchmarkNames(), ", "))
 	fmt.Fprintf(out, "Experiments: %v\nRun 'pybench -list' for descriptions.\n", core.ExperimentIDs())
-}
-
-// benchmarkNames lists every runnable workload — the control API's
-// inventory, which is the CLI's inventory by construction.
-func benchmarkNames() []string {
-	return controlapi.BenchmarkNames()
 }
 
 // unknownBenchmark builds the error for a benchmark name that resolves to
 // nothing: non-zero exit with the full inventory, not a bare print.
 func unknownBenchmark(name string) error {
 	return usageError{fmt.Errorf("unknown benchmark %q; available: %s (run 'pybench -list' for descriptions)",
-		name, strings.Join(benchmarkNames(), ", "))}
+		name, strings.Join(controlapi.BenchmarkNames(), ", "))}
 }
 
 // renderStyle selects the table output format.
@@ -386,7 +385,7 @@ func doSuite(cfg core.Config, style renderStyle, o *observability) error {
 		lost = append(lost, core.LostWork(interp, jit)...)
 	}
 	results := methodology.CompareSuite(names, baselines, treatments,
-		methodology.Rigorous{Confidence: cfg.Confidence, Seed: cfg.Seed}, 0.05)
+		methodology.Rigorous{Seed: cfg.Seed}, 0.05)
 	t := report.NewTable(
 		fmt.Sprintf("Suite comparison: JIT vs interpreter (%d×%d, Holm at α=0.05)", cfg.Invocations, cfg.Iterations),
 		"benchmark", "speedup", "CI lo", "CI hi", "p-value", "verdict")
@@ -424,13 +423,6 @@ func fatal(err error) {
 		os.Exit(ec.ExitCode())
 	}
 	os.Exit(exitcode.Infra)
-}
-
-// noiseByName delegates to the control API's single name→model mapping,
-// so the CLI and a remote submission can never disagree about what
-// "quiet" means.
-func noiseByName(name string) (noise.Params, error) {
-	return controlapi.NoiseByName(name)
 }
 
 func doList() {
@@ -556,7 +548,7 @@ func runRemote(addr string, spec controlapi.CampaignSpec) (*harness.Result, erro
 func renderBenchResult(res *harness.Result, spec controlapi.CampaignSpec) error {
 	hs, srep := stats.Sanitize(res.Hierarchical())
 	means := hs.InvocationMeans()
-	ci := stats.KaliberaMeanCI(hs, 0.95)
+	ci := stats.KaliberaMeanCI(hs, methodology.Confidence)
 	vd := stats.DecomposeVariance(hs)
 	rep := methodology.ClassifyExperiment(hs)
 	sv := res.Supervision

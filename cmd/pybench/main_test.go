@@ -134,18 +134,18 @@ func TestNoiseByName(t *testing.T) {
 		"noisy":   noise.Noisy(),
 	}
 	for name, want := range cases {
-		got, err := noiseByName(name)
+		got, err := controlapi.NoiseByName(name)
 		if err != nil {
-			t.Fatalf("noiseByName(%q): %v", name, err)
+			t.Fatalf("controlapi.NoiseByName(%q): %v", name, err)
 		}
 		if got != want {
-			t.Errorf("noiseByName(%q) = %+v", name, got)
+			t.Errorf("controlapi.NoiseByName(%q) = %+v", name, got)
 		}
 	}
-	if _, err := noiseByName("bogus"); err == nil {
+	if _, err := controlapi.NoiseByName("bogus"); err == nil {
 		t.Fatal("unknown noise name must error")
 	}
-	none, err := noiseByName("none")
+	none, err := controlapi.NoiseByName("none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,46 @@ func TestSupervisorOptionsMapping(t *testing.T) {
 		t.Fatalf("supervision policy lost in translation: %+v", so)
 	}
 	// The harness names each experiment's journal inside the directory.
-	if so.Checkpoint.Dir != "ckpt" || so.Checkpoint.FS != nil {
-		t.Fatalf("checkpoint directory lost in translation: %+v", so.Checkpoint)
+	if so.CheckpointDir != "ckpt" {
+		t.Fatalf("checkpoint directory lost in translation: %+v", so)
+	}
+}
+
+// TestStorageFaultsDamageTheJournal: the storage fault kinds act on the
+// -resume journal's writes. A torn=1 run counts its torn writes among its
+// injected faults, and the run over its journal reports the damage.
+// Without -resume the kinds are a usage error.
+func TestStorageFaultsDamageTheJournal(t *testing.T) {
+	dir := t.TempDir()
+	spec := benchSpec("fib", "interp", 2, 2, 7, "quiet")
+	spec.Faults = "torn=1"
+	for run := 0; run < 2; run++ {
+		out := captureStdout(t, func() error { return doBench(spec, dir, "", true, noObs()) })
+		res, err := harness.ReadResultJSON(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv := res.Supervision; sv.InjectedFaults == 0 {
+			t.Errorf("run %d: no injected fault counted under torn=1: %s", run, sv.Summary())
+		}
+		if j := res.Supervision.Journal; run == 1 && (j == nil || j.Clean()) {
+			t.Errorf("the run over a torn journal reports no damage: %+v", j)
+		}
+	}
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(exe, "-pybench", "-bench", "fib", "-invocations", "1", "-iterations", "1", "-faults", "torn=0.5")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != exitcode.Usage || stdout.Len() > 0 ||
+		!strings.Contains(stderr.String(), "needs -resume") {
+		t.Errorf("-faults torn=0.5 without -resume: %v, stdout %q, stderr %q; want exit %d",
+			err, stdout.String(), stderr.String(), exitcode.Usage)
 	}
 }
 
@@ -595,7 +633,7 @@ func TestVersionString(t *testing.T) {
 }
 
 func TestBenchmarkNamesInventory(t *testing.T) {
-	names := benchmarkNames()
+	names := controlapi.BenchmarkNames()
 	if len(names) == 0 {
 		t.Fatal("no benchmarks in inventory")
 	}

@@ -43,7 +43,7 @@ def run():
 	}
 
 	// 3. Analyze: warmup-aware, invocation-level, with a bootstrap CI.
-	rig := methodology.Rigorous{Confidence: 0.95, Seed: 1}
+	rig := methodology.Rigorous{Seed: 1}
 	cmp := rig.Compare(interp.Hierarchical(), jit.Hierarchical())
 
 	fmt.Printf("benchmark: %s (checksum %s)\n", bench.Name, interp.Invocations[0].Checksum)

@@ -18,16 +18,18 @@ import (
 //   - interval: an integer interval, the certificate's claims;
 //   - freshness: whether the value may (or must) have been allocated in
 //     the current activation, the escape facts;
-//   - unbound: whether a local may be unassigned, the raise-free loads.
+//   - definite assignment: whether a local may be, or must be, unassigned,
+//     and whether a cell-boxed local may be; the raise-free loads and the
+//     use-before-def and possibly-unassigned findings.
 //
 // InterprocAnalyze (interproc.go) runs it twice per code object. Pass A
 // gives every parameter ⊤ and harvests call facts; Analyze reports its lint
-// findings (type errors, unresolved globals, typed-instruction counts), so
-// none depends on call sites. Pass B runs with call-site parameters and
-// records the claims the optimizer consumes and the VM-level soundness
-// checker verifies. Everything errs toward ⊤: an
-// imprecise fact is useless but sound; a precise wrong fact is a bug the
-// property tests exist to catch.
+// findings (type errors, unresolved globals, definite assignment,
+// typed-instruction counts), so none depends on call sites. Pass B runs
+// with call-site parameters and records the claims the optimizer consumes
+// and the VM-level soundness checker verifies. Everything errs toward ⊤:
+// an imprecise fact is useless but sound; a precise wrong fact is a bug
+// the property tests exist to catch.
 
 // vclass is the class component: the flat lattice ⊥ ⊑ {int, float, str,
 // bool, list, dict, tuple, function, None, range, class, object, iterator}
@@ -82,7 +84,7 @@ func heapClass(c vclass) bool {
 }
 
 // absv is the abstract value: class + callable provenance + interval +
-// freshness + definite-assignment bit.
+// freshness + definite-assignment bits.
 type absv struct {
 	iv  ival
 	cls vclass
@@ -102,7 +104,9 @@ type absv struct {
 	// closure: the value is (or contains) a closure capturing this frame.
 	closure bool
 	// unbound: a local that may be unassigned (loading it may raise).
-	unbound bool
+	// neverBound: one unassigned on every path (loading it always raises).
+	// A load clears both on the copy it pushes, so no stored value has them.
+	unbound, neverBound bool
 	// elem/length describe iteration for cRange/cIter values: the element
 	// interval and the remaining-iteration count.
 	elem, length ival
@@ -159,13 +163,14 @@ func constAbsv(v minipy.Value) absv {
 // so the conservative reading is "that function escaped".
 func avJoin(a, b absv, esc func(fn string)) absv {
 	out := absv{
-		iv:        ivJoin(a.iv, b.iv),
-		mayFresh:  a.mayFresh || b.mayFresh,
-		mustFresh: a.mustFresh && b.mustFresh,
-		closure:   a.closure || b.closure,
-		unbound:   a.unbound || b.unbound,
-		elem:      ivJoin(a.elem, b.elem),
-		length:    ivJoin(a.length, b.length),
+		iv:         ivJoin(a.iv, b.iv),
+		mayFresh:   a.mayFresh || b.mayFresh,
+		mustFresh:  a.mustFresh && b.mustFresh,
+		closure:    a.closure || b.closure,
+		unbound:    a.unbound || b.unbound,
+		neverBound: a.neverBound && b.neverBound,
+		elem:       ivJoin(a.elem, b.elem),
+		length:     ivJoin(a.length, b.length),
 	}
 	// ⊥ is the identity of the class join; an iterator keeps its element
 	// class only when both sides agree.
@@ -194,17 +199,22 @@ func avJoin(a, b absv, esc func(fn string)) absv {
 	return out
 }
 
-// astate is the abstract machine state at one program point. Cells are
-// not tracked: any call can rebind a cell, so every cell read is ⊤.
+// astate is the abstract machine state at one program point. Cell values
+// are not tracked: any call can rebind a cell, so every cell read is ⊤.
+// cellUnbound[j] is whether cell-boxed local j may be unassigned: only its
+// own STORE_CELL clears it, so a call never proves a cell assigned; and
+// since a call may assign it, no load of one is certain to fail.
 type astate struct {
-	stack  []absv
-	locals []absv
+	stack       []absv
+	locals      []absv
+	cellUnbound []bool
 }
 
 func (s *astate) clone() *astate {
 	return &astate{
-		stack:  append([]absv(nil), s.stack...),
-		locals: append([]absv(nil), s.locals...),
+		stack:       append([]absv(nil), s.stack...),
+		locals:      append([]absv(nil), s.locals...),
+		cellUnbound: append([]bool(nil), s.cellUnbound...),
 	}
 }
 
@@ -237,6 +247,12 @@ func (s *astate) joinInto(o *astate, widen bool, esc func(string)) bool {
 	}
 	for i := range s.locals {
 		merge(&s.locals[i], o.locals[i])
+	}
+	for j, u := range o.cellUnbound {
+		if u && !s.cellUnbound[j] {
+			s.cellUnbound[j] = true
+			changed = true
+		}
 	}
 	return changed
 }
@@ -307,14 +323,16 @@ type absRun struct {
 	// observable behavior.
 	safeLoads map[int]bool
 
-	// The lint findings: certain type errors and unresolved globals
-	// (warned dedupes the latter per name), the reachable instructions
-	// whose inspected operands all have a known class, and all reachable
-	// instructions.
-	diags     []Diagnostic
-	warned    map[string]bool
-	typed     int
-	reachable int
+	// The lint findings: certain type errors, unresolved globals (warned
+	// dedupes them per name) and loads of variables that may be unassigned
+	// (unassignedWarned dedupes the warnings per local slot, and per cell
+	// j as ^j), the reachable instructions whose inspected operands all
+	// have a known class, and all reachable instructions.
+	diags            []Diagnostic
+	warned           map[string]bool
+	unassignedWarned map[int]bool
+	typed            int
+	reachable        int
 }
 
 // absEnv is the module-level environment shared by every per-function run.
@@ -364,19 +382,25 @@ func (env *absEnv) storeGlobal(name string, v absv) {
 
 // entryState builds the frame-entry abstract state. Arguments are evaluated
 // by the caller before the frame exists, so parameters start not-fresh;
-// the other locals start unassigned (class ⊥, possibly unbound).
+// the other locals start unassigned (class ⊥, unbound on every path). The
+// VM boxes a cell-boxed parameter from its argument, so only the other
+// cell-boxed locals start possibly unassigned; free cells arrive assigned.
 func entryState(code *minipy.Code, params []ival) *astate {
-	st := &astate{locals: make([]absv, len(code.LocalNames))}
+	st := &astate{locals: make([]absv, len(code.LocalNames)),
+		cellUnbound: make([]bool, len(code.CellLocals))}
 	for i := range st.locals {
 		v := avTop
 		v.mayFresh = false
 		if i >= code.NumParams {
 			v.cls = cBot
-			v.unbound = true
+			v.unbound, v.neverBound = true, true
 		} else if params != nil && i < len(params) && params[i].isInt() {
 			v = avInt(params[i])
 		}
 		st.locals[i] = v
+	}
+	for j, slot := range code.CellLocals {
+		st.cellUnbound[j] = slot >= code.NumParams
 	}
 	return st
 }
@@ -640,6 +664,22 @@ func (r *absRun) typeError(record bool, pc int, format string, args ...any) {
 	r.diag(record, pc, ErrorSev, "type-error", format, args...)
 }
 
+// unassigned records a load of variable name, which may be unassigned: a
+// use-before-def error when no path assigns it (never), else a
+// possibly-unassigned warning, once per variable (key).
+func (r *absRun) unassigned(record bool, pc int, name string, key int, never bool) {
+	switch {
+	case never:
+		r.diag(record, pc, ErrorSev, "use-before-def", "variable %q is used before any assignment", name)
+	case record && !r.unassignedWarned[key]:
+		if r.unassignedWarned == nil {
+			r.unassignedWarned = map[int]bool{}
+		}
+		r.unassignedWarned[key] = true
+		r.diag(record, pc, Warning, "possibly-unassigned", "variable %q may be unassigned on some paths", name)
+	}
+}
+
 // step interprets one non-terminator op, mutating st.
 func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 	code := r.code
@@ -681,41 +721,29 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 			r.safeLoads[pc] = true
 		}
 
-	case minipy.OpLoadLocal:
-		v := st.locals[arg]
-		note(v)
-		if v.unbound {
-			raise()
-		} else if record {
+	case minipy.OpLoadLocal, minipy.OpLoadLocalPair, minipy.OpLoadLocalConst:
+		slots, n := ins.Locals()
+		safe := true
+		var v absv
+		for _, slot := range slots[:n] {
+			v = st.locals[slot]
+			note(v)
+			if v.unbound {
+				safe = false
+				raise()
+				r.unassigned(record, pc, code.LocalNames[slot], slot, v.neverBound)
+			}
+			v.unbound, v.neverBound = false, false
+			push(v)
+		}
+		if ins.Op == minipy.OpLoadLocalConst {
+			v = constAbsv(code.Consts[arg>>12])
+			push(v)
+		}
+		r.claim(pc, v, record)
+		if record && safe && ins.Op == minipy.OpLoadLocal {
 			r.safeLoads[pc] = true
 		}
-		v.unbound = false
-		push(v)
-		r.claim(pc, v, record)
-
-	case minipy.OpLoadLocalPair:
-		a := st.locals[arg&0xFFF]
-		b := st.locals[arg>>12]
-		note(a, b)
-		if a.unbound || b.unbound {
-			raise()
-		}
-		a.unbound, b.unbound = false, false
-		push(a)
-		push(b)
-		r.claim(pc, b, record)
-
-	case minipy.OpLoadLocalConst:
-		a := st.locals[arg&0xFFF]
-		note(a)
-		if a.unbound {
-			raise()
-		}
-		a.unbound = false
-		k := constAbsv(code.Consts[arg>>12])
-		push(a)
-		push(k)
-		r.claim(pc, k, record)
 
 	case minipy.OpStoreLocal:
 		st.locals[arg] = pop()
@@ -741,11 +769,17 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		// behind this frame's back, so a cell read is always ⊤.
 		note(avTop)
 		raise() // a cell may be observably unassigned; stay conservative
+		if arg < len(st.cellUnbound) && st.cellUnbound[arg] {
+			r.unassigned(record, pc, code.LocalNames[code.CellLocals[arg]], ^arg, false)
+		}
 		push(avTop)
 
 	case minipy.OpStoreCell:
 		if v := pop(); record {
 			r.consume(v) // cells are shared with closures: treat as escape
+		}
+		if arg < len(st.cellUnbound) {
+			st.cellUnbound[arg] = false
 		}
 
 	case minipy.OpPushCell:

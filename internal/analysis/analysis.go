@@ -195,9 +195,9 @@ func Analyze(code *minipy.Code) (*Report, error) {
 	return r, nil
 }
 
-// analyzeFunc reports the per-function findings: unreachable code,
-// definite assignment, the abstract interpreter's pass-A findings and typed
-// coverage (run), and dead stores.
+// analyzeFunc reports the per-function findings: unreachable code, the
+// abstract interpreter's pass-A findings (definite assignment included) and
+// typed coverage (run), and dead stores.
 func analyzeFunc(g *Graph, run *absRun, r *Report) *FuncReport {
 	c := g.Code
 	f := &FuncReport{Name: c.Name, Graph: g, Instructions: len(c.Ops),
@@ -229,7 +229,6 @@ func analyzeFunc(g *Graph, run *absRun, r *Report) *FuncReport {
 		})
 	}
 
-	checkDefiniteAssignment(g, r)
 	r.Diagnostics = append(r.Diagnostics, run.diags...)
 	checkLiveness(g, r, f)
 	return f

@@ -41,6 +41,26 @@ var RuntimeDefects = []DefectProgram{
 	{Name: "use-before-def", Src: "def run():\n    y = z + 1\n    z = 0\n    return y\n"},
 }
 
+// DefiniteAssignment are the shapes of the two definite-assignment rules:
+// a local unassigned on every path (use-before-def), on some path
+// (possibly-unassigned, once per variable), and the cell-boxed locals,
+// which only STORE_CELL assigns and which a call never proves assigned.
+var DefiniteAssignment = []DefectProgram{
+	{Name: "one-armed", Src: "def f(c):\n    if c:\n        x = 1\n    return x\n"},
+	{Name: "else-armed", Src: "def f(c):\n    if c:\n        pass\n    else:\n        x = 2\n    return x + x\n"},
+	{Name: "both-arms", Src: "def f(c):\n    if c:\n        x = 1\n    else:\n        x = 2\n    return x\n"},
+	{Name: "never-assigned", Src: "def f():\n    return x\n    x = 1\n"},
+	{Name: "loop-var-after-loop", Src: "def f(n):\n    for i in range(n):\n        pass\n    return i\n"},
+	{Name: "while-body-only", Src: "def f(n):\n    while n > 0:\n        z = n\n        n = n - 1\n    return z\n"},
+	{Name: "copy-of-unbound", Src: "def f():\n    y = x\n    x = 1\n    return y + y\n"},
+	{Name: "copy-of-maybe-unbound", Src: "def f(c):\n    if c:\n        x = 1\n    y = x\n    return y + x\n"},
+	{Name: "cell-one-arm", Src: "def f(c):\n    if c:\n        x = 1\n    def g():\n        return x\n    return x + g()\n"},
+	{Name: "cell-before-store", Src: "def f():\n    y = x\n    x = 1\n    def g():\n        return x\n    return y + g()\n"},
+	{Name: "cell-over-param", Src: "def f(x):\n    def g():\n        return x\n    return x + g()\n"},
+	{Name: "nonlocal-rebind", Src: "def f(c):\n    def setx():\n        nonlocal x\n        x = 1\n    if c:\n        x = 0\n    setx()\n    return x\n"},
+	{Name: "nonlocal-after-store", Src: "def f():\n    x = 0\n    def inc():\n        nonlocal x\n        x = x + 1\n    inc()\n    return x\n"},
+}
+
 var (
 	// ModuleTypedGlobal: g is a module constant no function rebinds, so
 	// g - g on strings is a certain error.
@@ -98,5 +118,10 @@ func LintGoldenDefects() []DefectProgram {
 		p.Name = "runtime/" + p.Name
 		out = append(out, p)
 	}
-	return append(out, ModuleTypedGlobal, GlobalMutation, SilentValid, UnresolvedGlobal)
+	out = append(out, ModuleTypedGlobal, GlobalMutation, SilentValid, UnresolvedGlobal)
+	for _, p := range DefiniteAssignment {
+		p.Name = "definite-assignment/" + p.Name
+		out = append(out, p)
+	}
+	return out
 }

@@ -75,6 +75,37 @@ func deadStorePCs(g *Graph) map[int]bool {
 	return dead
 }
 
+// bitset is a fixed-width bit vector over local slots.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
+
+func (b bitset) clone() bitset {
+	c := make(bitset, len(b))
+	copy(c, b)
+	return c
+}
+
+func (b bitset) copyFrom(o bitset) { copy(b, o) }
+
+func (b bitset) or(o bitset) {
+	for i := range b {
+		b[i] |= o[i]
+	}
+}
+
+func (b bitset) equal(o bitset) bool {
+	for i := range b {
+		if b[i] != o[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // localLiveness runs the backward liveness dataflow over local slots and
 // returns each block's live-out set.
 func localLiveness(g *Graph) []bitset {

@@ -92,9 +92,6 @@ type campaign struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	tracer *trace.Tracer
-	// resumable marks a campaign replayed from the ledger as interrupted
-	// (its checkpoint journals make the re-run skip completed slots).
-	resumable bool
 }
 
 // The causes a campaign's context is cancelled with.
@@ -195,7 +192,6 @@ func New(opts Options) (*Server, error) {
 		// journals (still on disk — cleanup happens only on a clean
 		// finish) make the re-run resume rather than repeat.
 		c.state = StateQueued
-		c.resumable = true
 		c.events.append(EventState, StateChange{ID: c.id, State: StateQueued})
 		s.queue = append(s.queue, c)
 		s.opts.Logf("controlapi: requeued interrupted campaign %s", c.id)

@@ -243,10 +243,10 @@ func Execute(spec CampaignSpec, eo ExecOptions) ([]*harness.Result, error) {
 		}
 	}
 	sup := harness.NewSupervisor(runner, harness.SupervisorOptions{
-		MaxRetries: spec.Retries,
-		Quorum:     spec.Quorum,
-		Faults:     fp,
-		Checkpoint: harness.CheckpointDir{Dir: eo.CheckpointDir},
+		MaxRetries:    spec.Retries,
+		Quorum:        spec.Quorum,
+		Faults:        fp,
+		CheckpointDir: eo.CheckpointDir,
 		Isolation: harness.IsolationOptions{
 			Enabled:  spec.Isolate,
 			Watchdog: time.Duration(spec.WatchdogMs) * time.Millisecond,

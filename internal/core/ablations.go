@@ -335,7 +335,7 @@ func (e *Engine) AblationSuperinstructions() (*report.Table, error) {
 	}
 	t.Caption = fmt.Sprintf(
 		"Interpreter, %d invocations × %d iterations per arm; speedup = opt-0 time / opt-2 time with %v%% Kalibera–Jones CIs; rel. ops = executed bytecode ops per steady iteration, opt 2 / opt 0.",
-		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
+		e.cfg.Invocations, e.cfg.Iterations, 100*methodology.Confidence)
 	return t, nil
 }
 
@@ -360,7 +360,7 @@ func (e *Engine) AblationFactGates() (*report.Table, error) {
 	}
 	t.Caption = fmt.Sprintf(
 		"Interpreter, %d invocations × %d iterations per arm; speedup = opt-2 time / opt-3 time with %v%% Kalibera–Jones CIs; rel. ops = executed bytecode ops per steady iteration, opt 3 / opt 2. rel. ops = 1.000 means no certificate license fired on that benchmark.",
-		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
+		e.cfg.Invocations, e.cfg.Iterations, 100*methodology.Confidence)
 	return t, nil
 }
 
@@ -382,7 +382,7 @@ func (e *Engine) AblationRegisterElision() (*report.Table, error) {
 	}
 	t.Caption = fmt.Sprintf(
 		"Register tier, %d invocations × %d iterations per arm; speedup = reg time / reg-elide time with %v%% Kalibera–Jones CIs; rel. ops = executed register ops per steady iteration, elided / 1:1. rel. ops < 1 measures deleted forwarding moves.",
-		e.cfg.Invocations, e.cfg.Iterations, 100*e.cfg.Confidence)
+		e.cfg.Invocations, e.cfg.Iterations, 100*methodology.Confidence)
 	return t, nil
 }
 
@@ -399,7 +399,7 @@ func (e *Engine) AblationRegisterElision() (*report.Table, error) {
 func (e *Engine) twoArmAblation(title string, base, cand harness.Options) (*report.Table, error) {
 	t := report.NewTable(title,
 		"benchmark", "class", "rel. ops", "speedup", "CI low", "CI high", "verdict")
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
+	rig := methodology.Rigorous{Seed: e.cfg.Seed}
 	for _, o := range []*harness.Options{&base, &cand} {
 		o.Mode, o.Invocations, o.Iterations, o.Noise = vm.ModeInterp, e.cfg.Invocations, e.cfg.Iterations, e.cfg.Noise
 	}

@@ -38,8 +38,6 @@ type Config struct {
 	// Noise selects the simulated machine's noise. The zero value is
 	// noiseless (noise.None), as everywhere else in the program.
 	Noise noise.Params
-	// Confidence for all intervals. Default 0.95.
-	Confidence float64
 	// Benchmarks restricts the suite (nil = full suite).
 	Benchmarks []workloads.Benchmark
 
@@ -77,12 +75,12 @@ func (c Config) Supervised() bool {
 // schedule, the one pybench -bench draws at the same seed.
 func (c Config) SupervisorOptions() harness.SupervisorOptions {
 	return harness.SupervisorOptions{
-		MaxRetries: c.Retries,
-		Quorum:     c.Quorum,
-		Faults:     c.Faults,
-		FaultSeed:  c.Seed,
-		Checkpoint: harness.CheckpointDir{Dir: c.CheckpointDir},
-		Isolation:  c.Isolation,
+		MaxRetries:    c.Retries,
+		Quorum:        c.Quorum,
+		Faults:        c.Faults,
+		FaultSeed:     c.Seed,
+		CheckpointDir: c.CheckpointDir,
+		Isolation:     c.Isolation,
 	}
 }
 
@@ -101,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Trials == 0 {
 		c.Trials = 200
-	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
 	}
 	if c.Benchmarks == nil {
 		c.Benchmarks = workloads.Suite()
@@ -291,7 +286,7 @@ type SpeedupResult struct {
 // benchmark (interpreter as baseline, JIT as treatment) and returns
 // per-benchmark speedups plus the geometric mean.
 func (e *Engine) CompareEngines() ([]SpeedupResult, float64, error) {
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed}
+	rig := methodology.Rigorous{Seed: e.cfg.Seed}
 	var out []SpeedupResult
 	var speedups []float64
 	for _, b := range e.cfg.Benchmarks {

@@ -108,7 +108,7 @@ func (e *Engine) Figure4() (*report.Figure, error) {
 	f := report.NewFigure("Figure 4: CI half-width vs invocations",
 		"invocations", "relative CI half-width %")
 	counts := []int{2, 3, 4, 6, 8, 12, 16, 24, 32, 40}
-	rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed, Resamples: 600}
+	rig := methodology.Rigorous{Seed: e.cfg.Seed, Resamples: 600}
 	for _, b := range e.warmupExemplars() {
 		gi, gj, err := e.generatorPair(b, e.cfg.Iterations)
 		if err != nil {
@@ -147,7 +147,7 @@ func (e *Engine) Figure5() (*report.Table, error) {
 		}
 		all := stats.Mean(ri.Hierarchical().Flatten()) / stats.Mean(rj.Hierarchical().Flatten())
 		drop5 := stats.Mean(ri.HierarchicalFrom(5).Flatten()) / stats.Mean(rj.HierarchicalFrom(5).Flatten())
-		rig := methodology.Rigorous{Confidence: e.cfg.Confidence, Seed: e.cfg.Seed, Resamples: 400}
+		rig := methodology.Rigorous{Seed: e.cfg.Seed, Resamples: 400}
 		det := rig.Compare(ri.Hierarchical(), rj.Hierarchical()).Speedup
 		// Ground truth from noise-free steady tails.
 		pi, err := e.baseProfile(b, vm.ModeInterp, e.cfg.WarmupIterations)

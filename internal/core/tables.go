@@ -50,8 +50,8 @@ func (e *Engine) Table2() (*report.Table, error) {
 			}
 			hs := res.Hierarchical()
 			means := hs.InvocationMeans()
-			ci := stats.KaliberaMeanCI(hs, e.cfg.Confidence)
-			need := stats.RequiredN(means, e.cfg.Confidence, 0.01*stats.Mean(means))
+			ci := stats.KaliberaMeanCI(hs, methodology.Confidence)
+			need := stats.RequiredN(means, methodology.Confidence, 0.01*stats.Mean(means))
 			t.AddRow(b.Name, mode.String(),
 				1e3*stats.Mean(means),
 				100*stats.CoV(means),

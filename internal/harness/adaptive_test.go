@@ -101,7 +101,7 @@ func TestAdaptiveCrashResumesToSameStop(t *testing.T) {
 		t.Fatalf("reference converged in one batch (%d invocations); the crash would not land mid-run",
 			len(ref.Invocations))
 	}
-	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
+	so.CheckpointDir = t.TempDir()
 	crash := so
 	crash.CrashAfter = adaptiveBatch + 2 // mid second batch
 	b := mustBench(t, "collatz")

@@ -98,7 +98,7 @@ func TestCancelLeavesJournalResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
+	so.CheckpointDir = t.TempDir()
 	crash := so
 	crash.CrashAfter = 1
 	if _, err := NewSupervisor(NewRunner(), crash).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
@@ -128,7 +128,7 @@ func TestCancelLeavesJournalResumable(t *testing.T) {
 		t.Fatalf("the cancelled simulation was measured %d time(s)", got)
 	}
 
-	jn, records, _, err := wal.OpenLines(wal.OSFS{}, onlyJournal(t, so.Checkpoint.Dir))
+	jn, records, _, err := wal.OpenLines(wal.OSFS{}, onlyJournal(t, so.CheckpointDir))
 	if err != nil {
 		t.Fatal(err)
 	}

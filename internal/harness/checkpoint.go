@@ -12,21 +12,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// CheckpointDir is where a supervised run persists its progress: one
-// write-ahead journal per experiment key (see checkpointKey), named by the
-// key's digest, so two experiments never share a file and any mix of
-// surfaces (pybench -bench, -exp, -suite, the daemon) can share one
-// directory. A run resumes the journal its key names, whichever surface
-// wrote it. The zero value disables checkpointing.
-type CheckpointDir struct {
-	// Dir is the existing directory holding the journals ("" = none).
-	Dir string
-	// FS is the filesystem the journals go through (nil = the real one).
-	// The chaos soak passes a fault-injecting FS so storage faults attack
-	// the production write path.
-	FS wal.FS
-}
-
 // checkpointVersion guards the on-disk format. Version 2 keyed progress by
 // invocation id instead of arrival order (the since-removed sharded runs
 // completed invocations out of order); version 3 made the store a
@@ -92,17 +77,13 @@ type checkpoint struct {
 	report  wal.RecoveryReport
 }
 
-// openCheckpoint recovers the journal of the experiment key inside cd,
-// named by the first 16 bytes of the key's SHA-256, and replays its slots.
-// The key record comes first in every journal, and a journal whose key
-// record is not key is refused.
-func openCheckpoint(cd CheckpointDir, key string) (*checkpoint, error) {
-	fsys := cd.FS
-	if fsys == nil {
-		fsys = wal.OSFS{}
-	}
+// openCheckpoint recovers the journal of the experiment key inside dir,
+// through fsys, named by the first 16 bytes of the key's SHA-256, and
+// replays its slots. The key record comes first in every journal, and a
+// journal whose key record is not key is refused.
+func openCheckpoint(fsys wal.FS, dir, key string) (*checkpoint, error) {
 	sum := sha256.Sum256([]byte(key))
-	path := filepath.Join(cd.Dir, hex.EncodeToString(sum[:16])+".ckpt.wal")
+	path := filepath.Join(dir, hex.EncodeToString(sum[:16])+".ckpt.wal")
 	jn, records, report, err := wal.OpenLines(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("opening checkpoint journal: %w", err)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/noise"
-	"repro/internal/wal"
 )
 
 // TestMain doubles as the worker binary: with PYBENCH_TEST_WORKER set the
@@ -153,14 +152,14 @@ func TestJournalCheckpointCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck := CheckpointDir{Dir: t.TempDir()}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 3}).Run(context.Background(), b, opts)
+	ck := t.TempDir()
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck, CrashAfter: 3}).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
 
 	// A fresh run replays the journal the "crash" left behind.
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +180,14 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck := CheckpointDir{Dir: t.TempDir()}
-	_, err = NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 2}).Run(context.Background(), b, opts)
+	ck := t.TempDir()
+	_, err = NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck, CrashAfter: 2}).Run(context.Background(), b, opts)
 	if !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
 
 	// Tear the tail: kill -9 mid-append leaves a half-written final line.
-	path := onlyJournal(t, ck.Dir)
+	path := onlyJournal(t, ck)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +196,7 @@ func TestJournalTornTailResumesLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +227,8 @@ func TestBinaryJournalReadsAsDamage(t *testing.T) {
 
 	// A crash point leaves the experiment's journal at its path; the old
 	// build's frames replace it.
-	ck := CheckpointDir{Dir: t.TempDir()}
-	if _, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck, CrashAfter: 1}).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
+	ck := t.TempDir()
+	if _, err := NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck, CrashAfter: 1}).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("want ErrCrashPoint, got %v", err)
 	}
 	var old []byte
@@ -238,10 +237,10 @@ func TestBinaryJournalReadsAsDamage(t *testing.T) {
 		old = binary.BigEndian.AppendUint32(old, crc32.Checksum([]byte(rec), crc32.MakeTable(crc32.Castagnoli)))
 		old = append(old, rec...)
 	}
-	if err := os.WriteFile(onlyJournal(t, ck.Dir), old, 0o644); err != nil {
+	if err := os.WriteFile(onlyJournal(t, ck), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
+	res, err := NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: ck}).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,18 +258,52 @@ func TestCheckpointErrorsAreSurvived(t *testing.T) {
 	opts := Options{Invocations: 3, Iterations: 2, Seed: 17, Noise: noise.Default()}
 	// A disk that refuses every write: the campaign must finish anyway and
 	// report the lost durability.
-	full := faults.NewChaosFS(wal.OSFS{}, faults.Params{DiskFullProb: 1}, 1)
-	ck := CheckpointDir{Dir: t.TempDir(), FS: full}
-	res, err := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: ck}).Run(context.Background(), b, opts)
+	so := SupervisorOptions{CheckpointDir: t.TempDir(), Faults: faults.Params{DiskFullProb: 1}}
+	res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
 	if err != nil {
 		t.Fatalf("checkpoint failure must not kill the run: %v", err)
 	}
 	sup := res.Supervision
-	if sup.CheckpointErrors != 3 {
-		t.Fatalf("CheckpointErrors = %d, want 3", sup.CheckpointErrors)
+	if sup.CheckpointErrors != 3 || sup.InjectedFaults != 3 {
+		t.Fatalf("CheckpointErrors = %d, InjectedFaults = %d, want 3 each", sup.CheckpointErrors, sup.InjectedFaults)
 	}
 	if sup.CheckpointError == "" || !sup.Degraded() {
 		t.Fatalf("failed durability must degrade the run: %+v", sup)
+	}
+}
+
+// TestStorageFaultsActOnTheJournal: the storage fault kinds damage the
+// checkpoint journal's writes and nothing else. Without a journal they are
+// an error. With one, a torn=1 run counts each torn write among its
+// injected faults and draws the clean run's samples, and the run over its
+// journal reports the damage and draws them again.
+func TestStorageFaultsActOnTheJournal(t *testing.T) {
+	b := mustBench(t, "fib")
+	opts := Options{Invocations: 3, Iterations: 2, Seed: 5, Noise: noise.Default()}
+	torn := faults.Params{TornWriteProb: 1}
+	_, err := NewSupervisor(NewRunner(), SupervisorOptions{Faults: torn}).Run(context.Background(), b, opts)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint journal") {
+		t.Fatalf("storage faults without a journal: %v, want an error", err)
+	}
+	clean, err := NewSupervisor(NewRunner(), SupervisorOptions{}).Run(context.Background(), b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := SupervisorOptions{Faults: torn, CheckpointDir: t.TempDir()}
+	for run := 0; run < 2; run++ {
+		res, err := NewSupervisor(NewRunner(), so).Run(context.Background(), b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := res.Supervision
+		// The key record and one record per invocation, each torn.
+		if sup.InjectedFaults != 1+opts.Invocations {
+			t.Errorf("run %d: %d injected faults, want %d: %s", run, sup.InjectedFaults, 1+opts.Invocations, sup.Summary())
+		}
+		if damaged := !sup.Journal.Clean(); damaged != (run == 1) {
+			t.Errorf("run %d: journal %s", run, sup.Journal)
+		}
+		sameSamples(t, clean, res, "torn journal vs clean run")
 	}
 }
 

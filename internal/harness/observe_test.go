@@ -54,9 +54,9 @@ func TestSupervisorEmitsInstantEvents(t *testing.T) {
 	r := NewRunner()
 	r.SetObserver(Observer{Trace: tr, Metrics: reg})
 	s := NewSupervisor(r, SupervisorOptions{
-		MaxRetries: 5,
-		Faults:     faults.Params{PanicProb: 0.4},
-		Checkpoint: CheckpointDir{Dir: t.TempDir()},
+		MaxRetries:    5,
+		Faults:        faults.Params{PanicProb: 0.4},
+		CheckpointDir: t.TempDir(),
 	})
 	res, err := s.Run(context.Background(), fibBench(t), Options{Invocations: 4, Iterations: 2, Seed: 3, Noise: noise.Quiet()})
 	if err != nil {

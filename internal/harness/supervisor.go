@@ -90,7 +90,9 @@ type Supervision struct {
 	Attempts int
 	// Retries is the total retry count (attempts beyond each first).
 	Retries int
-	// InjectedFaults counts attempts that had a fault injected.
+	// InjectedFaults counts the injected faults: attempts that had one, and
+	// checkpoint journal writes a storage kind (torn, badrecord, enospc)
+	// tore, corrupted or refused.
 	InjectedFaults int
 	// QuarantinedSamples counts corrupted (NaN/inf/non-positive) samples
 	// detected and discarded together with their attempt.
@@ -178,15 +180,20 @@ type SupervisorOptions struct {
 	Quorum int
 	// Faults is the injected fault model (zero value = none). Real-world
 	// failures (panics, budget blowouts, bad samples) are handled the same
-	// way whether or not injection is on.
+	// way whether or not injection is on. Its storage kinds act on the
+	// checkpoint journal's writes, so they need a CheckpointDir.
 	Faults faults.Params
 	// FaultSeed seeds the fault schedule; 0 means use Options.Seed, so a
 	// fault run is reproducible from the experiment seed alone.
 	FaultSeed uint64
-	// Checkpoint, when its Dir is set, journals every completed invocation
-	// there so an interrupted experiment resumes without re-running
-	// completed work.
-	Checkpoint CheckpointDir
+	// CheckpointDir, when set, is the existing directory where every
+	// completed invocation is journaled, so an interrupted experiment
+	// resumes without re-running completed work. Each experiment key (see
+	// checkpointKey) has its own write-ahead journal, named by the key's
+	// digest, so any mix of surfaces (pybench -bench, -exp, -suite, the
+	// daemon) can share one directory, and a run resumes the journal its
+	// key names, whichever surface wrote it.
+	CheckpointDir string
 	// Isolation shells the experiment's VM runs out to a watchdogged
 	// worker child process (see IsolationOptions).
 	Isolation IsolationOptions
@@ -316,6 +323,10 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 		return nil, fmt.Errorf("harness: %s: target half-width %v: want a positive fraction, or 0 for a fixed design",
 			b.Name, opts.TargetRelHalfWidth)
 	}
+	if st := s.opts.Faults.Storage(); st.Enabled() && s.opts.CheckpointDir == "" {
+		return nil, fmt.Errorf("harness: %s: faults %s act on the checkpoint journal, and the run has none",
+			b.Name, st)
+	}
 	code, summary, err := s.r.compiled(b, opts.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
@@ -329,9 +340,9 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 	// campaign seed still draw independent fault fates (the same
 	// discipline benchSeed applies to noise streams).
 	faultSeed ^= experimentSalt(b.Name, opts.Mode)
-	// The injector draws only the invocation-level kinds; storage kinds
-	// (torn/badrecord/enospc) are realized per journal append by a
-	// ChaosFS under the checkpoint directory, not per invocation.
+	// The injector draws only the invocation-level kinds; the storage kinds
+	// (torn/badrecord/enospc) are realized per journal write by the ChaosFS
+	// the journal is written through (see below), not per invocation.
 	inj := faults.NewInjector(s.opts.Faults.VM(), faultSeed)
 
 	// The execution substrate: in-process, or a watchdogged worker child
@@ -351,11 +362,28 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 	slots := make([]*slotRecord, opts.Invocations)
 	resumed := 0
 	var ckpt *checkpoint
-	if s.opts.Checkpoint.Dir != "" {
+	// The journal is written through a ChaosFS, which realizes the storage
+	// kinds on its writes under the fault seed and passes every write
+	// through when there are none. noteStorageFaults reports the faults it
+	// has injected since the last call; storageFaults counts them.
+	var storage *faults.ChaosFS
+	storageFaults := 0
+	noteStorageFaults := func() {
+		injected := storage.Injected()
+		for _, f := range injected[storageFaults:] {
+			obs.Trace.Instant(trace.CatSupervisor, "fault-injected",
+				"kind", f.Kind, "write", strconv.FormatUint(f.Write, 10), "detail", f.Detail)
+			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts and journal writes").Inc()
+		}
+		storageFaults = len(injected)
+	}
+	if s.opts.CheckpointDir != "" {
+		storage = faults.NewChaosFS(wal.OSFS{}, s.opts.Faults, faultSeed)
 		var key string
 		key, err = checkpointKey(b, opts, s.opts, faultSeed)
 		if err == nil {
-			ckpt, err = openCheckpoint(s.opts.Checkpoint, key)
+			ckpt, err = openCheckpoint(storage, s.opts.CheckpointDir, key)
+			noteStorageFaults()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
@@ -411,7 +439,9 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 		if ckpt == nil {
 			return
 		}
-		if err := ckpt.append(slot); err != nil {
+		err := ckpt.append(slot)
+		noteStorageFaults()
+		if err != nil {
 			ckptErrs++
 			if ckptFirstErr == "" {
 				ckptFirstErr = err.Error()
@@ -468,6 +498,7 @@ func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Option
 	sup.WorkerKills, sup.WorkerRestarts = exec.stats()
 	sup.CheckpointErrors = ckptErrs
 	sup.CheckpointError = ckptFirstErr
+	sup.InjectedFaults += storageFaults
 	if ckpt != nil {
 		sup.Journal = &ckpt.report
 	}
@@ -566,7 +597,7 @@ func (s *Supervisor) superviseOne(ctx context.Context, exec invocationExecutor, 
 			obs.Trace.Instant(trace.CatSupervisor, "fault-injected",
 				"kind", fault.Kind.String(), "invocation", strconv.Itoa(invIdx),
 				"attempt", strconv.Itoa(attempt))
-			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts").Inc()
+			obs.Metrics.Counter(mFaultsInjected, "faults injected into attempts and journal writes").Inc()
 		}
 		inv, err := s.attempt(ctx, exec, b, code, opts, invIdx, attempt, fault, sim)
 		if err == nil {

@@ -236,7 +236,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	}
 
 	// Kill the journaled run after 3 invocations, then resume it.
-	so.Checkpoint = CheckpointDir{Dir: t.TempDir()}
+	so.CheckpointDir = t.TempDir()
 	crash := so
 	crash.CrashAfter = 3
 	if _, err := NewSupervisor(NewRunner(), crash).Run(context.Background(), b, opts); !errors.Is(err, ErrCrashPoint) {
@@ -304,7 +304,7 @@ func onlyJournal(t *testing.T, dir string) string {
 func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 	b := mustBench(t, "fib")
 	dir := t.TempDir()
-	so := SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}}
+	so := SupervisorOptions{CheckpointDir: dir}
 	opts := Options{Invocations: 2, Iterations: 2, Seed: 1, Noise: noise.Default()}
 	run := func(o Options) (*Result, error) {
 		return NewSupervisor(NewRunner(), so).Run(context.Background(), b, o)
@@ -383,7 +383,7 @@ func TestSupervisorCheckpointKeyMismatch(t *testing.T) {
 func TestSupervisorCheckpointLayout(t *testing.T) {
 	dir := t.TempDir()
 	b := mustBench(t, "fib")
-	s := NewSupervisor(NewRunner(), SupervisorOptions{Checkpoint: CheckpointDir{Dir: dir}})
+	s := NewSupervisor(NewRunner(), SupervisorOptions{CheckpointDir: dir})
 	arms := func() []*Result {
 		var out []*Result
 		for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {

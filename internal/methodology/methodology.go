@@ -231,13 +231,14 @@ func signVerdict(speedup, tol float64) Verdict {
 //  3. a hierarchical-bootstrap confidence interval on the speedup ratio;
 //  4. a verdict only when the CI excludes 1.
 type Rigorous struct {
-	// Confidence is the CI level; 0 means 0.95.
-	Confidence float64
 	// Resamples is the bootstrap resample count; 0 means the stats default.
 	Resamples int
 	// Seed drives the bootstrap; comparisons are deterministic per seed.
 	Seed uint64
 }
+
+// Confidence is the level of every interval the methodology reports.
+const Confidence = 0.95
 
 // maxWarmupFrac caps the fraction of an invocation's iterations Rigorous
 // drops as warmup.
@@ -248,14 +249,10 @@ func (Rigorous) Name() string { return "rigorous" }
 
 // Compare implements Methodology.
 func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparison {
-	conf := r.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
 	rng := stats.NewRNG(r.Seed ^ 0xB00757A9)
 
 	dropped, sa, sb := trimWarmup(baseline, treatment)
-	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, conf, r.Resamples, rng)
+	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, Confidence, r.Resamples, rng)
 	sp := meanOfMeans(sa) / meanOfMeans(sb)
 	verdict := Indistinguishable
 	if !ci.Contains(1) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/minipy"
@@ -120,13 +121,32 @@ func encodeFuzzCode(c *minipy.Code, nested bool) []byte {
 	return out
 }
 
+// oversizedFrame decodes to LOAD_LOCAL_PAIR; UNPACK 808464432; JUMP 2: a
+// balanced stack 808,464,433 operands deep, a frame the VM would try to
+// allocate (about 26 GB) before running its first op.
+var oversizedFrame = []byte("0000\x00\x0500000\x0000# 0\x00\x00\"0000\r\x02\x00\x00\x000000000000000000")
+
+// TestVerifyRejectsOversizedFrame holds Verify to its frame bound. The
+// code is never run.
+func TestVerifyRejectsOversizedFrame(t *testing.T) {
+	r := fuzzReader(oversizedFrame)
+	code := decodeFuzzCode(&r, false)
+	if len(code.Ops) < 2 || code.Ops[1] != (minipy.Instr{Op: minipy.OpUnpack, Arg: 808464432}) {
+		t.Fatalf("the input no longer decodes to the oversized UNPACK:\n%s", code.Disassemble())
+	}
+	if err := minipy.Verify(code); err == nil || !strings.Contains(err.Error(), "registers") {
+		t.Fatalf("Verify = %v, want the frame refused", err)
+	}
+}
+
 // FuzzVerify decodes a byte string into a small code object and holds the
 // verifiers and the lowering to their contract: no input panics Verify,
 // LowerToRegister, ElideMoves or VerifyRegister; every code object of an
 // input Verify accepts lowers; and every lowering VerifyRegister accepts,
 // plain and move-elided. It does not run what Verify accepts. The seeds
-// are the inventory programs at -opt 0 and -opt 2.
+// are the inventory programs at -opt 0 and -opt 2, and oversizedFrame.
 func FuzzVerify(f *testing.F) {
+	f.Add(oversizedFrame)
 	for _, b := range append(workloads.Suite(), workloads.Extended()...) {
 		for _, opt := range []int{0, 2} {
 			code, err := b.Compile()

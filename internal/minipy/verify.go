@@ -1,9 +1,6 @@
 package minipy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // VerifyError reports a bytecode verification failure.
 type VerifyError struct {
@@ -26,7 +23,9 @@ func (e *VerifyError) Error() string {
 //     (format.go) says;
 //   - the operand stack is balanced: abstract interpretation over the CFG
 //     proves the stack depth is non-negative everywhere, consistent at
-//     every join point, and exactly 1 at every RETURN;
+//     every join point, and exactly 1 at every RETURN, and the frame
+//     (locals plus the deepest stack) holds at most maxFrameRegs
+//     registers;
 //   - control cannot fall off the end of the bytecode.
 //
 // The compiler is trusted but verified: the test suite runs Verify over all
@@ -68,6 +67,12 @@ func maxDepth(depth []int32) int {
 	return m
 }
 
+// maxFrameRegs bounds a frame's registers: its locals plus its deepest
+// operand stack. The compiler's frames use a few dozen; a count operand
+// that a verified program could otherwise set near 2^31 would make the VM
+// allocate its frame before running an op.
+const maxFrameRegs = 1 << 16
+
 // stackDepths checks the code's frame tables (checkFrame) and every
 // instruction's argument against the format table (pass 1), then interprets
 // the operand-stack depth over the CFG (pass 2) and returns each pc's entry
@@ -104,10 +109,12 @@ func stackDepths(code *Code) ([]int32, error) {
 	// interpreter that runs it then allocates only what the lowering keeps.
 	var workBuf [16]int
 	work := append(workBuf[:0], 0)
-	// propagate records a successor's depth, checking join consistency.
+	// propagate records a successor's depth, checking join consistency and
+	// the frame bound. RETURN, the one op that propagates nothing, needs
+	// depth 1 and so cannot come first: the bound covers the locals too.
 	propagate := func(from, to, d int) error {
-		if d > math.MaxInt32 {
-			return fail(from, "stack depth %d entering pc %d overflows", d, to)
+		if regs := len(code.LocalNames) + d; regs > maxFrameRegs {
+			return fail(from, "frame of %d registers entering pc %d exceeds %d", regs, to, maxFrameRegs)
 		}
 		if to >= n {
 			return fail(from, "control falls off the end")

@@ -21,19 +21,24 @@ func (in *Interp) buildClass(seg []minipy.Value, n int) (minipy.Value, error) {
 	// Match the historical pop order (top pair first): on duplicate method
 	// names the bottom-most pair wins.
 	for i := n - 1; i >= 0; i-- {
-		nameV := seg[2+2*i]
-		v := seg[3+2*i]
-		methods[string(nameV.(minipy.Str))] = v
+		name, ok := seg[2+2*i].(minipy.Str)
+		if !ok {
+			return nil, typeErr("method name must be a str, not '%s'", seg[2+2*i].TypeName())
+		}
+		methods[string(name)] = seg[3+2*i]
 	}
 	baseV := seg[1]
-	className := string(seg[0].(minipy.Str))
+	className, ok := seg[0].(minipy.Str)
+	if !ok {
+		return nil, typeErr("class name must be a str, not '%s'", seg[0].TypeName())
+	}
 	var baseClass *minipy.Class
 	if bc, ok := baseV.(*minipy.Class); ok {
 		baseClass = bc
 	} else if _, isNone := baseV.(minipy.NoneType); !isNone {
 		return nil, typeErr("class base must be a class, not '%s'", baseV.TypeName())
 	}
-	return &minipy.Class{Name: className, Base: baseClass, Methods: methods, Addr: in.alloc(256)}, nil
+	return &minipy.Class{Name: string(className), Base: baseClass, Methods: methods, Addr: in.alloc(256)}, nil
 }
 
 // branchEvent reports a resolved conditional branch to the probe and, when

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,7 +273,10 @@ func TestErrors(t *testing.T) {
 // stack, one with no ops, and a function whose body POPs an empty stack,
 // reached through CallGlobal and through a call inside a frame. None of
 // them can be lowered, and each must come back to the caller as an error
-// naming the code object on both engines, never as a panic.
+// naming the code object on both engines, never as a panic. The rows
+// Verify accepts have operands of the wrong type: a FOR_ITER over None, a
+// closure over an int instead of a cell, and a class or method named by an
+// int. Each must raise a TypeError.
 func TestMalformedCodeIsAnError(t *testing.T) {
 	module := func(name string, consts []minipy.Value, ops ...minipy.Instr) *minipy.Code {
 		return &minipy.Code{Name: name, IsModule: true, Consts: consts, Names: []string{"bad_fn"},
@@ -285,7 +289,45 @@ func TestMalformedCodeIsAnError(t *testing.T) {
 		{Op: minipy.OpStoreGlobal, Arg: 0},
 	}
 	fnConsts := []minipy.Value{badFn, minipy.None}
+	closure := &minipy.Code{Name: "closure", FreeNames: []string{"x"}, Consts: none,
+		Ops: []minipy.Instr{{Op: minipy.OpLoadConst}, {Op: minipy.OpReturn}}, Lines: []int32{1, 1}}
+	intConsts := []minipy.Value{minipy.None, minipy.IntValue(1), minipy.Str("C"), closure}
+	run := func(mode Mode, code *minipy.Code) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, err = New(Config{Mode: mode}).RunModule(code)
+		return err
+	}
 	for _, mode := range []Mode{ModeInterp, ModeJIT} {
+		for _, c := range []struct {
+			code *minipy.Code
+			want string
+		}{
+			{module("for_iter_none", none, minipy.Instr{Op: minipy.OpLoadConst},
+				minipy.Instr{Op: minipy.OpForIter, Arg: 4}, minipy.Instr{Op: minipy.OpPop},
+				minipy.Instr{Op: minipy.OpJump, Arg: 1}, minipy.Instr{Op: minipy.OpLoadConst},
+				minipy.Instr{Op: minipy.OpReturn}), "TypeError: 'NoneType' object is not an iterator"},
+			{module("closure_over_int", intConsts, minipy.Instr{Op: minipy.OpLoadConst, Arg: 1},
+				minipy.Instr{Op: minipy.OpMakeFunction, Arg: 3}, minipy.Instr{Op: minipy.OpReturn}),
+				"TypeError: free variable \"x\" of closure is 'int', not a cell"},
+			{module("class_named_by_int", intConsts, minipy.Instr{Op: minipy.OpLoadConst, Arg: 1},
+				minipy.Instr{Op: minipy.OpLoadConst}, minipy.Instr{Op: minipy.OpBuildClass},
+				minipy.Instr{Op: minipy.OpReturn}), "TypeError: class name must be a str, not 'int'"},
+			{module("method_named_by_int", intConsts, minipy.Instr{Op: minipy.OpLoadConst, Arg: 2},
+				minipy.Instr{Op: minipy.OpLoadConst}, minipy.Instr{Op: minipy.OpLoadConst, Arg: 1},
+				minipy.Instr{Op: minipy.OpLoadConst}, minipy.Instr{Op: minipy.OpBuildClass, Arg: 1},
+				minipy.Instr{Op: minipy.OpReturn}), "TypeError: method name must be a str, not 'int'"},
+		} {
+			if err := minipy.Verify(c.code); err != nil {
+				t.Fatalf("Verify(%s) = %v, want it accepted", c.code.Name, err)
+			}
+			if err := run(mode, c.code); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: RunModule(%s) = %v, want %s", mode, c.code.Name, err, c.want)
+			}
+		}
 		for _, c := range []struct {
 			code *minipy.Code
 			want string
@@ -301,8 +343,7 @@ func TestMalformedCodeIsAnError(t *testing.T) {
 				minipy.Instr{Op: minipy.OpCall, Arg: 0},
 				minipy.Instr{Op: minipy.OpReturn})...), "bad_fn"},
 		} {
-			_, err := New(Config{Mode: mode}).RunModule(c.code)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
+			if err := run(mode, c.code); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: RunModule(%s) = %v, want an error naming %s", mode, c.code.Name, err, c.want)
 			}
 		}

@@ -764,7 +764,11 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 					pc++
 				}
 			} else {
-				it := regs[ins.A].ref.(iterator)
+				it, ok := regs[ins.A].ref.(iterator)
+				if !ok {
+					errv = in.failAt(code, opc, typeErr("'%s' object is not an iterator", rbox(&regs[ins.A]).TypeName()))
+					goto done
+				}
 				v, more := it.next()
 				if probe != nil || inTrace {
 					in.branchEvent(st, opc, !more, inTrace)
@@ -784,7 +788,13 @@ func (in *Interp) regLoop(code *minipy.Code, st *codeState,
 			if nf > 0 {
 				free = make([]*minipy.Cell, nf)
 				for i := 0; i < nf; i++ {
-					free[i] = regs[int(ins.A)+i].ref.(*minipy.Cell)
+					cell, ok := regs[int(ins.A)+i].ref.(*minipy.Cell)
+					if !ok {
+						errv = in.failAt(code, opc, typeErr("free variable %q of %s is '%s', not a cell",
+							fnCode.FreeNames[i], fnCode.Name, rbox(&regs[int(ins.A)+i]).TypeName()))
+						goto done
+					}
+					free[i] = cell
 				}
 			}
 			regs[ins.A] = rslot{ref: &minipy.Function{Code: fnCode, Free: free}, tag: tagRef}

@@ -64,7 +64,7 @@ verify: lint
 PINDIR ?= .pins
 PIN_SUITE = 7e11333decc3ff24e6b110578c1261ca4f870056f435e10f2551e40ca185dacb
 PIN_F3 = be3cfd05a406ba32d1c5f6c190763be664716d1091caf40a43ca7d23b3b5c650
-PIN_ALL = e6e76c4dbc05e877dd32a2767a161c1c798b3ee1407dea341a0f326cb758d1b3
+PIN_ALL = f90171dfb8a3cd63ee19b6b98ce2120b7ee018039845368ee0c5c09f67bae148
 PIN_ALL_FLAGS = -exp all -invocations 2 -iterations 2 -trials 20 -resume $(PINDIR)/resume
 
 pins:

@@ -63,7 +63,6 @@ import (
 	"strings"
 
 	"repro/client"
-	"repro/internal/analysis"
 	"repro/internal/controlapi"
 	"repro/internal/core"
 	"repro/internal/exitcode"
@@ -116,7 +115,7 @@ func main() {
 		traceOut    = flag.String("trace", "", "with -bench, -suite or -exp: write a Chrome trace-event JSON timeline of the run to FILE (open in Perfetto)")
 		metricsOn   = flag.Bool("metrics", false, "with -bench, -suite or -exp: collect harness self-telemetry and print a snapshot (with -json: included under the metrics key)")
 		collapsed   = flag.String("collapsed", "", "with -profile: also write folded call stacks to FILE (flamegraph.pl / speedscope format; a usage error with any other command)")
-		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions, 3 = +certificate-gated rewrites (changes the simulated opcode stream; distinct experiment arms, see ablations A7/A8; a usage error with any other command)")
+		optLevel    = flag.Int("opt", 0, "bytecode-optimization level for -bench/-dis: 0 = off, 1 = peephole, 2 = +superinstructions (changes the simulated opcode stream; distinct experiment arms, see ablation A7; a usage error with any other command)")
 		vmTier      = flag.String("vm", "", "executed stream for -bench: reg (default) or reg-elide (move-elided stream, ablation A9; a usage error with any other command)")
 		isolate     = flag.Bool("isolate", false, "simulate each experiment in a watchdogged worker subprocess; this process applies the noise (crash isolation; the sample set is bit-identical to in-process execution)")
 		watchdog    = flag.Duration("watchdog", 0, "with -isolate: per-request deadline before a hung worker is killed (0 = 30s default)")
@@ -157,6 +156,9 @@ func main() {
 	refuse(runsProfile, "-collapsed applies only to -profile", "collapsed")
 	refuse(runsBench || runsDis, "-opt applies only to -bench and -dis", "opt")
 	refuse(runsBench, "-mode, -vm and -daemon-addr apply only to -bench", "mode", "vm", "daemon-addr")
+	if *optLevel < 0 || *optLevel > minipy.MaxOptLevel {
+		fatal(usageError{fmt.Errorf("opt level %d out of range 0..%d", *optLevel, minipy.MaxOptLevel)})
+	}
 
 	np, err := controlapi.NoiseByName(*noiseName)
 	if err != nil {
@@ -661,22 +663,17 @@ func doProfile(name, collapsedPath string) error {
 	return nil
 }
 
-// doDisassemble prints a benchmark's compiled bytecode.
+// doDisassemble prints the bytecode that -bench runs for a benchmark at
+// the given optimization level: the code cache's entry.
 func doDisassemble(name string, opt int) error {
 	b, ok := workloads.ByName(name)
 	if !ok {
 		return unknownBenchmark(name)
 	}
-	code, err := b.Compile()
+	entry, _, err := workloads.NewCodeCache().GetOpt(b, opt)
 	if err != nil {
 		return err
 	}
-	if opt > 0 {
-		code, err = minipy.Optimize(code, opt, analysis.OptimizationFacts(code))
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Print(code.Disassemble())
+	fmt.Print(entry.Code.Disassemble())
 	return nil
 }

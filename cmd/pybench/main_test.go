@@ -74,8 +74,9 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 // -profile, with -opt beside commands other than -bench and -dis, and with
 // -mode (also at its default value), -vm or -daemon-addr beside commands
 // other than -bench (and with no command, and with a command ahead of the
-// one that reads the flag): each is a usage error that prints nothing to
-// stdout and writes no file.
+// one that reads the flag), and -bench and -dis with an -opt level out of
+// range: each is a usage error that prints nothing to stdout and writes no
+// file.
 func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -91,8 +92,12 @@ func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 			"-json applies only to -bench"},
 		{[]string{"-collapsed", folded}, [][]string{{"-bench", "fib", "-invocations", "1", "-iterations", "1"}, {"-exp", "T1"}, {"-suite"}, {"-dis", "fib"}, {"-list"}, {"-list", "-profile", "fib"}, {}},
 			"-collapsed applies only to -profile"},
-		{[]string{"-opt", "3"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-list"}, {"-list", "-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
+		{[]string{"-opt", "2"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-list"}, {"-list", "-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
 			"-opt applies only to -bench and -dis"},
+		{[]string{"-opt", "3"}, [][]string{{"-dis", "fib"}, {"-bench", "fib"}},
+			"opt level 3 out of range 0..2"},
+		{[]string{"-opt", "-1"}, [][]string{{"-dis", "fib"}},
+			"opt level -1 out of range 0..2"},
 		{[]string{"-vm", "reg-elide"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-dis", "fib"}, {"-suite", "-bench", "fib"}, {}},
 			"-mode, -vm and -daemon-addr apply only to -bench"},
 		{[]string{"-mode", "jit"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-profile", "fib"}, {"-list", "-bench", "fib"}},

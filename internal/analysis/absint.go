@@ -264,20 +264,6 @@ type callFact struct {
 	args []ival
 }
 
-// guardFact marks a comparison whose outcome the intervals prove constant
-// and whose syntactic window is rewritable (see factgates.go).
-type guardFact struct {
-	taken bool
-}
-
-// foldSite marks a call of a bound function with all-constant arguments,
-// a candidate for pure-call folding (validated later against effects).
-type foldSite struct {
-	name  string
-	argc  int
-	start int // pc of the LOAD_GLOBAL pushing the callee
-}
-
 // absRun is the converged result of abstractly interpreting one code
 // object.
 type absRun struct {
@@ -314,14 +300,6 @@ type absRun struct {
 	mutatesNonFresh bool
 	mayRaise        bool
 	usesIO          bool
-
-	guards map[int]guardFact
-	folds  map[int]foldSite
-
-	// safeLoads[pc]: the load at pc (OpLoadConst, or OpLoadLocal of a
-	// definitely-assigned slot) can never raise — eliding it removes no
-	// observable behavior.
-	safeLoads map[int]bool
 
 	// The lint findings: certain type errors, unresolved globals (warned
 	// dedupes them per name) and loads of variables that may be unassigned
@@ -410,15 +388,12 @@ func entryState(code *minipy.Code, params []ival) *astate {
 func runAbs(g *Graph, env *absEnv, params []ival) *absRun {
 	code := g.Code
 	r := &absRun{
-		code:      code,
-		params:    params,
-		claims:    map[int]ival{},
-		calls:     map[int]callFact{},
-		escaped:   map[string]bool{},
-		trips:     map[int]ival{},
-		guards:    map[int]guardFact{},
-		folds:     map[int]foldSite{},
-		safeLoads: map[int]bool{},
+		code:    code,
+		params:  params,
+		claims:  map[int]ival{},
+		calls:   map[int]callFact{},
+		escaped: map[string]bool{},
+		trips:   map[int]ival{},
 		// returnIv starts ⊥ and joins every OpReturn's value.
 		returnIv: ivBottom,
 	}
@@ -717,19 +692,14 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		v := constAbsv(code.Consts[arg])
 		push(v)
 		r.claim(pc, v, record)
-		if record {
-			r.safeLoads[pc] = true
-		}
 
 	case minipy.OpLoadLocal, minipy.OpLoadLocalPair, minipy.OpLoadLocalConst:
 		slots, n := ins.Locals()
-		safe := true
 		var v absv
 		for _, slot := range slots[:n] {
 			v = st.locals[slot]
 			note(v)
 			if v.unbound {
-				safe = false
 				raise()
 				r.unassigned(record, pc, code.LocalNames[slot], slot, v.neverBound)
 			}
@@ -741,9 +711,6 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 			push(v)
 		}
 		r.claim(pc, v, record)
-		if record && safe && ins.Op == minipy.OpLoadLocal {
-			r.safeLoads[pc] = true
-		}
 
 	case minipy.OpStoreLocal:
 		st.locals[arg] = pop()
@@ -814,7 +781,7 @@ func (r *absRun) step(env *absEnv, st *astate, pc int, record bool) {
 		a := pop()
 		note(a, b)
 		bop := minipy.BinOpCode(ins.Arg)
-		v := r.binaryAbs(bop, a, b, pc, record)
+		v := r.binaryAbs(bop, a, b, record)
 		v.cls = r.binaryClass(bop, a.cls, b.cls, pc, record)
 		push(v)
 		r.claim(pc, v, record)
@@ -1102,18 +1069,13 @@ func (r *absRun) loadAttr(target absv, pc int, name string, record bool) absv {
 
 // binaryAbs is the OpBinary transfer of the interval and freshness
 // components.
-func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, pc int, record bool) absv {
+func (r *absRun) binaryAbs(bop minipy.BinOpCode, a, b absv, record bool) absv {
 	if record && isDivOrMod(bop) {
 		r.noteDiv(b)
 	}
 	if isCompare(bop) {
-		if record {
-			if res, decided := ivCompare(bop, a.iv, b.iv); decided {
-				r.guards[pc] = guardFact{taken: res}
-			}
-			if !comparable(a, b) {
-				r.mayRaise = true
-			}
+		if record && !comparable(a, b) {
+			r.mayRaise = true
 		}
 		return avScalar(cBool)
 	}
@@ -1294,9 +1256,6 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 					ivs[i] = a.iv
 				}
 				r.calls[pc] = callFact{name: name, argc: argc, args: ivs}
-				if allConstScalars(r.code, pc, argc, name) {
-					r.folds[pc] = foldSite{name: name, argc: argc, start: pc - argc - 1}
-				}
 			}
 			if ret, ok := env.retIv[name]; ok && ret.isInt() {
 				res = avInt(ret)
@@ -1343,32 +1302,6 @@ func (r *absRun) callAbs(env *absEnv, st *astate, pc, argc int, record bool) {
 	}
 	st.stack = append(st.stack, res)
 	r.claim(pc, res, record)
-}
-
-// allConstScalars reports whether the call at pc is syntactically
-// LOAD_GLOBAL name; LOAD_CONST×argc; CALL with scalar constants — the
-// foldable-window shape.
-func allConstScalars(code *minipy.Code, pc, argc int, name string) bool {
-	start := pc - argc - 1
-	if start < 0 {
-		return false
-	}
-	ins := code.Ops[start]
-	if ins.Op != minipy.OpLoadGlobal || code.Names[ins.Arg] != name {
-		return false
-	}
-	for i := start + 1; i < pc; i++ {
-		k := code.Ops[i]
-		if k.Op != minipy.OpLoadConst {
-			return false
-		}
-		switch code.Consts[k.Arg].(type) {
-		case minipy.Int, minipy.Float, minipy.Bool, minipy.Str, minipy.NoneType:
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // result describes what a builtin or a bound builtin method returns,

@@ -92,8 +92,7 @@ type Report struct {
 	Certificate *Certificate
 
 	// facts is the internal pointer-rich store behind Certificate,
-	// consumed by the optimizer fact gates, the harness budget, and the
-	// VM soundness checker.
+	// consumed by the harness budget and the VM soundness checker.
 	facts *ModuleFacts
 }
 

@@ -14,14 +14,14 @@ import (
 )
 
 // FuzzAnalyzeSource feeds arbitrary source text through the front end, the
-// analyzer and the -opt 3 rewrites the analyzer licenses:
+// analyzer and the -opt 2 optimizer that the analyzer's facts drive:
 //
 //  1. CompileSource returns code or an error and never panics, and the
 //     code it returns passes minipy.Verify;
 //  2. Analyze never panics, two runs agree on the diagnostics and the
 //     certificate JSON, and Check fails exactly when Errors() is non-empty;
 //  3. when Check passes, the module (and run(), if defined) runs on the
-//     interpreter at -opt 0 and at -opt 3 under a step budget, with a
+//     interpreter at -opt 0 and at -opt 2 under a step budget, with a
 //     SoundnessChecker built from the exact code that runs: no claim may
 //     be violated, and both levels must raise or both return equal values.
 //     Inputs that reach the step or depth limit are skipped.
@@ -65,53 +65,21 @@ func FuzzAnalyzeSource(f *testing.F) {
 		if (checkErr != nil) != (len(rep.Errors()) > 0) {
 			t.Fatalf("Check = %v but Errors() = %v", checkErr, rep.Errors())
 		}
-		if checkErr != nil || foldsAtAnalysis(code, rep.Certificate) {
+		if checkErr != nil {
 			return
 		}
-		opt, err := minipy.Optimize(code, 3, analysis.OptimizationFacts(code))
+		opt, err := minipy.Optimize(code, 2, analysis.OptimizationFacts(code))
 		if err != nil {
-			t.Fatalf("optimize -opt 3: %v", err)
+			t.Fatalf("optimize -opt 2: %v", err)
 		}
 		base, ok := fuzzRun(t, code)
 		if !ok {
 			return
 		}
 		if got, ok := fuzzRun(t, opt); ok && got != base {
-			t.Fatalf("-opt 3 %s, -opt 0 %s", got, base)
+			t.Fatalf("-opt 2 %s, -opt 0 %s", got, base)
 		}
 	})
-}
-
-// foldsAtAnalysis reports whether -opt 3 may evaluate a call at analysis
-// time: a pure function called with constant arguments is run once in a
-// sandbox that no allocation guard of this target covers. Such inputs are
-// compiled and analyzed but not optimized or run.
-func foldsAtAnalysis(code *minipy.Code, cert *analysis.Certificate) bool {
-	pure := map[string]bool{}
-	for _, f := range cert.Functions {
-		e := f.Effects
-		pure[f.Name] = e.Pure && !e.MayDiverge && len(e.ReadsGlobals) == 0
-	}
-	for _, ins := range code.Ops {
-		if ins.Op == minipy.OpMakeFunction && foldsAtAnalysis(code.Consts[ins.Arg].(*minipy.Code), cert) {
-			return true
-		}
-	}
-	for pc, ins := range code.Ops {
-		start := pc - int(ins.Arg) - 1
-		if ins.Op != minipy.OpCall || start < 0 || code.Ops[start].Op != minipy.OpLoadGlobal ||
-			!pure[code.Names[code.Ops[start].Arg]] {
-			continue
-		}
-		consts := true
-		for _, a := range code.Ops[start+1 : pc] {
-			consts = consts && a.Op == minipy.OpLoadConst
-		}
-		if consts {
-			return true
-		}
-	}
-	return false
 }
 
 func certJSONOf(t *testing.T, rep *analysis.Report) []byte {

@@ -60,12 +60,11 @@ func variant(t *testing.T, b workloads.Benchmark, level int) *minipy.Code {
 // value outside a claimed interval, a write outside a certified effect
 // summary, or a non-fresh-certified call returning a fresh object. The
 // certificate is recomputed per variant, so the claims being checked are
-// about the exact (possibly superinstruction-fused, fact-rewritten)
-// bytecode that executes. Checksums are verified at every level, proving
-// the fact-gated -opt 3 transforms preserve semantics.
+// about the exact (possibly superinstruction-fused) bytecode that
+// executes. Checksums are verified at every level.
 func TestCertificateSoundOnSuite(t *testing.T) {
 	for _, b := range workloads.Suite() {
-		for _, level := range []int{0, 2, 3} {
+		for _, level := range []int{0, 2} {
 			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
 				b, level, mode := b, level, mode
 				t.Run(fmt.Sprintf("%s/opt%d/%v", b.Name, level, mode), func(t *testing.T) {
@@ -127,13 +126,13 @@ def run():
 `},
 }
 
-// TestReboundCellIsNotTrusted runs the rebound-cell programs at -opt 0..3
+// TestReboundCellIsNotTrusted runs the rebound-cell programs at -opt 0..2
 // on both engines: every level must return what -opt 0 returns, and the
 // certificate must hold on every executed op.
 func TestReboundCellIsNotTrusted(t *testing.T) {
 	for _, b := range reboundCell {
 		var want string
-		for level := 0; level <= 3; level++ {
+		for level := 0; level <= minipy.MaxOptLevel; level++ {
 			code := variant(t, b, level)
 			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
 				chk, last, _ := checkedRun(t, code, mode, 1)
@@ -151,7 +150,7 @@ func TestReboundCellIsNotTrusted(t *testing.T) {
 }
 
 // FuzzSyntheticOptLevels is the grammar-aware differential over generated
-// workloads: for any generator configuration, -opt 0..3 on both engines
+// workloads: for any generator configuration, -opt 0..2 on both engines
 // must return the same run() checksum, and the certificate recomputed for
 // each variant must hold on every executed op. The seed corpus is the
 // agreement grid plus loop-call, dict, string and branch-entropy mixes at
@@ -186,7 +185,7 @@ func FuzzSyntheticOptLevels(f *testing.F) {
 			Seed:          seed,
 		})
 		var want string
-		for level := 0; level <= 3; level++ {
+		for level := 0; level <= minipy.MaxOptLevel; level++ {
 			code := variant(t, b, level)
 			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
 				chk, last, _ := checkedRun(t, code, mode, 2)

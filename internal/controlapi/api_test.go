@@ -189,6 +189,16 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "unknown vm",
 		},
 		{
+			name: "retired opt level 3",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.Opt = 3
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "opt level 3 out of range 0..2",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()

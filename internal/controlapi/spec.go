@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/harness"
+	"repro/internal/minipy"
 	"repro/internal/noise"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -49,8 +50,8 @@ type CampaignSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Noise names the simulated machine: default, quiet, noisy, none.
 	Noise string `json:"noise,omitempty"`
-	// Opt is the bytecode-optimization level (0–3); levels ≥ 1 are a
-	// distinct experiment arm (ablations A7/A8).
+	// Opt is the bytecode-optimization level (0..minipy.MaxOptLevel);
+	// levels ≥ 1 are a distinct experiment arm (ablation A7).
 	Opt int `json:"opt,omitempty"`
 	// VM selects the executed stream: "" or "reg" (default), or
 	// "reg-elide" (move-elided register stream, ablation A9), which
@@ -174,8 +175,8 @@ func (s CampaignSpec) Validate() error {
 	if _, err := faults.Parse(s.Faults); err != nil {
 		return specErrf("%v", err)
 	}
-	if s.Opt < 0 || s.Opt > 3 {
-		return specErrf("opt level %d out of range 0..3", s.Opt)
+	if s.Opt < 0 || s.Opt > minipy.MaxOptLevel {
+		return specErrf("opt level %d out of range 0..%d", s.Opt, minipy.MaxOptLevel)
 	}
 	if _, err := vm.ParseVM(s.VM); err != nil {
 		return specErrf("%v", err)

@@ -133,11 +133,12 @@ func (e *Engine) Runner() *harness.Runner { return e.runner }
 
 // run executes experiment o of benchmark b under the configured
 // supervision policy; it is the only code in the package that runs the VM.
-// o carries the design (a zero Noise is noiseless); run sets the seed by
-// one rule, Seed ^ benchSeed(name, mode), salted <<48 by the opt level
-// plus the move-elision bit, so each executed stream of an ablation draws
-// noise of its own. Noise-free times do not depend on the seed. A run that
-// lost work leaves its LostWork line for Experiment to footnote.
+// o carries the design (a zero Noise is noiseless); run XORs o.Seed (zero
+// unless an arm salts it) with one rule, Seed ^ benchSeed(name, mode),
+// salted <<48 by the opt level plus the move-elision bit, so each executed
+// stream of an ablation draws noise of its own. Noise-free times do not
+// depend on the seed. A run that lost work leaves its LostWork line for
+// Experiment to footnote.
 func (e *Engine) run(b workloads.Benchmark, o harness.Options) (*harness.Result, error) {
 	elide, err := vm.ParseVM(o.VM)
 	if err != nil {
@@ -147,7 +148,7 @@ func (e *Engine) run(b workloads.Benchmark, o harness.Options) (*harness.Result,
 	if elide {
 		salt++
 	}
-	o.Seed = e.cfg.Seed ^ benchSeed(b.Name, o.Mode) ^ salt<<48
+	o.Seed ^= e.cfg.Seed ^ benchSeed(b.Name, o.Mode) ^ salt<<48
 	res, err := harness.NewSupervisor(e.runner, e.cfg.SupervisorOptions()).Run(context.Background(), b, o)
 	if err != nil {
 		return nil, err
@@ -259,7 +260,7 @@ func (e *Engine) experiment(id string) (fmt.Stringer, error) {
 	case "A7":
 		return e.AblationSuperinstructions()
 	case "A8":
-		return e.AblationFactGates()
+		return e.AblationAACalibration()
 	case "A9":
 		return e.AblationRegisterElision()
 	}

@@ -313,7 +313,7 @@ func TestExperimentsFootnoteLostWork(t *testing.T) {
 	}
 	for id, arms := range map[string][]string{
 		"A7": {"/interp: ", "/interp -opt 2: "},
-		"A8": {"/interp -opt 2: ", "/interp -opt 3: "},
+		"A8": {"/interp -opt 2: ", "/interp -opt 2: "},
 		"A9": {"/interp -vm reg: ", "/interp -vm reg-elide: "},
 	} {
 		got := notes(id)

@@ -50,10 +50,10 @@ type Options struct {
 	// stopping after the first batch whose 95% grand-mean interval has a
 	// relative half-width at or below the target.
 	TargetRelHalfWidth float64 `json:",omitempty"`
-	// Opt is the bytecode-optimization level (see minipy.Optimize). 0 runs
-	// the compiler's output unchanged. Levels >= 1 rewrite the simulated
-	// opcode stream, so optimized runs are a distinct experiment arm — never
-	// comparable sample-for-sample with level 0.
+	// Opt is the bytecode-optimization level, 0..minipy.MaxOptLevel (see
+	// minipy.Optimize). 0 runs the compiler's output unchanged. Levels >= 1
+	// rewrite the simulated opcode stream, so optimized runs are a distinct
+	// experiment arm — never comparable sample-for-sample with level 0.
 	Opt int `json:",omitempty"`
 	// VM selects the executed stream (see vm.ParseVM): "" or "reg" for the
 	// default register stream, or "reg-elide" for the move-elided stream

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/minipy"
 	"repro/internal/noise"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -27,13 +28,13 @@ type oracleRow struct {
 }
 
 // oracleRows lists every workload in the suite and the extended set under
-// both engines at -opt 0..3, plus fib's full sample set at two seeds.
+// both engines at -opt 0..2, plus fib's full sample set at two seeds.
 func oracleRows() []oracleRow {
 	var rows []oracleRow
 	benches := append(append([]workloads.Benchmark{}, workloads.Suite()...),
 		workloads.Extended()...)
 	for _, b := range benches {
-		for opt := 0; opt <= 3; opt++ {
+		for opt := 0; opt <= minipy.MaxOptLevel; opt++ {
 			for _, mode := range []vm.Mode{vm.ModeInterp, vm.ModeJIT} {
 				rows = append(rows, oracleRow{
 					name:  fmt.Sprintf("%s/%s/opt%d", b.Name, mode, opt),

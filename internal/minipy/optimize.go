@@ -1,6 +1,6 @@
 package minipy
 
-import "sort"
+import "fmt"
 
 // The bytecode optimizer: an opt-in (-opt N) analysis-driven rewrite
 // pipeline over compiled code objects. Unlike the engine's Tier-A host-level
@@ -19,15 +19,14 @@ import "sort"
 //	2  everything in 1 plus superinstruction fusion: adjacent pairs are
 //	   fused into OpLoadLocalPair, OpLoadLocalConst, and
 //	   OpBinaryJumpIfFalse, eliminating one dispatch per pair.
-//	3  everything in 2 plus the fact-gated transforms licensed by the
-//	   interprocedural certificate (ablation A8): pure-call constant
-//	   folding (a call of a proven-effect-free function with constant
-//	   arguments becomes a LOAD_CONST of its pre-evaluated result) and
-//	   guard elision (a comparison whose outcome interval analysis
-//	   decided statically becomes Nops or an unconditional jump).
 //
 // Optimize never mutates its input: callers (the workload code cache) share
 // the unoptimized *Code across experiment arms.
+
+// MaxOptLevel is the highest optimization level Optimize accepts. Every
+// surface that takes a level (pybench -opt, a campaign spec's opt) checks
+// it against this range.
+const MaxOptLevel = 2
 
 // OptFacts carries analysis-derived facts consumed by Optimize. The facts
 // are advisory: a nil or incomplete OptFacts simply disables the passes
@@ -41,32 +40,6 @@ type OptFacts struct {
 	// original instruction stream, so dead-store elimination runs before
 	// any pass that renumbers instructions.
 	DeadStores map[*Code]map[int]bool
-	// PureCalls[code][pc] marks the OpCall at pc (original stream) as a
-	// proven-pure call of a bound function with all-constant scalar
-	// arguments, pre-evaluated at analysis time. The level-3 optimizer
-	// replaces the whole `LOAD_GLOBAL; LOAD_CONST×argc; CALL` window with
-	// a single LOAD_CONST of Result.
-	PureCalls map[*Code]map[int]PureCallFact
-	// ElidedGuards[code][pc] marks the comparison OpBinary at pc as
-	// statically decided by interval analysis, with an elidable
-	// `load; load; compare; jump-if` window at [pc-2, pc+1]. The level-3
-	// optimizer rewrites the window to Nops plus (when the branch is
-	// taken) an unconditional jump.
-	ElidedGuards map[*Code]map[int]GuardFact
-}
-
-// PureCallFact carries one pre-evaluated pure call: the window start (the
-// LOAD_GLOBAL pushing the callee), the argument count, and the result the
-// analysis-time evaluation produced with this same VM's semantics.
-type PureCallFact struct {
-	Start  int
-	Argc   int
-	Result Value
-}
-
-// GuardFact carries one statically decided comparison outcome.
-type GuardFact struct {
-	Taken bool
 }
 
 // FloorDivInt implements Python's // for int operands (rounds toward
@@ -93,10 +66,14 @@ func PyModInt(a, b int64) int64 {
 // Optimize returns an optimized deep copy of code at the given level,
 // recursing into nested code objects in the constant pool. The returned
 // code is verified (so MaxStack is set); the input is left untouched.
-// Level <= 0 returns the input unchanged.
+// Level <= 0 returns the input unchanged; a level above MaxOptLevel is an
+// error.
 func Optimize(code *Code, level int, facts *OptFacts) (*Code, error) {
 	if level <= 0 {
 		return code, nil
+	}
+	if level > MaxOptLevel {
+		return nil, fmt.Errorf("opt level %d out of range 0..%d", level, MaxOptLevel)
 	}
 	out := optimizeClone(code, level, facts)
 	if err := Verify(out); err != nil {
@@ -126,13 +103,6 @@ func optimizeClone(c *Code, level int, facts *OptFacts) *Code {
 		if dead := facts.DeadStores[c]; len(dead) > 0 {
 			eliminateDeadStores(&nc, dead)
 		}
-		// Fact-gated transforms are also keyed by original pcs; dead-store
-		// elimination rewrites in place without renumbering, so the clone's
-		// pcs still match. Run before the fold/compact loop.
-		if level >= 3 {
-			applyPureCalls(&nc, facts.PureCalls[c])
-			applyElidedGuards(&nc, facts.ElidedGuards[c])
-		}
 	}
 	// Iterate folding + cancellation to a fixpoint: folding one expression
 	// exposes the next ((1+2)+3 folds in two rounds once Nops compact away).
@@ -151,89 +121,6 @@ func optimizeClone(c *Code, level int, facts *OptFacts) *Code {
 		compact(&nc)
 	}
 	return &nc
-}
-
-// applyPureCalls replaces each certified pure-call window
-// `LOAD_GLOBAL f; LOAD_CONST×argc; CALL argc` with a LOAD_CONST of the
-// pre-evaluated result followed by Nops (compacted away later). The facts
-// were computed on the original instruction stream; the pattern is
-// re-checked defensively so a stale or overlapping fact degrades to a
-// no-op instead of corrupting the stream.
-func applyPureCalls(c *Code, calls map[int]PureCallFact) {
-	if len(calls) == 0 {
-		return
-	}
-	targets := markTargets(c.Ops, nil)
-	// Sorted pc order: the appended constants' pool order (and so the
-	// output bytecode) must not depend on map iteration.
-	pcs := make([]int, 0, len(calls))
-	for pc := range calls {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	for _, pc := range pcs {
-		f := calls[pc]
-		if f.Start < 0 || pc >= len(c.Ops) || pc != f.Start+f.Argc+1 {
-			continue
-		}
-		if c.Ops[pc].Op != OpCall || int(c.Ops[pc].Arg) != f.Argc ||
-			c.Ops[f.Start].Op != OpLoadGlobal {
-			continue
-		}
-		ok := true
-		for i := f.Start + 1; i < pc; i++ {
-			if c.Ops[i].Op != OpLoadConst || targets[i] {
-				ok = false
-				break
-			}
-		}
-		if !ok || targets[pc] {
-			continue
-		}
-		c.Consts = append(c.Consts, f.Result)
-		c.Ops[f.Start] = Instr{Op: OpLoadConst, Arg: int32(len(c.Consts) - 1)}
-		for i := f.Start + 1; i <= pc; i++ {
-			c.Ops[i] = Instr{Op: OpNop}
-		}
-	}
-}
-
-// applyElidedGuards rewrites each statically decided guard window
-// `load; load; BINARY cmp; JUMP_IF_*` (pcs pc-2..pc+1) to Nops, plus an
-// unconditional jump when the branch is taken. Net stack effect of the
-// window is zero before and after, and the analysis proved the loads
-// cannot raise, so elision removes no observable behavior.
-func applyElidedGuards(c *Code, guards map[int]GuardFact) {
-	if len(guards) == 0 {
-		return
-	}
-	targets := markTargets(c.Ops, nil)
-	for pc, g := range guards {
-		if pc < 2 || pc+1 >= len(c.Ops) || c.Ops[pc].Op != OpBinary {
-			continue
-		}
-		jmp := c.Ops[pc+1]
-		if jmp.Op != OpJumpIfFalse && jmp.Op != OpJumpIfTrue {
-			continue
-		}
-		simpleLoad := func(i int) bool {
-			op := c.Ops[i].Op
-			return (op == OpLoadConst || op == OpLoadLocal) && !targets[i]
-		}
-		if !simpleLoad(pc-2) || !simpleLoad(pc-1) || targets[pc] || targets[pc+1] {
-			continue
-		}
-		jumpTaken := (g.Taken && jmp.Op == OpJumpIfTrue) ||
-			(!g.Taken && jmp.Op == OpJumpIfFalse)
-		c.Ops[pc-2] = Instr{Op: OpNop}
-		c.Ops[pc-1] = Instr{Op: OpNop}
-		c.Ops[pc] = Instr{Op: OpNop}
-		if jumpTaken {
-			c.Ops[pc+1] = Instr{Op: OpJump, Arg: jmp.Arg}
-		} else {
-			c.Ops[pc+1] = Instr{Op: OpNop}
-		}
-	}
 }
 
 // eliminateDeadStores rewrites provably dead OpStoreLocal instructions to

@@ -64,6 +64,16 @@ func TestOptimizeLevelZeroIsIdentity(t *testing.T) {
 	}
 }
 
+func TestOptimizeRefusesLevelAboveMax(t *testing.T) {
+	base, err := CompileSource("def f(x):\n    return x + 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt, err := Optimize(base, MaxOptLevel+1, nil); err == nil || opt != nil {
+		t.Fatalf("level %d: got %v, %v; want an error", MaxOptLevel+1, opt, err)
+	}
+}
+
 func TestOptimizeNeverMutatesInput(t *testing.T) {
 	src := "def f(x):\n    if x < 2:\n        return x\n    return f(x - 1) + f(x - 2)\n"
 	base, err := CompileSource(src)

@@ -117,8 +117,8 @@ func compileState(t *testing.T) *minipy.Code {
 // TestCodeDiesWithInterp runs a program on one interpreter, drops both, and
 // waits for every code object in the tree to be finalized: the VM keeps no
 // state about a code object outside the interpreters that ran it, so a
-// process that compiles program after program (a daemon, a fold sandbox)
-// does not keep them all.
+// process that compiles program after program (a daemon) does not keep
+// them all.
 func TestCodeDiesWithInterp(t *testing.T) {
 	for _, c := range stateConfigs() {
 		t.Run(c.String(), func(t *testing.T) {

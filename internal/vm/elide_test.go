@@ -87,13 +87,13 @@ func exactCosts() map[string]vm.CostParams {
 }
 
 // TestElidedStreamMatchesPlain runs every inventory program, in both
-// engines, at -opt 0 to 3, under each cost model of exactCosts, on both
+// engines, at -opt 0 to 2, under each cost model of exactCosts, on both
 // streams: every record must be equal.
 func TestElidedStreamMatchesPlain(t *testing.T) {
 	cache := workloads.NewCodeCache()
 	benches := append(workloads.Suite(), workloads.Extended()...)
 	for _, b := range benches {
-		for opt := 0; opt <= 3; opt++ {
+		for opt := 0; opt <= minipy.MaxOptLevel; opt++ {
 			entry, _, err := cache.GetOpt(b, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -284,12 +284,10 @@ func FuzzElidedStream(f *testing.F) {
 		if err := minipy.Verify(code); err != nil {
 			t.Fatal(err)
 		}
-		var facts *minipy.OptFacts
-		if opt%4 == 3 {
-			facts = analysis.OptimizationFacts(code)
-		}
-		if code, err = minipy.Optimize(code, int(opt%4), facts); err != nil {
-			t.Fatal(err)
+		if level := int(opt) % (minipy.MaxOptLevel + 1); level > 0 {
+			if code, err = minipy.Optimize(code, level, analysis.OptimizationFacts(code)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cost := vm.DefaultCostParams()
 		cost.DispatchOverhead = uint32(dispatch)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"strconv"
 )
 
 // LineJournal is the append-only journal: its records are CRC32C-framed
@@ -51,29 +50,17 @@ func encodeLine(payload []byte) []byte {
 }
 
 // decodeLine parses one envelope line (without its trailing newline) and
-// returns the verified payload, or an error when framing or the checksum is
-// wrong.
+// returns the verified payload, or an error unless the line is exactly
+// what encodeLine writes for that payload: framing, lower-case checksum
+// hex and all.
 func decodeLine(line []byte) ([]byte, error) {
 	head := len(linePrefix) + 8 + len(lineInfix)
 	if len(line) < head+1 {
 		return nil, errors.New("wal: line too short for envelope")
 	}
-	if !bytes.HasPrefix(line, []byte(linePrefix)) {
-		return nil, errors.New("wal: line missing envelope prefix")
-	}
-	want, err := strconv.ParseUint(string(line[len(linePrefix):len(linePrefix)+8]), 16, 32)
-	if err != nil {
-		return nil, errors.New("wal: bad checksum hex")
-	}
-	if !bytes.Equal(line[len(linePrefix)+8:head], []byte(lineInfix)) {
-		return nil, errors.New("wal: line missing envelope infix")
-	}
-	if line[len(line)-1] != '}' {
-		return nil, errors.New("wal: line missing envelope suffix")
-	}
 	payload := line[head : len(line)-1]
-	if crc32.Checksum(payload, castagnoli) != uint32(want) {
-		return nil, errors.New("wal: line checksum mismatch")
+	if enc := encodeLine(payload); !bytes.Equal(enc[:len(enc)-1], line) {
+		return nil, errors.New("wal: line is not the envelope of its payload")
 	}
 	return payload, nil
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
@@ -59,49 +58,45 @@ func TestSuiteLintsClean(t *testing.T) {
 }
 
 // TestSuiteLintsCleanOptimized re-runs the dogfood pass over every workload's
-// -opt 2 and -opt 3 bytecode: the analyzer must decode superinstructions
-// (CFG edges out of BINARY_JUMP_IF_FALSE, fused-load uses in liveness and
-// definite assignment) and the certificate-gated rewrites' output, and
-// still certify the optimized stream. A fusion, folding, or fact-gate bug
-// that confuses the dataflow passes fails here before it can distort an
-// A7/A8 arm.
+// -opt 2 bytecode: the analyzer must decode superinstructions (CFG edges
+// out of BINARY_JUMP_IF_FALSE, fused-load uses in liveness and definite
+// assignment) and still certify the optimized stream. A fusion or folding
+// bug that confuses the dataflow passes fails here before it can distort
+// an A7 or A8 arm.
 func TestSuiteLintsCleanOptimized(t *testing.T) {
 	all := append(append([]Benchmark{}, Suite()...), Extended()...)
 	for _, b := range all {
-		for _, level := range []int{2, 3} {
-			b, level := b, level
-			t.Run(fmt.Sprintf("%s/opt%d", b.Name, level), func(t *testing.T) {
-				base, err := b.Compile()
-				if err != nil {
-					t.Fatalf("compile: %v", err)
+		t.Run(b.Name+"/opt2", func(t *testing.T) {
+			base, err := b.Compile()
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			opt, err := minipy.Optimize(base, 2, analysis.OptimizationFacts(base))
+			if err != nil {
+				t.Fatalf("optimize: %v", err)
+			}
+			rep, err := analysis.Analyze(opt)
+			if err != nil {
+				t.Fatalf("analyze optimized: %v", err)
+			}
+			for _, d := range rep.Diagnostics {
+				if d.Severity == analysis.Info {
+					continue
 				}
-				opt, err := minipy.Optimize(base, level, analysis.OptimizationFacts(base))
-				if err != nil {
-					t.Fatalf("optimize: %v", err)
+				// The optimizer may only remove findings (dead stores are
+				// eliminated), never introduce them.
+				if intentionalFindings[b.Name][d.Rule] == 0 {
+					t.Errorf("optimized bytecode grew a finding: %s", d)
 				}
-				rep, err := analysis.Analyze(opt)
-				if err != nil {
-					t.Fatalf("analyze optimized: %v", err)
-				}
-				for _, d := range rep.Diagnostics {
-					if d.Severity == analysis.Info {
-						continue
-					}
-					// The optimizer may only remove findings (dead stores are
-					// eliminated), never introduce them.
-					if intentionalFindings[b.Name][d.Rule] == 0 {
-						t.Errorf("optimized bytecode grew a finding: %s", d)
-					}
-				}
-				if !rep.Certificate.Determinism.Certified {
-					t.Errorf("optimized code lost its determinism certificate: unresolved globals %v",
-						rep.Certificate.Determinism.UnresolvedGlobals)
-				}
-				if sum := rep.Summarize(); sum.TypedInstrPct <= 0 {
-					t.Errorf("type inference over fused opcodes produced no typed instructions (%.2f%%)",
-						sum.TypedInstrPct)
-				}
-			})
-		}
+			}
+			if !rep.Certificate.Determinism.Certified {
+				t.Errorf("optimized code lost its determinism certificate: unresolved globals %v",
+					rep.Certificate.Determinism.UnresolvedGlobals)
+			}
+			if sum := rep.Summarize(); sum.TypedInstrPct <= 0 {
+				t.Errorf("type inference over fused opcodes produced no typed instructions (%.2f%%)",
+					sum.TypedInstrPct)
+			}
+		})
 	}
 }

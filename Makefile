@@ -21,11 +21,12 @@ BENCHGO_PKGS = ./internal/vm
 BENCHGO_FLAGS = -run '^$$' -bench . -benchmem -benchtime 1s -count 3
 BENCHGO_MEMGATE = -max-alloc-growth 10 -max-bytes-growth 25
 # The statistics kernels (hierarchical bootstrap, steady-state
-# classification) are gated the same way against BENCH_stats.json. -cpu
-# is pinned to one value: benchfmt strips the -N suffix, so a -cpu list
-# would merge entries, and the bootstrap's worker goroutines make its
-# allocs/op depend on the worker count.
-BENCHSTATS_PKGS = ./internal/stats
+# classification) and one Table-4 row of the methodology package's trial
+# loop are gated the same way against BENCH_stats.json. -cpu is pinned to
+# one value: benchfmt strips the -N suffix, so a -cpu list would merge
+# entries, and the bootstrap's worker goroutines make its allocs/op depend
+# on the worker count.
+BENCHSTATS_PKGS = ./internal/stats ./internal/methodology
 BENCHSTATS_FLAGS = $(BENCHGO_FLAGS) -cpu 2
 
 all: build

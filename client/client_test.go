@@ -1,9 +1,12 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -182,12 +185,15 @@ func TestCancelViaClient(t *testing.T) {
 
 // TestParseSSE pins the client-side SSE framing against hand-built input,
 // including multi-event bodies and ignored unknown lines.
+// sseBody is two daemon events after a retry line, which the parser
+// skips.
+const sseBody = "retry: 100\n" +
+	"id: 0\nevent: state\ndata: {\"state\":\"queued\"}\n\n" +
+	"id: 1\nevent: benchmark\ndata: {\"benchmark\":\"fib\"}\n\n"
+
 func TestParseSSE(t *testing.T) {
-	body := "retry: 100\n" +
-		"id: 0\nevent: state\ndata: {\"state\":\"queued\"}\n\n" +
-		"id: 1\nevent: benchmark\ndata: {\"benchmark\":\"fib\"}\n\n"
 	var got []Event
-	err := parseSSE(strings.NewReader(body), func(ev Event) error {
+	err := parseSSE(strings.NewReader(sseBody), func(ev Event) error {
 		got = append(got, ev)
 		return nil
 	})
@@ -202,5 +208,94 @@ func TestParseSSE(t *testing.T) {
 	}
 	if err := json.Unmarshal(got[1].Data, &payload); err != nil || payload.Benchmark != "fib" {
 		t.Fatalf("payload = %+v, %v", payload, err)
+	}
+}
+
+// FuzzParseSSE checks parseSSE on arbitrary bytes: no input panics it,
+// and a stream in memory fails only on a line past the scanner's limit.
+// Events written in the daemon's framing (controlapi's handleEvents:
+// "id: %d\nevent: %s\ndata: %s\n\n", with compact-JSON data and a type
+// without CR or LF), here one per line of the input, parse back to the
+// same events in order. On both streams, an error the callback returns
+// at its (stop mod n)-th call of n stops the parse and is returned.
+func FuzzParseSSE(f *testing.F) {
+	f.Add([]byte(sseBody), 0, uint8(1))
+	f.Add([]byte("id: 7\r\nevent: state\r\ndata: {}\r\n\r\ndata: x\n"), -1, uint8(0))
+	f.Fuzz(func(t *testing.T, stream []byte, seq int, stop uint8) {
+		all, err := parseAll(stream)
+		if err != nil && !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("parse: %v", err)
+		}
+		checkStops(t, stream, all, stop)
+
+		// The round trip keeps every line short of the scanner's limit: a
+		// JSON string is at most six bytes per input byte.
+		if len(stream) > 1<<16 {
+			return
+		}
+		var want []Event
+		var framed bytes.Buffer
+		for i, line := range bytes.Split(stream, []byte("\n")) {
+			data, err := json.Marshal(map[string]string{"line": string(line)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := Event{Seq: seq + i, Type: strings.ReplaceAll(string(line), "\r", ""), Data: data}
+			want = append(want, ev)
+			fmt.Fprintf(&framed, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
+		}
+		got, err := parseAll(framed.Bytes())
+		if err != nil {
+			t.Fatalf("parse of the framed events: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("framed %d events, parsed %d", len(want), len(got))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || got[i].Type != want[i].Type || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("event %d: parsed %+v, framed %+v", i, got[i], want[i])
+			}
+		}
+		checkStops(t, framed.Bytes(), got, stop)
+	})
+}
+
+// parseAll returns every event parseSSE delivers from stream, and its
+// error.
+func parseAll(stream []byte) ([]Event, error) {
+	var evs []Event
+	err := parseSSE(bytes.NewReader(stream), func(ev Event) error {
+		evs = append(evs, ev)
+		return nil
+	})
+	return evs, err
+}
+
+// checkStops parses stream again with a callback that fails at its
+// (stop mod n)-th call, where all is the n events a full parse delivers:
+// the parse must return that error and deliver nothing after it.
+func checkStops(t *testing.T, stream []byte, all []Event, stop uint8) {
+	t.Helper()
+	if len(all) == 0 {
+		return
+	}
+	errStop := errors.New("stop")
+	k := int(stop) % len(all)
+	calls := 0
+	err := parseSSE(bytes.NewReader(stream), func(ev Event) error {
+		calls++
+		if calls > k+1 {
+			t.Fatalf("callback called again after it returned an error")
+		}
+		if ev.Seq != all[calls-1].Seq || ev.Type != all[calls-1].Type || !bytes.Equal(ev.Data, all[calls-1].Data) {
+			t.Fatalf("call %d: %+v, full parse %+v", calls, ev, all[calls-1])
+		}
+		if calls == k+1 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || calls != k+1 {
+		t.Fatalf("callback failing at call %d of %d: parse returned %v after %d calls", k+1, len(all), err, calls)
 	}
 }

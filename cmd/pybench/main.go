@@ -159,6 +159,9 @@ func main() {
 	if *optLevel < 0 || *optLevel > minipy.MaxOptLevel {
 		fatal(usageError{fmt.Errorf("opt level %d out of range 0..%d", *optLevel, minipy.MaxOptLevel)})
 	}
+	if err := harness.CheckDesign(*invocations, *iterations); err != nil {
+		fatal(usageError{err})
+	}
 
 	np, err := controlapi.NoiseByName(*noiseName)
 	if err != nil {

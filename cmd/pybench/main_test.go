@@ -74,9 +74,10 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 // -profile, with -opt beside commands other than -bench and -dis, and with
 // -mode (also at its default value), -vm or -daemon-addr beside commands
 // other than -bench (and with no command, and with a command ahead of the
-// one that reads the flag), and -bench and -dis with an -opt level out of
-// range: each is a usage error that prints nothing to stdout and writes no
-// file.
+// one that reads the flag), -bench and -dis with an -opt level out of
+// range, and -bench, -suite and -exp with a design past
+// harness.MaxSamples: each is a usage error that prints nothing to stdout
+// and writes no file.
 func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -106,6 +107,10 @@ func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 			"-mode, -vm and -daemon-addr apply only to -bench"},
 		{[]string{"-daemon-addr", "127.0.0.1:1"}, [][]string{{"-suite"}, {"-exp", "T1"}, {"-list"}, {}},
 			"-mode, -vm and -daemon-addr apply only to -bench"},
+		{[]string{"-invocations", "4611686018427387904"}, [][]string{{"-bench", "fib"}, {"-suite"}, {"-exp", "T4"}, {"-bench", "fib", "-daemon-addr", "127.0.0.1:1"}},
+			"exceeds the limit"},
+		{[]string{"-iterations", "4611686018427387904"}, [][]string{{"-bench", "fib"}, {"-suite"}},
+			"exceeds the limit"},
 	} {
 		for _, command := range c.commands {
 			args := append(append([]string{"-pybench"}, command...), c.flag...)

@@ -199,6 +199,16 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "opt level 3 out of range 0..2",
 		},
 		{
+			name: "design too large",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.Invocations = 1 << 62
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "exceeds the limit",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()
@@ -265,6 +275,11 @@ func TestSubmitRejections(t *testing.T) {
 			}
 			if tc.wantIn != "" && !strings.Contains(env.Message, tc.wantIn) {
 				t.Errorf("message %q missing %q", env.Message, tc.wantIn)
+			}
+			// A refused spec leaves the server serving: a valid one
+			// submitted next is accepted.
+			if tc.wantStatus == http.StatusBadRequest {
+				submit(t, ts, tinySpec())
 			}
 		})
 	}

@@ -184,6 +184,9 @@ func (s CampaignSpec) Validate() error {
 	if s.Invocations < 0 || s.Iterations < 0 {
 		return specErrf("negative experiment design")
 	}
+	if err := harness.CheckDesign(s.Invocations, s.Iterations); err != nil {
+		return specErrf("%v", err)
+	}
 	if s.Retries < 0 {
 		return specErrf("negative retry budget")
 	}

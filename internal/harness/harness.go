@@ -82,6 +82,24 @@ func (o Options) withDefaults() Options {
 // does not set MaxStepsPerInvocation.
 const defaultStepBudget = 1 << 32
 
+// MaxSamples bounds an experiment design: invocations × iterations, after
+// defaults. A run holds a few words per sample, so a design past it could
+// not be allocated; it is refused as input instead. The largest design in
+// the repository is 10 × 60.
+const MaxSamples = 1 << 24
+
+// CheckDesign returns an error if invocations × iterations, after the
+// defaults Options gives non-positive counts, exceeds MaxSamples. It
+// cannot overflow.
+func CheckDesign(invocations, iterations int) error {
+	o := Options{Invocations: invocations, Iterations: iterations}.withDefaults()
+	if o.Invocations > MaxSamples/o.Iterations {
+		return fmt.Errorf("design of %d invocations × %d iterations exceeds the limit of %d samples",
+			o.Invocations, o.Iterations, MaxSamples)
+	}
+	return nil
+}
+
 // tightenBudget lowers the default step budget to the certificate's static
 // worst case when the interprocedural analysis proved one (DESIGN.md §14):
 // module import plus Iterations calls of run(), doubled for slack and
@@ -392,7 +410,8 @@ func (r *Runner) measure(sim *Invocation, opts Options, noiseIdx int) *Invocatio
 	span := r.obs.Trace.Begin(trace.CatPhase, "replay")
 	defer span.End()
 	inv := *sim
-	inv.TimesSec = noise.Perturb(opts.Noise, opts.Seed, noiseIdx, sim.TimesSec, len(sim.TimesSec))
+	inv.TimesSec = make([]float64, len(sim.TimesSec))
+	noise.Perturb(inv.TimesSec, opts.Noise, opts.Seed, noiseIdx, sim.TimesSec)
 	inv.Cycles = slices.Clone(sim.Cycles)
 	inv.Steps = slices.Clone(sim.Steps)
 	if sim.Counters != nil {

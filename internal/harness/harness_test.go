@@ -225,6 +225,39 @@ func TestModuleSetupErrorSurfaces(t *testing.T) {
 	}
 }
 
+// TestDesignTooLargeIsAnError checks that Run refuses a design past
+// MaxSamples with an error instead of trying to allocate it, and that
+// CheckDesign's bound is exact and cannot overflow.
+func TestDesignTooLargeIsAnError(t *testing.T) {
+	r := NewRunner()
+	b := mustBench(t, "fib")
+	for _, o := range []Options{
+		{Invocations: 1 << 62},
+		{Iterations: 1 << 62},
+		{Invocations: 1 << 62, Iterations: 1 << 62},
+		{Invocations: 1 << 12, Iterations: 1<<12 + 1},
+	} {
+		if _, err := r.Run(b, o); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("Run with %d invocations × %d iterations: %v, want a design error", o.Invocations, o.Iterations, err)
+		}
+	}
+	for _, c := range []struct {
+		invocations, iterations int
+		ok                      bool
+	}{
+		{1 << 12, 1 << 12, true},
+		{MaxSamples, 1, true},
+		{MaxSamples + 1, 1, false},
+		{MaxSamples/30 + 1, 0, false}, // the default 30 iterations count
+		{0, 0, true},
+		{-1, 1<<62 + 1, false},
+	} {
+		if err := CheckDesign(c.invocations, c.iterations); (err == nil) != c.ok {
+			t.Errorf("CheckDesign(%d, %d) = %v, want ok %v", c.invocations, c.iterations, err, c.ok)
+		}
+	}
+}
+
 func TestCompiledCacheConcurrent(t *testing.T) {
 	// The code cache must be safe under concurrent Run calls (checked
 	// under -race in `make verify`); results stay deterministic per seed.

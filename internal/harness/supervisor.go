@@ -319,6 +319,9 @@ const (
 // short, and returns an error wrapping context.Cause(ctx).
 func (s *Supervisor) Run(ctx context.Context, b workloads.Benchmark, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	if err := CheckDesign(opts.Invocations, opts.Iterations); err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
+	}
 	if !(opts.TargetRelHalfWidth >= 0) {
 		return nil, fmt.Errorf("harness: %s: target half-width %v: want a positive fraction, or 0 for a fixed design",
 			b.Name, opts.TargetRelHalfWidth)

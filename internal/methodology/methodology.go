@@ -14,6 +14,7 @@ package methodology
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -60,7 +61,10 @@ type Comparison struct {
 // Methodology compares a baseline and a treatment experiment.
 // EvaluateMethodology runs trials through stats.ParallelFor, so Compare
 // may be called concurrently and must not share mutable state between
-// calls; none of the six here keeps any.
+// calls; none of the six here keeps any. EvaluateMethodology also reuses
+// a trial's samples for later trials, so Compare must not keep baseline,
+// treatment or any of their rows after it returns; none of the six does,
+// and a Comparison holds no slice.
 type Methodology interface {
 	Name() string
 	Compare(baseline, treatment stats.HierarchicalSample) Comparison
@@ -251,9 +255,10 @@ func (Rigorous) Name() string { return "rigorous" }
 func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparison {
 	rng := stats.NewRNG(r.Seed ^ 0xB00757A9)
 
-	dropped, sa, sb := trimWarmup(baseline, treatment)
-	ci := stats.BootstrapHierarchicalRatioCI(sa, sb, Confidence, r.Resamples, rng)
-	sp := meanOfMeans(sa) / meanOfMeans(sb)
+	dropped, t := trimWarmup(baseline, treatment)
+	ci := stats.BootstrapHierarchicalRatioCI(t.a, t.b, Confidence, r.Resamples, rng)
+	sp := meanOfMeans(t.a) / meanOfMeans(t.b)
+	t.release()
 	verdict := Indistinguishable
 	if !ci.Contains(1) {
 		if sp > 1 {
@@ -271,41 +276,85 @@ func (r Rigorous) Compare(baseline, treatment stats.HierarchicalSample) Comparis
 	}
 }
 
+// trimmed is one comparison's warm-up trim. It stays in trimPool between
+// comparisons with the trimmed samples' row headers and its bound body,
+// so a comparison allocates neither; the rows are the untrimmed samples'
+// own.
+type trimmed struct {
+	a, b stats.HierarchicalSample
+	// in is the untrimmed samples' rows while trimWarmup runs.
+	in [2][][]float64
+	// trimOne is t.trim, bound once when t is made: ParallelFor keeps its
+	// body, so a closure made per comparison would be one allocation each.
+	trimOne func(int)
+}
+
+var trimPool sync.Pool
+
+// release clears t's headers, so that the pool keeps no caller's sample
+// alive, and puts t back in trimPool. t must not be read after.
+func (t *trimmed) release() {
+	clear(t.a.Times)
+	clear(t.b.Times)
+	trimPool.Put(t)
+}
+
 // trimWarmup detects the steady segment of every invocation of a and b,
 // the invocations of both through one stats.ParallelFor, and returns the
 // trimmed samples along with the most iterations dropped from any one
-// invocation.
-func trimWarmup(a, b stats.HierarchicalSample) (int, stats.HierarchicalSample, stats.HierarchicalSample) {
-	ta, tb := make([][]float64, len(a.Times)), make([][]float64, len(b.Times))
-	stats.ParallelFor(len(ta)+len(tb), func(i int) {
-		in, out := a.Times, ta
-		if i >= len(ta) {
-			in, out, i = b.Times, tb, i-len(ta)
-		}
-		inv := in[i]
-		res := stats.ClassifySteadyState(inv, 0, 0, 0)
-		start := 0
-		switch res.Class {
-		case stats.ClassWarmup, stats.ClassSlowdown:
-			start = res.SteadyStart
-		case stats.ClassNoSteadyState:
-			// No steady segment: keep the tail half, the best available
-			// approximation (and flag via dropped count).
-			start = len(inv) / 2
-		}
-		if limit := int(maxWarmupFrac * float64(len(inv))); start > limit {
-			start = limit
-		}
-		out[i] = inv[start:]
-	})
+// invocation. The caller releases the trimmed samples once it has read
+// them.
+func trimWarmup(a, b stats.HierarchicalSample) (int, *trimmed) {
+	t, _ := trimPool.Get().(*trimmed)
+	if t == nil {
+		t = new(trimmed)
+		t.trimOne = t.trim
+	}
+	t.in = [2][][]float64{a.Times, b.Times}
+	t.a.Times = resize(t.a.Times, len(a.Times))
+	t.b.Times = resize(t.b.Times, len(b.Times))
+	stats.ParallelFor(len(a.Times)+len(b.Times), t.trimOne)
+	t.in = [2][][]float64{}
 	dropped := 0
 	for i, inv := range a.Times {
-		dropped = max(dropped, len(inv)-len(ta[i]))
+		dropped = max(dropped, len(inv)-len(t.a.Times[i]))
 	}
 	for i, inv := range b.Times {
-		dropped = max(dropped, len(inv)-len(tb[i]))
+		dropped = max(dropped, len(inv)-len(t.b.Times[i]))
 	}
-	return dropped, stats.HierarchicalSample{Times: ta}, stats.HierarchicalSample{Times: tb}
+	return dropped, t
+}
+
+// trim cuts the warm-up of invocation i of the untrimmed samples, counted
+// through a's invocations, then b's.
+func (t *trimmed) trim(i int) {
+	in, out := t.in[0], t.a.Times
+	if i >= len(out) {
+		in, out, i = t.in[1], t.b.Times, i-len(out)
+	}
+	inv := in[i]
+	res := stats.ClassifySteadyState(inv, 0, 0, 0)
+	start := 0
+	switch res.Class {
+	case stats.ClassWarmup, stats.ClassSlowdown:
+		start = res.SteadyStart
+	case stats.ClassNoSteadyState:
+		// No steady segment: keep the tail half, the best available
+		// approximation (and flag via dropped count).
+		start = len(inv) / 2
+	}
+	if limit := int(maxWarmupFrac * float64(len(inv))); start > limit {
+		start = limit
+	}
+	out[i] = inv[start:]
+}
+
+// resize returns rows with length n, reallocated if its capacity is short.
+func resize(rows [][]float64, n int) [][]float64 {
+	if cap(rows) < n {
+		return make([][]float64, n)
+	}
+	return rows[:n]
 }
 
 // All returns every methodology, naive ones first, for the comparison

@@ -1,6 +1,7 @@
 package methodology
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/stats"
@@ -23,13 +24,21 @@ type SuiteComparison struct {
 // Comparing a treatment against a baseline across a whole suite is a
 // multiple-testing problem; without correction, the expected number of
 // false "significant" benchmarks grows linearly with suite size.
+//
+// A NaN p-value (stats.WelchTTest's for a sample of fewer than two
+// invocations) is a test that was run and decided nothing: it counts in
+// the family size, sorts after every other p-value, and is never
+// significant, so the answer does not depend on where it sits.
 func HolmAdjust(pvalues []float64, alpha float64) []bool {
 	n := len(pvalues)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return pvalues[idx[a]] < pvalues[idx[b]] })
+	sort.Slice(idx, func(a, b int) bool {
+		pa, pb := pvalues[idx[a]], pvalues[idx[b]]
+		return pa < pb || (!math.IsNaN(pa) && math.IsNaN(pb))
+	})
 	out := make([]bool, n)
 	for rank, i := range idx {
 		threshold := alpha / float64(n-rank)

@@ -1,6 +1,8 @@
 package methodology
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/noise"
@@ -38,6 +40,71 @@ func TestHolmAdjustStepDownStops(t *testing.T) {
 	// Sorted: 0.04 vs 0.05/2 = 0.025 → fail → stop. 0.9 fails.
 	if sig[0] || sig[1] {
 		t.Fatalf("step-down should reject all: %v", sig)
+	}
+}
+
+// TestHolmAdjustNaNPlacement checks that a NaN p-value is never
+// significant, counts in the family size, and does not change the answer
+// by where it sits: the same p-values in any order give the same
+// verdicts, index for index.
+func TestHolmAdjustNaNPlacement(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		p    []float64
+		want []bool
+	}{
+		// 0.001 <= 0.05/3 and 0.002 <= 0.05/2: the NaN still counts in n.
+		{[]float64{nan, 0.001, 0.002}, []bool{false, true, true}},
+		{[]float64{0.001, nan, 0.002}, []bool{true, false, true}},
+		{[]float64{0.001, 0.002, nan}, []bool{true, true, false}},
+		// 0.02 <= 0.05/2 and 0.04 <= 0.05 in a family of two, but the NaN
+		// makes it three, and 0.02 > 0.05/3.
+		{[]float64{0.02, 0.04, nan}, []bool{false, false, false}},
+		{[]float64{nan, nan}, []bool{false, false}},
+	} {
+		if got := HolmAdjust(c.p, 0.05); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("HolmAdjust(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	rng := stats.NewRNG(5)
+	for trial := 0; trial < 500; trial++ {
+		p := make([]float64, 1+rng.Intn(12))
+		for i := range p {
+			switch rng.Intn(4) {
+			case 0:
+				p[i] = nan
+			case 1:
+				p[i] = 0.001 * float64(1+rng.Intn(5)) // ties and small values
+			default:
+				p[i] = 0.05 * rng.Float64()
+			}
+		}
+		want := HolmAdjust(p, 0.05)
+		for i, pi := range p {
+			if math.IsNaN(pi) && want[i] {
+				t.Fatalf("HolmAdjust(%v): NaN at %d is significant", p, i)
+			}
+		}
+		perm := make([]int, len(p))
+		for i := range perm {
+			perm[i] = i
+		}
+		for k := 0; k < 5; k++ {
+			for i := len(perm) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			q := make([]float64, len(p))
+			for i, j := range perm {
+				q[i] = p[j]
+			}
+			got := HolmAdjust(q, 0.05)
+			for i, j := range perm {
+				if got[i] != want[j] {
+					t.Fatalf("HolmAdjust(%v) = %v, but permuted to %v it gives %v", p, want, q, got)
+				}
+			}
+		}
 	}
 }
 

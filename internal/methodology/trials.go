@@ -1,6 +1,8 @@
 package methodology
 
 import (
+	"sync"
+
 	"repro/internal/noise"
 	"repro/internal/stats"
 )
@@ -21,11 +23,55 @@ type TrialGenerator struct {
 
 // Sample produces one experiment's measurement matrix for the given seed.
 func (g TrialGenerator) Sample(seed uint64, invocations, iterations int) stats.HierarchicalSample {
-	times := make([][]float64, invocations)
-	for i := range times {
-		times[i] = noise.Perturb(g.Noise, seed, i, g.Base, iterations)
+	flat := make([]float64, invocations*iterations)
+	h := stats.HierarchicalSample{Times: shapeRows(nil, flat, invocations, iterations)}
+	g.fill(h, seed)
+	return h
+}
+
+// fill sets every invocation of h to the seed's draw of it: the one loop
+// behind Sample and EvaluateMethodology's pooled trials.
+func (g TrialGenerator) fill(h stats.HierarchicalSample, seed uint64) {
+	for i, row := range h.Times {
+		noise.Perturb(row, g.Noise, seed, i, g.Base)
 	}
-	return stats.HierarchicalSample{Times: times}
+}
+
+// shapeRows returns rows, resized, set to invocations consecutive rows of
+// flat, iterations values each.
+func shapeRows(rows [][]float64, flat []float64, invocations, iterations int) [][]float64 {
+	rows = resize(rows, invocations)
+	for i := range rows {
+		rows[i] = flat[i*iterations : (i+1)*iterations : (i+1)*iterations]
+	}
+	return rows
+}
+
+// trialSamples is one trial's pair of samples: one backing array for
+// both, and a row header slice for each. EvaluateMethodology keeps them in
+// trialPool between trials, so a Table-4 row allocates no sample.
+type trialSamples struct {
+	flat                []float64
+	baseline, treatment stats.HierarchicalSample
+}
+
+var trialPool sync.Pool
+
+// getTrialSamples takes a *trialSamples from trialPool and shapes it to
+// invocations × iterations, growing what is too small. Its values are
+// stale until the caller fills both samples.
+func getTrialSamples(invocations, iterations int) *trialSamples {
+	s, _ := trialPool.Get().(*trialSamples)
+	if s == nil {
+		s = new(trialSamples)
+	}
+	n := invocations * iterations
+	if cap(s.flat) < 2*n {
+		s.flat = make([]float64, 2*n)
+	}
+	s.baseline.Times = shapeRows(s.baseline.Times, s.flat[:n], invocations, iterations)
+	s.treatment.Times = shapeRows(s.treatment.Times, s.flat[n:2*n], invocations, iterations)
+	return s
 }
 
 // Scaled returns a copy of the generator with every base time divided by
@@ -76,7 +122,9 @@ func (e ErrorRates) MissRate() float64 {
 // (the paper's "practically equivalent" band). It draws every trial's seed
 // pair first, in trial order, runs the trials through stats.ParallelFor,
 // and adds up their results in trial order: the rates are the same bits at
-// any GOMAXPROCS.
+// any GOMAXPROCS. Each trial draws its two samples into buffers from
+// trialPool and puts them back once m.Compare has returned, which the
+// Methodology contract allows.
 func EvaluateMethodology(m Methodology, baseline, treatment TrialGenerator,
 	invocations, iterations, trials int, equivBand float64, seed uint64) ErrorRates {
 	truthSpeedup := baseline.TrueSpeedupOver(treatment)
@@ -94,8 +142,11 @@ func EvaluateMethodology(m Methodology, baseline, treatment TrialGenerator,
 	}
 	stats.ParallelFor(len(ts), func(t int) {
 		tr := &ts[t]
-		cmp := m.Compare(baseline.Sample(tr.seedA, invocations, iterations),
-			treatment.Sample(tr.seedB, invocations, iterations))
+		s := getTrialSamples(invocations, iterations)
+		baseline.fill(s.baseline, tr.seedA)
+		treatment.fill(s.treatment, tr.seedB)
+		cmp := m.Compare(s.baseline, s.treatment)
+		trialPool.Put(s)
 		tr.verdict, tr.relErr = cmp.Verdict, RelativeError(cmp.Speedup, truthSpeedup)
 	})
 	out := ErrorRates{Methodology: m.Name(), Trials: trials}

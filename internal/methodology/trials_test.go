@@ -36,24 +36,39 @@ func sequentialEvaluate(m Methodology, baseline, treatment TrialGenerator,
 	return out
 }
 
+// TestEvaluateMethodologyBitIdentical checks the pooled parallel trials
+// against the sequential ones that draw fresh samples. The shapes case
+// runs two generator pairs of different designs back to back, so that a
+// pooled trial buffer and pooled trim headers are reused across shapes.
 func TestEvaluateMethodologyBitIdentical(t *testing.T) {
 	p := noise.Default()
-	pairs := []struct {
-		name                string
-		baseline, treatment TrialGenerator
-	}{
-		{"flat", flatGen(1, p), flatGen(1, p).Scaled(1.02)},
-		{"jit-warmup", flatGen(1, p), warmupGen(0.4, p)},
+	type pair struct {
+		name                    string
+		baseline, treatment     TrialGenerator
+		invocations, iterations int
 	}
-	for _, pair := range pairs {
+	flat := pair{"flat", flatGen(1, p), flatGen(1, p).Scaled(1.02), 5, 12}
+	warmup := pair{"jit-warmup", flatGen(1, p), warmupGen(0.4, p), 5, 12}
+	wide := pair{"jit-warmup 9x7", flatGen(1, p), warmupGen(0.4, p), 9, 7}
+	long := pair{"flat 3x31", flatGen(1, p).Scaled(0.97), flatGen(1, p), 3, 31}
+	for _, c := range []struct {
+		name  string
+		pairs []pair
+	}{
+		{"flat", []pair{flat}},
+		{"jit-warmup", []pair{warmup}},
+		{"shapes", []pair{wide, long, warmup, long}},
+	} {
 		for _, m := range All(11) {
 			for _, trials := range []int{1, 2, 10, 37} {
-				want := sequentialEvaluate(m, pair.baseline, pair.treatment, 5, 12, trials, 0.01, 99)
-				got := EvaluateMethodology(m, pair.baseline, pair.treatment, 5, 12, trials, 0.01, 99)
-				if got.Methodology != want.Methodology || got.Trials != want.Trials ||
-					got.Misleading != want.Misleading || got.Missed != want.Missed ||
-					math.Float64bits(got.MeanRelErr) != math.Float64bits(want.MeanRelErr) {
-					t.Fatalf("%s, %s, %d trials: %+v, sequential %+v", pair.name, m.Name(), trials, got, want)
+				for _, pr := range c.pairs {
+					want := sequentialEvaluate(m, pr.baseline, pr.treatment, pr.invocations, pr.iterations, trials, 0.01, 99)
+					got := EvaluateMethodology(m, pr.baseline, pr.treatment, pr.invocations, pr.iterations, trials, 0.01, 99)
+					if got.Methodology != want.Methodology || got.Trials != want.Trials ||
+						got.Misleading != want.Misleading || got.Missed != want.Missed ||
+						math.Float64bits(got.MeanRelErr) != math.Float64bits(want.MeanRelErr) {
+						t.Fatalf("%s: %s, %s, %d trials: %+v, sequential %+v", c.name, pr.name, m.Name(), trials, got, want)
+					}
 				}
 			}
 		}
@@ -111,11 +126,11 @@ func TestTrimWarmupMatchesPerSample(t *testing.T) {
 		a, b := ragged(), ragged()
 		wa, sa := perSampleTrim(a)
 		wb, sb := perSampleTrim(b)
-		dropped, ga, gb := trimWarmup(a, b)
+		dropped, g := trimWarmup(a, b)
 		if want := max(wa, wb); dropped != want {
 			t.Fatalf("trial %d: dropped %d, per sample %d", trial, dropped, want)
 		}
-		for k, pair := range [2][2]stats.HierarchicalSample{{ga, sa}, {gb, sb}} {
+		for k, pair := range [2][2]stats.HierarchicalSample{{g.a, sa}, {g.b, sb}} {
 			got, want := pair[0].Times, pair[1].Times
 			if len(got) != len(want) {
 				t.Fatalf("trial %d, sample %d: %d invocations, per sample %d", trial, k, len(got), len(want))
@@ -127,6 +142,7 @@ func TestTrimWarmupMatchesPerSample(t *testing.T) {
 				}
 			}
 		}
+		g.release()
 		if len(a.Times) > 0 && len(b.Times) > 0 {
 			if got := r.Compare(a, b).WarmupDropped; got != max(wa, wb) {
 				t.Fatalf("trial %d: Compare dropped %d, per sample %d", trial, got, max(wa, wb))

@@ -112,22 +112,20 @@ func (s *Source) Apply(base float64) float64 {
 	return t
 }
 
-// Perturb returns the measured times of invocation inv: n iterations whose
-// noise-free times are base (past its end, base's last value repeats, as
-// in a steady state), each perturbed in order by the (seed, inv) stream.
-// It is the one noise loop: the harness replays a simulation through it,
-// and the synthetic trials of the methodology package are drawn with it.
-// The stream lives on Perturb's stack, so the returned row is its one
-// allocation.
-func Perturb(p Params, seed uint64, inv int, base []float64, n int) []float64 {
+// Perturb sets dst to the measured times of invocation inv: len(dst)
+// iterations whose noise-free times are base (past its end, base's last
+// value repeats, as in a steady state), each perturbed in order by the
+// (seed, inv) stream. It is the one noise loop: the harness replays a
+// simulation through it, and the synthetic trials of the methodology
+// package are drawn with it. The stream lives on Perturb's stack and the
+// caller owns dst, so Perturb allocates nothing.
+func Perturb(dst []float64, p Params, seed uint64, inv int, base []float64) {
 	src := newSource(p, seed, inv)
-	row := make([]float64, n)
-	for j := range row {
+	for j := range dst {
 		b := base[len(base)-1]
 		if j < len(base) {
 			b = base[j]
 		}
-		row[j] = src.Apply(b)
+		dst[j] = src.Apply(b)
 	}
-	return row
 }

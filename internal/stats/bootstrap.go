@@ -132,9 +132,10 @@ func bootstrapWorkers(resamples int, a, b HierarchicalSample) int {
 // the caller then finds the next chunk's start by replaying the chunk's
 // invocation picks and skipping each pick's iteration draws. With no
 // helper spare, the caller fills the chunk itself with rng, and nothing is
-// replayed. The caller fills the last chunk with rng.
+// replayed. The caller fills the last chunk with rng. The WaitGroup is
+// made at the first helper, so that a fill with none allocates nothing.
 func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup
 	lo := 0
 	for w := 1; w < workers; w++ {
 		hi := w * len(est) / workers
@@ -143,42 +144,63 @@ func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
 			lo = hi
 			continue
 		}
+		if wg == nil {
+			wg = new(sync.WaitGroup)
+		}
 		wg.Add(1)
-		go func(chunk []float64, chunkRNG RNG) {
+		go func(wg *sync.WaitGroup, chunk []float64, chunkRNG RNG) {
 			defer wg.Done()
 			defer helpers.Add(-1)
 			resampleRatios(chunk, a, b, &chunkRNG)
-		}(est[lo:hi], RNG{state: rng.state})
+		}(wg, est[lo:hi], RNG{state: rng.state})
+		s := rng.state
 		for ; lo < hi; lo++ {
 			for _, h := range [2][][]float64{a.Times, b.Times} {
 				for range h {
-					rng.skip(len(h[rng.Intn(len(h))]))
+					var k int
+					s, k = intn(s, len(h))
+					s += uint64(len(h[k])) * gamma // skip the picked invocation's iteration draws
 				}
 			}
 		}
+		rng.state = s
 	}
 	resampleRatios(est[lo:], a, b, rng)
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 }
 
+// resampleRatios sets est[r] to the ratio of a's and b's resampled grand
+// means, drawing from rng's stream in order. The state stays in a local
+// for the whole chunk and goes back to rng at the end.
 func resampleRatios(est []float64, a, b HierarchicalSample, rng *RNG) {
+	s := rng.state
 	for r := range est {
-		est[r] = resampleGrandMean(a, rng) / resampleGrandMean(b, rng)
+		var ma, mb float64
+		ma, s = resampleGrandMean(a, s)
+		mb, s = resampleGrandMean(b, s)
+		est[r] = ma / mb
 	}
+	rng.state = s
 }
 
 // resampleGrandMean draws invocations of h with replacement, then
-// iterations within each drawn invocation, and returns their mean.
-func resampleGrandMean(h HierarchicalSample, rng *RNG) float64 {
+// iterations within each drawn invocation, from the stream at state s,
+// and returns their mean and the state after the draws.
+func resampleGrandMean(h HierarchicalSample, s uint64) (float64, uint64) {
 	n := len(h.Times)
 	total, count := 0.0, 0
 	for i := 0; i < n; i++ {
-		inv := h.Times[rng.Intn(n)]
+		var k int
+		s, k = intn(s, n)
+		inv := h.Times[k]
 		m := len(inv)
 		for j := 0; j < m; j++ {
-			total += inv[rng.Intn(m)]
+			s, k = intn(s, m)
+			total += inv[k]
 			count++
 		}
 	}
-	return total / float64(count)
+	return total / float64(count), s
 }

@@ -30,20 +30,32 @@ func (r *RNG) Split(id uint64) *RNG {
 }
 
 // gamma is SplitMix64's Weyl increment: the state after k draws is the
-// start state plus k·gamma, so skip jumps ahead in O(1).
+// start state plus k·gamma, so a stream jumps ahead k draws in O(1).
 const gamma = 0x9E3779B97F4A7C15
 
 // Uint64 returns the next 64 uniform random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += gamma
-	z := r.state
+	return mix64(r.state)
+}
+
+// mix64 is SplitMix64's output function: the draw of the stream whose
+// state has just been advanced to z.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
 
-// skip advances the stream past k draws without computing them.
-func (r *RNG) skip(k int) { r.state += uint64(k) * gamma }
+// intn is Intn on a state held by the caller: it advances s by one draw
+// and returns it with the draw's value in [0, n). A loop that keeps s in a
+// local, and writes it back to its RNG when it is done, keeps the state in
+// a register instead of loading and storing it through the RNG on every
+// draw. n must be positive.
+func intn(s uint64, n int) (uint64, int) {
+	s += gamma
+	return s, int(mix64(s) % uint64(n))
+}
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -55,7 +67,9 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	var k int
+	r.state, k = intn(r.state, n)
+	return k
 }
 
 // NormFloat64 returns a standard normal deviate (Box–Muller).

@@ -162,12 +162,18 @@ func writeDoc(doc *Doc, path string, stdout io.Writer) error {
 	return f.Close()
 }
 
-// compare prints per-benchmark ns/op deltas vs. the baseline and enforces
-// the memory gate. A negative delta means the candidate is faster.
+// compare prints per-benchmark ns/op deltas vs. the baseline, under a
+// `pkg:` line per package, and enforces the memory gate. Entries match by
+// package and name. A negative delta means the candidate is faster.
 func compare(base, cand *Doc, th benchfmt.MemThresholds, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-28s %14s %14s %9s %14s\n", "benchmark", "base ns/op", "new ns/op", "delta", "allocs/op")
+	pkg := ""
 	for _, e := range cand.Benchmarks {
-		b, ok := base.Entry(e.Name)
+		if e.Pkg != pkg {
+			pkg = e.Pkg
+			fmt.Fprintf(stdout, "pkg: %s\n", pkg)
+		}
+		b, ok := base.Entry(e.Pkg, e.Name)
 		if !ok {
 			fmt.Fprintf(stdout, "%-28s %14s %14.0f %9s %8d->%-5d\n", e.Name, "(new)", e.NsPerOp, "", 0, e.AllocsPerOp)
 			continue

@@ -29,14 +29,14 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Goos != "linux" || doc.Goarch != "amd64" || doc.Pkg != "repro/internal/vm" {
-		t.Errorf("header = %q/%q/%q", doc.Goos, doc.Goarch, doc.Pkg)
+	if doc.Goos != "linux" || doc.Goarch != "amd64" {
+		t.Errorf("header = %q/%q", doc.Goos, doc.Goarch)
 	}
 	if len(doc.Benchmarks) != 3 {
 		t.Fatalf("got %d benchmarks, want 3", len(doc.Benchmarks))
 	}
 	e := doc.Benchmarks[0]
-	if e.Name != "BenchmarkDispatchArith" || e.Iterations != 471 ||
+	if e.Pkg != "repro/internal/vm" || e.Name != "BenchmarkDispatchArith" || e.Iterations != 471 ||
 		e.NsPerOp != 469526 || e.BytesPerOp != 79336 || e.AllocsPerOp != 9176 {
 		t.Errorf("entry 0 = %+v", e)
 	}
@@ -91,6 +91,23 @@ func TestCompareToleratesUnstampedBaseline(t *testing.T) {
 	var out, errB bytes.Buffer
 	if code := compare(base, cand, gateOff, &out, &errB); code != 0 {
 		t.Fatalf("exit %d: %s", code, errB.String())
+	}
+}
+
+// compare reads each candidate entry's baseline from its own package, and
+// heads each package's rows with its path.
+func TestCompareMatchesPackageAndName(t *testing.T) {
+	base := &Doc{Benchmarks: []Entry{
+		{Pkg: "repro/internal/stats", Name: "BenchmarkShared", NsPerOp: 1000},
+		{Pkg: "repro/internal/methodology", Name: "BenchmarkShared", NsPerOp: 4000},
+	}}
+	cand := &Doc{Benchmarks: []Entry{{Pkg: "repro/internal/methodology", Name: "BenchmarkShared", NsPerOp: 2000}}}
+	var out, errB bytes.Buffer
+	if code := compare(base, cand, gateOff, &out, &errB); code != 0 {
+		t.Fatalf("exit %d: %s", code, errB.String())
+	}
+	if s := out.String(); !strings.Contains(s, "pkg: repro/internal/methodology\n") || !strings.Contains(s, "-50.0%") {
+		t.Errorf("compare did not read the methodology baseline:\n%s", s)
 	}
 }
 

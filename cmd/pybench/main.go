@@ -162,6 +162,9 @@ func main() {
 	if err := harness.CheckDesign(*invocations, *iterations); err != nil {
 		fatal(usageError{err})
 	}
+	if *watchdog < 0 {
+		fatal(usageError{fmt.Errorf("negative -watchdog %v", *watchdog)})
+	}
 
 	np, err := controlapi.NoiseByName(*noiseName)
 	if err != nil {

@@ -75,9 +75,9 @@ func TestObservabilityFlagsNeedBenchOrSuite(t *testing.T) {
 // -mode (also at its default value), -vm or -daemon-addr beside commands
 // other than -bench (and with no command, and with a command ahead of the
 // one that reads the flag), -bench and -dis with an -opt level out of
-// range, and -bench, -suite and -exp with a design past
-// harness.MaxSamples: each is a usage error that prints nothing to stdout
-// and writes no file.
+// range, -bench, -suite and -exp with a design past harness.MaxSamples,
+// and every command with a negative -watchdog: each is a usage error that
+// prints nothing to stdout and writes no file.
 func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -111,6 +111,8 @@ func TestJSONAndCollapsedNeedTheirCommand(t *testing.T) {
 			"exceeds the limit"},
 		{[]string{"-iterations", "4611686018427387904"}, [][]string{{"-bench", "fib"}, {"-suite"}},
 			"exceeds the limit"},
+		{[]string{"-watchdog", "-1s"}, [][]string{{"-bench", "fib", "-isolate"}, {"-suite", "-isolate"}, {"-exp", "T4"}, {"-dis", "fib"}, {"-list"}},
+			"negative -watchdog"},
 	} {
 		for _, command := range c.commands {
 			args := append(append([]string{"-pybench"}, command...), c.flag...)

@@ -20,8 +20,11 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark measurement.
+// Entry is one benchmark measurement. Pkg is the import path of the
+// package the benchmark ran in: one run of `go test` may cover several
+// packages, and two of them may hold benchmarks of the same name.
 type Entry struct {
+	Pkg         string  `json:"pkg,omitempty"`
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -36,7 +39,6 @@ type Entry struct {
 type Doc struct {
 	Goos      string `json:"goos,omitempty"`
 	Goarch    string `json:"goarch,omitempty"`
-	Pkg       string `json:"pkg,omitempty"`
 	CPU       string `json:"cpu,omitempty"`
 	Commit    string `json:"commit,omitempty"`
 	Branch    string `json:"branch,omitempty"`
@@ -46,10 +48,12 @@ type Doc struct {
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
-// Entry returns the named benchmark's measurement, if present.
-func (d *Doc) Entry(name string) (Entry, bool) {
+// Entry returns the measurement of the benchmark name in package pkg, if
+// present. An entry that names no package, as in documents written before
+// entries carried their package, matches name in any package.
+func (d *Doc) Entry(pkg, name string) (Entry, bool) {
 	for _, e := range d.Benchmarks {
-		if e.Name == name {
+		if e.Name == name && (e.Pkg == pkg || e.Pkg == "") {
 			return e, true
 		}
 	}
@@ -62,13 +66,16 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // Parse converts `go test -bench -benchmem` text output into a document.
-// With -count N the same benchmark appears N times; the fastest run is
-// kept — under one-sided scheduling noise the minimum is the best
+// Each entry takes its package from the `pkg:` line above it. With
+// -count N the same benchmark of one package appears N times; the fastest
+// run is kept — under one-sided scheduling noise the minimum is the best
 // estimator of true cost (per the methodology papers this repo
 // reproduces, wall-clock noise only ever adds time).
 func Parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{}
-	index := map[string]int{}
+	type key struct{ pkg, name string }
+	index := map[key]int{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -79,7 +86,7 @@ func Parse(r io.Reader) (*Doc, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		}
@@ -87,7 +94,7 @@ func Parse(r io.Reader) (*Doc, error) {
 		if m == nil {
 			continue
 		}
-		e := Entry{Name: m[1]}
+		e := Entry{Pkg: pkg, Name: m[1]}
 		e.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		e.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
 		if m[4] != "" {
@@ -96,13 +103,14 @@ func Parse(r io.Reader) (*Doc, error) {
 		if m[5] != "" {
 			e.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
 		}
-		if i, ok := index[e.Name]; ok {
+		k := key{e.Pkg, e.Name}
+		if i, ok := index[k]; ok {
 			if e.NsPerOp < doc.Benchmarks[i].NsPerOp {
 				doc.Benchmarks[i] = e
 			}
 			continue
 		}
-		index[e.Name] = len(doc.Benchmarks)
+		index[k] = len(doc.Benchmarks)
 		doc.Benchmarks = append(doc.Benchmarks, e)
 	}
 	return doc, sc.Err()

@@ -38,6 +38,7 @@ func DefaultMemThresholds() MemThresholds {
 
 // MemViolation is one benchmark metric that grew past the gate.
 type MemViolation struct {
+	Pkg       string
 	Name      string
 	Metric    string // "allocs/op" or "B/op"
 	Base      int64
@@ -46,30 +47,35 @@ type MemViolation struct {
 }
 
 func (v MemViolation) String() string {
+	name := v.Name
+	if v.Pkg != "" {
+		name = v.Pkg + "." + name
+	}
 	return fmt.Sprintf("%s: %s grew %d -> %d (+%.1f%%)",
-		v.Name, v.Metric, v.Base, v.Cand, v.GrowthPct)
+		name, v.Metric, v.Base, v.Cand, v.GrowthPct)
 }
 
-// MemGate compares every benchmark present in both documents and returns
-// the metrics that regressed past the thresholds. Benchmarks new in the
-// candidate (no baseline entry) and entries without memory stats (no
-// -benchmem, both sides zero) are skipped: the gate locks in wins on the
-// committed series, it does not police additions.
+// MemGate compares every benchmark present in both documents, matched by
+// package and name (Doc.Entry), and returns the metrics that regressed
+// past the thresholds. Benchmarks new in the candidate (no baseline entry)
+// and entries without memory stats (no -benchmem, both sides zero) are
+// skipped: the gate locks in wins on the committed series, it does not
+// police additions.
 func MemGate(base, cand *Doc, th MemThresholds) []MemViolation {
 	var out []MemViolation
 	for _, c := range cand.Benchmarks {
-		b, ok := base.Entry(c.Name)
+		b, ok := base.Entry(c.Pkg, c.Name)
 		if !ok {
 			continue
 		}
 		if th.MaxAllocGrowthPct >= 0 {
-			if v, bad := gateMetric(c.Name, "allocs/op", b.AllocsPerOp, c.AllocsPerOp,
+			if v, bad := gateMetric(c, "allocs/op", b.AllocsPerOp, c.AllocsPerOp,
 				th.MaxAllocGrowthPct, th.AllocFloor); bad {
 				out = append(out, v)
 			}
 		}
 		if th.MaxBytesGrowthPct >= 0 {
-			if v, bad := gateMetric(c.Name, "B/op", b.BytesPerOp, c.BytesPerOp,
+			if v, bad := gateMetric(c, "B/op", b.BytesPerOp, c.BytesPerOp,
 				th.MaxBytesGrowthPct, th.BytesFloor); bad {
 				out = append(out, v)
 			}
@@ -82,7 +88,7 @@ func MemGate(base, cand *Doc, th MemThresholds) []MemViolation {
 // the absolute growth clears the floor AND the relative growth clears the
 // percentage (a zero baseline with growth past the floor always fails —
 // there is no meaningful percentage to compare).
-func gateMetric(name, metric string, base, cand int64, maxPct float64, floor int64) (MemViolation, bool) {
+func gateMetric(e Entry, metric string, base, cand int64, maxPct float64, floor int64) (MemViolation, bool) {
 	growth := cand - base
 	if growth <= floor {
 		return MemViolation{}, false
@@ -94,5 +100,5 @@ func gateMetric(name, metric string, base, cand int64, maxPct float64, floor int
 			return MemViolation{}, false
 		}
 	}
-	return MemViolation{Name: name, Metric: metric, Base: base, Cand: cand, GrowthPct: pct}, true
+	return MemViolation{Pkg: e.Pkg, Name: e.Name, Metric: metric, Base: base, Cand: cand, GrowthPct: pct}, true
 }

@@ -209,6 +209,26 @@ func TestSubmitRejections(t *testing.T) {
 			wantIn:     "exceeds the limit",
 		},
 		{
+			name: "negative wall budget",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.WallBudgetMs = -1
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "negative wall_budget_ms",
+		},
+		{
+			name: "negative watchdog",
+			body: func(t *testing.T) []byte {
+				s := tinySpec()
+				s.WatchdogMs = -5
+				return mustMarshal(t, s)
+			},
+			wantStatus: http.StatusBadRequest,
+			wantIn:     "negative watchdog_ms",
+		},
+		{
 			name: "bad fault spec",
 			body: func(t *testing.T) []byte {
 				s := tinySpec()

@@ -193,6 +193,12 @@ func (s CampaignSpec) Validate() error {
 	if s.Quorum < 0 {
 		return specErrf("negative quorum")
 	}
+	if s.WallBudgetMs < 0 {
+		return specErrf("negative wall_budget_ms %d", s.WallBudgetMs)
+	}
+	if s.WatchdogMs < 0 {
+		return specErrf("negative watchdog_ms %d", s.WatchdogMs)
+	}
 	return nil
 }
 

@@ -109,6 +109,59 @@ func BootstrapHierarchicalRatioCI(a, b HierarchicalSample,
 // not each allocate and collect 2000 floats.
 var estimatesPool sync.Pool
 
+// drawPair is the two samples of one bootstrap, each invocation beside
+// the reciprocal of its iteration count, built once per bootstrap instead
+// of once per picked invocation. fillRatios borrows one from drawPairPool,
+// so that a bootstrap allocates no table and a helper goroutine carries
+// one pointer, not both samples.
+type drawPair struct {
+	a, b drawSample
+	recs []reciprocal // the backing of a.recs and b.recs
+}
+
+// drawSample is a HierarchicalSample's invocations and, for each, the
+// reciprocal of its iteration count (the zero reciprocal below 2).
+type drawSample struct {
+	times [][]float64
+	recs  []reciprocal
+}
+
+// drawPairPool keeps drawPairs (*drawPair) between bootstraps.
+var drawPairPool sync.Pool
+
+// getDrawPair takes a drawPair from drawPairPool and points it at a and b.
+func getDrawPair(a, b HierarchicalSample) *drawPair {
+	p, _ := drawPairPool.Get().(*drawPair)
+	if p == nil {
+		p = new(drawPair)
+	}
+	na, n := len(a.Times), len(a.Times)+len(b.Times)
+	if cap(p.recs) < n {
+		p.recs = make([]reciprocal, n)
+	}
+	p.a = drawSample{a.Times, p.recs[:na:na]}
+	p.b = drawSample{b.Times, p.recs[na:n]}
+	p.a.fillReciprocals()
+	p.b.fillReciprocals()
+	return p
+}
+
+// putDrawPair returns p to drawPairPool, holding no sample.
+func putDrawPair(p *drawPair) {
+	*p = drawPair{recs: p.recs}
+	drawPairPool.Put(p)
+}
+
+// fillReciprocals sets the reciprocal of each invocation's iteration count.
+func (h drawSample) fillReciprocals() {
+	for k, inv := range h.times {
+		h.recs[k] = reciprocal{}
+		if len(inv) >= 2 {
+			h.recs[k] = newReciprocal(uint64(len(inv)))
+		}
+	}
+}
+
 // bootstrapChunkDraws is the fewest expected draws worth a worker: ~150 µs.
 const bootstrapChunkDraws = 1 << 15
 
@@ -135,12 +188,13 @@ func bootstrapWorkers(resamples int, a, b HierarchicalSample) int {
 // replayed. The caller fills the last chunk with rng. The WaitGroup is
 // made at the first helper, so that a fill with none allocates nothing.
 func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
+	p := getDrawPair(a, b)
 	var wg *sync.WaitGroup
 	lo := 0
 	for w := 1; w < workers; w++ {
 		hi := w * len(est) / workers
 		if !acquireHelper() {
-			resampleRatios(est[lo:hi], a, b, rng)
+			resampleRatios(est[lo:hi], p, rng)
 			lo = hi
 			continue
 		}
@@ -151,7 +205,7 @@ func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
 		go func(wg *sync.WaitGroup, chunk []float64, chunkRNG RNG) {
 			defer wg.Done()
 			defer helpers.Add(-1)
-			resampleRatios(chunk, a, b, &chunkRNG)
+			resampleRatios(chunk, p, &chunkRNG)
 		}(wg, est[lo:hi], RNG{state: rng.state})
 		s := rng.state
 		for ; lo < hi; lo++ {
@@ -165,21 +219,22 @@ func fillRatios(est []float64, a, b HierarchicalSample, workers int, rng *RNG) {
 		}
 		rng.state = s
 	}
-	resampleRatios(est[lo:], a, b, rng)
+	resampleRatios(est[lo:], p, rng)
 	if wg != nil {
 		wg.Wait()
 	}
+	putDrawPair(p)
 }
 
-// resampleRatios sets est[r] to the ratio of a's and b's resampled grand
+// resampleRatios sets est[r] to the ratio of p's two resampled grand
 // means, drawing from rng's stream in order. The state stays in a local
 // for the whole chunk and goes back to rng at the end.
-func resampleRatios(est []float64, a, b HierarchicalSample, rng *RNG) {
+func resampleRatios(est []float64, p *drawPair, rng *RNG) {
 	s := rng.state
 	for r := range est {
 		var ma, mb float64
-		ma, s = resampleGrandMean(a, s)
-		mb, s = resampleGrandMean(b, s)
+		ma, s = resampleGrandMean(p.a, s)
+		mb, s = resampleGrandMean(p.b, s)
 		est[r] = ma / mb
 	}
 	rng.state = s
@@ -188,19 +243,49 @@ func resampleRatios(est []float64, a, b HierarchicalSample, rng *RNG) {
 // resampleGrandMean draws invocations of h with replacement, then
 // iterations within each drawn invocation, from the stream at state s,
 // and returns their mean and the state after the draws.
-func resampleGrandMean(h HierarchicalSample, s uint64) (float64, uint64) {
-	n := len(h.Times)
+func resampleGrandMean(h drawSample, s uint64) (float64, uint64) {
+	n := len(h.times)
 	total, count := 0.0, 0
 	for i := 0; i < n; i++ {
 		var k int
 		s, k = intn(s, n)
-		inv := h.Times[k]
-		m := len(inv)
-		for j := 0; j < m; j++ {
-			s, k = intn(s, m)
-			total += inv[k]
-			count++
-		}
+		inv := h.times[k]
+		count += len(inv)
+		total, s = drawIterations(inv, h.recs[k], total, s)
 	}
 	return total / float64(count), s
+}
+
+// drawIterations adds len(inv) draws from inv, with replacement, to total
+// in draw order, from the stream at state s, and returns the sum and the
+// state after the draws: what a loop of intn(s, len(inv)) calls gives,
+// bit for bit. r is the reciprocal of len(inv).
+//
+// It draws in threes: the first two take their remainder with a division,
+// the third with r, so that the divider and the multiplier share the
+// draws (DESIGN §10). Both remainders are exact. The last len(inv) mod 3
+// draws divide. It stays out of resampleGrandMean so that its loop has
+// the registers to itself: inlined there, a draw loop spills and reloads
+// several values a draw.
+//
+//go:noinline
+func drawIterations(inv []float64, r reciprocal, total float64, s uint64) (float64, uint64) {
+	k := drawKeys
+	m := uint64(len(inv))
+	j := m
+	if m >= 3 {
+		for ; j >= 3; j -= 3 {
+			s += k.gamma
+			total += inv[k.mix(s)%m]
+			s += k.gamma
+			total += inv[k.mix(s)%m]
+			s += k.gamma
+			total += inv[r.mod(k.mix(s), m)]
+		}
+	}
+	for ; j > 0; j-- {
+		s += k.gamma
+		total += inv[k.mix(s)%m]
+	}
+	return total, s
 }

@@ -27,6 +27,12 @@ func workspace[T any](stack []T, n int) []T {
 // penalty <= 0 selects the default 3·ln(n)·σ̂², with σ̂² estimated robustly
 // from first differences so slow drifts don't inflate it.
 func PELT(xs []float64, penalty float64) []int {
+	return pelt(nil, xs, penalty)
+}
+
+// pelt is PELT writing the changepoints to the front of dst when they
+// fit, and to a fresh slice when they do not.
+func pelt(dst []int, xs []float64, penalty float64) []int {
 	n := len(xs)
 	if n < 4 {
 		return nil
@@ -95,7 +101,7 @@ func PELT(xs []float64, penalty float64) []int {
 	if k == 0 {
 		return nil
 	}
-	cps := make([]int, k)
+	cps := workspace(dst, k)
 	for t := prev[n]; t != 0; t = prev[t] {
 		k--
 		cps[k] = t
@@ -157,7 +163,6 @@ func (c SteadyStateClass) String() string {
 // iteration series.
 type SteadyStateResult struct {
 	Class       SteadyStateClass
-	ChangePts   []int
 	SteadyStart int     // first iteration of the steady segment (0 if flat)
 	SteadyMean  float64 // mean of the steady segment
 	FirstMean   float64 // mean of the first segment
@@ -242,7 +247,10 @@ func ClassifySteadyState(xs []float64, penalty, minTailFrac, relTol float64) Ste
 	var stack [steadyStackLen]float64
 	xs = workspace(stack[:], len(raw))
 	despike(xs, raw, 0, 0)
-	cps := PELT(xs, penalty)
+	// Only the first and the last changepoint are read, so they need not
+	// outlive the call.
+	var cpStack [steadyStackLen]int
+	cps := pelt(cpStack[:], xs, penalty)
 	n := len(xs)
 	if len(cps) == 0 {
 		m := Mean(xs)
@@ -264,7 +272,6 @@ func ClassifySteadyState(xs []float64, penalty, minTailFrac, relTol float64) Ste
 	firstMean := Mean(xs[:firstEnd])
 	lastMean := Mean(xs[lastStart:])
 	res := SteadyStateResult{
-		ChangePts:   cps,
 		SteadyStart: lastStart,
 		SteadyMean:  lastMean,
 		FirstMean:   firstMean,

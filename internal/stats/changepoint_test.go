@@ -80,7 +80,7 @@ func TestClassifyWarmup(t *testing.T) {
 	xs := stepSeries(rng, []int{20, 80}, []float64{3.0, 1.0}, 0.02)
 	res := ClassifySteadyState(xs, 0, 0, 0)
 	if res.Class != ClassWarmup {
-		t.Fatalf("class %v, want warmup (cps %v)", res.Class, res.ChangePts)
+		t.Fatalf("class %v, want warmup (%+v)", res.Class, res)
 	}
 	if res.SteadyStart < 17 || res.SteadyStart > 23 {
 		t.Fatalf("steady start %d, want ~20", res.SteadyStart)
@@ -118,7 +118,7 @@ func TestClassifyNoSteadyState(t *testing.T) {
 	xs := stepSeries(rng, []int{92, 8}, []float64{1.0, 3.0}, 0.02)
 	res := ClassifySteadyState(xs, 0, 0.25, 0)
 	if res.Class != ClassNoSteadyState {
-		t.Fatalf("class %v, want no steady state (cps %v)", res.Class, res.ChangePts)
+		t.Fatalf("class %v, want no steady state (%+v)", res.Class, res)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestClassifyEquivalentSegmentsAreFlat(t *testing.T) {
 	xs := stepSeries(rng, []int{50, 50}, []float64{1.000, 1.004}, 0.0005)
 	res := ClassifySteadyState(xs, 0, 0, 0.02)
 	if res.Class != ClassFlat {
-		t.Fatalf("class %v, want flat under the 2%% tolerance (cps %v)", res.Class, res.ChangePts)
+		t.Fatalf("class %v, want flat under the 2%% tolerance (%+v)", res.Class, res)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestPELTWarmupPlusSpikes(t *testing.T) {
 	}
 	res := ClassifySteadyState(xs, 0, 0, 0)
 	if res.Class != ClassWarmup {
-		t.Fatalf("spikes broke warmup detection: %v (cps %v)", res.Class, res.ChangePts)
+		t.Fatalf("spikes broke warmup detection: %v (%+v)", res.Class, res)
 	}
 }
 
@@ -442,7 +442,7 @@ func classifyReference(xs []float64, penalty, minTailFrac, relTol float64) Stead
 	lastStart := cps[len(cps)-1]
 	firstMean := Mean(xs[:cps[0]])
 	lastMean := Mean(xs[lastStart:])
-	res := SteadyStateResult{ChangePts: cps, SteadyStart: lastStart, SteadyMean: lastMean, FirstMean: firstMean}
+	res := SteadyStateResult{SteadyStart: lastStart, SteadyMean: lastMean, FirstMean: firstMean}
 	if n-lastStart < int(minTailFrac*float64(n)) {
 		res.Class = ClassNoSteadyState
 		return res
@@ -514,7 +514,6 @@ func TestSteadyStateKernelsBitIdentical(t *testing.T) {
 		for _, p := range [][3]float64{{0, 0, 0}, {0.02, 0.4, 0.05}} {
 			got, want := ClassifySteadyState(xs, p[0], p[1], p[2]), classifyReference(xs, p[0], p[1], p[2])
 			if got.Class != want.Class || got.SteadyStart != want.SteadyStart ||
-				!slices.Equal(got.ChangePts, want.ChangePts) || (got.ChangePts == nil) != (want.ChangePts == nil) ||
 				!sameQuantile(got.SteadyMean, want.SteadyMean) || !sameQuantile(got.FirstMean, want.FirstMean) {
 				t.Fatalf("n=%d: ClassifySteadyState%v = %+v, reference %+v (series %v)", n, p, got, want, xs)
 			}
@@ -523,7 +522,8 @@ func TestSteadyStateKernelsBitIdentical(t *testing.T) {
 }
 
 // TestClassifySteadyStateAllocs guards the stack scratch: classifying a
-// 30-iteration invocation allocates nothing, or only its changepoints.
+// 30-iteration invocation allocates nothing, with or without changepoints
+// (counted by PELT on the despiked series).
 func TestClassifySteadyStateAllocs(t *testing.T) {
 	flat := stepSeries(NewRNG(46), []int{30}, []float64{1}, 0.01)
 	step := stepSeries(NewRNG(47), []int{10, 20}, []float64{3, 1}, 0.01)
@@ -532,8 +532,8 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 		xs     []float64
 		cps    int
 		allocs float64
-	}{{"flat", flat, 0, 0}, {"one level shift", step, 1, 1}} {
-		if got := len(ClassifySteadyState(c.xs, 0, 0, 0).ChangePts); got != c.cps {
+	}{{"flat", flat, 0, 0}, {"one level shift", step, 1, 0}} {
+		if got := len(PELT(Despike(c.xs, 0, 0), 0)); got != c.cps {
 			t.Fatalf("%s: %d changepoints, want %d", c.name, got, c.cps)
 		}
 		if got := testing.AllocsPerRun(100, func() { ClassifySteadyState(c.xs, 0, 0, 0) }); got > c.allocs {

@@ -6,7 +6,10 @@
 // component in the repository.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic SplitMix64 generator. It is the only
 // randomness source in the repository, which makes every experiment
@@ -39,11 +42,32 @@ func (r *RNG) Uint64() uint64 {
 	return mix64(r.state)
 }
 
+// SplitMix64's two output multipliers.
+const (
+	mixMul1 = 0xBF58476D1CE4E5B9
+	mixMul2 = 0x94D049BB133111EB
+)
+
 // mix64 is SplitMix64's output function: the draw of the stream whose
 // state has just been advanced to z.
 func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z = (z ^ (z >> 30)) * mixMul1
+	z = (z ^ (z >> 27)) * mixMul2
+	return z ^ (z >> 31)
+}
+
+// streamKeys holds the stream's increment and mix64's multipliers as
+// values, not constants. A loop that copies drawKeys into a local keeps
+// the three in registers; with the constants, the compiler loads each
+// 64-bit immediate again at every use, three instructions a draw.
+type streamKeys struct{ gamma, mul1, mul2 uint64 }
+
+var drawKeys = streamKeys{gamma, mixMul1, mixMul2}
+
+// mix is mix64 with k's multipliers.
+func (k streamKeys) mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * k.mul1
+	z = (z ^ (z >> 27)) * k.mul2
 	return z ^ (z >> 31)
 }
 
@@ -55,6 +79,38 @@ func mix64(z uint64) uint64 {
 func intn(s uint64, n int) (uint64, int) {
 	s += gamma
 	return s, int(mix64(s) % uint64(n))
+}
+
+// reciprocal computes x % m with two multiplies instead of a division, for
+// a fixed m ≥ 2: Granlund & Montgomery's unsigned division by an invariant
+// integer (PLDI'94, Fig. 4.1; Hacker's Delight §10-8). With
+// l = ⌈log₂ m⌉ and magic = ⌊2⁶⁴·(2ˡ − m)/m⌋ + 1, the quotient of any
+// 64-bit x is (t + (x − t)/2) >> (l − 1), where t is the high word of
+// magic·x, and the paper proves it exact for every x < 2⁶⁴. So mod
+// returns exactly x % m, with no bound on x or m and no fallback. It does
+// not hold m: its caller passes the m it was built for.
+type reciprocal struct {
+	magic uint64
+	shift uint // l − 1
+}
+
+// newReciprocal returns the reciprocal of m, which must be at least 2.
+func newReciprocal(m uint64) reciprocal {
+	l := uint(bits.Len64(m - 1))
+	// 2ˡ − m < m, so the 128-by-64 division cannot overflow; at l = 64,
+	// 1<<l is 0 and the subtraction wraps to 2⁶⁴ − m.
+	magic, _ := bits.Div64(1<<l-m, 0, m)
+	return reciprocal{magic: magic + 1, shift: l - 1}
+}
+
+// mod returns x % m, for the m that r was built for. t ≤ x, so neither
+// the difference nor the sum wraps. The shift count is masked, which it
+// always fits, so that the compiler emits no branch for an oversized
+// shift.
+func (r reciprocal) mod(x, m uint64) uint64 {
+	t, _ := bits.Mul64(r.magic, x)
+	q := (t + (x-t)>>1) >> (r.shift & 63)
+	return x - q*m
 }
 
 // Float64 returns a uniform value in [0, 1).

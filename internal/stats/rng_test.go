@@ -137,3 +137,53 @@ func TestRNGSplitIndependence(t *testing.T) {
 		t.Fatalf("split streams collided %d times", matches)
 	}
 }
+
+// TestReciprocalMatchesRemainder checks reciprocal.mod against % for every
+// divisor in 2..2¹⁶ and for divisors sampled at every bit length up to
+// 2⁶⁴ − 1, each on edge numerators (0, 1, values at m, 2m and the largest
+// multiple of m, and around 2³², 2⁶³ and 2⁶⁴) and on random ones.
+func TestReciprocalMatchesRemainder(t *testing.T) {
+	gen := NewRNG(35)
+	check := func(m uint64, randoms int) {
+		r := newReciprocal(m)
+		top := math.MaxUint64 / m * m
+		xs := []uint64{0, 1, m - 1, m, m + 1, 2*m - 1, top - 1, top,
+			1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+		for i := 0; i < randoms; i++ {
+			xs = append(xs, gen.Uint64())
+		}
+		for _, x := range xs {
+			if got, want := r.mod(x, m), x%m; got != want {
+				t.Fatalf("%d mod %d = %d by reciprocal %+v, want %d", x, m, got, r, want)
+			}
+		}
+	}
+	for m := uint64(2); m <= 1<<16; m++ {
+		check(m, 100)
+	}
+	for l := 17; l <= 64; l++ {
+		lo := uint64(1) << (l - 1)
+		check(lo, 200)
+		check(lo+1, 200)
+		check(lo|(lo-1), 200) // 2ˡ − 1
+		for i := 0; i < 64; i++ {
+			check(lo|gen.Uint64()&(lo-1), 200)
+		}
+	}
+}
+
+// TestDrawKeysMatchMix64 checks that the keyed mix the bootstrap's draw
+// loop uses is SplitMix64's: drawKeys carries gamma and mix64's
+// multipliers.
+func TestDrawKeysMatchMix64(t *testing.T) {
+	if drawKeys.gamma != gamma {
+		t.Fatalf("drawKeys.gamma = %#x, want %#x", drawKeys.gamma, uint64(gamma))
+	}
+	gen := NewRNG(36)
+	for i := 0; i < 1000; i++ {
+		z := gen.Uint64()
+		if got, want := drawKeys.mix(z), mix64(z); got != want {
+			t.Fatalf("drawKeys.mix(%#x) = %#x, mix64 %#x", z, got, want)
+		}
+	}
+}

@@ -56,6 +56,10 @@ func budgetErr(line int32) *RuntimeError {
 	return &RuntimeError{Kind: "TimeoutError", Msg: "step budget exhausted", Line: int(line)}
 }
 
+func memoryErr(format string, args ...interface{}) *RuntimeError {
+	return &RuntimeError{Kind: "MemoryError", Msg: fmt.Sprintf(format, args...)}
+}
+
 func abortErr(format string, args ...interface{}) *RuntimeError {
 	return &RuntimeError{Kind: "AbortError", Msg: fmt.Sprintf(format, args...)}
 }

@@ -268,6 +268,29 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestHugeRepetitionIsAMemoryError repeats a str or list past
+// maxRepeatLen, on both engines: each must raise a MemoryError before it
+// allocates, not panic in makeslice. An empty sequence repeated any number
+// of times stays empty, and a result of exactly maxRepeatLen is allowed.
+func TestHugeRepetitionIsAMemoryError(t *testing.T) {
+	for _, src := range []string{
+		"x = [0] * 4611686018427387904",
+		"x = 'a' * 4611686018427387904",
+		"x = [0, 1] * 4611686018427387904",
+		"x = 4611686018427387904 * 'ab'",
+		"x = 'ab' * 8388609",
+	} {
+		for _, mode := range []Mode{ModeInterp, ModeJIT} {
+			_, err := New(Config{Mode: mode}).RunSource(src)
+			if re, ok := err.(*RuntimeError); !ok || re.Kind != "MemoryError" {
+				t.Errorf("%v: src %q: %v, want a MemoryError", mode, src, err)
+			}
+		}
+	}
+	wantOut(t, "print(len([] * 4611686018427387904), len('' * 4611686018427387904), len([0] * -4611686018427387904))", "0 0 0\n")
+	wantOut(t, "print(len('ab' * 8388608))", "16777216\n")
+}
+
 // TestMalformedCodeIsAnError runs hand-built code objects the compiler
 // never emits: a module whose only op is RETURN, one that POPs an empty
 // stack, one with no ops, and a function whose body POPs an empty stack,

@@ -83,7 +83,7 @@ func (in *Interp) binary(op minipy.BinOpCode, a, b minipy.Value) (minipy.Value, 
 			}
 		case minipy.BinMul:
 			if n, ok := b.(minipy.Int); ok {
-				return repeatStr(xs, int64(n)), nil
+				return repeatStr(xs, int64(n))
 			}
 		case minipy.BinMod:
 			return nil, typeErr("%%-formatting is not supported; use str() and +")
@@ -92,7 +92,7 @@ func (in *Interp) binary(op minipy.BinOpCode, a, b minipy.Value) (minipy.Value, 
 	}
 	if n, ok := a.(minipy.Int); ok {
 		if ys, ok := b.(minipy.Str); ok && op == minipy.BinMul {
-			return repeatStr(ys, int64(n)), nil
+			return repeatStr(ys, int64(n))
 		}
 	}
 	// List operations.
@@ -107,7 +107,7 @@ func (in *Interp) binary(op minipy.BinOpCode, a, b minipy.Value) (minipy.Value, 
 			}
 		case minipy.BinMul:
 			if n, ok := b.(minipy.Int); ok {
-				return in.repeatList(xl, int64(n)), nil
+				return in.repeatList(xl, int64(n))
 			}
 		}
 		return nil, typeErr("unsupported operand type(s) for %s: 'list' and '%s'", op, b.TypeName())
@@ -206,22 +206,44 @@ func intPow(base, exp int64) int64 {
 	return result
 }
 
-func repeatStr(s minipy.Str, n int64) minipy.Str {
-	if n <= 0 {
-		return ""
+// maxRepeatLen bounds the result of one repetition: a str of that many
+// bytes or a list of that many items. The inventory's largest repetition
+// is 3,001 items (primes' `[True] * (n + 1)`).
+const maxRepeatLen = 1 << 24
+
+// repeatLen returns the length of a length-long sequence repeated n times,
+// or a MemoryError when that would exceed maxRepeatLen. It computes no
+// product that could overflow.
+func repeatLen(length int, n int64) (int, error) {
+	if n <= 0 || length == 0 {
+		return 0, nil
 	}
-	return minipy.Str(strings.Repeat(string(s), int(n)))
+	if n > maxRepeatLen/int64(length) {
+		return 0, memoryErr("repeating a sequence of length %d %d times exceeds %d items", length, n, maxRepeatLen)
+	}
+	return length * int(n), nil
 }
 
-func (in *Interp) repeatList(l *minipy.List, n int64) *minipy.List {
-	if n <= 0 {
-		return in.newList(nil)
+func repeatStr(s minipy.Str, n int64) (minipy.Str, error) {
+	if size, err := repeatLen(len(s), n); size == 0 {
+		return "", err
 	}
-	items := make([]minipy.Value, 0, int64(len(l.Items))*n)
+	return minipy.Str(strings.Repeat(string(s), int(n))), nil
+}
+
+func (in *Interp) repeatList(l *minipy.List, n int64) (*minipy.List, error) {
+	size, err := repeatLen(len(l.Items), n)
+	if err != nil {
+		return nil, err
+	}
+	if size == 0 {
+		return in.newList(nil), nil
+	}
+	items := make([]minipy.Value, 0, size)
 	for i := int64(0); i < n; i++ {
 		items = append(items, l.Items...)
 	}
-	return in.newList(items)
+	return in.newList(items), nil
 }
 
 func toFloat(v minipy.Value) (float64, bool) {
